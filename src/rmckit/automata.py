@@ -605,44 +605,6 @@ def project(a: FiniteAutomaton, i: int) -> FiniteAutomaton:
     return project_components(a, [i - 1])
 
 
-def embed_tracks(
-    a: FiniteAutomaton,
-    base: Alphabet,
-    n_tracks: int,
-    tracks: Sequence[int],
-) -> FiniteAutomaton:
-    """Lift an automaton over a k-track product of `base` into an n-track one.
-
-    `tracks` names the target track of each source track, ascending; the
-    remaining tracks are unconstrained (every base symbol).
-    """
-    width = len(base.components)
-    if len(a.alphabet.components) != width * len(tracks):
-        raise InputError("track structure does not match the automaton alphabet")
-    if sorted(tracks) != list(tracks) or len(set(tracks)) != len(tracks):
-        raise InputError("target tracks must be distinct and ascending")
-    free = [t for t in range(n_tracks) if t not in set(tracks)]
-    size = base.size
-    target = Alphabet.product(*([base] * n_tracks))
-    transitions = set()
-    for src, sym, dst in a.transitions:
-        # decompose into per-track base symbols, least significant track last
-        per_track: list[int] = []
-        rem = sym
-        for _ in range(len(tracks)):
-            rem, low = divmod(rem, size)
-            per_track.append(low)
-        per_track.reverse()
-        for combo in itertools.product(range(size), repeat=len(free)):
-            slot = {t: s for t, s in zip(tracks, per_track)}
-            slot.update({t: s for t, s in zip(free, combo)})
-            new_sym = 0
-            for t in range(n_tracks):
-                new_sym = new_sym * size + slot[t]
-            transitions.add((src, new_sym, dst))
-    return type(a)(target, a.n_states, a.initial, a.accepting, frozenset(transitions))
-
-
 # ---------------------------------------------------------------------------
 # decision procedures
 

@@ -156,7 +156,32 @@ def _run_slices(ns, fn, threads):
         return [futures[n].result() for n in ns]
 
 
-def _report(args, command: str, rows: list[dict], overall: str) -> int:
+def _label(row: dict) -> str:
+    return "unsliced" if row["slice"] is None else f"slice {row['slice']}"
+
+
+def _verdict_line(row: dict) -> None:
+    extra = []
+    for key in ("steps", "reach_steps", "closure_steps", "reason", "sim_exact"):
+        if key in row and row[key] is not None:
+            extra.append(f"{key}={row[key]}")
+    suffix = f" ({', '.join(extra)})" if extra else ""
+    print(f"{_label(row)}: {row['status']}{suffix} [{row['time_ms']} ms]")
+    if row.get("witness"):
+        w = row["witness"]
+        if w.get("loop_start") is not None:
+            print(f"  lasso, loop starts at index {w['loop_start']}:")
+        else:
+            print("  path witness:")
+        for i, word in enumerate(w["words"]):
+            print(f"    {i}: {' '.join(word)}")
+
+
+def _report(args, command: str, rows: list[dict], overall: str, line=_verdict_line) -> int:
+    """Print the rows as JSON or as text and return the exit code of `overall`.
+
+    `line` prints one row as text; the default prints a verdict and its witness.
+    """
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
@@ -168,21 +193,7 @@ def _report(args, command: str, rows: list[dict], overall: str) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for row in rows:
-            label = "unsliced" if row["slice"] is None else f"slice {row['slice']}"
-            extra = []
-            for key in ("steps", "reach_steps", "closure_steps", "reason", "sim_exact"):
-                if key in row and row[key] is not None:
-                    extra.append(f"{key}={row[key]}")
-            suffix = f" ({', '.join(extra)})" if extra else ""
-            print(f"{label}: {row['status']}{suffix} [{row['time_ms']} ms]")
-            if row.get("witness"):
-                w = row["witness"]
-                if w.get("loop_start") is not None:
-                    print(f"  lasso, loop starts at index {w['loop_start']}:")
-                else:
-                    print("  path witness:")
-                for i, word in enumerate(w["words"]):
-                    print(f"    {i}: {' '.join(word)}")
+            line(row)
         print(f"overall: {overall}")
     return _EXIT[overall]
 
@@ -412,29 +423,14 @@ def cmd_closure(args) -> int:
             }
         )
     overall = HOLDS if all(r["converged"] for r in rows) else UNKNOWN
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": "closure",
-                    "system": args.system,
-                    "slices": rows,
-                    "overall": overall,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for row in rows:
-            label = "unsliced" if row["slice"] is None else f"slice {row['slice']}"
-            print(
-                f"{label}: converged={row['converged']} steps={row['steps']} "
-                f"states={row['states']} [{row['time_ms']} ms]"
-            )
-        print(f"overall: {overall}")
-    return _EXIT[overall]
+    return _report(args, "closure", rows, overall, _closure_line)
+
+
+def _closure_line(row: dict) -> None:
+    print(
+        f"{_label(row)}: converged={row['converged']} steps={row['steps']} "
+        f"states={row['states']} [{row['time_ms']} ms]"
+    )
 
 
 def cmd_sim(args) -> int:
@@ -462,29 +458,14 @@ def cmd_sim(args) -> int:
             }
         )
     overall = HOLDS if all(r["exact"] for r in rows) else UNKNOWN
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": "sim",
-                    "system": args.system,
-                    "slices": rows,
-                    "overall": overall,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for row in rows:
-            print(
-                f"slice {row['slice']}: exact={row['exact']} "
-                f"iterations={row['iterations']} states={row['states']} "
-                f"[{row['time_ms']} ms]"
-            )
-        print(f"overall: {overall}")
-    return 0 if overall == HOLDS else 2
+    return _report(args, "sim", rows, overall, _sim_line)
+
+
+def _sim_line(row: dict) -> None:
+    print(
+        f"{_label(row)}: exact={row['exact']} iterations={row['iterations']} "
+        f"states={row['states']} [{row['time_ms']} ms]"
+    )
 
 
 def cmd_gen_example(args) -> int:

@@ -24,7 +24,6 @@ from .automata import (
     intersect,
     is_empty,
     minimize,
-    pick_word,
     project_components,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .omega import (
     OmegaAutomaton,
     UltimatelyPeriodicWord,
     accepts_up_word,
-    buchi_is_empty,
     complement_weak_dba,
     complete_omega,
     minimize_weak_dba,
@@ -55,6 +53,8 @@ from .system import (
     Verdict,
     _backchain,
     _canon_set,
+    _intersect_set,
+    _pick,
     _reach_layers,
     replay_lasso,
 )
@@ -531,7 +531,7 @@ def check_emptiness_loop(msys: BuchiRegularSystem, budget: int = 64) -> Verdict:
             return Verdict.holds(reach_steps=reach_steps, converged=True)
         loopable, plus = _loopable_states(msys, budget)
         core = _intersect3(reach, msys.acceptance, loopable, m.mode)
-        anchor = _pick_member(core)
+        anchor = _pick(core)
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
     diag = {
@@ -571,13 +571,6 @@ def _intersect3(a, b, c, mode):
     return intersect(intersect(a, b), c)
 
 
-def _pick_member(a):
-    if isinstance(a, OmegaAutomaton):
-        empty, w = buchi_is_empty(a)
-        return None if empty else w
-    return pick_word(a)
-
-
 def _extract_lasso(m: RegularSystem, layers, anchor, cycle_bound: int):
     """Concrete lasso through `anchor`: initial path plus a strict cycle."""
     from .system import _singleton
@@ -598,22 +591,14 @@ def _extract_lasso(m: RegularSystem, layers, anchor, cycle_bound: int):
         return None
     loop_words = [anchor]
     for i in range(hit - 1, 0, -1):
-        back = _intersect_layer(
-            y[i], preimage(m.relation, _singleton(m.alphabet, loop_words[0])), m.mode
-        )
-        w = _pick_member(back)
+        back = _intersect_set(y[i], preimage(m.relation, _singleton(m.alphabet, loop_words[0])))
+        w = _pick(back)
         if w is None:
             return None
         loop_words.insert(0, w)
     # loop_words is now u_1 .. u_{hit-1}, anchor: the strict cycle body
     words = tuple(prefix_words) + tuple(loop_words[:-1])
     return LassoWitness(words, loop_start=j)
-
-
-def _intersect_layer(a, b, mode):
-    if mode == OMEGA:
-        return omega_intersect(a, b)
-    return intersect(a, b)
 
 
 # ---------------------------------------------------------------------------

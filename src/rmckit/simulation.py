@@ -3,9 +3,16 @@
 The greatest simulation compatible with the declared state properties is the
 limit of a decreasing transducer sequence: the initial relation pairs
 equal-length words with equal cop sets, and each refinement removes pairs
-whose moves cannot be matched.  An exact fixpoint certifies a finite-index
-simulation and makes the simulation-based nonemptiness check complete;
-budget-exhausted over-approximations are never used to report Holds.
+whose moves cannot be matched.  A refinement step is derived from relation
+composition, inverse and complement of the step relation T:
+
+    G    = T o Sim^-1        (w2, w3): w2 steps to a word that simulates w3
+    Bad  = T o (not G)^-1    (w1, w2): w1 has a move that w2 cannot match
+    Sim' = Sim cap not Bad
+
+An exact fixpoint certifies a finite-index simulation and makes the
+simulation-based nonemptiness check complete; budget-exhausted
+over-approximations are never used to report Holds.
 """
 
 from __future__ import annotations
@@ -14,26 +21,27 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import (
-    FiniteAutomaton,
-    complement,
-    embed_tracks,
-    intersect,
-    minimize,
-    project_components,
-)
+from .automata import FiniteAutomaton, complement, minimize
 from .errors import InputError, NonWeakResult
-from .gsp import StateProperty, _extract_lasso, _pick_member
-from .omega import (
-    OmegaAutomaton,
-    complement_weak_dba,
-    minimize_weak_dba,
-    omega_intersect,
-    omega_project_components,
-    to_weak_dba,
+from .gsp import StateProperty, _extract_lasso, _loopable_from_plus
+from .omega import OmegaAutomaton, complement_weak_dba, minimize_weak_dba, to_weak_dba
+from .system import (
+    BuchiRegularSystem,
+    Verdict,
+    _intersect_set,
+    _pick,
+    _reach_layers,
+    replay_lasso,
 )
-from .system import BuchiRegularSystem, Verdict, _reach_layers, replay_lasso
-from .transducer import OMEGA, Transducer, closure, relation_includes
+from .transducer import (
+    OMEGA,
+    Transducer,
+    closure,
+    compose,
+    inverse,
+    preimage,
+    relation_includes,
+)
 
 
 @dataclass(frozen=True)
@@ -141,40 +149,20 @@ def _complement_pairs(a: FiniteAutomaton) -> FiniteAutomaton:
     return complement(a)
 
 
-def _intersect_any(a, b):
-    if isinstance(a, OmegaAutomaton):
-        return omega_intersect(a, b)
-    return intersect(a, b)
-
-
-def _project_track(a, base_width: int, n_tracks: int, drop_track: int):
-    drop = list(range(drop_track * base_width, (drop_track + 1) * base_width))
-    if isinstance(a, OmegaAutomaton):
-        return omega_project_components(a, drop)
-    return project_components(a, drop)
-
-
 def sim_step(s: SimRelation, t: Transducer) -> SimRelation:
     """One refinement: drop pairs with an unmatched move.
 
     Removed are pairs (w1, w2) such that some successor w3 of w1 has no
-    counterpart w4 of w2 with (w3, w4) still related; computed with the
-    complement / product / projection toolkit over a three-track alphabet.
+    counterpart w4 of w2 with (w3, w4) still related:
+    G = T o Sim^-1, Bad = T o (not G)^-1 and Sim' = Sim cap not Bad.
     """
     if s.relation.base != t.base:
         raise InputError("simulation relation and transducer bases differ")
-    base = t.base
-    width = len(base.components)
-
     # G(w2, w3) = exists w4: (w2, w4) in T and (w3, w4) in Sim
-    t_13 = embed_tracks(t.inner, base, 3, [0, 2])
-    sim_23 = embed_tracks(s.relation.inner, base, 3, [1, 2])
-    g = _project_track(_intersect_any(t_13, sim_23), width, 3, 2)
-    not_g = _complement_pairs(g)
+    g = compose(t, inverse(s.relation))
     # Bad(w1, w2) = exists w3: (w1, w3) in T and not G(w2, w3)
-    notg_23 = embed_tracks(not_g, base, 3, [1, 2])
-    bad = _project_track(_intersect_any(t_13, notg_23), width, 3, 2)
-    refined = _intersect_any(s.relation.inner, _complement_pairs(bad))
+    bad = compose(t, inverse(Transducer(_complement_pairs(g.inner))))
+    refined = _intersect_set(s.relation.inner, _complement_pairs(bad.inner))
     rel = _canon_rel(Transducer(refined))
     return SimRelation(rel, s.iteration_index + 1, False)
 
@@ -241,15 +229,12 @@ def check_emptiness_sim(
     if isinstance(sim, SimRelation) and not sim.exact:
         raise InputError("inexact iterate is not a sound simulation; validate a candidate instead")
     m = msys.system
-    width = len(m.alphabet.components)
     try:
         layers, reach, reach_conv, _ = _reach_layers(m, budget)
         plus = closure(m.relation, "plus", budget)
-        acc_on_2 = embed_tracks(msys.acceptance, m.alphabet, 2, [1])
-        k = _intersect_any(_intersect_any(plus.relation.inner, acc_on_2), sim.relation.inner)
-        w = _project_track(k, width, 2, 1)
-        core = _intersect_any(reach, w)
-        anchor = _pick_member(core)
+        # words w1 with (w1, w2) in T+ cap Sim for some accepting w2
+        similar = Transducer(_intersect_set(plus.relation.inner, sim.relation.inner))
+        anchor = _pick(_intersect_set(reach, preimage(similar, msys.acceptance)))
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
     diag = {
@@ -264,7 +249,7 @@ def check_emptiness_sim(
     # the anchor only starts an abstract lasso (each accepting visit may be a
     # fresh, merely similar state); concretize through the exact-repetition
     # core, which exists on locally-finite instances
-    witness = _concretize(msys, layers, plus)
+    witness = _concretize(msys, layers, reach, plus)
     if witness is None:
         return Verdict.unknown(
             "simulation detected an abstract lasso but no concrete repetition in bound",
@@ -276,36 +261,13 @@ def check_emptiness_sim(
     return Verdict.violated(witness, **diag)
 
 
-def _concretize(msys: BuchiRegularSystem, layers, plus):
-    from .gsp import _loopable_from_plus
-    from .system import _intersect_set
-
+def _concretize(msys: BuchiRegularSystem, layers, reach, plus):
     loopable = _loopable_from_plus(msys, plus)
-    core = _intersect_set(
-        _intersect_set(layers_union(layers, msys.system.mode), msys.acceptance), loopable
-    )
-    anchor = _pick_member(core)
+    core = _intersect_set(_intersect_set(reach, msys.acceptance), loopable)
+    anchor = _pick(core)
     if anchor is None:
         return None
     return _extract_lasso(msys.system, layers, anchor, plus.steps_used + 1)
-
-
-def layers_union(layers, mode):
-    from .automata import union as f_union
-    from .omega import omega_union
-
-    out = layers[0]
-    for layer in layers[1:]:
-        out = omega_union(out, layer) if mode == OMEGA else f_union(out, layer)
-    return out
-
-
-def simulation_equivalence(sim: SimRelation) -> Transducer:
-    """Derived helper: Sim intersect Sim^-1 (no verification role)."""
-    from .transducer import inverse
-
-    inv = inverse(sim.relation)
-    return _canon_rel(Transducer(_intersect_any(sim.relation.inner, inv.inner)))
 
 
 def brute_force_simulation(

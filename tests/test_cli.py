@@ -107,6 +107,23 @@ def test_closure_unsliced_budget_reports_unknown(ring_dir, capsys):
     assert "converged=False" in out
 
 
+def test_closure_json_report(ring_dir, capsys):
+    system = str(ring_dir / "system.sys")
+    code = main(["closure", "--system", system, "--budget", "8", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["schema"] == 1
+    assert doc["command"] == "closure"
+    assert doc["overall"] == "unknown"
+    assert [row["converged"] for row in doc["slices"]] == [False]
+    code = main(["closure", "--system", system, "--slice", "2..3", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["command"] == "closure"
+    assert doc["overall"] == "holds"
+    assert [row["slice"] for row in doc["slices"]] == [2, 3]
+
+
 def test_check_reach_unsliced_budget_unknown(ring_dir, capsys):
     code = main(
         [
@@ -128,6 +145,24 @@ def test_sim_command_exact(ring_dir, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "exact=True" in out
+
+
+def test_sim_json_report(ring_dir, capsys):
+    argv = ["sim", "--system", str(ring_dir / "system.sys"), "--slice", "2..2"]
+    code = main(argv + ["--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["schema"] == 1
+    assert doc["command"] == "sim"
+    assert doc["overall"] == "holds"
+    assert [(row["slice"], row["exact"]) for row in doc["slices"]] == [(2, True)]
+    # one refinement step does not reach the fixpoint on this slice
+    code = main(argv + ["--budget", "1", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["command"] == "sim"
+    assert doc["overall"] == "unknown"
+    assert [row["exact"] for row in doc["slices"]] == [False]
 
 
 def test_input_error_exit_three(capsys):

@@ -5,6 +5,7 @@ import pytest
 from rmckit import (
     Alphabet,
     FiniteAutomaton,
+    HOLDS,
     InputError,
     Transducer,
     UNKNOWN,
@@ -34,8 +35,9 @@ from rmckit.fixtures import (
     token_ring_dup_mutant,
 )
 from rmckit.gsp import cop_of
+from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word, omega_universal
 from rmckit.system import BuchiRegularSystem, RegularSystem
-from rmckit.transducer import FINITE, identity
+from rmckit.transducer import FINITE, OMEGA, identity, pair_up_word
 
 NT = ring_alphabet()
 
@@ -104,6 +106,28 @@ def test_sim_step_removes_unmatched_pair():
     assert s2.relation == s1.relation  # fixpoint reached
 
 
+def test_sim_fixpoint_omega_mode():
+    # omega words over {x, y}: x^omega steps to itself, every other word is stuck
+    base = Alphabet.base(("x", "y"))
+    pair = Alphabet.product(base, base)
+    loop = frozenset({(0, pair.index("x/x"), 0)})
+    t = Transducer(OmegaAutomaton(pair, 1, frozenset({0}), frozenset({0}), loop))
+    universe = omega_universal(base)
+    msys = BuchiRegularSystem(RegularSystem(base, universe, t, OMEGA), universe)
+    s = sim_fixpoint(msys, [], budget=8)
+    assert s.exact and s.iteration_index == 2
+    x, y = base.index("x"), base.index("y")
+    xs, ys = UltimatelyPeriodicWord((), (x,)), UltimatelyPeriodicWord((), (y,))
+    x_then_ys = UltimatelyPeriodicWord((x,), (y,))
+
+    def related(w1, w2):
+        return accepts_up_word(s.relation.inner, pair_up_word(base, w1, w2))
+
+    assert related(ys, xs)  # a stuck word is simulated by anything
+    assert not related(xs, ys)
+    assert not related(xs, x_then_ys)
+
+
 def chain_system():
     return toy_system(["s0/s1", "s1/s2", "s2/s3"], symbols=("s0", "s1", "s2", "s3"))
 
@@ -113,6 +137,20 @@ def test_sim_fixpoint_budget():
     assert not sim_fixpoint(msys, [], budget=1).exact
     full = sim_fixpoint(msys, [], budget=8)
     assert full.exact and full.iteration_index == 4
+
+
+def test_sim_fixpoint_chain_matches_brute_force():
+    # asymmetric: s0 simulates s1 (both move on), s1 does not simulate s0
+    msys, base = chain_system()
+    sim = sim_fixpoint(msys, [], budget=8)
+    names = ("s0", "s1", "s2", "s3")
+    got = {
+        (i, j)
+        for i in range(4)
+        for j in range(4)
+        if accepts_pair(sim.relation, base.word(names[i]), base.word(names[j]))
+    }
+    assert got == brute_force_simulation(4, [(0, 1), (1, 2), (2, 3)], ["s"] * 4)
 
 
 def test_sim_fixpoint_identity_relation():
@@ -187,6 +225,25 @@ def test_check_emptiness_sim_agrees_with_loop():
         if v_sim.status == VIOLATED:
             ok, why = replay_gsp_witness(aug, v_sim.witness)
             assert ok, why
+
+
+def test_check_emptiness_sim_ignores_unreachable_accepting_words():
+    # a+ is accepting but unreachable from b+, though a steps to b and c simulates a
+    base = Alphabet.base(("a", "b", "c"))
+    pair = Alphabet.product(base, base)
+    moves = frozenset((0, pair.index(p), 0) for p in ("a/b", "b/c", "c/c"))
+    t = Transducer(FiniteAutomaton(pair, 1, frozenset({0}), frozenset({0}), moves))
+
+    def plus(name):
+        s = base.index(name)
+        return FiniteAutomaton(
+            base, 2, frozenset({0}), frozenset({1}), frozenset({(0, s, 1), (1, s, 1)})
+        )
+
+    msys = BuchiRegularSystem(RegularSystem(base, plus("b"), t, FINITE), plus("a"))
+    sim = sim_fixpoint(msys, [], budget=8)
+    assert check_emptiness_sim(msys, sim, budget=8).status == HOLDS
+    assert check_emptiness_loop(msys, budget=8).status == HOLDS
 
 
 def test_check_emptiness_sim_underapproximation_unknown():
