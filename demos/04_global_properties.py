@@ -3,7 +3,8 @@
 The property "always exactly one token" is negated to a Buchi automaton over
 property-subset labels, the system is augmented so that accepting executions
 of the product are exactly the violations, and emptiness is decided by loop
-detection over the closure of the augmented relation.  The duplicating
+detection: on these finite-word slices, a nested fixpoint over sets of words
+finds the reachable accepting words that lie on a cycle.  The duplicating
 mutant yields a concrete lasso that replays through every layer of the
 construction.
 """

@@ -43,6 +43,10 @@ from .transducer import OMEGA, closure
 
 SCHEMA = 1
 _EXIT = {HOLDS: 0, VIOLATED: 1, UNKNOWN: 2}
+# verdict diagnostics copied into report rows, in print order
+_DIAGNOSTIC_KEYS = (
+    "steps", "reach_steps", "nested_rounds", "closure_steps", "reason", "sim_exact", "converged",
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,8 +166,8 @@ def _label(row: dict) -> str:
 
 def _verdict_line(row: dict) -> None:
     extra = []
-    for key in ("steps", "reach_steps", "closure_steps", "reason", "sim_exact"):
-        if key in row and row[key] is not None:
+    for key in _DIAGNOSTIC_KEYS:
+        if key != "converged" and row.get(key) is not None:
             extra.append(f"{key}={row[key]}")
     suffix = f" ({', '.join(extra)})" if extra else ""
     print(f"{_label(row)}: {row['status']}{suffix} [{row['time_ms']} ms]")
@@ -204,7 +208,7 @@ def _row(n: int | None, verdict: Verdict, elapsed: float, words=None) -> dict:
         "status": verdict.status,
         "time_ms": round(elapsed * 1000, 1),
     }
-    for key in ("steps", "reach_steps", "closure_steps", "reason", "sim_exact", "converged"):
+    for key in _DIAGNOSTIC_KEYS:
         if key in verdict.diagnostics:
             row[key] = verdict.diagnostics[key]
     if verdict.witness is not None:

@@ -5,7 +5,9 @@ property constrains the infinite sequence of satisfied-property sets along
 an execution.  Verification negates the property, augments the system so
 that accepting executions of the augmented Buchi regular system are exactly
 the violating executions of the original, and then checks emptiness by loop
-detection over the closure of the augmented relation.
+detection: a nested fixpoint over sets of words in finite mode, where every
+execution stays within one word length and so must repeat a configuration,
+and the closure of the augmented relation in omega mode, where it need not.
 
 The tool takes the negated property automaton directly; `negate_gsp` is
 offered for the deterministic weak case only (complement by flip), since
@@ -22,7 +24,6 @@ from .automata import (
     FiniteAutomaton,
     accepts,
     intersect,
-    is_empty,
     minimize,
     project_components,
 )
@@ -42,7 +43,6 @@ from .omega import (
     complete_omega,
     minimize_weak_dba,
     omega_intersect,
-    omega_is_empty,
     omega_project_components,
     to_weak_dba,
 )
@@ -53,9 +53,12 @@ from .system import (
     Verdict,
     _backchain,
     _canon_set,
+    _empty_set,
     _intersect_set,
     _pick,
     _reach_layers,
+    _singleton,
+    _union_set,
     replay_lasso,
 )
 from .transducer import FINITE, OMEGA, Transducer, closure, identity, image, preimage
@@ -505,33 +508,107 @@ def _loopable_from_plus(msys: BuchiRegularSystem, plus):
     return minimize(project_components(cross, drop), completion=False)
 
 
-def _loopable_states(msys: BuchiRegularSystem, budget: int):
-    plus = closure(msys.system.relation, "plus", budget)
-    return _loopable_from_plus(msys, plus), plus
-
-
 def check_emptiness_loop(msys: BuchiRegularSystem, budget: int = 64) -> Verdict:
     """Loop-detection emptiness of a Buchi regular system.
 
-    Empty (property holds) iff reachable cap acceptance cap self-loopable is
-    empty, provided both fixpoints converged; a nonempty intersection yields
-    a replayable lasso regardless of convergence.
+    The system is nonempty iff some reachable accepting word lies on a
+    cycle.  Finite mode decides this with a nested fixpoint over sets of
+    words (configurations of one length must repeat); omega mode, where they
+    need not, uses the closure of the relation.  `holds` needs every
+    fixpoint to have converged within `budget`; a violation is reported only
+    with a replayed lasso, whether or not they converged.
     """
+    if msys.system.mode == OMEGA:
+        return _closure_emptiness(msys, budget)
+    return _nested_emptiness(msys, budget)
+
+
+def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
+    """Emerson-Lei fixpoint: the accepting reachable words that reach the
+    set again in one or more steps, iterated down to the greatest such set.
+    Its limit is nonempty iff an accepting lasso exists."""
+    m = msys.system
+    layers, reach, reach_conv, reach_steps = _reach_layers(m, budget)
+    fair = _canon_set(_intersect_set(reach, msys.acceptance))
+    if reach_conv and _empty_set(fair):
+        return Verdict.holds(reach_steps=reach_steps, nested_rounds=0, converged=True)
+    reason = None if reach_conv else "reachability"
+    rounds = 0
+    for rounds in range(1, budget + 1):
+        back, back_conv = _pre_plus(m, reach, fair, budget)
+        if not back_conv:
+            reason = "backward reachability"
+        nxt = _canon_set(_intersect_set(fair, back))
+        if nxt == fair:
+            break
+        fair = nxt
+    else:
+        reason = reason or "nested"
+    diag = {"reach_steps": reach_steps, "nested_rounds": rounds, "converged": reason is None}
+    if _empty_set(fair):
+        if reason is None:
+            return Verdict.holds(**diag)
+        return Verdict.unknown(f"budget exhausted before the {reason} fixpoint converged", **diag)
+    witness = _fair_lasso(m, layers, reach, fair, budget)
+    if witness is None:
+        return Verdict.unknown("accepting cycle set nonempty but no lasso found in bound", **diag)
+    ok, why = replay_lasso(msys, witness)
+    if not ok:
+        raise InputError(f"extracted witness failed replay: {why} (bug)")
+    return Verdict.violated(witness, **diag)
+
+
+def _pre_plus(m: RegularSystem, reach, target, budget: int):
+    """Words of `reach` with a path of one or more steps into `target`, and
+    whether the backward fixpoint converged within `budget` steps."""
+    back = _canon_set(_intersect_set(reach, preimage(m.relation, target)))
+    for _ in range(budget):
+        nxt = _canon_set(_union_set(back, _intersect_set(reach, preimage(m.relation, back))))
+        if nxt == back:
+            return back, True
+        back = nxt
+    return back, False
+
+
+def _fair_lasso(m: RegularSystem, layers, reach, fair, budget: int):
+    """Lasso through an element of `fair` that returns to `fair`.
+
+    Walks from fair word to fair word (each hop is the first image of the
+    current word within `reach` that meets `fair`) until a word repeats; the
+    repeated word lies on a cycle no longer than the walk between its visits.
+    """
+    word = _pick(fair)
+    seen: dict = {}
+    walked = 0
+    while word not in seen:
+        if len(seen) >= budget:
+            return None
+        seen[word] = walked
+        front = _singleton(m.alphabet, word)
+        for hop in range(1, budget + 1):
+            front = _canon_set(_intersect_set(reach, image(m.relation, front)))
+            word = _pick(_intersect_set(front, fair))
+            if word is not None:
+                break
+        else:
+            return None
+        walked += hop
+    return _extract_lasso(m, layers, word, walked - seen[word])
+
+
+def _closure_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
+    """Reachable cap acceptance cap self-loopable under the closure T+."""
     m = msys.system
     try:
         layers, reach, reach_conv, reach_steps = _reach_layers(m, budget)
-        accepting_reach = (
-            omega_intersect(reach, msys.acceptance)
-            if m.mode == OMEGA
-            else intersect(reach, msys.acceptance)
-        )
-        if reach_conv and _set_empty(accepting_reach, m.mode):
+        accepting_reach = _intersect_set(reach, msys.acceptance)
+        if reach_conv and _empty_set(accepting_reach):
             # no accepting state is reachable at all; the loop formula is
             # empty regardless of the closure
             return Verdict.holds(reach_steps=reach_steps, converged=True)
-        loopable, plus = _loopable_states(msys, budget)
-        core = _intersect3(reach, msys.acceptance, loopable, m.mode)
-        anchor = _pick(core)
+        plus = closure(m.relation, "plus", budget)
+        loopable = _loopable_from_plus(msys, plus)
+        anchor = _pick(_intersect_set(accepting_reach, loopable))
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
     diag = {
@@ -559,22 +636,8 @@ def check_emptiness_loop(msys: BuchiRegularSystem, budget: int = 64) -> Verdict:
     return Verdict.violated(witness, **diag)
 
 
-def _set_empty(a, mode) -> bool:
-    if mode == OMEGA:
-        return omega_is_empty(a)
-    return is_empty(a)
-
-
-def _intersect3(a, b, c, mode):
-    if mode == OMEGA:
-        return omega_intersect(omega_intersect(a, b), c)
-    return intersect(intersect(a, b), c)
-
-
 def _extract_lasso(m: RegularSystem, layers, anchor, cycle_bound: int):
     """Concrete lasso through `anchor`: initial path plus a strict cycle."""
-    from .system import _singleton
-
     j = next((i for i, lay in enumerate(layers) if _member(lay, anchor)), None)
     if j is None:
         return None

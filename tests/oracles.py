@@ -3,6 +3,8 @@
 Everything here recomputes expected results from first principles (word
 enumeration, explicit graphs, naive refinement) without going through the
 library's symbolic constructions, so that each check stays dual-route.
+The one exception is `closure_loop_formula`, the paper's closure-based
+emptiness formula, kept as a symbolic reference for the emptiness engine.
 """
 
 from __future__ import annotations
@@ -208,6 +210,23 @@ def gsp_violation_oracle(system: RegularSystem, n: int, neg_aut, cops) -> bool:
         if has_cycle and any(q in accepting for (_w, q) in comp):
             return True
     return False
+
+
+def closure_loop_formula(msys, budget: int) -> bool:
+    """Whether reachable cap acceptance cap loopable is nonempty, where a word
+    is loopable iff (w, w) is in the transitive closure T+ of the relation.
+
+    Both fixpoints must converge for the answer to be exact.
+    """
+    from rmckit.gsp import _loopable_from_plus
+    from rmckit.system import _empty_set, _intersect_set, reachable
+    from rmckit.transducer import closure
+
+    reach = reachable(msys.system, budget)
+    plus = closure(msys.system.relation, "plus", budget)
+    assert reach.converged and plus.converged
+    core = _intersect_set(reach.automaton, msys.acceptance)
+    return not _empty_set(_intersect_set(core, _loopable_from_plus(msys, plus)))
 
 
 def losp_violation_oracle(system: RegularSystem, n: int, losp_neg, leps) -> bool:

@@ -90,6 +90,19 @@ def test_check_losp_idle_mutant_violated(idle_dir, capsys):
     assert "violated" in out
 
 
+def test_check_losp_json_row_carries_nested_fixpoint_diagnostics(idle_dir, capsys):
+    argv = ["check-losp", "--system", str(idle_dir / "system.sys"), "--slice", "2..2"]
+    code = main(argv + ["--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["schema"] == 1
+    (row,) = doc["slices"]
+    assert row["status"] == "violated"
+    assert row["nested_rounds"] >= 1
+    assert row["converged"] is True
+    assert "closure_steps" not in row
+
+
 def test_check_losp_ring_holds(ring_dir, capsys):
     code = main(
         ["check-losp", "--system", str(ring_dir / "system.sys"), "--slice", "2..3"]

@@ -38,6 +38,7 @@ from rmckit.system import RegularSystem
 from rmckit.transducer import FINITE, OMEGA, identity
 
 from oracles import (
+    closure_loop_formula,
     gsp_violation_oracle,
     random_dfa_complete,
     random_sliced_system,
@@ -132,6 +133,17 @@ def test_budget_exhaustion_reports_unknown():
     assert verdict.status == UNKNOWN
 
 
+def test_unsliced_dup_mutant_violated_before_convergence():
+    # a lasso found while the fixpoints are still short of convergence is
+    # reported, not held back until they converge
+    aug = build_augmented_finite(token_ring_dup_mutant(), always_one_neg(), [one_token_prop()])
+    verdict = check_emptiness_loop(aug.msys, budget=3)
+    assert verdict.status == VIOLATED
+    assert verdict.diagnostics["converged"] is False
+    ok, why = replay_gsp_witness(aug, verdict.witness)
+    assert ok, why
+
+
 def test_incomplete_cop_rejected():
     partial = build_fa(NT, 1, [0], [0], [(0, "N", 0)])  # missing T moves
     with pytest.raises(IncompleteCopAutomaton):
@@ -169,6 +181,7 @@ def test_loop_check_agrees_with_explicit_oracle_federated():
         verdict = check_emptiness_loop(aug.msys, budget=40)
         expected = gsp_violation_oracle(system, n, neg.automaton, cops)
         assert verdict.status == (VIOLATED if expected else HOLDS)
+        assert closure_loop_formula(aug.msys, budget=40) == expected
         if verdict.status == VIOLATED:
             ok, why = replay_gsp_witness(aug, verdict.witness)
             assert ok, why

@@ -42,7 +42,7 @@ from rmckit.omega import UltimatelyPeriodicWord
 from rmckit.system import RegularSystem, reachable
 from rmckit.transducer import FINITE, identity
 
-from oracles import losp_violation_oracle
+from oracles import closure_loop_formula, losp_violation_oracle
 
 NT = ring_alphabet()
 
@@ -103,6 +103,7 @@ def test_losp_verdicts_match_explicit_generalized_buchi_oracle():
         got = check_losp(aug, budget=32).status
         expected = losp_violation_oracle(sl, n, lo.negation_automaton, [lep])
         assert got == (VIOLATED if expected else HOLDS)
+        assert closure_loop_formula(aug.msys, budget=32) == expected
 
 
 def test_empty_lep_list_degenerates_to_system_emptiness():
