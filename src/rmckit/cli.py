@@ -2,8 +2,8 @@
 
 Exit codes: 0 the property holds (on every requested slice), 1 violated
 (a replayed witness is printed), 2 unknown (budget or approximation), 3
-input error.  Slice checks run in parallel, capped by RMCKIT_THREADS;
-output is ordered by slice.
+input error.  `--slice LO..HI` needs 1 <= LO <= HI; slices are checked one
+after another and reported in slice order.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .gsp import (
     negated_gsp,
     replay_gsp_witness,
 )
-from .losp import LospAugmentation, build_augmented_losp, check_losp, replay_losp_witness
-from .omega import OmegaAutomaton
+from .losp import build_augmented_losp, check_losp, replay_losp_witness
+from .omega import OmegaAutomaton, _member, _segments
 from .simulation import check_emptiness_sim, sim_fixpoint
 from .system import (
     HOLDS,
@@ -35,11 +35,11 @@ from .system import (
     VIOLATED,
     RegularSystem,
     Verdict,
+    _conjoin,
     check_reachability_property,
     slice_system,
-    thread_cap,
 )
-from .transducer import OMEGA, closure
+from .transducer import OMEGA, accepts_pair, closure
 
 SCHEMA = 1
 _EXIT = {HOLDS: 0, VIOLATED: 1, UNKNOWN: 2}
@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--budget", type=int, default=64, help="fixpoint budget (default 64)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--threads", type=int, default=None, help="cap slice parallelism")
         if engine:
             p.add_argument("--engine", choices=("loop", "sim"), default="loop")
 
@@ -116,19 +115,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_slice(text: str) -> tuple[int, int] | None:
+    """`none`, a length N or a range LO..HI with 1 <= LO <= HI."""
     if text == "none":
         return None
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return int(lo), int(hi)
-        except ValueError:
-            raise InputError(f"bad slice range {text!r}")
+    lo, sep, hi = text.partition("..")
     try:
-        n = int(text)
+        span = int(lo), int(hi if sep else lo)
     except ValueError:
         raise InputError(f"bad slice range {text!r}")
-    return n, n
+    if not 1 <= span[0] <= span[1]:
+        raise InputError(f"bad slice range {text!r}: need 1 <= LO <= HI")
+    return span
+
+
+def _slice_rows(text: str, base: RegularSystem, row, unsliced_error: str | None = None):
+    """Rows `row(n, system)` for each slice of `--slice`, in slice order, or
+    the one row `row(None, base)` for `none` unless `unsliced_error` forbids it."""
+    span = _parse_slice(text)
+    if span is None:
+        if unsliced_error is not None:
+            raise InputError(unsliced_error)
+        return [row(None, base)]
+    return [row(n, slice_system(base, n)) for n in range(span[0], span[1] + 1)]
 
 
 def _property_block(loaded: LoadedSystem, kinds: tuple[str, ...], arg: str | None):
@@ -146,18 +154,6 @@ def _property_block(loaded: LoadedSystem, kinds: tuple[str, ...], arg: str | Non
 
 # ---------------------------------------------------------------------------
 # reporting
-
-
-def _run_slices(ns, fn, threads):
-    """Ordered slice-parallel execution of row builders."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = threads or thread_cap()
-    if workers <= 1 or len(ns) <= 1:
-        return [fn(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {n: pool.submit(fn, n) for n in ns}
-        return [futures[n].result() for n in ns]
 
 
 def _label(row: dict) -> str:
@@ -181,11 +177,13 @@ def _verdict_line(row: dict) -> None:
             print(f"    {i}: {' '.join(word)}")
 
 
-def _report(args, command: str, rows: list[dict], overall: str, line=_verdict_line) -> int:
-    """Print the rows as JSON or as text and return the exit code of `overall`.
+def _report(args, command: str, rows: list[dict], line=_verdict_line) -> int:
+    """Print the rows as JSON or as text and return the exit code of their
+    conjunction.
 
     `line` prints one row as text; the default prints a verdict and its witness.
     """
+    overall = _conjoin(row["status"] for row in rows)
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
@@ -225,15 +223,6 @@ def _timed(fn, *fn_args):
     return out, time.perf_counter() - start
 
 
-def _overall(rows: list[dict]) -> str:
-    statuses = [r["status"] for r in rows]
-    if any(s == VIOLATED for s in statuses):
-        return VIOLATED
-    if all(s == HOLDS for s in statuses):
-        return HOLDS
-    return UNKNOWN
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -242,7 +231,6 @@ def cmd_check_reach(args) -> int:
     loaded = load_system(args.system)
     block = _property_block(loaded, ("reach-bad",), args.property)
     bad = parse_aut(Path(args.property).read_text()) if block is None else block.automaton
-    span = _parse_slice(args.slice)
     base = loaded.system
 
     def run(m: RegularSystem) -> Verdict:
@@ -251,49 +239,39 @@ def cmd_check_reach(args) -> int:
             _assert_path_witness(m, bad, verdict)
         return verdict
 
-    if span is None:
-        verdict, dt = _timed(run, base)
-        rows = [_row(None, verdict, dt, _plain_words(base, verdict))]
-    else:
+    def row(n: int | None, m: RegularSystem) -> dict:
+        verdict, dt = _timed(run, m)
+        return _row(n, verdict, dt, _witness_words(verdict, base.alphabet))
 
-        def per_slice(n: int) -> dict:
-            verdict, dt = _timed(run, slice_system(base, n))
-            return _row(n, verdict, dt, _plain_words(base, verdict))
-
-        rows = _run_slices(range(span[0], span[1] + 1), per_slice, args.threads)
-    return _report(args, "check-reach", rows, _overall(rows))
+    return _report(args, "check-reach", _slice_rows(args.slice, base, row))
 
 
 def _assert_path_witness(m: RegularSystem, bad, verdict: Verdict) -> None:
     """Re-validate a path witness before it is printed."""
-    from .automata import accepts
-    from .transducer import accepts_pair
-
     words = verdict.witness.words
     ok = (
         bool(words)
-        and accepts(m.initial, words[0])
-        and accepts(bad, words[-1])
+        and _member(m.initial, words[0])
+        and _member(bad, words[-1])
         and all(accepts_pair(m.relation, a, b) for a, b in zip(words, words[1:]))
     )
     if not ok:
         raise InputError("reachability witness failed replay (bug)")
 
 
-def _plain_words(base: RegularSystem, verdict: Verdict):
+def _witness_words(verdict: Verdict, alphabet, project=None):
+    """Witness words as letter names, after `project` maps each to the system's
+    words; the period of an omega-word follows a `|`."""
     if verdict.witness is None:
         return None
-    alphabet = base.alphabet
     out = []
     for w in verdict.witness.words:
-        if hasattr(w, "prefix"):
-            out.append(
-                [alphabet.name(s) for s in w.prefix]
-                + ["|"]
-                + [alphabet.name(s) for s in w.period]
-            )
-        else:
-            out.append([alphabet.name(s) for s in w])
+        names = []
+        for i, part in enumerate(_segments(w if project is None else project(w))):
+            if i:
+                names.append("|")
+            names.extend(alphabet.name(s) for s in part)
+        out.append(names)
     return out
 
 
@@ -302,14 +280,11 @@ def cmd_check_gsp(args) -> int:
     neg = _gsp_property(loaded, args)
     base = loaded.system
     cops = loaded.cops
-    engine = getattr(args, "engine", "loop")
+    build = build_augmented_omega if base.mode == OMEGA else build_augmented_finite
 
-    def check(m: RegularSystem, n: int | None) -> tuple[Verdict, GspAugmentation]:
-        if m.mode == OMEGA:
-            aug = build_augmented_omega(m, neg, cops)
-        else:
-            aug = build_augmented_finite(m, neg, cops)
-        if engine == "sim":
+    def run(m: RegularSystem) -> tuple[Verdict, GspAugmentation]:
+        aug = build(m, neg, cops)
+        if args.engine == "sim":
             sim = sim_fixpoint(aug.msys, cops, args.budget)
             verdict = check_emptiness_sim(aug.msys, sim, args.budget)
         else:
@@ -320,18 +295,13 @@ def cmd_check_gsp(args) -> int:
                 raise InputError(f"witness failed replay: {why}")
         return verdict, aug
 
-    if base.mode == OMEGA or _parse_slice(args.slice) is None:
-        (verdict, aug), dt = _timed(check, base, None)
-        rows = [_row(None, verdict, dt, _aug_words(aug, verdict))]
-    else:
-        lo, hi = _parse_slice(args.slice)
+    def row(n: int | None, m: RegularSystem) -> dict:
+        (verdict, aug), dt = _timed(run, m)
+        return _row(n, verdict, dt, _witness_words(verdict, base.alphabet, aug.sigma_word))
 
-        def per_slice(n: int) -> dict:
-            (verdict, aug), dt = _timed(check, slice_system(base, n), n)
-            return _row(n, verdict, dt, _aug_words(aug, verdict))
-
-        rows = _run_slices(range(lo, hi + 1), per_slice, args.threads)
-    return _report(args, "check-gsp", rows, _overall(rows))
+    # omega-mode systems are not sliced: their words are infinite
+    spec = "none" if base.mode == OMEGA else args.slice
+    return _report(args, "check-gsp", _slice_rows(spec, base, row))
 
 
 def _gsp_property(loaded: LoadedSystem, args) -> NegatedGsp:
@@ -346,22 +316,6 @@ def _gsp_property(loaded: LoadedSystem, args) -> NegatedGsp:
     return block.automaton  # `gsp` blocks were negated at load time
 
 
-def _aug_words(aug, verdict: Verdict):
-    if verdict.witness is None:
-        return None
-    base = aug.original.alphabet
-    out = []
-    for w in verdict.witness.words:
-        if hasattr(w, "prefix"):
-            pw = aug.sigma_up_word(w)
-            out.append(
-                [base.name(s) for s in pw.prefix] + ["|"] + [base.name(s) for s in pw.period]
-            )
-        else:
-            out.append([base.name(s) for s in aug.sigma_word(w)])
-    return out
-
-
 def cmd_check_losp(args) -> int:
     loaded = load_system(args.system)
     block = _property_block(loaded, ("losp-negated",), args.property)
@@ -373,10 +327,6 @@ def cmd_check_losp(args) -> int:
     else:
         lo_prop = block.automaton
     base = loaded.system
-    span = _parse_slice(args.slice)
-    if span is None:
-        raise InputError("check-losp needs a slice range (parametric verification)")
-    lo, hi = span
 
     def run(m: RegularSystem):
         aug = build_augmented_losp(m, lo_prop, loaded.leps)
@@ -387,47 +337,29 @@ def cmd_check_losp(args) -> int:
                 raise InputError(f"witness failed replay: {why}")
         return verdict, aug
 
-    def per_slice(n: int) -> dict:
-        (verdict, aug), dt = _timed(run, slice_system(base, n))
-        return _row(n, verdict, dt, _losp_words(aug, verdict))
+    def row(n: int, m: RegularSystem) -> dict:
+        (verdict, aug), dt = _timed(run, m)
+        return _row(n, verdict, dt, _witness_words(verdict, base.alphabet, aug.sigma_word))
 
-    rows = _run_slices(range(lo, hi + 1), per_slice, args.threads)
-    return _report(args, "check-losp", rows, _overall(rows))
-
-
-def _losp_words(aug: LospAugmentation, verdict: Verdict):
-    if verdict.witness is None:
-        return None
-    base = aug.original.alphabet
-    return [
-        [base.name(s) for s in aug.sigma_word(w)] for w in verdict.witness.words
-    ]
+    needs = "check-losp needs a slice range (parametric verification)"
+    return _report(args, "check-losp", _slice_rows(args.slice, base, row, needs))
 
 
 def cmd_closure(args) -> int:
     loaded = load_system(args.system)
-    span = _parse_slice(args.slice)
-    rows = []
-    systems: list[tuple[int | None, RegularSystem]]
-    if span is None:
-        systems = [(None, loaded.system)]
-    else:
-        systems = [(n, slice_system(loaded.system, n)) for n in range(span[0], span[1] + 1)]
-    for n, m in systems:
+
+    def row(n: int | None, m: RegularSystem) -> dict:
         result, dt = _timed(closure, m.relation, args.kind, args.budget)
-        status = HOLDS if result.converged else UNKNOWN
-        rows.append(
-            {
-                "slice": n,
-                "status": status,
-                "converged": result.converged,
-                "steps": result.steps_used,
-                "states": result.relation.inner.n_states,
-                "time_ms": round(dt * 1000, 1),
-            }
-        )
-    overall = HOLDS if all(r["converged"] for r in rows) else UNKNOWN
-    return _report(args, "closure", rows, overall, _closure_line)
+        return {
+            "slice": n,
+            "status": HOLDS if result.converged else UNKNOWN,
+            "converged": result.converged,
+            "steps": result.steps_used,
+            "states": result.relation.inner.n_states,
+            "time_ms": round(dt * 1000, 1),
+        }
+
+    return _report(args, "closure", _slice_rows(args.slice, loaded.system, row), _closure_line)
 
 
 def _closure_line(row: dict) -> None:
@@ -440,29 +372,25 @@ def _closure_line(row: dict) -> None:
 def cmd_sim(args) -> int:
     loaded = load_system(args.system)
     neg = _gsp_property(loaded, args)
-    base = loaded.system
-    span = _parse_slice(args.slice)
-    if span is None:
-        raise InputError("sim needs a slice range (finite-index detection is per slice)")
-    rows = []
-    for n in range(span[0], span[1] + 1):
-        def run(m: RegularSystem):
-            aug = build_augmented_finite(m, neg, loaded.cops)
-            return sim_fixpoint(aug.msys, loaded.cops, args.budget)
 
-        sim, dt = _timed(run, slice_system(base, n))
-        rows.append(
-            {
-                "slice": n,
-                "status": HOLDS if sim.exact else UNKNOWN,
-                "exact": sim.exact,
-                "iterations": sim.iteration_index,
-                "states": sim.relation.inner.n_states,
-                "time_ms": round(dt * 1000, 1),
-            }
-        )
-    overall = HOLDS if all(r["exact"] for r in rows) else UNKNOWN
-    return _report(args, "sim", rows, overall, _sim_line)
+    def run(m: RegularSystem):
+        aug = build_augmented_finite(m, neg, loaded.cops)
+        return sim_fixpoint(aug.msys, loaded.cops, args.budget)
+
+    def row(n: int, m: RegularSystem) -> dict:
+        sim, dt = _timed(run, m)
+        return {
+            "slice": n,
+            "status": HOLDS if sim.exact else UNKNOWN,
+            "exact": sim.exact,
+            "iterations": sim.iteration_index,
+            "states": sim.relation.inner.n_states,
+            "time_ms": round(dt * 1000, 1),
+        }
+
+    needs = "sim needs a slice range (finite-index detection is per slice)"
+    rows = _slice_rows(args.slice, loaded.system, row, needs)
+    return _report(args, "sim", rows, _sim_line)
 
 
 def _sim_line(row: dict) -> None:

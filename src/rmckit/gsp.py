@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import (
-    FiniteAutomaton,
-    accepts,
-    intersect,
-    minimize,
-    project_components,
-)
+from .automata import FiniteAutomaton, minimize, project_components
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -37,13 +31,18 @@ from .errors import (
 )
 from .omega import (
     OmegaAutomaton,
-    UltimatelyPeriodicWord,
-    accepts_up_word,
+    _canon,
+    _intersect,
+    _is_empty,
+    _map_letters,
+    _member,
+    _pick,
+    _segments,
+    _singleton,
+    _union,
     complement_weak_dba,
     complete_omega,
     minimize_weak_dba,
-    omega_intersect,
-    omega_project_components,
     to_weak_dba,
 )
 from .system import (
@@ -52,16 +51,19 @@ from .system import (
     RegularSystem,
     Verdict,
     _backchain,
-    _canon_set,
-    _empty_set,
-    _intersect_set,
-    _pick,
     _reach_layers,
-    _singleton,
-    _union_set,
     replay_lasso,
 )
-from .transducer import FINITE, OMEGA, Transducer, closure, identity, image, preimage
+from .transducer import (
+    FINITE,
+    OMEGA,
+    Transducer,
+    accepts_pair,
+    closure,
+    identity,
+    image,
+    preimage,
+)
 
 MAX_COPS = 8
 
@@ -127,19 +129,11 @@ def _check_cops(cops: Sequence[StateProperty], alphabet: Alphabet, mode: str) ->
             )
 
 
-def cop_of(word: Sequence[int], cops: Sequence[StateProperty]) -> CopSet:
-    """Bit i set iff property i accepts the word."""
+def cop_of(word, cops: Sequence[StateProperty]) -> CopSet:
+    """Bit i set iff property i accepts the (finite or omega) word."""
     mask = 0
     for i, cop in enumerate(cops):
-        if accepts(cop.automaton, word):
-            mask |= 1 << i
-    return CopSet(mask, len(cops))
-
-
-def cop_of_omega(w: UltimatelyPeriodicWord, cops: Sequence[StateProperty]) -> CopSet:
-    mask = 0
-    for i, cop in enumerate(cops):
-        if accepts_up_word(cop.automaton, w):
+        if _member(cop.automaton, word):
             mask |= 1 << i
     return CopSet(mask, len(cops))
 
@@ -188,14 +182,9 @@ class GspAugmentation:
         width = len(self.original.alphabet.components)
         return self.original.alphabet.symbol(parts[:width]), parts[-2], parts[-1]
 
-    def sigma_word(self, word: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self._split(sym)[0] for sym in word)
-
-    def sigma_up_word(self, w: UltimatelyPeriodicWord) -> UltimatelyPeriodicWord:
-        return UltimatelyPeriodicWord(
-            tuple(self._split(s)[0] for s in w.prefix),
-            tuple(self._split(s)[0] for s in w.period),
-        )
+    def sigma_word(self, word):
+        """Projection of a (finite or omega) augmented word to the system's."""
+        return _map_letters(word, lambda sym: self._split(sym)[0])
 
     def labels(self, word: Sequence[int]) -> list[tuple[int | None, int | None]]:
         """Per-position (negated-property state, cop mask); None encodes bot."""
@@ -206,6 +195,25 @@ class GspAugmentation:
             _, q, m = self._split(sym)
             out.append((q if q < n_q else None, m if m < n_m else None))
         return out
+
+    def word_label(self, word) -> tuple[tuple[int, int] | None, str]:
+        """The (negated-property state, cop mask) label of a word, or None and
+        what is wrong with its labels.
+
+        A finite word is labelled on its last position only; an omega word
+        carries one label uniformly on every position.
+        """
+        if self.mode == FINITE:
+            lab = self.labels(word)
+            if any(q is not None or m is not None for q, m in lab[:-1]):
+                return None, "carries labels before the final position"
+            if None in lab[-1]:
+                return None, "lacks the final-position label"
+            return lab[-1], ""
+        lab = {self._split(sym)[1:] for part in _segments(word) for sym in part}
+        if len(lab) != 1:
+            return None, "is not uniformly labelled"
+        return next(iter(lab)), ""
 
 
 def _delta_map(a: FiniteAutomaton) -> dict[tuple[int, int], int]:
@@ -490,22 +498,12 @@ def _gsp_acceptance_omega(base, nga, n_masks, letter, sigma_a):
 # loop-detection emptiness
 
 
-def _member(a: FiniteAutomaton, w) -> bool:
-    if isinstance(a, OmegaAutomaton):
-        return accepts_up_word(a, w)
-    return accepts(a, w)
-
-
 def _loopable_from_plus(msys: BuchiRegularSystem, plus):
     """Automaton for words w with (w, w) in the given strict closure."""
     tid = identity(msys.system.alphabet, msys.system.mode)
     width = len(msys.system.alphabet.components)
-    drop = list(range(width, 2 * width))
-    if msys.system.mode == OMEGA:
-        cross = omega_intersect(plus.relation.inner, tid.inner)
-        return minimize_weak_dba(to_weak_dba(omega_project_components(cross, drop)))
-    cross = intersect(plus.relation.inner, tid.inner)
-    return minimize(project_components(cross, drop), completion=False)
+    cross = _intersect(plus.relation.inner, tid.inner)
+    return _canon(project_components(cross, range(width, 2 * width)))
 
 
 def check_emptiness_loop(msys: BuchiRegularSystem, budget: int = 64) -> Verdict:
@@ -529,8 +527,8 @@ def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
     Its limit is nonempty iff an accepting lasso exists."""
     m = msys.system
     layers, reach, reach_conv, reach_steps = _reach_layers(m, budget)
-    fair = _canon_set(_intersect_set(reach, msys.acceptance))
-    if reach_conv and _empty_set(fair):
+    fair = _canon(_intersect(reach, msys.acceptance))
+    if reach_conv and _is_empty(fair):
         return Verdict.holds(reach_steps=reach_steps, nested_rounds=0, converged=True)
     reason = None if reach_conv else "reachability"
     rounds = 0
@@ -538,14 +536,14 @@ def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
         back, back_conv = _pre_plus(m, reach, fair, budget)
         if not back_conv:
             reason = "backward reachability"
-        nxt = _canon_set(_intersect_set(fair, back))
+        nxt = _canon(_intersect(fair, back))
         if nxt == fair:
             break
         fair = nxt
     else:
         reason = reason or "nested"
     diag = {"reach_steps": reach_steps, "nested_rounds": rounds, "converged": reason is None}
-    if _empty_set(fair):
+    if _is_empty(fair):
         if reason is None:
             return Verdict.holds(**diag)
         return Verdict.unknown(f"budget exhausted before the {reason} fixpoint converged", **diag)
@@ -561,9 +559,9 @@ def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
 def _pre_plus(m: RegularSystem, reach, target, budget: int):
     """Words of `reach` with a path of one or more steps into `target`, and
     whether the backward fixpoint converged within `budget` steps."""
-    back = _canon_set(_intersect_set(reach, preimage(m.relation, target)))
+    back = _canon(_intersect(reach, preimage(m.relation, target)))
     for _ in range(budget):
-        nxt = _canon_set(_union_set(back, _intersect_set(reach, preimage(m.relation, back))))
+        nxt = _canon(_union(back, _intersect(reach, preimage(m.relation, back))))
         if nxt == back:
             return back, True
         back = nxt
@@ -586,8 +584,8 @@ def _fair_lasso(m: RegularSystem, layers, reach, fair, budget: int):
         seen[word] = walked
         front = _singleton(m.alphabet, word)
         for hop in range(1, budget + 1):
-            front = _canon_set(_intersect_set(reach, image(m.relation, front)))
-            word = _pick(_intersect_set(front, fair))
+            front = _canon(_intersect(reach, image(m.relation, front)))
+            word = _pick(_intersect(front, fair))
             if word is not None:
                 break
         else:
@@ -601,14 +599,14 @@ def _closure_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
     m = msys.system
     try:
         layers, reach, reach_conv, reach_steps = _reach_layers(m, budget)
-        accepting_reach = _intersect_set(reach, msys.acceptance)
-        if reach_conv and _empty_set(accepting_reach):
+        accepting_reach = _intersect(reach, msys.acceptance)
+        if reach_conv and _is_empty(accepting_reach):
             # no accepting state is reachable at all; the loop formula is
             # empty regardless of the closure
             return Verdict.holds(reach_steps=reach_steps, converged=True)
         plus = closure(m.relation, "plus", budget)
         loopable = _loopable_from_plus(msys, plus)
-        anchor = _pick(_intersect_set(accepting_reach, loopable))
+        anchor = _pick(_intersect(accepting_reach, loopable))
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
     diag = {
@@ -643,10 +641,10 @@ def _extract_lasso(m: RegularSystem, layers, anchor, cycle_bound: int):
         return None
     prefix_words = _backchain(m, layers, j, anchor)
     # shortest strict cycle anchor -> anchor, via per-step singleton images
-    y = [_canon_set(_singleton(m.alphabet, anchor))]
+    y = [_canon(_singleton(m.alphabet, anchor))]
     hit = None
     for i in range(1, cycle_bound + 1):
-        y.append(_canon_set(image(m.relation, y[-1])))
+        y.append(_canon(image(m.relation, y[-1])))
         if _member(y[-1], anchor):
             hit = i
             break
@@ -654,7 +652,7 @@ def _extract_lasso(m: RegularSystem, layers, anchor, cycle_bound: int):
         return None
     loop_words = [anchor]
     for i in range(hit - 1, 0, -1):
-        back = _intersect_set(y[i], preimage(m.relation, _singleton(m.alphabet, loop_words[0])))
+        back = _intersect(y[i], preimage(m.relation, _singleton(m.alphabet, loop_words[0])))
         w = _pick(back)
         if w is None:
             return None
@@ -675,64 +673,23 @@ def replay_gsp_witness(aug: GspAugmentation, witness: LassoWitness) -> tuple[boo
     ok, why = replay_lasso(aug.msys, witness)
     if not ok:
         return False, why
-    if aug.mode == OMEGA:
-        return _replay_gsp_omega(aug, witness)
-    from .transducer import accepts_pair
-
     m = aug.original
     words = list(witness.words)
     ring = words + [words[witness.loop_start]]
     sigma = [aug.sigma_word(w) for w in ring]
-    if not accepts(m.initial, sigma[0]):
+    if not _member(m.initial, sigma[0]):
         return False, "projected first word is not initial in the original system"
     for i in range(len(ring) - 1):
         if not accepts_pair(m.relation, sigma[i], sigma[i + 1]):
             return False, f"projected step {i} not in the original relation"
-    labels = [aug.labels(w) for w in ring]
-    for i, lab in enumerate(labels):
-        if any(q is not None or m_ is not None for q, m_ in lab[:-1]):
-            return False, f"word {i} carries labels before the final position"
-        q, mask = lab[-1]
-        if q is None or mask is None:
-            return False, f"word {i} lacks the final-position label"
-        if mask != cop_of(sigma[i], aug.cops).mask:
-            return False, f"word {i} claims a cop set differing from the automata verdicts"
-    nga = aug.neg.automaton
-    chain = [lab[-1] for lab in labels]
-    if chain[0][0] not in nga.initial:
-        return False, "label chain does not start in an initial negated-property state"
-    for i in range(len(chain) - 1):
-        q, mask = chain[i]
-        if chain[i + 1][0] not in nga.adjacency.get(q, {}).get(mask, ()):
-            return False, f"label chain breaks the negated-property run at step {i}"
-    loop_states = [chain[i][0] for i in range(witness.loop_start, len(words))]
-    if not any(q in nga.accepting for q in loop_states):
-        return False, "loop never visits an accepting negated-property state"
-    return True, "ok"
-
-
-def _replay_gsp_omega(aug: GspAugmentation, witness: LassoWitness) -> tuple[bool, str]:
-    from .transducer import pair_up_word
-
-    m = aug.original
-    words = list(witness.words)
-    ring = words + [words[witness.loop_start]]
-    sigma = [aug.sigma_up_word(w) for w in ring]
-    if not accepts_up_word(m.initial, sigma[0]):
-        return False, "projected first word is not initial in the original system"
-    for i in range(len(ring) - 1):
-        pw = pair_up_word(m.alphabet, sigma[i], sigma[i + 1])
-        if not accepts_up_word(m.relation.inner, pw):
-            return False, f"projected step {i} not in the original relation"
     chain = []
     for i, w in enumerate(ring):
-        lab = {aug._split(s)[1:] for s in w.prefix + w.period}
-        if len(lab) != 1:
-            return False, f"word {i} is not uniformly labelled"
-        q, mask = next(iter(lab))
-        if mask != cop_of_omega(sigma[i], aug.cops).mask:
+        label, problem = aug.word_label(w)
+        if label is None:
+            return False, f"word {i} {problem}"
+        if label[1] != cop_of(sigma[i], aug.cops).mask:
             return False, f"word {i} claims a cop set differing from the automata verdicts"
-        chain.append((q, mask))
+        chain.append(label)
     nga = aug.neg.automaton
     if chain[0][0] not in nga.initial:
         return False, "label chain does not start in an initial negated-property state"

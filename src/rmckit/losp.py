@@ -46,9 +46,10 @@ from .system import (
     LassoWitness,
     RegularSystem,
     Verdict,
+    _conjoin,
     replay_lasso,
 )
-from .transducer import FINITE, Transducer
+from .transducer import FINITE, Transducer, accepts_pair
 
 MAX_AUG_ALPHABET = 65536
 
@@ -393,8 +394,6 @@ def replay_losp_witness(aug: LospAugmentation, witness: LassoWitness) -> tuple[b
     ok, why = replay_lasso(aug.msys, witness)
     if not ok:
         return False, why
-    from .transducer import accepts_pair
-
     m = aug.original
     words = list(witness.words)
     ring = words + [words[witness.loop_start]]
@@ -502,19 +501,21 @@ def extend_with_flags(m: RegularSystem, flags: Sequence[str]) -> RegularSystem:
 def combine_verdicts(expr: str, verdicts: dict[str, Verdict]) -> Verdict:
     """Three-valued evaluation of and/or combinations of named checks.
 
+    A violated result carries the witness of a literal that decides it: a
+    violated operand of a violated `&`, or a side of a violated `|`.
     Negation is intentionally absent: a system may satisfy neither a
     property nor its negation, so negated literals must be re-run as negated
     properties, not derived by flipping verdicts.
     """
     tokens = _tokenize(expr)
-    status, rest = _parse_or(tokens, verdicts)
+    (status, literal), rest = _parse_or(tokens, verdicts)
     if rest:
         raise InputError(f"trailing tokens in combination: {rest!r}")
-    for name, v in verdicts.items():
-        if status == VIOLATED and v.status == VIOLATED and v.witness is not None:
-            return Verdict(VIOLATED, v.witness, {"literal": name})
     if status == VIOLATED:
-        return Verdict(VIOLATED, None, {})
+        witness = verdicts[literal].witness
+        if witness is None:
+            return Verdict(VIOLATED, None, {})
+        return Verdict(VIOLATED, witness, {"literal": literal})
     if status == HOLDS:
         return Verdict.holds()
     return Verdict.unknown("combination not decided by component verdicts")
@@ -545,20 +546,28 @@ def _tokenize(expr: str) -> list[str]:
     return tokens
 
 
+def _decided(status: str, x: tuple, y: tuple) -> tuple[str, str | None]:
+    """Parser value (status, literal) of `x op y`: a violated value keeps the
+    literal of its first violated operand, which decides it."""
+    if status != VIOLATED:
+        return status, None
+    return status, (x if x[0] == VIOLATED else y)[1]
+
+
 def _parse_or(tokens, verdicts):
-    status, tokens = _parse_and(tokens, verdicts)
+    value, tokens = _parse_and(tokens, verdicts)
     while tokens and tokens[0] == "|":
         rhs, tokens = _parse_and(tokens[1:], verdicts)
-        status = _or3(status, rhs)
-    return status, tokens
+        value = _decided(_or3(value[0], rhs[0]), value, rhs)
+    return value, tokens
 
 
 def _parse_and(tokens, verdicts):
-    status, tokens = _parse_atom(tokens, verdicts)
+    value, tokens = _parse_atom(tokens, verdicts)
     while tokens and tokens[0] == "&":
         rhs, tokens = _parse_atom(tokens[1:], verdicts)
-        status = _and3(status, rhs)
-    return status, tokens
+        value = _decided(_conjoin((value[0], rhs[0])), value, rhs)
+    return value, tokens
 
 
 def _parse_atom(tokens, verdicts):
@@ -566,23 +575,15 @@ def _parse_atom(tokens, verdicts):
         raise InputError("unexpected end of combination")
     tok = tokens[0]
     if tok == "(":
-        status, rest = _parse_or(tokens[1:], verdicts)
+        value, rest = _parse_or(tokens[1:], verdicts)
         if not rest or rest[0] != ")":
             raise InputError("unbalanced parenthesis in combination")
-        return status, rest[1:]
+        return value, rest[1:]
     if tok in ("&", "|", ")"):
         raise InputError(f"unexpected token {tok!r} in combination")
     if tok not in verdicts:
         raise InputError(f"unresolved literal {tok!r} in combination")
-    return verdicts[tok].status, tokens[1:]
-
-
-def _and3(x: str, y: str) -> str:
-    if VIOLATED in (x, y):
-        return VIOLATED
-    if x == HOLDS and y == HOLDS:
-        return HOLDS
-    return UNKNOWN
+    return (verdicts[tok].status, tok), tokens[1:]
 
 
 def _or3(x: str, y: str) -> str:

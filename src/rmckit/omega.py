@@ -17,7 +17,19 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, strongly_connected_components
+from .automata import (
+    FiniteAutomaton,
+    accepts,
+    complement,
+    intersect,
+    is_empty,
+    minimize,
+    pick_word,
+    project_components,
+    strongly_connected_components,
+    union,
+    word_automaton,
+)
 from .errors import InputError, NonWeakResult, NotWeak, NotWeakDeterministic
 
 
@@ -636,18 +648,7 @@ def omega_project(a: OmegaAutomaton, i: int) -> OmegaAutomaton:
         raise InputError("projection needs a tuple alphabet")
     if not (1 <= i <= a.alphabet.arity):
         raise InputError(f"component index {i} out of range")
-    return omega_project_components(a, [i - 1])
-
-
-def omega_project_components(a: OmegaAutomaton, drop: Sequence[int]) -> OmegaAutomaton:
-    dropset = set(drop)
-    target = a.alphabet.drop_components(sorted(dropset))
-    transitions = set()
-    for src, sym, dst in a.transitions:
-        parts = a.alphabet.parts(sym)
-        kept = [p for j, p in enumerate(parts) if j not in dropset]
-        transitions.add((src, target.symbol(kept), dst))
-    return OmegaAutomaton(target, a.n_states, a.initial, a.accepting, frozenset(transitions))
+    return project_components(a, [i - 1])
 
 
 def omega_complement(a: OmegaAutomaton) -> OmegaAutomaton:
@@ -764,3 +765,76 @@ def omega_universal(alphabet: Alphabet) -> OmegaAutomaton:
 
 def omega_empty_automaton(alphabet: Alphabet) -> OmegaAutomaton:
     return OmegaAutomaton(alphabet, 1, frozenset({0}), frozenset(), frozenset())
+
+
+# ---------------------------------------------------------------------------
+# set operations for both encodings
+#
+# A set of states is a finite-word automaton in finite mode and a weak Buchi
+# automaton in omega mode; its words are symbol tuples or ultimately periodic
+# words.  These operations are the one place that tells the two apart.
+
+
+def _canon(a: FiniteAutomaton) -> FiniteAutomaton:
+    """Canonical form: the minimal trim DFA, or the minimal complete weak DBA."""
+    if isinstance(a, OmegaAutomaton):
+        return minimize_weak_dba(to_weak_dba(a))
+    return minimize(a, completion=False)
+
+
+def _union(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
+    if isinstance(a, OmegaAutomaton):
+        return omega_union(a, b)
+    return union(a, b)
+
+
+def _intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
+    if isinstance(a, OmegaAutomaton):
+        return omega_intersect(a, b)
+    return intersect(a, b)
+
+
+def _is_empty(a: FiniteAutomaton) -> bool:
+    if isinstance(a, OmegaAutomaton):
+        return omega_is_empty(a)
+    return is_empty(a)
+
+
+def _pick(a: FiniteAutomaton):
+    """Some word of the language, or None when it is empty."""
+    if isinstance(a, OmegaAutomaton):
+        return buchi_is_empty(a)[1]
+    return pick_word(a)
+
+
+def _complement(a: FiniteAutomaton) -> FiniteAutomaton:
+    if isinstance(a, OmegaAutomaton):
+        return complement_weak_dba(to_weak_dba(a))
+    return complement(a)
+
+
+def _member(a: FiniteAutomaton, w) -> bool:
+    """Whether `a` accepts the word, read as an omega-word if it is one."""
+    if isinstance(w, UltimatelyPeriodicWord):
+        return accepts_up_word(a, w)
+    return accepts(a, w)
+
+
+def _singleton(alphabet: Alphabet, w) -> FiniteAutomaton:
+    if isinstance(w, UltimatelyPeriodicWord):
+        return up_word_automaton(alphabet, w)
+    return word_automaton(alphabet, w)
+
+
+def _segments(w) -> tuple[tuple[int, ...], ...]:
+    """The letters of a word: (word,) if finite, (prefix, period) if not."""
+    if isinstance(w, UltimatelyPeriodicWord):
+        return w.prefix, w.period
+    return (tuple(w),)
+
+
+def _map_letters(w, f):
+    """The word of the same kind with every letter s replaced by f(s)."""
+    if isinstance(w, UltimatelyPeriodicWord):
+        return UltimatelyPeriodicWord(tuple(map(f, w.prefix)), tuple(map(f, w.period)))
+    return tuple(map(f, w))

@@ -21,20 +21,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, complement, minimize
 from .errors import InputError, NonWeakResult
 from .gsp import StateProperty, _extract_lasso, _loopable_from_plus
-from .omega import OmegaAutomaton, complement_weak_dba, minimize_weak_dba, to_weak_dba
-from .system import (
-    BuchiRegularSystem,
-    Verdict,
-    _intersect_set,
-    _pick,
-    _reach_layers,
-    replay_lasso,
-)
+from .omega import _canon, _complement, _intersect, _pick
+from .system import BuchiRegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
-    OMEGA,
     Transducer,
     closure,
     compose,
@@ -68,7 +59,6 @@ def _aug_base(msys: BuchiRegularSystem) -> Alphabet:
 def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRelation:
     """Initial relation: same-length pairs whose projections have equal cop sets."""
     sigma_a = _aug_base(msys)
-    omega = msys.system.mode == OMEGA
     if cops:
         base = cops[0].automaton.alphabet
         width = len(base.components)
@@ -125,28 +115,14 @@ def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRela
     accepting = frozenset(
         ids[n] for n in order if label_mask(n[0]) == label_mask(n[1])
     )
-    cls = OmegaAutomaton if omega else FiniteAutomaton
-    inner = cls(
+    inner = type(msys.system.relation.inner)(
         Alphabet.product(sigma_a, sigma_a),
         len(order),
         frozenset({0}),
         accepting,
         frozenset(transitions),
     )
-    rel = _canon_rel(Transducer(inner))
-    return SimRelation(rel, 0, False)
-
-
-def _canon_rel(t: Transducer) -> Transducer:
-    if t.mode == OMEGA:
-        return Transducer(minimize_weak_dba(to_weak_dba(t.inner)))
-    return Transducer(minimize(t.inner, completion=False))
-
-
-def _complement_pairs(a: FiniteAutomaton) -> FiniteAutomaton:
-    if isinstance(a, OmegaAutomaton):
-        return complement_weak_dba(to_weak_dba(a))
-    return complement(a)
+    return SimRelation(Transducer(_canon(inner)), 0, False)
 
 
 def sim_step(s: SimRelation, t: Transducer) -> SimRelation:
@@ -161,10 +137,9 @@ def sim_step(s: SimRelation, t: Transducer) -> SimRelation:
     # G(w2, w3) = exists w4: (w2, w4) in T and (w3, w4) in Sim
     g = compose(t, inverse(s.relation))
     # Bad(w1, w2) = exists w3: (w1, w3) in T and not G(w2, w3)
-    bad = compose(t, inverse(Transducer(_complement_pairs(g.inner))))
-    refined = _intersect_set(s.relation.inner, _complement_pairs(bad.inner))
-    rel = _canon_rel(Transducer(refined))
-    return SimRelation(rel, s.iteration_index + 1, False)
+    bad = compose(t, inverse(Transducer(_complement(g.inner))))
+    refined = _intersect(s.relation.inner, _complement(bad.inner))
+    return SimRelation(Transducer(_canon(refined)), s.iteration_index + 1, False)
 
 
 def sim_fixpoint(
@@ -204,7 +179,7 @@ def validate_candidate(
     is a simulation contained in the greatest one, so nonemptiness verdicts
     built on it are sound.
     """
-    canon = _canon_rel(c)
+    canon = Transducer(_canon(c.inner))
     sim0 = sim_init(msys, cops)
     if not relation_includes(sim0.relation, canon):
         return SimCandidate(canon, False)
@@ -233,8 +208,8 @@ def check_emptiness_sim(
         layers, reach, reach_conv, _ = _reach_layers(m, budget)
         plus = closure(m.relation, "plus", budget)
         # words w1 with (w1, w2) in T+ cap Sim for some accepting w2
-        similar = Transducer(_intersect_set(plus.relation.inner, sim.relation.inner))
-        anchor = _pick(_intersect_set(reach, preimage(similar, msys.acceptance)))
+        similar = Transducer(_intersect(plus.relation.inner, sim.relation.inner))
+        anchor = _pick(_intersect(reach, preimage(similar, msys.acceptance)))
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
     diag = {
@@ -263,7 +238,7 @@ def check_emptiness_sim(
 
 def _concretize(msys: BuchiRegularSystem, layers, reach, plus):
     loopable = _loopable_from_plus(msys, plus)
-    core = _intersect_set(_intersect_set(reach, msys.acceptance), loopable)
+    core = _intersect(_intersect(reach, msys.acceptance), loopable)
     anchor = _pick(core)
     if anchor is None:
         return None

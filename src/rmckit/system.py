@@ -9,37 +9,23 @@ many reachable states, so the fixpoint computations below are exact on them.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .alphabet import Alphabet
-from .automata import (
-    FiniteAutomaton,
-    accepts,
-    exact_length,
-    intersect,
-    is_empty,
-    minimize,
-    pick_word,
-    union,
-    word_automaton,
-)
+from .automata import FiniteAutomaton, exact_length, intersect, minimize
 from .errors import InputError, ModeMismatch, NonWeakResult, NotDeterministic, NotWeak
 from .omega import (
     OmegaAutomaton,
-    UltimatelyPeriodicWord,
-    accepts_up_word,
-    buchi_is_empty,
-    minimize_weak_dba,
-    omega_intersect,
-    omega_is_empty,
-    omega_union,
-    to_weak_dba,
-    up_word_automaton,
+    _canon,
+    _intersect,
+    _is_empty,
+    _member,
+    _pick,
+    _singleton,
+    _union,
 )
-from .transducer import FINITE, OMEGA, Transducer, image, preimage
+from .transducer import FINITE, OMEGA, Transducer, accepts_pair, image, preimage
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -139,30 +125,6 @@ def slice_system(m: RegularSystem, n: int) -> RegularSystem:
 # reachability
 
 
-def _canon_set(a: FiniteAutomaton) -> FiniteAutomaton:
-    if isinstance(a, OmegaAutomaton):
-        return minimize_weak_dba(to_weak_dba(a))
-    return minimize(a, completion=False)
-
-
-def _union_set(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
-    if isinstance(a, OmegaAutomaton):
-        return omega_union(a, b)
-    return union(a, b)
-
-
-def _intersect_set(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
-    if isinstance(a, OmegaAutomaton):
-        return omega_intersect(a, b)
-    return intersect(a, b)
-
-
-def _empty_set(a: FiniteAutomaton) -> bool:
-    if isinstance(a, OmegaAutomaton):
-        return omega_is_empty(a)
-    return is_empty(a)
-
-
 @dataclass(frozen=True)
 class ReachResult:
     automaton: FiniteAutomaton
@@ -174,13 +136,13 @@ def _reach_layers(
     m: RegularSystem, budget: int
 ) -> tuple[list[FiniteAutomaton], FiniteAutomaton, bool, int]:
     """Per-step image layers plus the canonical cumulative union."""
-    layer = _canon_set(m.initial)
+    layer = _canon(m.initial)
     layers = [layer]
     cumulative = layer
     for step in range(1, budget + 1):
-        layer = _canon_set(image(m.relation, layer))
+        layer = _canon(image(m.relation, layer))
         layers.append(layer)
-        nxt = _canon_set(_union_set(cumulative, layer))
+        nxt = _canon(_union(cumulative, layer))
         if nxt == cumulative:
             return layers, cumulative, True, step
         cumulative = nxt
@@ -193,28 +155,13 @@ def reachable(m: RegularSystem, budget: int = 64) -> ReachResult:
     return ReachResult(cumulative, converged, steps)
 
 
-def _pick(a: FiniteAutomaton):
-    if isinstance(a, OmegaAutomaton):
-        empty, w = buchi_is_empty(a)
-        return None if empty else w
-    return pick_word(a)
-
-
-def _singleton(alphabet: Alphabet, w) -> FiniteAutomaton:
-    if isinstance(w, UltimatelyPeriodicWord):
-        return up_word_automaton(alphabet, w)
-    return word_automaton(alphabet, w)
-
-
 def _backchain(
     m: RegularSystem, layers: Sequence[FiniteAutomaton], k: int, target
 ) -> list:
     """Concrete path w_0 .. w_k with w_k = target and w_i in layer i."""
     words = [target]
     for i in range(k - 1, -1, -1):
-        back = _intersect_set(
-            layers[i], preimage(m.relation, _singleton(m.alphabet, words[0]))
-        )
+        back = _intersect(layers[i], preimage(m.relation, _singleton(m.alphabet, words[0])))
         w = _pick(back)
         if w is None:
             raise InputError("witness backchain broke (bug)")
@@ -229,12 +176,12 @@ def check_reachability_property(
     if bad.alphabet != m.alphabet:
         raise ModeMismatch("bad-set automaton is over a different alphabet")
     try:
-        layer = _canon_set(m.initial)
+        layer = _canon(m.initial)
         layers = [layer]
         cumulative = layer
         for step in range(budget + 1):
-            hit = _intersect_set(layers[-1], bad)
-            if not _empty_set(hit):
+            hit = _intersect(layers[-1], bad)
+            if not _is_empty(hit):
                 target = _pick(hit)
                 words = _backchain(m, layers, len(layers) - 1, target)
                 return Verdict.violated(
@@ -242,9 +189,9 @@ def check_reachability_property(
                 )
             if step == budget:
                 break
-            layer = _canon_set(image(m.relation, layers[-1]))
+            layer = _canon(image(m.relation, layers[-1]))
             layers.append(layer)
-            nxt = _canon_set(_union_set(cumulative, layer))
+            nxt = _canon(_union(cumulative, layer))
             if nxt == cumulative:
                 return Verdict.holds(steps=step + 1)
             cumulative = nxt
@@ -275,12 +222,8 @@ def locality_evidence(m: RegularSystem) -> LocalityEvidence:
 
 
 def thread_cap() -> int:
-    raw = os.environ.get("RMCKIT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n >= 1 else min(4, os.cpu_count() or 1)
+    """Slices run one at a time; kept because perfbench/run.py reports it."""
+    return 1
 
 
 def verify_parametric(
@@ -288,34 +231,29 @@ def verify_parametric(
     check: Callable[[RegularSystem, int], Verdict],
     lo: int = 2,
     hi: int = 8,
-    threads: int | None = None,
 ) -> tuple[dict[int, Verdict], Verdict]:
-    """Run a per-slice check over a length range; conjunction of verdicts.
-
-    Slice verifications are independent and run on a small thread pool
-    (capped by RMCKIT_THREADS); results are reported in slice order.
-    """
+    """Run a per-slice check on each length from lo to hi, in slice order;
+    the overall verdict is the conjunction of the slice verdicts."""
     if lo < 1 or hi < lo:
         raise InputError("bad slice range")
-    slices = list(range(lo, hi + 1))
-    workers = threads or thread_cap()
-    results: dict[int, Verdict] = {}
-    if workers <= 1 or len(slices) == 1:
-        for n in slices:
-            results[n] = check(slice_system(m, n), n)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {n: pool.submit(check, slice_system(m, n), n) for n in slices}
-            for n in slices:
-                results[n] = futures[n].result()
+    results = {n: check(slice_system(m, n), n) for n in range(lo, hi + 1)}
     return results, combine_conjunction(results)
 
 
+def _conjoin(statuses: Iterable[str]) -> str:
+    """Three-valued conjunction: violated if any is, holds if all do."""
+    statuses = set(statuses)
+    if VIOLATED in statuses:
+        return VIOLATED
+    return HOLDS if statuses <= {HOLDS} else UNKNOWN
+
+
 def combine_conjunction(results: dict[int, Verdict]) -> Verdict:
-    for n in sorted(results):
-        if results[n].status == VIOLATED:
-            return Verdict(VIOLATED, results[n].witness, {"slice": n})
-    if all(v.status == HOLDS for v in results.values()):
+    status = _conjoin(v.status for v in results.values())
+    if status == VIOLATED:
+        n = min(n for n, v in results.items() if v.status == VIOLATED)
+        return Verdict(VIOLATED, results[n].witness, {"slice": n})
+    if status == HOLDS:
         return Verdict.holds(slices=sorted(results))
     unknowns = [n for n in sorted(results) if results[n].status == UNKNOWN]
     return Verdict.unknown("some slices unknown", slices=unknowns)
@@ -328,43 +266,19 @@ def combine_conjunction(results: dict[int, Verdict]) -> Verdict:
 def replay_lasso(msys: BuchiRegularSystem, witness: LassoWitness) -> tuple[bool, str]:
     """Check a lasso against initialness, the step relation, loop closure and
     the acceptance condition; witnesses must replay before being reported."""
-    from .transducer import accepts_pair
-
     m = msys.system
     words = witness.words
     if not words:
         return False, "empty witness"
     if witness.loop_start is None or not (0 <= witness.loop_start < len(words)):
         return False, "missing or out-of-range loop start"
-    if m.mode == OMEGA:
-        return _replay_lasso_omega(msys, witness)
-    if not accepts(m.initial, words[0]):
+    if not _member(m.initial, words[0]):
         return False, "first word is not initial"
     ring = list(words) + [words[witness.loop_start]]
     for i in range(len(ring) - 1):
         if not accepts_pair(m.relation, ring[i], ring[i + 1]):
             return False, f"step {i} is not in the transition relation"
     loop = words[witness.loop_start:]
-    if not any(accepts(msys.acceptance, w) for w in loop):
-        return False, "no loop word satisfies the acceptance condition"
-    return True, "ok"
-
-
-def _replay_lasso_omega(
-    msys: BuchiRegularSystem, witness: LassoWitness
-) -> tuple[bool, str]:
-    from .transducer import pair_up_word
-
-    m = msys.system
-    words = witness.words
-    if not accepts_up_word(m.initial, words[0]):
-        return False, "first word is not initial"
-    ring = list(words) + [words[witness.loop_start]]
-    for i in range(len(ring) - 1):
-        pw = pair_up_word(m.alphabet, ring[i], ring[i + 1])
-        if not accepts_up_word(m.relation.inner, pw):
-            return False, f"step {i} is not in the transition relation"
-    loop = words[witness.loop_start:]
-    if not any(accepts_up_word(msys.acceptance, w) for w in loop):
+    if not any(_member(msys.acceptance, w) for w in loop):
         return False, "no loop word satisfies the acceptance condition"
     return True, "ok"

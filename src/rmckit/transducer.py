@@ -21,18 +21,18 @@ from .automata import (
     includes,
     minimize,
     product_general,
-    union,
 )
 from .errors import AlphabetMismatch, InputError, ModeMismatch
 from .omega import (
     OmegaAutomaton,
     UltimatelyPeriodicWord,
+    _member,
     _product_omega,
+    _union,
     complement_weak_dba,
     minimize_weak_dba,
     omega_is_empty,
     omega_intersect,
-    omega_union,
     to_weak_dba,
 )
 
@@ -129,10 +129,10 @@ def inverse(t: Transducer) -> Transducer:
     )
 
 
-def accepts_pair(t: Transducer, w1: Sequence[int], w2: Sequence[int]) -> bool:
-    from .automata import accepts
-
-    return accepts(t.inner, pair_word(t.base, w1, w2))
+def accepts_pair(t: Transducer, w1, w2) -> bool:
+    """Whether (w1, w2) is in the relation; both words finite or both omega."""
+    pair = pair_up_word if isinstance(w1, UltimatelyPeriodicWord) else pair_word
+    return _member(t.inner, pair(t.base, w1, w2))
 
 
 def compose(t1: Transducer, t2: Transducer) -> Transducer:
@@ -197,9 +197,7 @@ def preimage(t: Transducer, a: FiniteAutomaton) -> FiniteAutomaton:
 
 def union_t(t1: Transducer, t2: Transducer) -> Transducer:
     _require_same_base(t1, t2)
-    if t1.mode == OMEGA:
-        return Transducer(omega_union(t1.inner, t2.inner))
-    return Transducer(union(t1.inner, t2.inner))
+    return Transducer(_union(t1.inner, t2.inner))
 
 
 def power(t: Transducer, i: int) -> Transducer:

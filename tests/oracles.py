@@ -219,14 +219,15 @@ def closure_loop_formula(msys, budget: int) -> bool:
     Both fixpoints must converge for the answer to be exact.
     """
     from rmckit.gsp import _loopable_from_plus
-    from rmckit.system import _empty_set, _intersect_set, reachable
+    from rmckit.omega import _intersect, _is_empty
+    from rmckit.system import reachable
     from rmckit.transducer import closure
 
     reach = reachable(msys.system, budget)
     plus = closure(msys.system.relation, "plus", budget)
     assert reach.converged and plus.converged
-    core = _intersect_set(reach.automaton, msys.acceptance)
-    return not _empty_set(_intersect_set(core, _loopable_from_plus(msys, plus)))
+    core = _intersect(reach.automaton, msys.acceptance)
+    return not _is_empty(_intersect(core, _loopable_from_plus(msys, plus)))
 
 
 def losp_violation_oracle(system: RegularSystem, n: int, losp_neg, leps) -> bool:

@@ -200,16 +200,48 @@ def test_gsp_engine_sim(ring_dir, capsys):
     assert "overall: holds" in capsys.readouterr().out
 
 
-def test_threads_env_cap(ring_dir, capsys, monkeypatch):
-    monkeypatch.setenv("RMCKIT_THREADS", "2")
+def test_slices_reported_in_order(ring_dir, capsys):
     code = main(
         ["check-reach", "--system", str(ring_dir / "system.sys"), "--slice", "2..5"]
     )
     out = capsys.readouterr().out
     assert code == 0
-    # output stays ordered by slice despite parallelism
     lines = [l for l in out.splitlines() if l.startswith("slice ")]
     assert [l.split(":")[0] for l in lines] == [f"slice {n}" for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("command", ["check-reach", "check-gsp", "check-losp", "sim", "closure"])
+@pytest.mark.parametrize("span", ["5..2", "0..3", "0"])
+def test_bad_slice_range_is_an_input_error(dup_dir, capsys, command, span):
+    # an empty or nonpositive range must not pass as a vacuous `holds`
+    code = main([command, "--system", str(dup_dir / "system.sys"), "--slice", span])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "overall" not in captured.out
+    assert "bad slice range" in captured.err
+
+
+OMEGA_BUNDLE = {
+    "system.sys": "alphabet: N T\nmode: omega\ninitial: initial.aut\nrelation: relation.aut\n",
+    "initial.aut": "kind: weak-dba\nalphabet: N T\nstates: 1\ninitial: 0\naccepting: 0\n"
+    "trans:\n0 N 0\n",
+    # the first letter may turn from N to T
+    "relation.aut": "kind: omega-transducer\nalphabet: N T\nstates: 2\ninitial: 0\n"
+    "accepting: 0 1\ntrans:\n0 N/T 1\n1 N/N 1\n",
+    "bad_has_t.aut": "kind: weak-dba\nalphabet: N T\nstates: 2\ninitial: 0\naccepting: 1\n"
+    "trans:\n0 N 0\n0 T 1\n1 N 1\n1 T 1\n",
+}
+
+
+def test_check_reach_omega_path_witness(tmp_path, capsys):
+    for name, text in OMEGA_BUNDLE.items():
+        (tmp_path / name).write_text(text)
+    argv = ["check-reach", "--system", str(tmp_path / "system.sys"), "--slice", "none"]
+    code = main(argv + ["--property", str(tmp_path / "bad_has_t.aut")])
+    out = capsys.readouterr().out
+    assert code == 1
+    # omega-words print as prefix | period
+    assert "    0: N | N\n    1: T | N\n" in out
 
 
 def test_property_given_as_file(ring_dir, capsys):

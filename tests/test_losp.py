@@ -199,3 +199,13 @@ def test_combine_verdicts_three_valued():
         combine_verdicts("a & missing", {"a": h})
     with pytest.raises(InputError):
         combine_verdicts("!a", {"a": h})
+    # the witness comes from a literal that decides the violation
+    from rmckit import LassoWitness
+
+    wz, wa, wb = (LassoWitness(((i,),), 0) for i in range(3))
+    got = combine_verdicts("b", {"z": Verdict.violated(wz), "b": Verdict.violated(wb)})
+    assert (got.status, got.witness, got.diagnostics) == (VIOLATED, wb, {"literal": "b"})
+    got = combine_verdicts(
+        "(a | c) & b", {"a": Verdict.violated(wa), "c": h, "b": Verdict.violated(wb)}
+    )
+    assert (got.status, got.witness, got.diagnostics) == (VIOLATED, wb, {"literal": "b"})
