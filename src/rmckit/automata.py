@@ -7,6 +7,11 @@ automaton.  State ids are dense integers; canonical numbering is
 breadth-first discovery order from the initial states with symbol order as
 tie-break, and a completion sink (when materialized) is always the
 highest-numbered state.
+
+`explore` is the single reachable-exploration kernel: every product and
+every explicit construction over implicitly given states (here and in
+`omega`, `gsp`, `losp` and `simulation`) is a `moves` function and an
+acceptance predicate handed to it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .alphabet import COMPLETION_CAP, Alphabet
 from .errors import InputError
@@ -95,6 +100,48 @@ def accepts(a: FiniteAutomaton, word: Sequence[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # structural helpers
+
+
+def explore(
+    cls: type[FiniteAutomaton],
+    alphabet: Alphabet,
+    starts: Iterable[Hashable],
+    moves: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
+    accepting: Callable[[Hashable], bool],
+) -> FiniteAutomaton:
+    """Reachable part of an implicitly given automaton, as a `cls` value.
+
+    Nodes are numbered in discovery order: the `starts` first, in the given
+    order and without repeats (they are the initial states), then breadth
+    first as `moves(node)` yields `(symbol, successor)` pairs.  `accepting`
+    marks the accepting nodes.  No start node gives the one-state automaton
+    of the empty language.
+    """
+    ids: dict[Hashable, int] = {}
+    order: list[Hashable] = []
+    for node in starts:
+        if node not in ids:
+            ids[node] = len(order)
+            order.append(node)
+    if not order:
+        return cls(alphabet, 1, frozenset({0}), frozenset(), frozenset())
+    n_starts = len(order)
+    transitions = set()
+    # `order` grows while it is walked: that is the breadth-first queue
+    for src, node in enumerate(order):
+        for sym, nxt in moves(node):
+            dst = ids.get(nxt)
+            if dst is None:
+                dst = ids[nxt] = len(order)
+                order.append(nxt)
+            transitions.add((src, sym, dst))
+    return cls(
+        alphabet,
+        len(order),
+        frozenset(range(n_starts)),
+        frozenset(i for i, node in enumerate(order) if accepting(node)),
+        frozenset(transitions),
+    )
 
 
 def _reachable_states(a: FiniteAutomaton) -> set[int]:
@@ -395,9 +442,10 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
 
 
 def union(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
+    """Disjoint union; the result has the class of `a` (finite or Buchi)."""
     a.alphabet.require_same(b.alphabet)
     shift = a.n_states
-    return FiniteAutomaton(
+    return type(a)(
         a.alphabet,
         a.n_states + b.n_states,
         a.initial | frozenset(q + shift for q in b.initial),
@@ -407,41 +455,16 @@ def union(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     )
 
 
+def _same_symbol(rowa, rowb):
+    """Move pairing of a plain product: both sides read the same symbol."""
+    for sym in sorted(rowa.keys() & rowb.keys()):
+        yield sym, sym, sym
+
+
 def intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     """Product automaton, reachable part only."""
     a.alphabet.require_same(b.alphabet)
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for pair in sorted((x, y) for x in a.initial for y in b.initial):
-        ids[pair] = len(order)
-        order.append(pair)
-    transitions = set()
-    i = 0
-    while i < len(order):
-        (qa, qb) = order[i]
-        i += 1
-        rowa = a.adjacency.get(qa, {})
-        rowb = b.adjacency.get(qb, {})
-        for sym in sorted(rowa.keys() & rowb.keys()):
-            for da in rowa[sym]:
-                for db in rowb[sym]:
-                    pair = (da, db)
-                    if pair not in ids:
-                        ids[pair] = len(order)
-                        order.append(pair)
-                    transitions.add((ids[(qa, qb)], sym, ids[pair]))
-    if not order:
-        return FiniteAutomaton(a.alphabet, 1, frozenset({0}), frozenset(), frozenset())
-    accepting = frozenset(
-        ids[p] for p in order if p[0] in a.accepting and p[1] in b.accepting
-    )
-    return FiniteAutomaton(
-        a.alphabet,
-        len(order),
-        frozenset(ids[p] for p in order if p[0] in a.initial and p[1] in b.initial),
-        accepting,
-        frozenset(transitions),
-    )
+    return product_general(a, b, a.alphabet, _same_symbol)
 
 
 def product_general(
@@ -450,40 +473,27 @@ def product_general(
     alphabet: Alphabet,
     symbol_pairs,
 ) -> FiniteAutomaton:
-    """Reachable product with custom move pairing.
+    """Reachable product with custom move pairing, of the class of `a`.
 
     `symbol_pairs(row_a, row_b)` yields (sym_a, sym_b, sym_out) triples; the
     result accepts with both components accepting.
     """
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for pair in sorted((x, y) for x in a.initial for y in b.initial):
-        if pair not in ids:
-            ids[pair] = len(order)
-            order.append(pair)
-    transitions = set()
-    i = 0
-    while i < len(order):
-        qa, qb = order[i]
-        i += 1
-        rowa = a.adjacency.get(qa, {})
-        rowb = b.adjacency.get(qb, {})
+    adj_a, adj_b = a.adjacency, b.adjacency
+
+    def moves(node):
+        rowa = adj_a.get(node[0], {})
+        rowb = adj_b.get(node[1], {})
         for sa, sb, out in symbol_pairs(rowa, rowb):
             for da in rowa[sa]:
                 for db in rowb[sb]:
-                    pair = (da, db)
-                    if pair not in ids:
-                        ids[pair] = len(order)
-                        order.append(pair)
-                    transitions.add((ids[(qa, qb)], out, ids[pair]))
-    if not order:
-        return FiniteAutomaton(alphabet, 1, frozenset({0}), frozenset(), frozenset())
-    return FiniteAutomaton(
+                    yield out, (da, db)
+
+    return explore(
+        type(a),
         alphabet,
-        len(order),
-        frozenset(ids[p] for p in order if p[0] in a.initial and p[1] in b.initial),
-        frozenset(ids[p] for p in order if p[0] in a.accepting and p[1] in b.accepting),
-        frozenset(transitions),
+        sorted(itertools.product(a.initial, b.initial)),
+        moves,
+        lambda node: node[0] in a.accepting and node[1] in b.accepting,
     )
 
 
@@ -538,44 +548,22 @@ def sync_product(automata: Sequence[FiniteAutomaton]) -> FiniteAutomaton:
             sym = sym * size + p
         return sym
 
-    ids: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    for combo in sorted(itertools.product(*(sorted(x.initial) for x in automata))):
-        if combo not in ids:
-            ids[combo] = len(order)
-            order.append(combo)
-    transitions = set()
-    i = 0
-    while i < len(order):
-        combo = order[i]
-        i += 1
+    def moves(combo):
         rows = [x.adjacency.get(q, {}) for x, q in zip(automata, combo)]
-        if any(not row for row in rows):
-            continue
         for move in itertools.product(
             *(
                 [(sym, dst) for sym in sorted(row) for dst in row[sym]]
                 for row in rows
             )
         ):
-            parts = [m[0] for m in move]
-            target = tuple(m[1] for m in move)
-            if target not in ids:
-                ids[target] = len(order)
-                order.append(target)
-            transitions.add((ids[combo], compose_sym(parts), ids[target]))
-    if not order:
-        return FiniteAutomaton(alphabet, 1, frozenset({0}), frozenset(), frozenset())
-    return FiniteAutomaton(
+            yield compose_sym([m[0] for m in move]), tuple(m[1] for m in move)
+
+    return explore(
+        FiniteAutomaton,
         alphabet,
-        len(order),
-        frozenset(
-            ids[c] for c in order if all(q in x.initial for x, q in zip(automata, c))
-        ),
-        frozenset(
-            ids[c] for c in order if all(q in x.accepting for x, q in zip(automata, c))
-        ),
-        frozenset(transitions),
+        sorted(itertools.product(*(x.initial for x in automata))),
+        moves,
+        lambda combo: all(q in x.accepting for x, q in zip(automata, combo)),
     )
 
 

@@ -299,7 +299,9 @@ def cmd_check_gsp(args) -> int:
         (verdict, aug), dt = _timed(run, m)
         return _row(n, verdict, dt, _witness_words(verdict, base.alphabet, aug.sigma_word))
 
-    # omega-mode systems are not sliced: their words are infinite
+    # omega-mode systems are not sliced (their words are infinite), but a
+    # malformed --slice is rejected all the same
+    _parse_slice(args.slice)
     spec = "none" if base.mode == OMEGA else args.slice
     return _report(args, "check-gsp", _slice_rows(spec, base, row))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, minimize, project_components
+from .automata import FiniteAutomaton, explore, minimize, project_components, union
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -39,7 +39,6 @@ from .omega import (
     _pick,
     _segments,
     _singleton,
-    _union,
     complement_weak_dba,
     complete_omega,
     minimize_weak_dba,
@@ -260,41 +259,27 @@ def build_augmented_finite(
     ]
 
     rel = m.relation.inner
-    ids: dict[tuple, int] = {}
-    order: list[tuple] = []
     q0cops = tuple(next(iter(c.automaton.initial)) for c in cops)
-    for q in sorted(rel.initial):
-        node = (q, q0cops, 0)
-        ids[node] = len(order)
-        order.append(node)
-    transitions: set[tuple[int, int, int]] = set()
-    i = 0
-    while i < len(order):
-        q_r, qcops, _b = order[i]
-        i += 1
-        src = ids[(q_r, qcops, _b)]
+
+    # node: (relation state, property automata states, labelled position read)
+    def moves(node):
+        q_r, qcops, _b = node
         for pair_sym, dsts in rel.adjacency.get(q_r, {}).items():
             a1, a2 = divmod(pair_sym, base_size)
             qcops2 = tuple(deltas[j][(qcops[j], a1)] for j in range(k))
             for q_r2 in dsts:
-                for node, lp in _aug_moves(
+                yield from _aug_moves(
                     q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter,
                     pair_size,
-                ):
-                    if node not in ids:
-                        ids[node] = len(order)
-                        order.append(node)
-                    transitions.add((src, lp, ids[node]))
-    accepting = frozenset(
-        ids[n] for n in order if n[0] in rel.accepting and n[2] == 1
-    )
+                )
+
     t_aug = Transducer(
-        FiniteAutomaton(
+        explore(
+            FiniteAutomaton,
             Alphabet.product(sigma_a, sigma_a),
-            max(len(order), 1),
-            frozenset(ids[(q, q0cops, 0)] for q in rel.initial),
-            accepting,
-            frozenset(transitions),
+            [(q, q0cops, 0) for q in sorted(rel.initial)],
+            moves,
+            lambda node: node[0] in rel.accepting and node[2] == 1,
         )
     )
 
@@ -307,7 +292,7 @@ def build_augmented_finite(
 
 
 def _aug_moves(q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter, pair_size):
-    """Letter pairs allowed for one underlying relation move.
+    """(letter pair, successor node) moves for one underlying relation move.
 
     A position is labelled on the output iff it is labelled on the input, so
     execution words keep the bot*(label) shape of the initial set.  On the
@@ -316,8 +301,8 @@ def _aug_moves(q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter, pai
     negated-property run on that mask.
     """
     yield (
-        (q_r2, qcops2, 0),
         letter(a1, bot_q, bot_m) * pair_size + letter(a2, bot_q, bot_m),
+        (q_r2, qcops2, 0),
     )
     mask = 0
     for j, acc in enumerate(final_masks):
@@ -327,8 +312,8 @@ def _aug_moves(q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter, pai
         for alpha2 in nga.adjacency.get(alpha1, {}).get(mask, ()):
             for mask2 in range(bot_m):
                 yield (
-                    (q_r2, qcops2, 1),
                     letter(a1, alpha1, mask) * pair_size + letter(a2, alpha2, mask2),
+                    (q_r2, qcops2, 1),
                 )
 
 
@@ -398,36 +383,21 @@ def build_augmented_omega(
     base_size = m.alphabet.size
     deltas = [_delta_map(complete_omega(c.automaton)) for c in cops]
     rel = m.relation.inner
-
-    ids: dict[tuple, int] = {}
-    order: list[tuple] = []
     q0cops = tuple(next(iter(c.automaton.initial)) for c in cops)
-    for q in sorted(rel.initial):
-        for alpha in range(n_q):
-            for lam in range(n_masks):
-                node = (q, q0cops, alpha, lam)
-                if node not in ids:
-                    ids[node] = len(order)
-                    order.append(node)
-    transitions: set[tuple[int, int, int]] = set()
-    i = 0
-    while i < len(order):
-        q_r, qcops, alpha, lam = order[i]
-        i += 1
-        src = ids[(q_r, qcops, alpha, lam)]
+
+    # node: (relation state, property automata states, pinned input label)
+    def moves(node):
+        q_r, qcops, alpha, lam = node
         succ_alpha = nga.adjacency.get(alpha, {}).get(lam, ())
         for pair_sym, dsts in rel.adjacency.get(q_r, {}).items():
             a1, a2 = divmod(pair_sym, base_size)
             qcops2 = tuple(deltas[j][(qcops[j], a1)] for j in range(k))
+            l1 = letter(a1, alpha, lam) * pair_size
             for q_r2 in dsts:
-                node = (q_r2, qcops2, alpha, lam)
-                if node not in ids:
-                    ids[node] = len(order)
-                    order.append(node)
+                nxt = (q_r2, qcops2, alpha, lam)
                 for alpha2 in succ_alpha:
                     for lam2 in range(n_masks):
-                        lp = letter(a1, alpha, lam) * pair_size + letter(a2, alpha2, lam2)
-                        transitions.add((src, lp, ids[node]))
+                        yield l1 + letter(a2, alpha2, lam2), nxt
 
     def node_accepting(node) -> bool:
         q_r, qcops, _alpha, lam = node
@@ -439,12 +409,17 @@ def build_augmented_omega(
         )
 
     t_aug = Transducer(
-        OmegaAutomaton(
+        explore(
+            OmegaAutomaton,
             Alphabet.product(sigma_a, sigma_a),
-            max(len(order), 1),
-            frozenset(ids[n] for n in order if n[0] in rel.initial and n[1] == q0cops),
-            frozenset(ids[n] for n in order if node_accepting(n)),
-            frozenset(transitions),
+            [
+                (q, q0cops, alpha, lam)
+                for q in sorted(rel.initial)
+                for alpha in range(n_q)
+                for lam in range(n_masks)
+            ],
+            moves,
+            node_accepting,
         )
     )
 
@@ -561,7 +536,7 @@ def _pre_plus(m: RegularSystem, reach, target, budget: int):
     whether the backward fixpoint converged within `budget` steps."""
     back = _canon(_intersect(reach, preimage(m.relation, target)))
     for _ in range(budget):
-        nxt = _canon(_union(back, _intersect(reach, preimage(m.relation, back))))
+        nxt = _canon(union(back, _intersect(reach, preimage(m.relation, back))))
         if nxt == back:
             return back, True
         back = nxt

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, accepts
+from .automata import FiniteAutomaton, accepts, explore
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -322,45 +322,25 @@ def _losp_initial(initial, lo: Losp, leps, letter, sigma_a) -> FiniteAutomaton:
     q0s = tuple(next(iter(lep.automaton.initial)) for lep in leps)
     q0n = tuple(next(iter(lep.complement_automaton.initial)) for lep in leps)
     n_masks = 1 << lo.n_props
-    transitions: set[tuple[int, int, int]] = set()
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for s in sorted(initial.initial):
-        for u in sorted(neg.initial):
-            node = (s, u)
-            if node not in ids:
-                ids[node] = len(order)
-                order.append(node)
-    i = 0
-    while i < len(order):
-        s, u = order[i]
-        i += 1
-        srow = initial.adjacency.get(s, {})
-        urow = neg.adjacency.get(u, {})
+
+    # node: (initial-set state, negation automaton state)
+    def moves(node):
+        srow = initial.adjacency.get(node[0], {})
+        urow = neg.adjacency.get(node[1], {})
         for a, sdsts in srow.items():
             for lep_mask in range(n_masks):
                 udsts = urow.get(lep_mask, ())
+                sym = letter(a, q0s, q0n, lep_mask, 0, NORESET)
                 for s2 in sdsts:
                     for u2 in udsts:
-                        node = (s2, u2)
-                        if node not in ids:
-                            ids[node] = len(order)
-                            order.append(node)
-                        transitions.add(
-                            (
-                                ids[(s, u)],
-                                letter(a, q0s, q0n, lep_mask, 0, NORESET),
-                                ids[node],
-                            )
-                        )
-    return FiniteAutomaton(
+                        yield sym, (s2, u2)
+
+    return explore(
+        FiniteAutomaton,
         sigma_a,
-        max(len(order), 1),
-        frozenset(ids[x] for x in order if x[0] in initial.initial and x[1] in neg.initial),
-        frozenset(
-            ids[x] for x in order if x[0] in initial.accepting and x[1] in neg.accepting
-        ),
-        frozenset(transitions),
+        sorted(itertools.product(initial.initial, neg.initial)),
+        moves,
+        lambda node: node[0] in initial.accepting and node[1] in neg.accepting,
     )
 
 

@@ -11,20 +11,25 @@ pipelines that would need it raise NonWeakResult / NotWeakDeterministic.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .alphabet import Alphabet
 from .automata import (
     FiniteAutomaton,
+    _reachable_states,
+    _same_symbol,
     accepts,
     complement,
+    explore,
     intersect,
     is_empty,
     minimize,
     pick_word,
+    product_general,
     project_components,
     strongly_connected_components,
     union,
@@ -73,15 +78,7 @@ class OmegaAutomaton(FiniteAutomaton):
 
     @cached_property
     def _reachable(self) -> set[int]:
-        seen = set(self.initial)
-        stack = list(self.initial)
-        while stack:
-            q = stack.pop()
-            for dst in self.successors(q):
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return seen
+        return _reachable_states(self)
 
     @cached_property
     def is_weak(self) -> bool:
@@ -134,18 +131,6 @@ def classify(a: OmegaAutomaton) -> dict[str, bool]:
     }
 
 
-def _rebuild(a: OmegaAutomaton, **kw) -> OmegaAutomaton:
-    fields = {
-        "alphabet": a.alphabet,
-        "n_states": a.n_states,
-        "initial": a.initial,
-        "accepting": a.accepting,
-        "transitions": a.transitions,
-    }
-    fields.update(kw)
-    return OmegaAutomaton(**fields)
-
-
 def complete_omega(a: OmegaAutomaton) -> OmegaAutomaton:
     """Add a rejecting sink for missing moves (language unchanged)."""
     if a.is_complete:
@@ -159,7 +144,7 @@ def complete_omega(a: OmegaAutomaton) -> OmegaAutomaton:
             if sym not in row:
                 extra.add((q, sym, sink))
     extra.update((sink, sym, sink) for sym in symbols)
-    return _rebuild(
+    return replace(
         a, n_states=a.n_states + 1, transitions=a.transitions | frozenset(extra)
     )
 
@@ -177,7 +162,7 @@ def normalize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
     for comp in a.sccs:
         if a._accepting_cycle_in(comp):
             accepting.update(comp)
-    return _rebuild(a, accepting=frozenset(accepting))
+    return replace(a, accepting=frozenset(accepting))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +301,7 @@ def _require_weak_dba(a: OmegaAutomaton, op: str) -> OmegaAutomaton:
 def complement_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
     """Complement by inverting accepting and non-accepting states."""
     d = _require_weak_dba(a, "complement")
-    return _rebuild(d, accepting=frozenset(range(d.n_states)) - d.accepting)
+    return replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
 
 
 def determinize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
@@ -329,37 +314,18 @@ def determinize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
     if not a.is_inherently_weak:
         raise NotWeak("determinize_weak needs an (inherently) weak automaton")
     aw = normalize_weak(a)
-    beta = set(aw.accepting)
+    beta = aw.accepting
     symbols = list(a.alphabet.symbols())
 
-    start = (frozenset(aw.initial), frozenset(aw.initial) & frozenset(beta))
-    ids: dict[tuple[frozenset[int], frozenset[int]], int] = {start: 0}
-    order = [start]
-    delta: dict[int, dict[int, int]] = {}
-    i = 0
-    while i < len(order):
-        big, owed = order[i]
-        i += 1
-        row: dict[int, int] = {}
-        source = owed if owed else frozenset(big) & frozenset(beta)
+    def moves(node):
+        big, owed = node
+        source = owed if owed else big & beta
         for sym in symbols:
-            nbig = aw.step(big, sym)
-            nowed = frozenset(q for q in aw.step(source, sym) if q in beta)
-            node = (nbig, nowed)
-            if node not in ids:
-                ids[node] = len(order)
-                order.append(node)
-            row[sym] = ids[node]
-        delta[ids[(big, owed)]] = row
-    resets = frozenset(ids[n] for n in order if not n[1])
+            yield sym, (aw.step(big, sym), aw.step(source, sym) & beta)
 
-    det = OmegaAutomaton(
-        a.alphabet,
-        len(order),
-        frozenset({0}),
-        resets,
-        frozenset((q, sym, dst) for q, row in delta.items() for sym, dst in row.items()),
-    )
+    start = (frozenset(aw.initial), frozenset(aw.initial) & beta)
+    # resets (no owed state) are the accepting nodes
+    det = explore(OmegaAutomaton, a.alphabet, [start], moves, lambda node: not node[1])
     # det accepts the complement language (reset hit infinitely often);
     # flipping its weak normal form yields the original language.
     if not det.is_inherently_weak:
@@ -367,7 +333,7 @@ def determinize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
             "determinization left the weak class; language has no weak DBA"
         )
     flipped = normalize_weak(det)
-    flipped = _rebuild(
+    flipped = replace(
         flipped, accepting=frozenset(range(flipped.n_states)) - flipped.accepting
     )
     return canonical_renumber(flipped)
@@ -375,27 +341,16 @@ def determinize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
 
 def canonical_renumber(a: OmegaAutomaton) -> OmegaAutomaton:
     """BFS renumbering (symbol order tie-break) of the reachable part."""
-    order: list[int] = sorted(a.initial)
-    number = {q: i for i, q in enumerate(order)}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for sym in sorted(a.adjacency.get(q, {})):
-            for dst in a.adjacency[q][sym]:
-                if dst not in number:
-                    number[dst] = len(number)
-                    order.append(dst)
-    return OmegaAutomaton(
-        a.alphabet,
-        len(order),
-        frozenset(number[q] for q in a.initial),
-        frozenset(number[q] for q in a.accepting if q in number),
-        frozenset(
-            (number[s], sym, number[d])
-            for s, sym, d in a.transitions
-            if s in number and d in number
-        ),
+    adjacency = a.adjacency
+
+    def moves(q):
+        row = adjacency.get(q, {})
+        for sym in sorted(row):
+            for dst in row[sym]:
+                yield sym, dst
+
+    return explore(
+        OmegaAutomaton, a.alphabet, sorted(a.initial), moves, lambda q: q in a.accepting
     )
 
 
@@ -541,17 +496,7 @@ def _quotient_cycle(
 # Boolean operations and products
 
 
-def omega_union(a: OmegaAutomaton, b: OmegaAutomaton) -> OmegaAutomaton:
-    a.alphabet.require_same(b.alphabet)
-    shift = a.n_states
-    return OmegaAutomaton(
-        a.alphabet,
-        a.n_states + b.n_states,
-        a.initial | frozenset(q + shift for q in b.initial),
-        a.accepting | frozenset(q + shift for q in b.accepting),
-        a.transitions
-        | frozenset((s + shift, sym, d + shift) for s, sym, d in b.transitions),
-    )
+omega_union = union
 
 
 def _product_omega(
@@ -564,28 +509,13 @@ def _product_omega(
 
     `symbol_pairs(row_a, row_b)` yields (sym_a, sym_b, sym_out) move combos.
     """
-    weak_mode = a.is_inherently_weak and b.is_inherently_weak
-    if weak_mode:
-        a = normalize_weak(a)
-        b = normalize_weak(b)
-    phases = 1 if weak_mode else 2
+    if a.is_inherently_weak and b.is_inherently_weak:
+        return product_general(normalize_weak(a), normalize_weak(b), alphabet, symbol_pairs)
 
-    ids: dict[tuple[int, int, int], int] = {}
-    order: list[tuple[int, int, int]] = []
-    for qa in sorted(a.initial):
-        for qb in sorted(b.initial):
-            node = (qa, qb, 0)
-            if node not in ids:
-                ids[node] = len(order)
-                order.append(node)
-    transitions = set()
-    i = 0
-    while i < len(order):
-        qa, qb, phase = order[i]
-        i += 1
-        if phases == 1:
-            nphase = 0
-        elif phase == 0:
+    # phase 0 waits for an accepting state of `a`, phase 1 for one of `b`
+    def moves(node):
+        qa, qb, phase = node
+        if phase == 0:
             nphase = 1 if qa in a.accepting else 0
         else:
             nphase = 0 if qb in b.accepting else 1
@@ -594,35 +524,20 @@ def _product_omega(
         for sa, sb, out in symbol_pairs(rowa, rowb):
             for da in rowa[sa]:
                 for db in rowb[sb]:
-                    node = (da, db, nphase)
-                    if node not in ids:
-                        ids[node] = len(order)
-                        order.append(node)
-                    transitions.add((ids[(qa, qb, phase)], out, ids[node]))
-    if not order:
-        return OmegaAutomaton(alphabet, 1, frozenset({0}), frozenset(), frozenset())
-    if phases == 1:
-        accepting = frozenset(
-            ids[n] for n in order if n[0] in a.accepting and n[1] in b.accepting
-        )
-    else:
-        accepting = frozenset(ids[n] for n in order if n[2] == 1 and n[1] in b.accepting)
-    return OmegaAutomaton(
+                    yield out, (da, db, nphase)
+
+    return explore(
+        OmegaAutomaton,
         alphabet,
-        len(order),
-        frozenset(ids[n] for n in order if n[0] in a.initial and n[1] in b.initial and n[2] == 0),
-        accepting,
-        frozenset(transitions),
+        [(qa, qb, 0) for qa, qb in sorted(itertools.product(a.initial, b.initial))],
+        moves,
+        lambda node: node[2] == 1 and node[1] in b.accepting,
     )
 
 
 def omega_intersect(a: OmegaAutomaton, b: OmegaAutomaton) -> OmegaAutomaton:
     a.alphabet.require_same(b.alphabet)
-
-    def pairs(rowa, rowb):
-        for sym in sorted(rowa.keys() & rowb.keys()):
-            yield sym, sym, sym
-    return _product_omega(a, b, a.alphabet, pairs)
+    return _product_omega(a, b, a.alphabet, _same_symbol)
 
 
 def omega_sync_product(automata: Sequence[OmegaAutomaton]) -> OmegaAutomaton:
@@ -772,7 +687,8 @@ def omega_empty_automaton(alphabet: Alphabet) -> OmegaAutomaton:
 #
 # A set of states is a finite-word automaton in finite mode and a weak Buchi
 # automaton in omega mode; its words are symbol tuples or ultimately periodic
-# words.  These operations are the one place that tells the two apart.
+# words.  These operations are the one place that tells the two apart; union
+# needs no dispatch, as `automata.union` keeps the class of its first argument.
 
 
 def _canon(a: FiniteAutomaton) -> FiniteAutomaton:
@@ -780,12 +696,6 @@ def _canon(a: FiniteAutomaton) -> FiniteAutomaton:
     if isinstance(a, OmegaAutomaton):
         return minimize_weak_dba(to_weak_dba(a))
     return minimize(a, completion=False)
-
-
-def _union(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
-    if isinstance(a, OmegaAutomaton):
-        return omega_union(a, b)
-    return union(a, b)
 
 
 def _intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
+from .automata import explore
 from .errors import InputError, NonWeakResult
 from .gsp import StateProperty, _extract_lasso, _loopable_from_plus
 from .omega import _canon, _complement, _intersect, _pick
@@ -80,30 +81,18 @@ def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRela
         )
         finals.append(frozenset(c.automaton.accepting))
     q0 = tuple(next(iter(c.automaton.initial)) for c in cops)
-
-    ids: dict[tuple, int] = {(q0, q0): 0}
-    order: list[tuple] = [(q0, q0)]
-    transitions = set()
     size = sigma_a.size
-    i = 0
-    while i < len(order):
-        left, right = order[i]
-        i += 1
-        src = ids[(left, right)]
-        seen_targets: dict[tuple, list[int]] = {}
+
+    # node: (cop automata states on the left word, on the right word)
+    def moves(node):
+        left, right = node
         for s1 in range(size):
             a1 = sigma_of[s1]
             left2 = tuple(deltas[j][(left[j], a1)] for j in range(len(cops)))
             for s2 in range(size):
                 a2 = sigma_of[s2]
                 right2 = tuple(deltas[j][(right[j], a2)] for j in range(len(cops)))
-                seen_targets.setdefault((left2, right2), []).append(s1 * size + s2)
-        for node, syms in seen_targets.items():
-            if node not in ids:
-                ids[node] = len(order)
-                order.append(node)
-            for sym in syms:
-                transitions.add((src, sym, ids[node]))
+                yield s1 * size + s2, (left2, right2)
 
     def label_mask(states: tuple) -> int:
         mask = 0
@@ -112,15 +101,12 @@ def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRela
                 mask |= 1 << j
         return mask
 
-    accepting = frozenset(
-        ids[n] for n in order if label_mask(n[0]) == label_mask(n[1])
-    )
-    inner = type(msys.system.relation.inner)(
+    inner = explore(
+        type(msys.system.relation.inner),
         Alphabet.product(sigma_a, sigma_a),
-        len(order),
-        frozenset({0}),
-        accepting,
-        frozenset(transitions),
+        [(q0, q0)],
+        moves,
+        lambda node: label_mask(node[0]) == label_mask(node[1]),
     )
     return SimRelation(Transducer(_canon(inner)), 0, False)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, exact_length, intersect, minimize
+from .automata import FiniteAutomaton, exact_length, intersect, minimize, union
 from .errors import InputError, ModeMismatch, NonWeakResult, NotDeterministic, NotWeak
 from .omega import (
     OmegaAutomaton,
@@ -23,7 +23,6 @@ from .omega import (
     _member,
     _pick,
     _singleton,
-    _union,
 )
 from .transducer import FINITE, OMEGA, Transducer, accepts_pair, image, preimage
 
@@ -142,7 +141,7 @@ def _reach_layers(
     for step in range(1, budget + 1):
         layer = _canon(image(m.relation, layer))
         layers.append(layer)
-        nxt = _canon(_union(cumulative, layer))
+        nxt = _canon(union(cumulative, layer))
         if nxt == cumulative:
             return layers, cumulative, True, step
         cumulative = nxt
@@ -191,7 +190,7 @@ def check_reachability_property(
                 break
             layer = _canon(image(m.relation, layers[-1]))
             layers.append(layer)
-            nxt = _canon(_union(cumulative, layer))
+            nxt = _canon(union(cumulative, layer))
             if nxt == cumulative:
                 return Verdict.holds(steps=step + 1)
             cumulative = nxt

@@ -11,7 +11,7 @@ the one-step soundness inclusion check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .alphabet import Alphabet
@@ -21,6 +21,7 @@ from .automata import (
     includes,
     minimize,
     product_general,
+    union,
 )
 from .errors import AlphabetMismatch, InputError, ModeMismatch
 from .omega import (
@@ -28,7 +29,6 @@ from .omega import (
     UltimatelyPeriodicWord,
     _member,
     _product_omega,
-    _union,
     complement_weak_dba,
     minimize_weak_dba,
     omega_is_empty,
@@ -118,21 +118,33 @@ def inverse(t: Transducer) -> Transducer:
         (src, (sym % size) * size + (sym // size), dst)
         for src, sym, dst in t.inner.transitions
     )
-    return Transducer(
-        type(t.inner)(
-            t.inner.alphabet,
-            t.inner.n_states,
-            t.inner.initial,
-            t.inner.accepting,
-            swapped,
-        )
-    )
+    return Transducer(replace(t.inner, transitions=swapped))
 
 
 def accepts_pair(t: Transducer, w1, w2) -> bool:
     """Whether (w1, w2) is in the relation; both words finite or both omega."""
     pair = pair_up_word if isinstance(w1, UltimatelyPeriodicWord) else pair_word
     return _member(t.inner, pair(t.base, w1, w2))
+
+
+def _by_input_letter(size: int) -> Callable[[dict], dict[int, list[int]]]:
+    """Index of a transducer adjacency row by input letter, memoized per row.
+
+    The index maps an input letter to the row's pair symbols with that input,
+    in ascending order; rows are keyed by identity, so it serves one product.
+    """
+    cache: dict[int, dict[int, list[int]]] = {}
+
+    def index(row: dict) -> dict[int, list[int]]:
+        by_left = cache.get(id(row))
+        if by_left is None:
+            by_left = {}
+            for sym in sorted(row):
+                by_left.setdefault(sym // size, []).append(sym)
+            cache[id(row)] = by_left
+        return by_left
+
+    return index
 
 
 def compose(t1: Transducer, t2: Transducer) -> Transducer:
@@ -143,15 +155,10 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     """
     _require_same_base(t1, t2)
     size = t1.base.size
-    left_index: dict[int, dict[int, list[int]]] = {}
+    by_input = _by_input_letter(size)
 
     def pairs(row1, row2):
-        by_left = left_index.get(id(row2))
-        if by_left is None:
-            by_left = {}
-            for sym2 in sorted(row2):
-                by_left.setdefault(sym2 // size, []).append(sym2)
-            left_index[id(row2)] = by_left
+        by_left = by_input(row2)
         for sym1 in sorted(row1):
             x, y = divmod(sym1, size)
             for sym2 in by_left.get(y, ()):
@@ -168,15 +175,10 @@ def image(t: Transducer, a: FiniteAutomaton) -> FiniteAutomaton:
     if a.alphabet != t.base:
         raise AlphabetMismatch("automaton is not over the transducer base alphabet")
     size = t.base.size
-    left_index: dict[int, dict[int, list[int]]] = {}
+    by_input = _by_input_letter(size)
 
     def pairs(rowa, rowt):
-        by_left = left_index.get(id(rowt))
-        if by_left is None:
-            by_left = {}
-            for sym in sorted(rowt):
-                by_left.setdefault(sym // size, []).append(sym)
-            left_index[id(rowt)] = by_left
+        by_left = by_input(rowt)
         for sa in sorted(rowa):
             for sym in by_left.get(sa, ()):
                 yield sa, sym, sym % size
@@ -197,7 +199,7 @@ def preimage(t: Transducer, a: FiniteAutomaton) -> FiniteAutomaton:
 
 def union_t(t1: Transducer, t2: Transducer) -> Transducer:
     _require_same_base(t1, t2)
-    return Transducer(_union(t1.inner, t2.inner))
+    return Transducer(union(t1.inner, t2.inner))
 
 
 def power(t: Transducer, i: int) -> Transducer:

@@ -1,8 +1,10 @@
 """Command-line pipelines: exit codes, reports, golden bundles, witnesses."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +246,47 @@ def test_check_reach_omega_path_witness(tmp_path, capsys):
     assert "    0: N | N\n    1: T | N\n" in out
 
 
+@pytest.fixture
+def omega_gsp_dir(tmp_path):
+    bundle = dict(OMEGA_BUNDLE)
+    bundle["system.sys"] = bundle["system.sys"].replace("relation.aut", "stay.aut") + (
+        "cop: has_t bad_has_t.aut\nproperty: gsp-negated always_t gsp_neg.aut\n"
+    )
+    bundle["stay.aut"] = (
+        "kind: omega-transducer\nalphabet: N T\nstates: 1\ninitial: 0\naccepting: 0\n"
+        "trans:\n0 N/N 0\n0 T/T 0\n"
+    )
+    # eventually a word without T: the stuttering execution of N^omega violates it
+    bundle["gsp_neg.aut"] = (
+        "kind: weak-dba\nalphabet: m0 m1\nstates: 2\ninitial: 0\naccepting: 1\n"
+        "trans:\n0 m0 1\n0 m1 0\n1 m0 1\n1 m1 1\n"
+    )
+    for name, text in bundle.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+@pytest.mark.parametrize("span", ["abc", "5..2", "0"])
+def test_omega_check_gsp_rejects_bad_slice(omega_gsp_dir, capsys, span):
+    # omega-mode systems run unsliced, but a malformed --slice is still an error
+    argv = ["check-gsp", "--system", str(omega_gsp_dir / "system.sys"), "--budget", "2"]
+    code = main(argv + ["--slice", span])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "overall" not in captured.out
+    assert "bad slice range" in captured.err
+
+
+@pytest.mark.parametrize("extra", [[], ["--slice", "3..4"]])
+def test_omega_check_gsp_valid_slice_runs_unsliced(omega_gsp_dir, capsys, extra):
+    argv = ["check-gsp", "--system", str(omega_gsp_dir / "system.sys"), "--budget", "2"]
+    code = main(argv + extra)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "overall: violated" in out
+    assert "slice " not in out
+
+
 def test_property_given_as_file(ring_dir, capsys):
     code = main(
         [
@@ -290,9 +333,13 @@ def test_property_given_by_name(ring_dir, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child gets the checkout's sources, as pytest's own `pythonpath` does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rmckit.cli", "gen-example", "--help"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0

@@ -1,0 +1,191 @@
+"""Golden state numbering of every construction built on `automata.explore`.
+
+Each case pins (n_states, initial, accepting, sorted transitions) of one
+automaton on a fixed fixture, so any change to discovery order, start
+handling or the empty-start convention shows up as a diff.  The values in
+`golden/explore.json` were recorded from the hand-written explorations that
+the kernel replaced.  Regenerate (only for a deliberate numbering change)
+with `PYTHONPATH=src python tests/test_explore_golden.py`.
+"""
+
+import json
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from rmckit import (
+    Alphabet,
+    FiniteAutomaton,
+    build_augmented_finite,
+    build_augmented_losp,
+    build_augmented_omega,
+    determinize_weak,
+    image,
+    intersect,
+    local_execution_property,
+    losp_property,
+    minimize,
+    negated_gsp,
+    omega_intersect,
+    sim_init,
+    slice_system,
+    state_property,
+    sync_product,
+    universal,
+    validate,
+)
+from rmckit.fixtures import (
+    build_fa,
+    cop_one_token,
+    gsp_always_one_token_negated,
+    lep_liveness,
+    lep_liveness_negated,
+    losp_all_live_negated,
+    ring_alphabet,
+    token_ring,
+)
+from rmckit.omega import OmegaAutomaton, canonical_renumber
+from rmckit.system import BuchiRegularSystem, RegularSystem
+from rmckit.transducer import FINITE, OMEGA, identity
+
+GOLDEN = Path(__file__).parent / "golden" / "explore.json"
+NT = ring_alphabet()
+AB = Alphabet.base(("a", "b"))
+
+
+def last_a():
+    # (a|b)*a, nondeterministic
+    return build_fa(AB, 2, [0], [1], [(0, "a", 0), (0, "b", 0), (0, "a", 1)])
+
+
+def has_b():
+    # (a|b)*b(a|b)*, nondeterministic with two initial states
+    return build_fa(
+        AB, 3, [0, 2], [1],
+        [(0, "a", 0), (0, "b", 0), (0, "b", 1), (1, "a", 1), (1, "b", 1), (2, "b", 1)],
+    )
+
+
+def no_start(alphabet, omega=False):
+    cls = OmegaAutomaton if omega else FiniteAutomaton
+    return cls(alphabet, 2, frozenset(), frozenset({1}), frozenset({(0, 0, 1)}))
+
+
+def inf_many_t():
+    # not inherently weak: drives the two-copy Buchi product
+    return build_fa(
+        NT, 2, [0], [1],
+        [(0, "N", 0), (0, "T", 1), (1, "N", 0), (1, "T", 1)],
+        omega=True,
+    )
+
+
+def eventually_t_nondet():
+    return build_fa(
+        NT, 2, [0], [1],
+        [(0, "N", 0), (0, "T", 0), (0, "T", 1), (1, "N", 1), (1, "T", 1)],
+        omega=True,
+    )
+
+
+def eventually_n():
+    return build_fa(
+        NT, 3, [0], [2],
+        [(0, "T", 0), (0, "N", 1), (0, "N", 2), (1, "N", 2), (2, "N", 2), (2, "T", 2)],
+        omega=True,
+    )
+
+
+def scrambled_omega():
+    # reachable states numbered out of BFS order, plus an unreachable one
+    return build_fa(
+        NT, 4, [2], [0],
+        [(2, "T", 0), (2, "N", 3), (3, "N", 2), (0, "N", 0), (0, "T", 3), (1, "T", 1)],
+        omega=True,
+    )
+
+
+def ring_slice(n):
+    return slice_system(token_ring(), n)
+
+
+def gsp_finite_aug():
+    cop = state_property("one_token", cop_one_token())
+    neg = negated_gsp(gsp_always_one_token_negated(), 1)
+    return build_augmented_finite(ring_slice(2), neg, [cop]), cop
+
+
+def gsp_omega_aug():
+    system = validate(
+        RegularSystem(
+            NT, build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True),
+            identity(NT, OMEGA), OMEGA,
+        )
+    )
+    starts_t = build_fa(
+        NT, 3, [0], [1],
+        [(0, "T", 1), (0, "N", 2), (1, "T", 1), (1, "N", 1), (2, "T", 2), (2, "N", 2)],
+        omega=True,
+    )
+    cop = state_property("starts_t", starts_t, "omega")
+    neg = negated_gsp(gsp_always_one_token_negated(), 1)
+    return build_augmented_omega(system, neg, [cop])
+
+
+def losp_aug():
+    lep = local_execution_property("liveness", lep_liveness(), lep_liveness_negated())
+    return build_augmented_losp(ring_slice(2), losp_property(losp_all_live_negated(), 1), [lep])
+
+
+def ring_image():
+    sl = ring_slice(3)
+    return image(sl.relation, sl.initial)
+
+
+def sim_init_explored():
+    # the explored relation before sim_init canonicalizes it
+    system = RegularSystem(AB, universal(AB), identity(AB), FINITE)
+    cop = state_property("ends_a", minimize(last_a()))
+    with mock.patch("rmckit.simulation._canon", lambda a: a):
+        return sim_init(BuchiRegularSystem(system, universal(AB)), [cop]).relation.inner
+
+
+CASES = {
+    "intersect": lambda: intersect(last_a(), has_b()),
+    "intersect_no_start": lambda: intersect(no_start(AB), has_b()),
+    "image_ring_slice_3": ring_image,
+    "image_no_start": lambda: image(ring_slice(3).relation, no_start(NT)),
+    "sync_product": lambda: sync_product([last_a(), has_b()]),
+    "sync_product_no_start": lambda: sync_product([has_b(), no_start(NT)]),
+    "omega_intersect_weak": lambda: omega_intersect(eventually_t_nondet(), eventually_n()),
+    "omega_intersect_buchi": lambda: omega_intersect(inf_many_t(), eventually_t_nondet()),
+    "omega_intersect_no_start": lambda: omega_intersect(no_start(NT, True), inf_many_t()),
+    "canonical_renumber": lambda: canonical_renumber(scrambled_omega()),
+    "determinize_weak": lambda: determinize_weak(eventually_t_nondet()),
+    "sim_init": sim_init_explored,
+    "gsp_finite_relation": lambda: gsp_finite_aug()[0].msys.system.relation.inner,
+    "gsp_omega_relation": lambda: gsp_omega_aug().msys.system.relation.inner,
+    "losp_initial": lambda: losp_aug().msys.system.initial,
+}
+
+
+def shape(a: FiniteAutomaton) -> dict:
+    return {
+        "class": type(a).__name__,
+        "n_states": a.n_states,
+        "initial": sorted(a.initial),
+        "accepting": sorted(a.accepting),
+        "transitions": [list(t) for t in sorted(a.transitions)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_state_numbering_matches_golden(name):
+    golden = json.loads(GOLDEN.read_text())
+    assert shape(CASES[name]()) == golden[name]
+
+
+if __name__ == "__main__":
+    rows = (f"  {json.dumps(name)}: {json.dumps(shape(CASES[name]()))}" for name in sorted(CASES))
+    print("{\n" + ",\n".join(rows) + "\n}")
