@@ -87,7 +87,6 @@ from .omega import (
     minimize_weak_dba,
     omega_boolean,
     omega_equivalent,
-    omega_equivalent_sampled,
     omega_intersect,
     omega_project,
     omega_sync_product,

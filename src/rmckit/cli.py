@@ -313,8 +313,6 @@ def _gsp_property(loaded: LoadedSystem, args) -> NegatedGsp:
         if not isinstance(aut, OmegaAutomaton):
             raise InputError("gsp property file must hold a Buchi automaton")
         return negated_gsp(aut, len(loaded.cops))
-    if block.kind == "gsp-negated":
-        return block.automaton
     return block.automaton  # `gsp` blocks were negated at load time
 
 

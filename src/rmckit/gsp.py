@@ -9,6 +9,13 @@ detection: a nested fixpoint over sets of words in finite mode, where every
 execution stays within one word length and so must repeat a configuration,
 and the closure of the augmented relation in omega mode, where it need not.
 
+Verdicts of the loop engine: in finite mode `holds` (converged fixpoints),
+`violated` (replayed lasso) or `unknown`; in omega mode `violated` when the
+closure's loop formula is nonempty, and otherwise `unknown`, except that
+`holds` is still proved when no accepting word is reachable at all.  An
+omega-mode `holds` in the presence of reachable accepting words can only
+come from the simulation engine.
+
 The tool takes the negated property automaton directly; `negate_gsp` is
 offered for the deterministic weak case only (complement by flip), since
 general Buchi complementation is out of scope.
@@ -484,10 +491,12 @@ def _loopable_from_plus(msys: BuchiRegularSystem, plus):
 def check_emptiness_loop(msys: BuchiRegularSystem, budget: int = 64) -> Verdict:
     """Loop-detection emptiness of a Buchi regular system.
 
-    The system is nonempty iff some reachable accepting word lies on a
-    cycle.  Finite mode decides this with a nested fixpoint over sets of
-    words (configurations of one length must repeat); omega mode, where they
-    need not, uses the closure of the relation.  `holds` needs every
+    In finite mode the system is nonempty iff some reachable accepting word
+    lies on a cycle, which a nested fixpoint over sets of words decides
+    (configurations of one length must repeat).  In omega mode they need
+    not repeat, so the closure of the relation only finds violations: an
+    empty loop formula gives `unknown`, and `holds` comes only from a
+    converged reachable set with no accepting word.  `holds` needs every
     fixpoint to have converged within `budget`; a violation is reported only
     with a replayed lasso, whether or not they converged.
     """
@@ -591,7 +600,10 @@ def _closure_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
     }
     if anchor is None:
         if reach_conv and plus.converged:
-            return Verdict.holds(**diag)
+            return Verdict.unknown(
+                "loop formula empty, but omega executions need not repeat a configuration",
+                **diag,
+            )
         return Verdict.unknown("budget exhausted before closure convergence", **diag)
     try:
         witness = _extract_lasso(m, layers, anchor, plus.steps_used + 1)

@@ -5,6 +5,13 @@ canonical minimization of deterministic weak automata, breakpoint
 determinization for (inherently) weak automata, Boolean operations and
 emptiness with lasso witnesses.
 
+Minimization is derived from finite-word minimization: after a parity
+colouring of the SCCs (even on accepting cycles, non-increasing along runs),
+omega-equivalence of the states of a weak DBA is finite-word equivalence
+with the even-coloured states accepting (Loding, "Efficient minimization of
+deterministic weak omega-automata", IPL 79(3), 2001), so `automata.minimize`
+computes the classes.
+
 General nondeterministic Buchi complementation is deliberately not provided;
 pipelines that would need it raise NonWeakResult / NotWeakDeterministic.
 """
@@ -354,142 +361,33 @@ def canonical_renumber(a: OmegaAutomaton) -> OmegaAutomaton:
     )
 
 
-def _state_equivalence(a: OmegaAutomaton) -> dict[int, int]:
-    """Omega-language equivalence classes of states of a complete weak DBA.
-
-    Two states differ iff the pair graph reaches, from their pair, a cyclic
-    product SCC whose two components disagree on acceptance.
-    """
-    n = a.n_states
-
-    def dst(q: int, sym: int) -> int:
-        return a.adjacency[q][sym][0]
-
-    symbols = sorted({sym for row in a.adjacency.values() for sym in row})
-    pairs = [(p, q) for p in range(n) for q in range(n)]
-    pid = {pq: i for i, pq in enumerate(pairs)}
-
-    def succ(i: int) -> Iterable[int]:
-        p, q = pairs[i]
-        for sym in symbols:
-            yield pid[(dst(p, sym), dst(q, sym))]
-
-    comps = strongly_connected_components(len(pairs), succ)
-    mixed = set()
-    for comp in comps:
-        has_cycle = len(comp) > 1 or comp[0] in set(succ(comp[0]))
-        if not has_cycle:
-            continue
-        for i in comp:
-            p, q = pairs[i]
-            if (p in a.accepting) != (q in a.accepting):
-                mixed.update(comp)
-                break
-    # backward closure of mixedness
-    back: dict[int, set[int]] = {}
-    for i in range(len(pairs)):
-        for j in succ(i):
-            back.setdefault(j, set()).add(i)
-    bad = set(mixed)
-    stack = list(mixed)
-    while stack:
-        j = stack.pop()
-        for i in back.get(j, ()):
-            if i not in bad:
-                bad.add(i)
-                stack.append(i)
-
-    cls: dict[int, int] = {}
-    for p in range(n):
-        for q in range(p + 1):
-            if pid[(p, q)] not in bad:
-                cls[p] = cls.get(q, q)
-                break
-        else:
-            cls[p] = p
-    # renumber class representatives densely
-    reps = sorted(set(cls.values()))
-    dense = {r: i for i, r in enumerate(reps)}
-    return {p: dense[c] for p, c in cls.items()}
-
-
 def minimize_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
     """Canonical minimal weak DBA; equal omega-languages give identical values.
 
-    Quotients by omega-language equivalence of states, then re-derives the
-    per-SCC acceptance from the language itself (transient classes are
-    rejecting by convention) and renumbers canonically.
+    Parity colouring of the SCCs (Loding, IPL 79(3), 2001): a component
+    takes the largest colour among the components it reaches (0 if none),
+    plus one if it is cyclic and that colour's parity disagrees with its
+    acceptance (even = accepting).  Two states then accept the same
+    omega-words iff they reach even-coloured states on the same finite
+    words, so `minimize` with the even-coloured states accepting yields the
+    classes.  Cyclic classes accept iff even-coloured; transient classes
+    are rejecting by convention.
     """
     d = _require_weak_dba(a, "minimize")
-    d = normalize_weak(canonical_renumber(d))
-    cls = _state_equivalence(d)
-    n_classes = len(set(cls.values()))
-
-    delta: dict[int, dict[int, int]] = {}
-    for q in range(d.n_states):
-        c = cls[q]
-        row = delta.setdefault(c, {})
-        for sym, dsts in d.adjacency.get(q, {}).items():
-            t = cls[dsts[0]]
-            if sym in row and row[sym] != t:
-                raise InputError("language equivalence is not a congruence (bug)")
-            row[sym] = t
-    initial_cls = cls[next(iter(d.initial))]
-
-    # acceptance per class: pick a cycle in the quotient, replay it on a
-    # representative and read off the acceptance of the trapped SCC
-    qsucc = {c: sorted(set(row.values())) for c, row in delta.items()}
-    qcomps = strongly_connected_components(n_classes, lambda c: qsucc.get(c, []))
-    accepting: set[int] = set()
-    rep = {c: min(q for q in range(d.n_states) if cls[q] == c) for c in range(n_classes)}
-    for comp in qcomps:
-        compset = set(comp)
-        cyclic = len(comp) > 1 or comp[0] in qsucc.get(comp[0], [])
-        if not cyclic:
-            continue
-        c0 = comp[0]
-        cycle = _quotient_cycle(delta, c0, compset)
-        state = rep[c0]
-        seen_at: dict[int, int] = {}
-        step = 0
-        while state not in seen_at:
-            seen_at[state] = step
-            for sym in cycle:
-                state = d.adjacency[state][sym][0]
-            step += 1
-        if state in d.accepting:
-            accepting.update(comp)
-    result = OmegaAutomaton(
-        d.alphabet,
-        n_classes,
-        frozenset({initial_cls}),
-        frozenset(accepting),
-        frozenset((c, sym, t) for c, row in delta.items() for sym, t in row.items()),
-    )
-    return canonical_renumber(result)
-
-
-def _quotient_cycle(
-    delta: dict[int, dict[int, int]], anchor: int, comp: set[int]
-) -> tuple[int, ...]:
-    """Shortest symbol word looping anchor -> anchor inside comp."""
-    frontier: dict[int, tuple[int, ...]] = {anchor: ()}
-    seen = {anchor}
-    while frontier:
-        nxt: dict[int, tuple[int, ...]] = {}
-        for c in sorted(frontier):
-            w = frontier[c]
-            for sym in sorted(delta.get(c, {})):
-                t = delta[c][sym]
-                if t not in comp:
-                    continue
-                if t == anchor:
-                    return w + (sym,)
-                if t not in seen:
-                    seen.add(t)
-                    nxt[t] = w + (sym,)
-        frontier = nxt
-    raise InputError("no cycle found in cyclic SCC (bug)")
+    colour = [0] * d.n_states
+    for comp in d.sccs:  # Tarjan lists every component after those it reaches
+        # the component's own states still have colour 0, the neutral value
+        c = max((colour[t] for q in comp for t in d.successors(q)), default=0)
+        if d._scc_has_cycle(comp) and (c % 2 == 0) != (comp[0] in d.accepting):
+            c += 1
+        for q in comp:
+            colour[q] = c
+    even = frozenset(q for q in range(d.n_states) if colour[q] % 2 == 0)
+    m = minimize(FiniteAutomaton(d.alphabet, d.n_states, d.initial, even, d.transitions))
+    if not m.accepting:
+        return replace(omega_universal(d.alphabet), accepting=frozenset())
+    quotient = OmegaAutomaton(m.alphabet, m.n_states, m.initial, m.accepting, m.transitions)
+    return canonical_renumber(normalize_weak(complete_omega(quotient)))
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +502,7 @@ def to_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
 def omega_equivalent(a: OmegaAutomaton, b: OmegaAutomaton) -> bool:
     """Exact omega-language equality via weak-DBA complementation.
 
-    Raises NonWeakResult when either side is not weak-representable; sampled
-    comparison is available separately via `omega_equivalent_sampled`.
+    Raises NonWeakResult when either side is not weak-representable.
     """
     a.alphabet.require_same(b.alphabet)
     da, db = to_weak_dba(a), to_weak_dba(b)
@@ -635,17 +532,6 @@ def sample_lassos(
             )
         )
     return out
-
-
-def omega_equivalent_sampled(
-    a: OmegaAutomaton, b: OmegaAutomaton, count: int = 50, seed: int = 0
-) -> bool:
-    """Lasso-sampled language agreement (sound refuter, not a proof)."""
-    a.alphabet.require_same(b.alphabet)
-    for w in sample_lassos(a.alphabet, count, seed=seed):
-        if accepts_up_word(a, w) != accepts_up_word(b, w):
-            return False
-    return True
 
 
 def up_word_automaton(

@@ -53,13 +53,9 @@ class SimCandidate:
     validated: bool
 
 
-def _aug_base(msys: BuchiRegularSystem) -> Alphabet:
-    return msys.system.alphabet
-
-
 def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRelation:
     """Initial relation: same-length pairs whose projections have equal cop sets."""
-    sigma_a = _aug_base(msys)
+    sigma_a = msys.system.alphabet
     if cops:
         base = cops[0].automaton.alphabet
         width = len(base.components)

@@ -373,6 +373,66 @@ def random_weak_dba(rng: random.Random, alphabet: Alphabet, max_states: int = 6)
     )
 
 
+def random_layered_weak_dba(
+    rng: random.Random, alphabet: Alphabet, max_blocks: int = 8, max_block: int = 3
+) -> OmegaAutomaton:
+    """Complete weak DBA made of a chain of blocks, each with one acceptance.
+
+    Moves stay in their block or go to a later one, and the acceptance of
+    consecutive blocks mostly alternates, so runs can change acceptance many
+    times before they settle.  Every state is then doubled and each move picks
+    one of the two copies of its target at random: the copies are
+    omega-equivalent, so minimization has redundant states to merge.
+    """
+    sizes = [rng.randint(1, max_block) for _ in range(rng.randint(1, max_blocks))]
+    starts = list(itertools.accumulate([0] + sizes))
+    n = starts[-1]
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    block_accepting = [rng.random() < 0.5]
+    for _ in sizes[1:]:
+        block_accepting.append(block_accepting[-1] != (rng.random() < 0.8))
+
+    def target(q: int) -> int:
+        b = block_of[q]
+        if b + 1 < len(sizes) and rng.random() < 0.4:
+            b = rng.choice([b + 1, b + 1, rng.randrange(b + 1, len(sizes))])
+        return starts[b] + rng.randrange(sizes[b])
+
+    transitions = frozenset(
+        (q + copy * n, sym, target(q) + rng.randrange(2) * n)
+        for copy in range(2)
+        for q in range(n)
+        for sym in range(alphabet.size)
+    )
+    accepting = frozenset(
+        q + copy * n for copy in range(2) for q in range(n) if block_accepting[block_of[q]]
+    )
+    return OmegaAutomaton(alphabet, 2 * n, frozenset({0}), accepting, transitions)
+
+
+def max_parity_colour(aut: OmegaAutomaton) -> int:
+    """Largest colour of the parity colouring of a weak automaton's SCCs.
+
+    A component's colour is the largest colour of the components it reaches,
+    plus one if it is cyclic and that colour's parity (even = accepting)
+    disagrees with its acceptance.
+    """
+    succ: dict[int, set[int]] = {q: set() for q in range(aut.n_states)}
+    for src, _sym, dst in aut.transitions:
+        succ[src].add(dst)
+    comps = tarjan(range(aut.n_states), lambda q: sorted(succ[q]))
+    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
+    colour: list[int] = []
+    for i, comp in enumerate(comps):  # Tarjan lists successors first
+        below = {comp_of[d] for q in comp for d in succ[q]} - {i}
+        c = max((colour[j] for j in below), default=0)
+        cyclic = len(comp) > 1 or comp[0] in succ[comp[0]]
+        if cyclic and (c % 2 == 0) != (comp[0] in aut.accepting):
+            c += 1
+        colour.append(c)
+    return max(colour)
+
+
 def random_dfa_complete(rng: random.Random, alphabet: Alphabet, max_states: int = 3) -> FiniteAutomaton:
     n = rng.randint(1, max_states)
     transitions = frozenset(

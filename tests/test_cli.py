@@ -287,6 +287,34 @@ def test_omega_check_gsp_valid_slice_runs_unsliced(omega_gsp_dir, capsys, extra)
     assert "slice " not in out
 
 
+def test_omega_check_gsp_empty_loop_formula_is_unknown(tmp_path, capsys):
+    # a step turns a nonempty set of N into T: N^w, TN^w, TTN^w, ... violates
+    # the universal negated property without repeating a configuration
+    bundle = dict(OMEGA_BUNDLE)
+    bundle["system.sys"] = bundle["system.sys"].replace("relation.aut", "grow_t.aut") + (
+        "cop: all all.aut\nproperty: gsp-negated anything gsp_neg.aut\n"
+    )
+    bundle["grow_t.aut"] = (
+        "kind: omega-transducer\nalphabet: N T\nstates: 2\ninitial: 0\naccepting: 1\n"
+        "trans:\n0 N/N 0\n0 T/T 0\n0 N/T 1\n1 N/N 1\n1 T/T 1\n1 N/T 1\n"
+    )
+    bundle["all.aut"] = (
+        "kind: weak-dba\nalphabet: N T\nstates: 1\ninitial: 0\naccepting: 0\n"
+        "trans:\n0 N 0\n0 T 0\n"
+    )
+    bundle["gsp_neg.aut"] = (
+        "kind: weak-dba\nalphabet: m0 m1\nstates: 1\ninitial: 0\naccepting: 0\n"
+        "trans:\n0 m0 0\n0 m1 0\n"
+    )
+    for name, text in bundle.items():
+        (tmp_path / name).write_text(text)
+    code = main(["check-gsp", "--system", str(tmp_path / "system.sys"), "--budget", "12"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "overall: unknown" in out
+    assert "need not repeat a configuration" in out
+
+
 def test_property_given_as_file(ring_dir, capsys):
     code = main(
         [

@@ -8,6 +8,7 @@ from rmckit import (
     HOLDS,
     UNKNOWN,
     VIOLATED,
+    Alphabet,
     CopSet,
     IncompleteCopAutomaton,
     NotWeakDeterministic,
@@ -34,8 +35,8 @@ from rmckit.fixtures import (
     token_ring_dup_mutant,
 )
 from rmckit.omega import omega_universal
-from rmckit.system import RegularSystem
-from rmckit.transducer import FINITE, OMEGA, identity
+from rmckit.system import BuchiRegularSystem, RegularSystem
+from rmckit.transducer import FINITE, OMEGA, Transducer, identity
 
 from oracles import (
     closure_loop_formula,
@@ -203,6 +204,33 @@ def test_omega_unfalsifiable_property_holds():
     aug = build_augmented_omega(omega_identity_system(), always_one_neg(), [cop_all])
     verdict = check_emptiness_loop(aug.msys, budget=12)
     assert verdict.status == HOLDS
+
+
+def grow_t_system():
+    # N^omega, and a step turns a nonempty set of N into T: N^w, TN^w, TTN^w, ...
+    # is an infinite execution that never repeats a configuration
+    init = build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True)
+    rel = Transducer(
+        build_fa(
+            Alphabet.product(NT, NT), 2, [0], [1],
+            [
+                (0, "N/N", 0), (0, "T/T", 0), (0, "N/T", 1),
+                (1, "N/N", 1), (1, "T/T", 1), (1, "N/T", 1),
+            ],
+            omega=True,
+        )
+    )
+    return validate(RegularSystem(NT, init, rel, OMEGA))
+
+
+def test_omega_empty_loop_formula_is_not_holds():
+    # every execution is accepting, yet none repeats a configuration, so the
+    # loop formula is empty; that must not be reported as a proof
+    msys = BuchiRegularSystem(grow_t_system(), omega_universal(NT))
+    verdict = check_emptiness_loop(msys, budget=12)
+    assert verdict.status == UNKNOWN
+    assert "need not repeat a configuration" in verdict.diagnostics["reason"]
+    assert verdict.diagnostics["converged"]
 
 
 def test_omega_nondeterministic_cop_rejected():

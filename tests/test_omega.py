@@ -1,6 +1,8 @@
 """Omega-word algebra: classification, weak-DBA operations, emptiness."""
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +28,12 @@ from rmckit import (
 from rmckit.fixtures import build_fa, ring_alphabet
 from rmckit.omega import omega_empty_automaton, omega_universal
 
-from oracles import lasso_accepts_deterministic, random_weak_dba
+from oracles import (
+    lasso_accepts_deterministic,
+    max_parity_colour,
+    random_layered_weak_dba,
+    random_weak_dba,
+)
 
 NT = ring_alphabet()
 
@@ -225,6 +232,21 @@ def test_minimize_weak_dba_random_roundtrip():
         assert classify(m)["weak"] and m.is_deterministic
         assert omega_equivalent(a, m)
         assert minimize_weak_dba(m) == m
+
+
+def test_minimize_weak_dba_leaves_no_equivalent_states():
+    # a quotient that merges too few states keeps two states that accept the
+    # same omega-words from there on; re-rooting exposes them
+    rng = random.Random(14)
+    inputs = [random_layered_weak_dba(rng, NT) for _ in range(16)]
+    inputs += [random_weak_dba(rng, NT) for _ in range(5)]
+    assert sum(max_parity_colour(a) >= 3 for a in inputs) >= 4
+    for a in inputs:
+        m = minimize_weak_dba(a)
+        assert omega_equivalent(a, m)
+        rooted = [replace(m, initial=frozenset({q})) for q in range(m.n_states)]
+        for p, q in itertools.combinations(range(m.n_states), 2):
+            assert not omega_equivalent(rooted[p], rooted[q]), (p, q)
 
 
 def test_omega_equivalent_exact():
