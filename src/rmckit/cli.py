@@ -286,6 +286,12 @@ def cmd_check_gsp(args) -> int:
         aug = build(m, neg, cops)
         if args.engine == "sim":
             sim = sim_fixpoint(aug.msys, cops, args.budget)
+            if not sim.exact:
+                # an unconverged iterate is not a simulation, so no check runs
+                return Verdict.unknown(
+                    f"budget {args.budget} exhausted before the simulation fixpoint converged",
+                    sim_exact=False,
+                ), aug
             verdict = check_emptiness_sim(aug.msys, sim, args.budget)
         else:
             verdict = check_emptiness_loop(aug.msys, args.budget)

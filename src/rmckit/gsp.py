@@ -4,17 +4,23 @@ A state property is a regular set of state encodings; a global system
 property constrains the infinite sequence of satisfied-property sets along
 an execution.  Verification negates the property, augments the system so
 that accepting executions of the augmented Buchi regular system are exactly
-the violating executions of the original, and then checks emptiness by loop
-detection: a nested fixpoint over sets of words in finite mode, where every
-execution stays within one word length and so must repeat a configuration,
-and the closure of the augmented relation in omega mode, where it need not.
+the violating executions of the original, and then checks emptiness with
+one engine in both modes: a nested (Emerson-Lei) fixpoint over sets of
+words.  With R the reachable words and Acc the accepting ones, it computes
+the greatest set F inside R cap Acc with F within pre+(F), the words that
+reach F again in one or more steps, as the limit of F_0 = R cap Acc and
+F_{i+1} = F_i cap pre+(F_i).
 
-Verdicts of the loop engine: in finite mode `holds` (converged fixpoints),
-`violated` (replayed lasso) or `unknown`; in omega mode `violated` when the
-closure's loop formula is nonempty, and otherwise `unknown`, except that
-`holds` is still proved when no accepting word is reachable at all.  An
-omega-mode `holds` in the presence of reachable accepting words can only
-come from the simulation engine.
+Verdicts of the loop engine, in finite and omega mode alike: `holds`,
+`violated` or `unknown`.  `holds` needs no configuration to repeat.  The
+accepting configurations of any accepting execution lie in R cap Acc, and
+each reaches another in one or more steps, so together they form a
+post-fixpoint of F -> F cap pre+(F) and stay inside every F_i.  When the
+reach, pre+ and nested fixpoints converge they are exact, so an empty limit
+proves that no accepting execution exists.  That holds even in omega mode,
+where an execution of unbounded configurations may never repeat one.
+`violated` comes only with a replayed lasso; in omega mode a nonempty limit
+without a lasso in bound gives `unknown`.
 
 The tool takes the negated property automaton directly; `negate_gsp` is
 offered for the deterministic weak case only (complement by flip), since
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, explore, minimize, project_components, union
+from .automata import FiniteAutomaton, explore, minimize, union
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -60,16 +66,7 @@ from .system import (
     _reach_layers,
     replay_lasso,
 )
-from .transducer import (
-    FINITE,
-    OMEGA,
-    Transducer,
-    accepts_pair,
-    closure,
-    identity,
-    image,
-    preimage,
-)
+from .transducer import FINITE, OMEGA, Transducer, accepts_pair, image, preimage
 
 MAX_COPS = 8
 
@@ -480,35 +477,33 @@ def _gsp_acceptance_omega(base, nga, n_masks, letter, sigma_a):
 # loop-detection emptiness
 
 
-def _loopable_from_plus(msys: BuchiRegularSystem, plus):
-    """Automaton for words w with (w, w) in the given strict closure."""
-    tid = identity(msys.system.alphabet, msys.system.mode)
-    width = len(msys.system.alphabet.components)
-    cross = _intersect(plus.relation.inner, tid.inner)
-    return _canon(project_components(cross, range(width, 2 * width)))
-
-
 def check_emptiness_loop(msys: BuchiRegularSystem, budget: int = 64) -> Verdict:
-    """Loop-detection emptiness of a Buchi regular system.
+    """Loop-detection emptiness of a Buchi regular system, in either mode.
 
-    In finite mode the system is nonempty iff some reachable accepting word
-    lies on a cycle, which a nested fixpoint over sets of words decides
-    (configurations of one length must repeat).  In omega mode they need
-    not repeat, so the closure of the relation only finds violations: an
-    empty loop formula gives `unknown`, and `holds` comes only from a
-    converged reachable set with no accepting word.  `holds` needs every
-    fixpoint to have converged within `budget`; a violation is reported only
-    with a replayed lasso, whether or not they converged.
+    `holds` needs the reach, pre+ and nested fixpoints to have converged
+    within `budget` with an empty limit; a violation is reported only with a
+    replayed lasso, whether or not they converged.  A nonempty limit with no
+    lasso in bound gives `unknown`: in omega mode an accepting execution need
+    not repeat a configuration, so it may have no lasso at all.  An omega
+    operation that leaves the weak automata gives `unknown` too.
     """
-    if msys.system.mode == OMEGA:
-        return _closure_emptiness(msys, budget)
-    return _nested_emptiness(msys, budget)
+    try:
+        return _nested_emptiness(msys, budget)
+    except NonWeakResult as e:
+        return Verdict.unknown(f"weak representability lost: {e}")
 
 
 def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
     """Emerson-Lei fixpoint: the accepting reachable words that reach the
     set again in one or more steps, iterated down to the greatest such set.
-    Its limit is nonempty iff an accepting lasso exists."""
+
+    The accepting configurations of an accepting execution each reach
+    another in one or more steps, so they stay inside every iterate, whether
+    or not any of them repeats; a converged empty limit therefore proves
+    emptiness in omega mode as well as in finite mode.  In finite mode a
+    nonempty limit means an accepting lasso exists, since configurations of
+    one length must repeat; in omega mode it need not.
+    """
     m = msys.system
     layers, reach, reach_conv, reach_steps = _reach_layers(m, budget)
     fair = _canon(_intersect(reach, msys.acceptance))
@@ -533,7 +528,12 @@ def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
         return Verdict.unknown(f"budget exhausted before the {reason} fixpoint converged", **diag)
     witness = _fair_lasso(m, layers, reach, fair, budget)
     if witness is None:
-        return Verdict.unknown("accepting cycle set nonempty but no lasso found in bound", **diag)
+        why = "accepting cycle set nonempty but no lasso found in bound"
+        if m.mode == OMEGA:
+            why += "; omega executions need not repeat a configuration"
+            if reason is not None:
+                why += f", and the {reason} fixpoint did not converge"
+        return Verdict.unknown(why, **diag)
     ok, why = replay_lasso(msys, witness)
     if not ok:
         raise InputError(f"extracted witness failed replay: {why} (bug)")
@@ -576,49 +576,6 @@ def _fair_lasso(m: RegularSystem, layers, reach, fair, budget: int):
             return None
         walked += hop
     return _extract_lasso(m, layers, word, walked - seen[word])
-
-
-def _closure_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
-    """Reachable cap acceptance cap self-loopable under the closure T+."""
-    m = msys.system
-    try:
-        layers, reach, reach_conv, reach_steps = _reach_layers(m, budget)
-        accepting_reach = _intersect(reach, msys.acceptance)
-        if reach_conv and _is_empty(accepting_reach):
-            # no accepting state is reachable at all; the loop formula is
-            # empty regardless of the closure
-            return Verdict.holds(reach_steps=reach_steps, converged=True)
-        plus = closure(m.relation, "plus", budget)
-        loopable = _loopable_from_plus(msys, plus)
-        anchor = _pick(_intersect(accepting_reach, loopable))
-    except NonWeakResult as e:
-        return Verdict.unknown(f"weak representability lost: {e}")
-    diag = {
-        "reach_steps": reach_steps,
-        "closure_steps": plus.steps_used,
-        "converged": reach_conv and plus.converged,
-    }
-    if anchor is None:
-        if reach_conv and plus.converged:
-            return Verdict.unknown(
-                "loop formula empty, but omega executions need not repeat a configuration",
-                **diag,
-            )
-        return Verdict.unknown("budget exhausted before closure convergence", **diag)
-    try:
-        witness = _extract_lasso(m, layers, anchor, plus.steps_used + 1)
-    except NonWeakResult as e:
-        return Verdict.unknown(
-            f"violation detected but witness extraction lost weakness: {e}", **diag
-        )
-    if witness is None:
-        return Verdict.unknown(
-            "loop formula nonempty but no concrete lasso found in bound", **diag
-        )
-    ok, why = replay_lasso(msys, witness)
-    if not ok:
-        raise InputError(f"extracted witness failed replay: {why} (bug)")
-    return Verdict.violated(witness, **diag)
 
 
 def _extract_lasso(m: RegularSystem, layers, anchor, cycle_bound: int):

@@ -76,9 +76,7 @@ class LocalExecutionProperty:
     complement_automaton: OmegaAutomaton
 
 
-def complement_lep(a: OmegaAutomaton) -> OmegaAutomaton:
-    """Complement of a weak deterministic property (acceptance flip)."""
-    return complement_weak_dba(a)
+complement_lep = complement_weak_dba
 
 
 def local_execution_property(

@@ -37,7 +37,7 @@ from .automata import (
     minimize,
     pick_word,
     product_general,
-    project_components,
+    project,
     strongly_connected_components,
     union,
     word_automaton,
@@ -455,18 +455,9 @@ def omega_sync_product(automata: Sequence[OmegaAutomaton]) -> OmegaAutomaton:
     return result
 
 
-def omega_project(a: OmegaAutomaton, i: int) -> OmegaAutomaton:
-    """Projection; acceptance carried over, nondeterminism may appear."""
-    if a.alphabet.arity < 2:
-        raise InputError("projection needs a tuple alphabet")
-    if not (1 <= i <= a.alphabet.arity):
-        raise InputError(f"component index {i} out of range")
-    return project_components(a, [i - 1])
-
-
-def omega_complement(a: OmegaAutomaton) -> OmegaAutomaton:
-    """Complement, restricted to weak deterministic automata."""
-    return complement_weak_dba(a)
+# projection keeps the automaton class, and with it Buchi acceptance
+omega_project = project
+omega_complement = complement_weak_dba
 
 
 def omega_boolean(

@@ -21,15 +21,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import explore
+from .automata import explore, project_components
 from .errors import InputError, NonWeakResult
-from .gsp import StateProperty, _extract_lasso, _loopable_from_plus
+from .gsp import StateProperty, _extract_lasso
 from .omega import _canon, _complement, _intersect, _pick
 from .system import BuchiRegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
     Transducer,
     closure,
     compose,
+    identity,
     inverse,
     preimage,
     relation_includes,
@@ -216,6 +217,14 @@ def check_emptiness_sim(
     if not ok:
         raise InputError(f"extracted witness failed replay: {why} (bug)")
     return Verdict.violated(witness, **diag)
+
+
+def _loopable_from_plus(msys: BuchiRegularSystem, plus):
+    """Automaton for words w with (w, w) in the given strict closure."""
+    tid = identity(msys.system.alphabet, msys.system.mode)
+    width = len(msys.system.alphabet.components)
+    cross = _intersect(plus.relation.inner, tid.inner)
+    return _canon(project_components(cross, range(width, 2 * width)))
 
 
 def _concretize(msys: BuchiRegularSystem, layers, reach, plus):

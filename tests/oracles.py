@@ -218,7 +218,7 @@ def closure_loop_formula(msys, budget: int) -> bool:
 
     Both fixpoints must converge for the answer to be exact.
     """
-    from rmckit.gsp import _loopable_from_plus
+    from rmckit.simulation import _loopable_from_plus
     from rmckit.omega import _intersect, _is_empty
     from rmckit.system import reachable
     from rmckit.transducer import closure
@@ -228,6 +228,59 @@ def closure_loop_formula(msys, budget: int) -> bool:
     assert reach.converged and plus.converged
     core = _intersect(reach.automaton, msys.acceptance)
     return not _is_empty(_intersect(core, _loopable_from_plus(msys, plus)))
+
+
+def up_words(
+    alphabet: Alphabet, max_prefix: int, max_period: int
+) -> list[UltimatelyPeriodicWord]:
+    """Every ultimately periodic word with a prefix of at most `max_prefix`
+    and a period of at most `max_period` letters, once each.
+
+    A word is kept in its canonical form: the period is primitive, and the
+    prefix does not end with the period's last letter (u a (v a)^w is
+    u (a v)^w), so two forms of one word are one node of a graph.
+    """
+    out = set()
+    for p, q in itertools.product(range(max_prefix + 1), range(1, max_period + 1)):
+        for prefix in itertools.product(range(alphabet.size), repeat=p):
+            for period in itertools.product(range(alphabet.size), repeat=q):
+                root = next(
+                    period[:d] for d in range(1, q + 1) if period == period[:d] * (q // d)
+                )
+                stem = prefix
+                while stem and stem[-1] == root[-1]:
+                    stem, root = stem[:-1], root[-1:] + root[:-1]
+                out.add((stem, root))
+    return [UltimatelyPeriodicWord(prefix, period) for prefix, period in sorted(out)]
+
+
+def omega_lasso_oracle(msys, max_prefix: int = 2, max_period: int = 3) -> bool:
+    """Whether an accepting lasso exists among small ultimately periodic words.
+
+    The configurations are the words of `up_words`; a step is a pair that the
+    relation accepts.  True iff some cycle reachable from an initial word
+    visits an accepting word.  A True answer is a real accepting execution;
+    False only says that none stays within the bound.  The initial and
+    acceptance automata must be deterministic.
+    """
+    from rmckit.transducer import accepts_pair
+
+    system = msys.system
+    words = up_words(system.alphabet, max_prefix, max_period)
+    stack = [w for w in words if lasso_accepts_deterministic(system.initial, w)]
+    edges = {w: None for w in stack}
+    while stack:
+        w = stack.pop()
+        edges[w] = [v for v in words if accepts_pair(system.relation, w, v)]
+        for v in edges[w]:
+            if v not in edges:
+                edges[v] = None
+                stack.append(v)
+    for comp in tarjan([w for w in words if w in edges], lambda w: edges[w]):
+        cyclic = len(comp) > 1 or comp[0] in edges[comp[0]]
+        if cyclic and any(lasso_accepts_deterministic(msys.acceptance, w) for w in comp):
+            return True
+    return False
 
 
 def losp_violation_oracle(system: RegularSystem, n: int, losp_neg, leps) -> bool:

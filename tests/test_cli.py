@@ -287,16 +287,16 @@ def test_omega_check_gsp_valid_slice_runs_unsliced(omega_gsp_dir, capsys, extra)
     assert "slice " not in out
 
 
-def test_omega_check_gsp_empty_loop_formula_is_unknown(tmp_path, capsys):
-    # a step turns a nonempty set of N into T: N^w, TN^w, TTN^w, ... violates
-    # the universal negated property without repeating a configuration
+def _universal_gsp_bundle(tmp_path, relation: str) -> Path:
+    """Omega bundle on N^w with the given relation, a property that holds
+    everywhere and a negated property that accepts every execution."""
     bundle = dict(OMEGA_BUNDLE)
-    bundle["system.sys"] = bundle["system.sys"].replace("relation.aut", "grow_t.aut") + (
+    bundle["system.sys"] = bundle["system.sys"] + (
         "cop: all all.aut\nproperty: gsp-negated anything gsp_neg.aut\n"
     )
-    bundle["grow_t.aut"] = (
+    bundle["relation.aut"] = (
         "kind: omega-transducer\nalphabet: N T\nstates: 2\ninitial: 0\naccepting: 1\n"
-        "trans:\n0 N/N 0\n0 T/T 0\n0 N/T 1\n1 N/N 1\n1 T/T 1\n1 N/T 1\n"
+        f"trans:\n{relation}"
     )
     bundle["all.aut"] = (
         "kind: weak-dba\nalphabet: N T\nstates: 1\ninitial: 0\naccepting: 0\n"
@@ -308,11 +308,63 @@ def test_omega_check_gsp_empty_loop_formula_is_unknown(tmp_path, capsys):
     )
     for name, text in bundle.items():
         (tmp_path / name).write_text(text)
-    code = main(["check-gsp", "--system", str(tmp_path / "system.sys"), "--budget", "12"])
+    return tmp_path / "system.sys"
+
+
+# a step turns a nonempty set of N into T: N^w, TN^w, TTN^w, ...
+GROW_T = "0 N/N 0\n0 T/T 0\n0 N/T 1\n1 N/N 1\n1 T/T 1\n1 N/T 1\n"
+# N^w steps to T^w, which has no successor
+STUCK_T = "0 T/T 0\n0 N/T 1\n1 N/T 1\n1 T/T 1\n"
+
+
+def test_omega_check_gsp_empty_loop_formula_is_unknown(tmp_path, capsys):
+    # GROW_T violates the universal negated property without repeating a
+    # configuration, so there is no lasso, and the nested fixpoint never
+    # converges
+    system = _universal_gsp_bundle(tmp_path, GROW_T)
+    code = main(["check-gsp", "--system", str(system), "--budget", "12"])
     out = capsys.readouterr().out
     assert code == 2
     assert "overall: unknown" in out
-    assert "need not repeat a configuration" in out
+    assert (
+        "reason=accepting cycle set nonempty but no lasso found in bound; omega executions "
+        "need not repeat a configuration, and the nested fixpoint did not converge"
+    ) in out
+
+
+def test_omega_check_gsp_stuck_execution_holds(tmp_path, capsys):
+    # the only execution stops at T^w; no configuration repeats, and the
+    # converged nested fixpoint proves that no violating execution exists
+    system = _universal_gsp_bundle(tmp_path, STUCK_T)
+    code = main(["check-gsp", "--system", str(system), "--budget", "12"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "unsliced: holds (reach_steps=2, nested_rounds=3)" in out
+    assert "overall: holds" in out
+
+
+def _assert_sim_budget_unknown(argv, budget, capsys):
+    code = main(argv + ["--engine", "sim", "--budget", str(budget), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["overall"] == "unknown"
+    (row,) = doc["slices"]
+    assert row["reason"] == (
+        f"budget {budget} exhausted before the simulation fixpoint converged"
+    )
+    assert row["sim_exact"] is False
+
+
+def test_gsp_engine_sim_unconverged_is_unknown(ring_dir, capsys):
+    argv = ["check-gsp", "--system", str(ring_dir / "system.sys"), "--slice", "2..2"]
+    _assert_sim_budget_unknown(argv, 1, capsys)
+
+
+def test_omega_gsp_engine_sim_unconverged_is_unknown(tmp_path, capsys):
+    system = _universal_gsp_bundle(tmp_path, GROW_T)
+    _assert_sim_budget_unknown(["check-gsp", "--system", str(system)], 6, capsys)
 
 
 def test_property_given_as_file(ring_dir, capsys):

@@ -35,13 +35,15 @@ from rmckit.fixtures import (
     token_ring_dup_mutant,
 )
 from rmckit.omega import omega_universal
-from rmckit.system import BuchiRegularSystem, RegularSystem
+from rmckit.system import BuchiRegularSystem, RegularSystem, replay_lasso
 from rmckit.transducer import FINITE, OMEGA, Transducer, identity
 
 from oracles import (
     closure_loop_formula,
     gsp_violation_oracle,
+    omega_lasso_oracle,
     random_dfa_complete,
+    random_layered_weak_dba,
     random_sliced_system,
     random_weak_dba,
 )
@@ -224,13 +226,67 @@ def grow_t_system():
 
 
 def test_omega_empty_loop_formula_is_not_holds():
-    # every execution is accepting, yet none repeats a configuration, so the
-    # loop formula is empty; that must not be reported as a proof
+    # every execution is accepting, yet none repeats a configuration, so no
+    # lasso exists; the nested fixpoint F_i holds the words with at least i
+    # letters N and does not converge, so the answer stays unknown
     msys = BuchiRegularSystem(grow_t_system(), omega_universal(NT))
     verdict = check_emptiness_loop(msys, budget=12)
     assert verdict.status == UNKNOWN
-    assert "need not repeat a configuration" in verdict.diagnostics["reason"]
-    assert verdict.diagnostics["converged"]
+    assert verdict.diagnostics["reason"] == (
+        "accepting cycle set nonempty but no lasso found in bound; omega executions "
+        "need not repeat a configuration, and the nested fixpoint did not converge"
+    )
+    assert not verdict.diagnostics["converged"]
+    assert verdict.diagnostics["nested_rounds"] == 12
+
+
+def test_omega_stuck_execution_holds_without_repetition():
+    # N^w steps to T^w, which has no successor: the only execution is finite,
+    # no configuration repeats, and the converged nested fixpoint proves it
+    init = build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True)
+    rel = Transducer(
+        build_fa(
+            Alphabet.product(NT, NT), 2, [0], [1],
+            [(0, "T/T", 0), (0, "N/T", 1), (1, "N/T", 1), (1, "T/T", 1)],
+            omega=True,
+        )
+    )
+    system = validate(RegularSystem(NT, init, rel, OMEGA))
+    verdict = check_emptiness_loop(BuchiRegularSystem(system, omega_universal(NT)), budget=12)
+    assert verdict.status == HOLDS
+    assert verdict.diagnostics == {"reach_steps": 2, "nested_rounds": 3, "converged": True}
+
+
+def random_omega_system(seed: int) -> BuchiRegularSystem:
+    """Omega system over {A, B} whose initial set, relation and acceptance
+    all come from one weak DBA generator, picked by a coin."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        def gen(alphabet):
+            return random_weak_dba(rng, alphabet, 3)
+    else:
+        def gen(alphabet):
+            return random_layered_weak_dba(rng, alphabet, max_blocks=3, max_block=2)
+    base = Alphabet.base(("A", "B"))
+    init = gen(base)
+    rel = Transducer(gen(Alphabet.product(base, base)))
+    system = validate(RegularSystem(base, init, rel, OMEGA))
+    return BuchiRegularSystem(system, gen(base))
+
+
+def test_omega_loop_check_agrees_with_bounded_lasso_oracle():
+    # holds never meets a lasso of small ultimately periodic words, and every
+    # violation replays
+    seen = set()
+    for seed in range(40):
+        msys = random_omega_system(seed)
+        verdict = check_emptiness_loop(msys, budget=6)
+        seen.add(verdict.status)
+        if verdict.status == HOLDS:
+            assert not omega_lasso_oracle(msys), seed
+        elif verdict.status == VIOLATED:
+            assert replay_lasso(msys, verdict.witness) == (True, "ok"), seed
+    assert {HOLDS, VIOLATED} <= seen
 
 
 def test_omega_nondeterministic_cop_rejected():

@@ -59,7 +59,12 @@ def _finite_case():
 
 
 def _omega_case():
-    """Identity system on N^w with the property "the first letter is T"."""
+    """Identity system on N^w with the property "the first letter is T".
+
+    The tamperings start from a fixed lasso, (N g0 m0)^w then (N g1 m0)^w
+    looping on the second word, each written with a prefix so that a period
+    can differ from it.  The engine's own witness must replay as well.
+    """
     cop_t = state_property(
         "starts_t",
         build_fa(
@@ -74,8 +79,10 @@ def _omega_case():
     aug = build_augmented_omega(system, _neg(), [cop_t])
     verdict = check_emptiness_loop(aug.msys, budget=12)
     assert verdict.status == VIOLATED
-    assert len(verdict.witness.words) == 2 and verdict.witness.loop_start == 1
-    return aug, verdict.witness
+    assert replay_gsp_witness(aug, verdict.witness) == (True, "ok")
+    g0, g1 = (aug.alphabet.symbol((N, q, 0)) for q in (0, 1))
+    words = (UltimatelyPeriodicWord((g0, g0), (g0,)), UltimatelyPeriodicWord((g1,), (g1,)))
+    return aug, LassoWitness(words, loop_start=1)
 
 
 def _relaxed(aug):
