@@ -10,9 +10,14 @@ composition, inverse and complement of the step relation T:
     Bad  = T o (not G)^-1    (w1, w2): w1 has a move that w2 cannot match
     Sim' = Sim cap not Bad
 
-An exact fixpoint certifies a finite-index simulation and makes the
-simulation-based nonemptiness check complete; budget-exhausted
-over-approximations are never used to report Holds.
+Every question asked of the relation is about reachable words, so the
+fixpoint and the closures run on reachable words only.  Let R be a T-closed
+set, T(R) contained in R; the converged reachable set is one.  The
+simulation game started in R x R never leaves it, so the greatest simulation
+on R x R is the global one restricted to R x R; for the same reason the
+strict closure of T cap (R x R) is T+ cap (R x R).  An unconverged reachable
+set is not T-closed, and then the relations stay unrestricted.
+Budget-exhausted over-approximations are never used to report Holds.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import explore, project_components
+from .automata import FiniteAutomaton, explore, project_components
 from .errors import InputError, NonWeakResult
 from .gsp import StateProperty, _extract_lasso
 from .omega import _canon, _complement, _intersect, _pick
 from .system import BuchiRegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
+    OMEGA,
     Transducer,
     closure,
     compose,
@@ -132,14 +138,23 @@ def sim_fixpoint(
 ) -> SimRelation:
     """Iterate refinement until a fixpoint or the budget runs out.
 
+    When the reachable set R converges within the budget, the initial
+    relation and T are restricted to R x R and the result is the greatest
+    simulation on reachable words; otherwise both stay unrestricted.
     Terminates exactly on systems with a finite-index simulation; a
     budget-exhausted result is an over-approximation usable only as
     "not yet refuted", never to conclude emptiness.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
-    t = msys.system.relation
-    current = sim_init(msys, cops)
+    m = msys.system
+    try:
+        _, reach, converged, _ = _reach_layers(m, budget)
+        closed = reach if converged else None
+    except NonWeakResult:
+        closed = None
+    t = _on_reach(m.relation, closed)
+    current = SimRelation(_on_reach(sim_init(msys, cops).relation, closed), 0, False)
     for _ in range(budget):
         nxt = sim_step(current, t)
         if not relation_includes(current.relation, nxt.relation):
@@ -160,7 +175,10 @@ def validate_candidate(
     Valid iff one more refinement step removes nothing and the candidate
     stays within the cop-compatible initial relation; a validated candidate
     is a simulation contained in the greatest one, so nonemptiness verdicts
-    built on it are sound.
+    built on it are sound.  The candidate is judged on all pairs of words,
+    with the unrestricted T.  A simulation on R x R for a T-closed R, such
+    as the result of `sim_fixpoint`, passes too: the moves of words in R
+    stay in R.
     """
     canon = Transducer(_canon(c.inner))
     sim0 = sim_init(msys, cops)
@@ -179,7 +197,15 @@ def check_emptiness_sim(
 
     Nonempty formula: some reachable state can nontrivially reach an
     accepting state that simulates it, yielding a violation; the empty case
-    proves the property only for an exact fixpoint with converged closures.
+    proves the property only for an exact fixpoint with converged closures,
+    and only in finite mode: an omega execution need not repeat a
+    configuration even up to simulation, so there it gives Unknown.
+
+    The formula only pairs reachable words with their T+-successors, which
+    are reachable too.  So when reach converges, T+ is computed as the
+    closure of T cap (R x R), which equals T+ cap (R x R) because R is
+    T-closed; the anchor and the concretization see the same pairs as with
+    the unrestricted T+.
     """
     exact = isinstance(sim, SimRelation) and sim.exact
     if isinstance(sim, SimCandidate) and not sim.validated:
@@ -189,7 +215,7 @@ def check_emptiness_sim(
     m = msys.system
     try:
         layers, reach, reach_conv, _ = _reach_layers(m, budget)
-        plus = closure(m.relation, "plus", budget)
+        plus = closure(_on_reach(m.relation, reach if reach_conv else None), "plus", budget)
         # words w1 with (w1, w2) in T+ cap Sim for some accepting w2
         similar = Transducer(_intersect(plus.relation.inner, sim.relation.inner))
         anchor = _pick(_intersect(reach, preimage(similar, msys.acceptance)))
@@ -201,9 +227,15 @@ def check_emptiness_sim(
         "sim_exact": exact,
     }
     if anchor is None:
-        if exact and reach_conv and plus.converged:
-            return Verdict.holds(**diag)
-        return Verdict.unknown("formula empty but result not conclusive", **diag)
+        if not (exact and reach_conv and plus.converged):
+            return Verdict.unknown("formula empty but result not conclusive", **diag)
+        if m.mode == OMEGA:
+            return Verdict.unknown(
+                "formula empty, but omega executions need not repeat a "
+                "configuration up to simulation",
+                **diag,
+            )
+        return Verdict.holds(**diag)
     # the anchor only starts an abstract lasso (each accepting visit may be a
     # fresh, merely similar state); concretize through the exact-repetition
     # core, which exists on locally-finite instances
@@ -217,6 +249,38 @@ def check_emptiness_sim(
     if not ok:
         raise InputError(f"extracted witness failed replay: {why} (bug)")
     return Verdict.violated(witness, **diag)
+
+
+def _on_reach(t: Transducer, reach: FiniteAutomaton | None) -> Transducer:
+    """The relation restricted to R x R, for a T-closed set R; `t` when R is None.
+
+    R x R is the square of R over the pair alphabet, an automaton of R's own
+    class.  In omega mode R is a weak DBA, so a cycle of the square stays in
+    one SCC of R per track, each accepting or not as a whole, and requiring
+    both tracks to accept is the Buchi condition of the square.
+    """
+    if reach is None:
+        return t
+    size = reach.alphabet.size
+    rows = reach.adjacency
+
+    def moves(node):
+        p, q = node
+        row_p, row_q = rows.get(p, {}), rows.get(q, {})
+        for a in sorted(row_p):
+            for b in sorted(row_q):
+                for dp in row_p[a]:
+                    for dq in row_q[b]:
+                        yield a * size + b, (dp, dq)
+
+    square = explore(
+        type(reach),
+        Alphabet.product(reach.alphabet, reach.alphabet),
+        sorted((p, q) for p in reach.initial for q in reach.initial),
+        moves,
+        lambda node: node[0] in reach.accepting and node[1] in reach.accepting,
+    )
+    return Transducer(_canon(_intersect(t.inner, square)))
 
 
 def _loopable_from_plus(msys: BuchiRegularSystem, plus):

@@ -343,6 +343,20 @@ def test_omega_check_gsp_stuck_execution_holds(tmp_path, capsys):
     assert "overall: holds" in out
 
 
+def test_omega_check_gsp_sim_empty_formula_is_unknown(tmp_path, capsys):
+    # the loop engine proves holds here; an empty simulation formula does
+    # not, as omega executions need not repeat a configuration
+    system = _universal_gsp_bundle(tmp_path, STUCK_T)
+    code = main(["check-gsp", "--system", str(system), "--engine", "sim", "--budget", "12"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert (
+        "unsliced: unknown (closure_steps=1, reason=formula empty, but omega executions "
+        "need not repeat a configuration up to simulation, sim_exact=True)"
+    ) in out
+    assert "overall: unknown" in out
+
+
 def _assert_sim_budget_unknown(argv, budget, capsys):
     code = main(argv + ["--engine", "sim", "--budget", str(budget), "--format", "json"])
     captured = capsys.readouterr()

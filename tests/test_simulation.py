@@ -1,5 +1,7 @@
 """Symbolic simulation fixpoint vs the explicit oracle, and sim-based emptiness."""
 
+import random
+
 import pytest
 
 from rmckit import (
@@ -34,10 +36,12 @@ from rmckit.fixtures import (
     token_ring,
     token_ring_dup_mutant,
 )
-from rmckit.gsp import cop_of
+from rmckit.gsp import cop_alphabet, cop_of
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word, omega_universal
 from rmckit.system import BuchiRegularSystem, RegularSystem
 from rmckit.transducer import FINITE, OMEGA, identity, pair_up_word
+
+from oracles import random_dfa_complete, random_sliced_system, random_weak_dba
 
 NT = ring_alphabet()
 
@@ -181,29 +185,79 @@ def test_validate_candidate():
     assert not validate_candidate(s0.relation, msys, []).validated
 
 
+def assert_equals_brute_force_on_reachable_words(aug, cops, sim, n):
+    msys = aug.msys
+    words = enumerate_words(reachable(msys.system, budget=32).automaton, n)
+    idx = {w: i for i, w in enumerate(words)}
+    edges = [
+        (idx[a], idx[b])
+        for a in words
+        for b in words
+        if accepts_pair(msys.system.relation, a, b)
+    ]
+    labels = [cop_of(aug.sigma_word(w), cops).mask for w in words]
+    expected = brute_force_simulation(len(words), edges, labels)
+    got = {
+        (i, j)
+        for i in range(len(words))
+        for j in range(len(words))
+        if accepts_pair(sim.relation, words[i], words[j])
+    }
+    assert got == expected
+
+
 def test_sim_restricted_to_enumerated_states_equals_brute_force():
     for n in (2, 3):
         aug, cop = ring_aug(n)
-        msys = aug.msys
-        sim = sim_fixpoint(msys, [cop], budget=30)
+        sim = sim_fixpoint(aug.msys, [cop], budget=30)
         assert sim.exact
-        words = enumerate_words(reachable(msys.system, budget=32).automaton, n)
-        idx = {w: i for i, w in enumerate(words)}
-        edges = [
-            (idx[a], idx[b])
-            for a in words
-            for b in words
-            if accepts_pair(msys.system.relation, a, b)
+        assert_equals_brute_force_on_reachable_words(aug, [cop], sim, n)
+
+
+def test_sim_fixpoint_unconverged_reach_keeps_relation_unrestricted():
+    # unsliced, the token is at a position <= k after k steps, so reach never
+    # converges and is not T-closed; the relation must cover every pair
+    cop = state_property("one_token", cop_one_token())
+    neg = negated_gsp(gsp_always_one_token_negated(), 1)
+    msys = build_augmented_finite(token_ring(), neg, [cop]).msys
+    budget = 4
+    assert not reachable(msys.system, budget).converged
+    by_hand = sim_init(msys, [cop])
+    while True:
+        nxt = sim_step(by_hand, msys.system.relation)
+        if nxt.relation == by_hand.relation:
+            break
+        by_hand = nxt
+    sim = sim_fixpoint(msys, [cop], budget)
+    assert sim.exact
+    assert sim.relation == by_hand.relation
+
+
+def test_sim_on_reachable_words_matches_brute_force_and_loop_on_random_systems():
+    # GSP augmentations drawn as in the benchmark's random instances
+    violated = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = 2 + seed % 2
+        system = random_sliced_system(rng, n)
+        k = rng.randint(1, 2)
+        cops = [
+            state_property(f"c{i}", random_dfa_complete(rng, system.alphabet))
+            for i in range(k)
         ]
-        labels = [cop_of(aug.sigma_word(w), [cop]).mask for w in words]
-        expected = brute_force_simulation(len(words), edges, labels)
-        got = {
-            (i, j)
-            for i in range(len(words))
-            for j in range(len(words))
-            if accepts_pair(sim.relation, words[i], words[j])
-        }
-        assert got == expected
+        neg = negated_gsp(random_weak_dba(rng, cop_alphabet(k), max_states=3), k)
+        aug = build_augmented_finite(system, neg, cops)
+        msys = aug.msys
+        sim = sim_fixpoint(msys, cops, budget=30)
+        assert sim.exact, seed
+        assert_equals_brute_force_on_reachable_words(aug, cops, sim, n)
+        v_sim = check_emptiness_sim(msys, sim, budget=30)
+        assert v_sim.status == check_emptiness_loop(msys, budget=30).status, seed
+        if v_sim.status == VIOLATED:
+            violated += 1
+            ok, why = replay_gsp_witness(aug, v_sim.witness)
+            assert ok, (seed, why)
+    assert violated == 2
 
 
 def test_sim_iterates_shrink_monotonically():
@@ -213,6 +267,25 @@ def test_sim_iterates_shrink_monotonically():
         nxt = sim_step(s, aug.msys.system.relation)
         assert relation_includes(s.relation, nxt.relation)
         s = nxt
+
+
+def test_fixpoint_on_reachable_words_passes_candidate_validation():
+    # the fixpoint is a simulation on R x R only, yet it is judged on all
+    # pairs; a candidate never proves holds, as it need not be the greatest
+    for system, status in ((token_ring(), UNKNOWN), (token_ring_dup_mutant(), VIOLATED)):
+        aug, cop = ring_aug(2, system)
+        sim = sim_fixpoint(aug.msys, [cop], budget=30)
+        candidate = validate_candidate(sim.relation, aug.msys, [cop])
+        assert candidate.validated
+        v_sim = check_emptiness_sim(aug.msys, sim, budget=32)
+        v_candidate = check_emptiness_sim(aug.msys, candidate, budget=32)
+        assert v_candidate.status == status
+        if status == VIOLATED:
+            assert v_sim.status == VIOLATED
+            assert v_candidate.witness == v_sim.witness
+        else:
+            assert v_sim.status == HOLDS
+            assert v_candidate.diagnostics["reason"] == "formula empty but result not conclusive"
 
 
 def test_check_emptiness_sim_agrees_with_loop():
@@ -243,6 +316,32 @@ def test_check_emptiness_sim_ignores_unreachable_accepting_words():
     msys = BuchiRegularSystem(RegularSystem(base, plus("b"), t, FINITE), plus("a"))
     sim = sim_fixpoint(msys, [], budget=8)
     assert check_emptiness_sim(msys, sim, budget=8).status == HOLDS
+    assert check_emptiness_loop(msys, budget=8).status == HOLDS
+
+
+def test_check_emptiness_sim_omega_empty_formula_is_unknown():
+    # N^omega steps to T^omega, which has no successor: the loop engine proves
+    # holds, but an omega execution need not repeat a configuration even up
+    # to simulation, so an empty simulation formula proves nothing
+    base = Alphabet.base(("N", "T"))
+    pair = Alphabet.product(base, base)
+    moves = frozenset(
+        (src, pair.index(p), dst)
+        for src, p, dst in ((0, "T/T", 0), (0, "N/T", 1), (1, "N/T", 1), (1, "T/T", 1))
+    )
+    t = Transducer(OmegaAutomaton(pair, 2, frozenset({0}), frozenset({1}), moves))
+    n_omega = OmegaAutomaton(
+        base, 1, frozenset({0}), frozenset({0}), frozenset({(0, base.index("N"), 0)})
+    )
+    msys = BuchiRegularSystem(RegularSystem(base, n_omega, t, OMEGA), omega_universal(base))
+    sim = sim_fixpoint(msys, [], budget=8)
+    assert sim.exact
+    verdict = check_emptiness_sim(msys, sim, budget=8)
+    assert verdict.status == UNKNOWN
+    assert verdict.diagnostics["reason"] == (
+        "formula empty, but omega executions need not repeat a configuration up to simulation"
+    )
+    assert verdict.diagnostics["converged"]
     assert check_emptiness_loop(msys, budget=8).status == HOLDS
 
 
