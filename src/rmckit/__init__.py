@@ -3,8 +3,8 @@
 Automata and transducer algebra over indexed alphabets, (omega-)regular
 systems, augmented-system constructions for global and local-oriented
 temporal properties, and emptiness semi-algorithms based on loop detection
-(a nested fixpoint over sets of words in finite mode, the closure of the
-relation in omega mode) and symbolic simulation fixpoints.
+(a nested fixpoint over sets of words, in finite and omega mode alike) and
+symbolic simulation fixpoints.
 """
 
 from .alphabet import Alphabet

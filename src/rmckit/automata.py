@@ -5,19 +5,24 @@ synchronous products, projections and the standard decision procedures.
 Values are immutable; every operation is a pure function returning a new
 automaton.  State ids are dense integers; canonical numbering is
 breadth-first discovery order from the initial states with symbol order as
-tie-break, and a completion sink (when materialized) is always the
-highest-numbered state.
+tie-break.
 
-`explore` is the single reachable-exploration kernel: every product and
-every explicit construction over implicitly given states (here and in
-`omega`, `gsp`, `losp` and `simulation`) is a `moves` function and an
-acceptance predicate handed to it.
+`explore` is the one place that numbers states: every product, every
+explicit construction over implicitly given states (here and in `omega`,
+`gsp`, `losp` and `simulation`) and the quotient of `minimize` is a `moves`
+function and an acceptance predicate handed to it.  The one exception is
+the subset construction `_determinize_subsets`, which numbers its subsets
+itself and hands `minimize` a plain transition map: routed through
+`explore`, every `minimize` call would build and validate one more
+automaton, which made the minimization-heavy library checks about a fifth
+slower.  `complete` is the one place that adds a completion sink, always as
+the highest-numbered state.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -156,43 +161,43 @@ def _reachable_states(a: FiniteAutomaton) -> set[int]:
     return seen
 
 
-def _coreachable_states(a: FiniteAutomaton) -> set[int]:
-    back: dict[int, set[int]] = {}
-    for src, _sym, dst in a.transitions:
-        back.setdefault(dst, set()).add(src)
-    seen = set(a.accepting)
-    stack = list(a.accepting)
-    while stack:
-        q = stack.pop()
-        for src in back.get(q, ()):
-            if src not in seen:
-                seen.add(src)
-                stack.append(src)
-    return seen
+def _shortest_words(a: FiniteAutomaton) -> dict[int, tuple[int, ...]]:
+    """Shortest, then lexicographically least, word reaching each reachable state."""
+    settled: dict[int, tuple[int, ...]] = {q: () for q in a.initial}
+    frontier = dict(settled)
+    while frontier:
+        nxt: dict[int, tuple[int, ...]] = {}
+        for q in sorted(frontier):
+            w = frontier[q]
+            for sym in sorted(a.adjacency.get(q, {})):
+                for dst in a.adjacency[q][sym]:
+                    if dst in settled:
+                        continue
+                    cand = w + (sym,)
+                    if dst not in nxt or cand < nxt[dst]:
+                        nxt[dst] = cand
+        settled.update(nxt)
+        frontier = nxt
+    return settled
 
 
-def trim(a: FiniteAutomaton) -> FiniteAutomaton:
-    """Restrict to states that are reachable and can still reach acceptance.
+def complete(a: FiniteAutomaton) -> FiniteAutomaton:
+    """The same language with every missing move sent to a new rejecting sink.
 
-    The result may be incomplete; a single rejecting state is kept when the
-    language is empty.
+    The sink is the highest-numbered state, and a complete `a` comes back
+    as it is.  The class of `a` is kept, and with it the acceptance
+    condition.
     """
-    useful = _reachable_states(a) & _coreachable_states(a)
-    if not useful:
-        return FiniteAutomaton(a.alphabet, 1, frozenset({0}), frozenset(), frozenset())
-    order = sorted(useful)
-    remap = {q: i for i, q in enumerate(order)}
-    return FiniteAutomaton(
-        a.alphabet,
-        len(order),
-        frozenset(remap[q] for q in a.initial if q in useful),
-        frozenset(remap[q] for q in a.accepting if q in useful),
-        frozenset(
-            (remap[s], sym, remap[d])
-            for s, sym, d in a.transitions
-            if s in useful and d in useful
-        ),
+    if a.is_complete:
+        return a
+    sink, rows = a.n_states, a.adjacency
+    missing = frozenset(
+        (q, sym, sink)
+        for q in range(sink + 1)  # every move of the sink itself is missing
+        for sym in range(a.alphabet.size)
+        if sym not in rows.get(q, {})
     )
+    return replace(a, n_states=sink + 1, transitions=a.transitions | missing)
 
 
 def strongly_connected_components(
@@ -291,58 +296,24 @@ def _determinize_subsets(
     return order, delta, accepting
 
 
-def _complete_in_place(
-    n: int,
-    delta: dict[int, dict[int, int]],
-    alphabet: Alphabet,
-) -> tuple[int, bool]:
-    """Add a sink as highest-numbered state when any move is missing."""
-    size = alphabet.size
+def _complete_dfa(d: FiniteAutomaton) -> FiniteAutomaton:
+    """`complete(d)`, or the one-state rejecting sink when `d` has no
+    accepting state; only the sink is built above `COMPLETION_CAP`."""
+    if not d.accepting:
+        return replace(universal(d.alphabet), accepting=frozenset())
+    size = d.alphabet.size
     if size > COMPLETION_CAP:
-        raise InputError(
-            f"alphabet of size {size} exceeds completion cap {COMPLETION_CAP}"
-        )
-    missing = any(len(delta.get(q, {})) < size for q in range(n))
-    if not missing:
-        return n, False
-    sink = n
-    for q in range(n):
-        row = delta.setdefault(q, {})
-        for sym in range(size):
-            row.setdefault(sym, sink)
-    delta[sink] = {sym: sink for sym in range(size)}
-    return n + 1, True
-
-
-def _from_delta(
-    alphabet: Alphabet,
-    n: int,
-    delta: dict[int, dict[int, int]],
-    initial: Iterable[int],
-    accepting: Iterable[int],
-) -> FiniteAutomaton:
-    return FiniteAutomaton(
-        alphabet,
-        n,
-        frozenset(initial),
-        frozenset(accepting),
-        frozenset((q, sym, dst) for q, row in delta.items() for sym, dst in row.items()),
-    )
-
-
-def _rejecting_sink(alphabet: Alphabet) -> FiniteAutomaton:
-    """Canonical complete automaton for the empty language."""
-    delta = {0: {sym: 0 for sym in alphabet.symbols()}}
-    return _from_delta(alphabet, 1, delta, {0}, set())
+        raise InputError(f"alphabet of size {size} exceeds completion cap {COMPLETION_CAP}")
+    return complete(d)
 
 
 def determinize(a: FiniteAutomaton) -> FiniteAutomaton:
     """Deterministic complete automaton with the same language."""
     order, delta, accepting = _determinize_subsets(a)
-    if not accepting:
-        return _rejecting_sink(a.alphabet)
-    n, _ = _complete_in_place(len(order), delta, a.alphabet)
-    return _from_delta(a.alphabet, n, delta, {0}, accepting)
+    transitions = frozenset((q, sym, d) for q, row in delta.items() for sym, d in row.items())
+    return _complete_dfa(
+        FiniteAutomaton(a.alphabet, len(order), frozenset({0}), frozenset(accepting), transitions)
+    )
 
 
 def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutomaton:
@@ -389,52 +360,30 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
             break
         cls = new_cls
 
+    # the quotient over the live classes, numbered from the initial class;
+    # states of one class agree on their live moves, so one representative
+    # per class gives its row
     dead = cls[n]
-    if cls[0] == dead:
-        # empty language: canonical one-state rejecting sink
-        if completion is None:
-            completion = a.alphabet.size <= COMPLETION_CAP
-        if completion:
-            return _rejecting_sink(a.alphabet)
-        return _from_delta(a.alphabet, 1, {0: {}}, {0}, set())
-
-    # quotient transition function over non-dead classes
-    qdelta: dict[int, dict[int, int]] = {}
+    representative: dict[int, int] = {}
     for q in range(n):
-        c = cls[q]
-        if c == dead:
-            continue
-        row = qdelta.setdefault(c, {})
-        for sym, dst in delta.get(q, {}).items():
-            if cls[dst] != dead:
-                row[sym] = cls[dst]
-    qacc = {cls[q] for q in accepting}
+        representative.setdefault(cls[q], q)
+    accepting_classes = {cls[q] for q in accepting}
 
-    # canonical numbering: BFS from the initial class, symbols ascending
-    start = cls[0]
-    number = {start: 0}
-    bfs = [start]
-    i = 0
-    while i < len(bfs):
-        c = bfs[i]
-        i += 1
-        for sym in sorted(qdelta.get(c, {})):
-            d = qdelta[c][sym]
-            if d not in number:
-                number[d] = len(number)
-                bfs.append(d)
-    out_delta = {
-        number[c]: {sym: number[d] for sym, d in row.items()}
-        for c, row in qdelta.items()
-    }
-    total = len(number)
+    def moves(c):
+        for sym, dst in sorted_rows[representative[c]]:
+            if cls[dst] != dead:
+                yield sym, cls[dst]
+
+    quotient = explore(
+        FiniteAutomaton,
+        a.alphabet,
+        [cls[0]] if cls[0] != dead else [],
+        moves,
+        accepting_classes.__contains__,
+    )
     if completion is None:
         completion = a.alphabet.size <= COMPLETION_CAP
-    if completion:
-        total, _ = _complete_in_place(total, out_delta, a.alphabet)
-    return _from_delta(
-        a.alphabet, total, out_delta, {0}, {number[c] for c in qacc}
-    )
+    return _complete_dfa(quotient) if completion else quotient
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +408,18 @@ def _same_symbol(rowa, rowb):
     """Move pairing of a plain product: both sides read the same symbol."""
     for sym in sorted(rowa.keys() & rowb.keys()):
         yield sym, sym, sym
+
+
+def _sync_symbols(size_b: int):
+    """Move pairing of a synchronous product: every pair of moves, read as
+    the pair letter `sym_a * size_b + sym_b` of `Alphabet.product`."""
+
+    def pairs(rowa, rowb):
+        for sa in sorted(rowa):
+            for sb in sorted(rowb):
+                yield sa, sb, sa * size_b + sb
+
+    return pairs
 
 
 def intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
@@ -499,13 +460,7 @@ def product_general(
 
 def complement(a: FiniteAutomaton) -> FiniteAutomaton:
     d = determinize(a)
-    return FiniteAutomaton(
-        d.alphabet,
-        d.n_states,
-        d.initial,
-        frozenset(range(d.n_states)) - d.accepting,
-        d.transitions,
-    )
+    return replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
 
 
 def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
@@ -634,10 +589,6 @@ def equivalent(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
 # small constructors and word utilities
 
 
-def empty_automaton(alphabet: Alphabet) -> FiniteAutomaton:
-    return FiniteAutomaton(alphabet, 1, frozenset({0}), frozenset(), frozenset())
-
-
 def universal(alphabet: Alphabet) -> FiniteAutomaton:
     """Automaton accepting every finite word (alphabet must be enumerable)."""
     return FiniteAutomaton(
@@ -668,27 +619,9 @@ def exact_length(alphabet: Alphabet, n: int) -> FiniteAutomaton:
 
 def pick_word(a: FiniteAutomaton) -> tuple[int, ...] | None:
     """Canonical accepted word: shortest, then lexicographically least."""
-    best: dict[int, tuple[int, ...]] = {q: () for q in a.initial}
-    settled: set[int] = set()
-    for _ in range(a.n_states + 1):
-        hits = [best[q] for q in best if q in a.accepting]
-        if hits:
-            return min(hits)
-        settled |= set(best)
-        frontier: dict[int, tuple[int, ...]] = {}
-        for q in sorted(best):
-            w = best[q]
-            for sym in sorted(a.adjacency.get(q, {})):
-                for dst in a.adjacency[q][sym]:
-                    if dst in settled:
-                        continue
-                    cand = w + (sym,)
-                    if dst not in frontier or cand < frontier[dst]:
-                        frontier[dst] = cand
-        if not frontier:
-            return None
-        best = frontier
-    return None
+    words = _shortest_words(a)
+    hits = [words[q] for q in a.accepting if q in words]
+    return min(hits, key=lambda w: (len(w), w), default=None)
 
 
 def enumerate_words(

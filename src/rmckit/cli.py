@@ -2,8 +2,9 @@
 
 Exit codes: 0 the property holds (on every requested slice), 1 violated
 (a replayed witness is printed), 2 unknown (budget or approximation), 3
-input error.  `--slice LO..HI` needs 1 <= LO <= HI; slices are checked one
-after another and reported in slice order.
+input error, a usage error among them.  `--budget` is a positive integer.
+`--slice LO..HI` needs 1 <= LO <= HI; slices are checked one after another
+and reported in slice order.
 """
 
 from __future__ import annotations
@@ -50,17 +51,35 @@ _DIAGNOSTIC_KEYS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (RmckitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 3, not argparse's 2, which here
+    means unknown."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be a positive integer, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rmckit",
         description="regular model checking of linear temporal properties",
     )
@@ -78,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default="2..8",
             help="slice range LO..HI, a single length, or `none` (default 2..8)",
         )
-        p.add_argument("--budget", type=int, default=64, help="fixpoint budget (default 64)")
+        p.add_argument("--budget", type=_budget, default=64, help="fixpoint budget (default 64)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if engine:
             p.add_argument("--engine", choices=("loop", "sim"), default="loop")
@@ -99,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--kind", choices=("star", "plus"), default="star")
     p.add_argument("--slice", default="none")
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=_budget, default=64)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_closure)
 

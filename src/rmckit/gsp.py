@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, explore, minimize, union
+from .automata import FiniteAutomaton, complete, explore, minimize, union
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -53,7 +53,6 @@ from .omega import (
     _segments,
     _singleton,
     complement_weak_dba,
-    complete_omega,
     minimize_weak_dba,
     to_weak_dba,
 )
@@ -152,7 +151,7 @@ class NegatedGsp:
 def negated_gsp(automaton: OmegaAutomaton, n_props: int) -> NegatedGsp:
     if automaton.alphabet != cop_alphabet(n_props):
         raise AlphabetMismatch("negated property must be over the 2^COP mask alphabet")
-    return NegatedGsp(complete_omega(automaton), n_props)
+    return NegatedGsp(complete(automaton), n_props)
 
 
 def negate_gsp(automaton: OmegaAutomaton, n_props: int) -> NegatedGsp:
@@ -385,7 +384,7 @@ def build_augmented_omega(
 
     pair_size = sigma_a.size
     base_size = m.alphabet.size
-    deltas = [_delta_map(complete_omega(c.automaton)) for c in cops]
+    deltas = [_delta_map(complete(c.automaton)) for c in cops]
     rel = m.relation.inner
     q0cops = tuple(next(iter(c.automaton.initial)) for c in cops)
 

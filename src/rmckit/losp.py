@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, accepts, explore
+from .automata import FiniteAutomaton, accepts, complete, explore
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -35,7 +35,6 @@ from .omega import (
     UltimatelyPeriodicWord,
     accepts_up_word,
     complement_weak_dba,
-    complete_omega,
     sample_lassos,
 )
 from .system import (
@@ -86,7 +85,7 @@ def local_execution_property(
     check_lassos: int = 50,
     seed: int = 0,
 ) -> LocalExecutionProperty:
-    primary = complete_omega(automaton)
+    primary = complete(automaton)
     if complement is None:
         try:
             comp = complement_lep(primary)
@@ -98,7 +97,7 @@ def local_execution_property(
     else:
         if complement.alphabet != automaton.alphabet:
             raise AlphabetMismatch("complement automaton is over a different alphabet")
-        comp = complete_omega(complement)
+        comp = complete(complement)
         for w in sample_lassos(primary.alphabet, check_lassos, seed=seed):
             if accepts_up_word(primary, w) == accepts_up_word(comp, w):
                 raise InconsistentComplement(

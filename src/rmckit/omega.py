@@ -29,8 +29,11 @@ from .automata import (
     FiniteAutomaton,
     _reachable_states,
     _same_symbol,
+    _shortest_words,
+    _sync_symbols,
     accepts,
     complement,
+    complete,
     explore,
     intersect,
     is_empty,
@@ -138,24 +141,6 @@ def classify(a: OmegaAutomaton) -> dict[str, bool]:
     }
 
 
-def complete_omega(a: OmegaAutomaton) -> OmegaAutomaton:
-    """Add a rejecting sink for missing moves (language unchanged)."""
-    if a.is_complete:
-        return a
-    symbols = list(a.alphabet.symbols())
-    sink = a.n_states
-    extra = set()
-    for q in range(a.n_states):
-        row = a.adjacency.get(q, {})
-        for sym in symbols:
-            if sym not in row:
-                extra.add((q, sym, sink))
-    extra.update((sink, sym, sink) for sym in symbols)
-    return replace(
-        a, n_states=a.n_states + 1, transitions=a.transitions | frozenset(extra)
-    )
-
-
 def normalize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
     """Homogeneous per-SCC acceptance for an inherently weak automaton.
 
@@ -217,72 +202,30 @@ def accepts_up_word(a: OmegaAutomaton, w: UltimatelyPeriodicWord) -> bool:
     return False
 
 
-def _shortest_paths(a: OmegaAutomaton) -> dict[int, tuple[int, ...]]:
-    """Canonical shortest (then lexicographically least) word reaching each state."""
-    best: dict[int, tuple[int, ...]] = {q: () for q in a.initial}
-    settled: dict[int, tuple[int, ...]] = dict(best)
-    frontier = dict(best)
-    while frontier:
-        nxt: dict[int, tuple[int, ...]] = {}
-        for q in sorted(frontier):
-            w = frontier[q]
-            for sym in sorted(a.adjacency.get(q, {})):
-                for dst in a.adjacency[q][sym]:
-                    if dst in settled:
-                        continue
-                    cand = w + (sym,)
-                    if dst not in nxt or cand < nxt[dst]:
-                        nxt[dst] = cand
-        settled.update(nxt)
-        frontier = nxt
-    return settled
-
-
 def _cycle_word(a: OmegaAutomaton, anchor: int, comp: set[int]) -> tuple[int, ...] | None:
-    """Shortest (then lexicographically least) nonempty anchor -> anchor word in one SCC."""
-    settled: set[int] = set()
-    frontier: dict[int, tuple[int, ...]] = {anchor: ()}
-    for _ in range(len(comp) + 1):
-        hits: list[tuple[int, ...]] = []
-        nxt: dict[int, tuple[int, ...]] = {}
-        for q in sorted(frontier):
-            w = frontier[q]
-            for sym in sorted(a.adjacency.get(q, {})):
-                for dst in a.adjacency[q][sym]:
-                    if dst not in comp:
-                        continue
-                    cand = w + (sym,)
-                    if dst == anchor:
-                        hits.append(cand)
-                    elif dst not in settled and (dst not in nxt or cand < nxt[dst]):
-                        nxt[dst] = cand
-        if hits:
-            return min(hits)
-        settled.update(frontier)
-        frontier = nxt
-        if not frontier:
-            return None
-    return None
+    """Shortest (then lexicographically least) nonempty anchor -> anchor word in one SCC.
+
+    A shortest cycle is a shortest word to some state with a move back to
+    the anchor, followed by that move.
+    """
+    inside = frozenset(t for t in a.transitions if t[0] in comp and t[2] in comp)
+    words = _shortest_words(replace(a, initial=frozenset({anchor}), transitions=inside))
+    cycles = [words[q] + (sym,) for q, sym, dst in inside if dst == anchor]
+    return min(cycles, key=lambda w: (len(w), w), default=None)
 
 
 def buchi_is_empty(
     a: OmegaAutomaton,
 ) -> tuple[bool, UltimatelyPeriodicWord | None]:
     """Emptiness plus a lasso witness when nonempty."""
-    reach = a._reachable
-    paths = _shortest_paths(a)
-    candidates: list[tuple[int, tuple[int, ...], int]] = []
-    for comp in a.sccs:
-        live = [q for q in comp if q in reach]
-        if not live:
-            continue
-        if not a._scc_has_cycle(comp):
-            continue
-        for q in live:
-            if q in a.accepting:
-                prefix = paths.get(q)
-                if prefix is not None:
-                    candidates.append((len(prefix), prefix, q))
+    paths = _shortest_words(a)  # keyed by the reachable states
+    candidates = [
+        (len(paths[q]), paths[q], q)
+        for comp in a.sccs
+        if a._scc_has_cycle(comp)
+        for q in comp
+        if q in paths and q in a.accepting
+    ]
     if not candidates:
         return True, None
     _, prefix, q = min(candidates)
@@ -302,7 +245,7 @@ def _require_weak_dba(a: OmegaAutomaton, op: str) -> OmegaAutomaton:
         raise NotWeakDeterministic(f"{op} needs a deterministic automaton")
     if not a.is_weak:
         raise NotWeakDeterministic(f"{op} needs a weak automaton")
-    return complete_omega(a)
+    return complete(a)
 
 
 def complement_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
@@ -387,7 +330,7 @@ def minimize_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
     if not m.accepting:
         return replace(omega_universal(d.alphabet), accepting=frozenset())
     quotient = OmegaAutomaton(m.alphabet, m.n_states, m.initial, m.accepting, m.transitions)
-    return canonical_renumber(normalize_weak(complete_omega(quotient)))
+    return canonical_renumber(normalize_weak(complete(quotient)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +388,7 @@ def omega_sync_product(automata: Sequence[OmegaAutomaton]) -> OmegaAutomaton:
     result = automata[0]
     for nxt in automata[1:]:
         alphabet = Alphabet.product(result.alphabet, nxt.alphabet)
-        size_b = nxt.alphabet.size
-
-        def pairs(rowa, rowb, _sb=size_b):
-            for sa in sorted(rowa):
-                for sb in sorted(rowb):
-                    yield sa, sb, sa * _sb + sb
-        result = _product_omega(result, nxt, alphabet, pairs)
+        result = _product_omega(result, nxt, alphabet, _sync_symbols(nxt.alphabet.size))
     return result
 
 
@@ -486,7 +423,7 @@ def omega_is_empty(a: OmegaAutomaton) -> bool:
 def to_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
     """Deterministic weak complete form of a weak-representable automaton."""
     if a.is_deterministic and a.is_weak:
-        return complete_omega(a)
+        return complete(a)
     return determinize_weak(a)
 
 

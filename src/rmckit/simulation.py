@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, explore, project_components
+from .automata import (
+    FiniteAutomaton,
+    _sync_symbols,
+    explore,
+    product_general,
+    project_components,
+)
 from .errors import InputError, NonWeakResult
 from .gsp import StateProperty, _extract_lasso
 from .omega import _canon, _complement, _intersect, _pick
@@ -261,24 +267,11 @@ def _on_reach(t: Transducer, reach: FiniteAutomaton | None) -> Transducer:
     """
     if reach is None:
         return t
-    size = reach.alphabet.size
-    rows = reach.adjacency
-
-    def moves(node):
-        p, q = node
-        row_p, row_q = rows.get(p, {}), rows.get(q, {})
-        for a in sorted(row_p):
-            for b in sorted(row_q):
-                for dp in row_p[a]:
-                    for dq in row_q[b]:
-                        yield a * size + b, (dp, dq)
-
-    square = explore(
-        type(reach),
+    square = product_general(
+        reach,
+        reach,
         Alphabet.product(reach.alphabet, reach.alphabet),
-        sorted((p, q) for p in reach.initial for q in reach.initial),
-        moves,
-        lambda node: node[0] in reach.accepting and node[1] in reach.accepting,
+        _sync_symbols(reach.alphabet.size),
     )
     return Transducer(_canon(_intersect(t.inner, square)))
 

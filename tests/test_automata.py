@@ -28,6 +28,7 @@ from rmckit import (
     universal,
     word_automaton,
 )
+from rmckit.alphabet import COMPLETION_CAP
 from rmckit.fixtures import build_fa, ring_alphabet, ring_initial
 
 from oracles import language_upto, naive_accepts, random_nfa
@@ -246,3 +247,31 @@ def test_pick_word_shortest_then_lex():
     assert pick_word(a) == NT.word("T")
     empty = FiniteAutomaton(NT, 1, frozenset({0}), frozenset(), frozenset())
     assert pick_word(empty) is None
+
+
+def test_pick_word_is_shortest_then_least_of_brute_force():
+    # a shortest accepted word is shorter than the state count
+    rng = random.Random(12)
+    for alphabet in (AB, Alphabet.base(("a", "b", "c"))):
+        for _ in range(40):
+            a = random_nfa(rng, alphabet)
+            words = language_upto(a, a.n_states)
+            expected = min(words, key=lambda w: (len(w), w)) if words else None
+            assert pick_word(a) == expected
+
+
+def test_completion_above_cap_raises_only_for_a_nonempty_language():
+    wide = Alphabet.base(tuple(f"x{i}" for i in range(COMPLETION_CAP + 1)))
+
+    def aut(accepting):
+        edge = frozenset({(0, 0, 1)})
+        return FiniteAutomaton(wide, 2, frozenset({0}), frozenset(accepting), edge)
+
+    for op in (determinize, lambda a: minimize(a, completion=True)):
+        with pytest.raises(InputError, match="completion cap"):
+            op(aut({1}))
+        sink = op(aut(()))
+        assert (sink.n_states, len(sink.transitions)) == (1, wide.size)
+        assert not sink.accepting
+    # by default minimize keeps the trim form above the cap
+    assert minimize(aut({1})).transitions == frozenset({(0, 0, 1)})

@@ -186,6 +186,40 @@ def test_input_error_exit_three(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-gsp", "--budget", "abc", "--system", "x.sys"],
+        ["check-gsp"],
+        [],
+        ["check-reach", "--system", "x.sys", "--engine", "sim"],
+    ],
+)
+def test_usage_error_exit_three(argv, capsys):
+    # argparse's own exit code 2 would read as `unknown`
+    code = main(argv)
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check-reach", "check-gsp", "check-losp", "sim", "closure"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_nonpositive_budget_is_an_input_error(ring_dir, capsys, command, budget):
+    argv = [command, "--system", str(ring_dir / "system.sys"), "--slice", "2..2"]
+    code = main(argv + ["--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "overall" not in captured.out
+    assert "budget must be a positive integer" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-gsp", "--help"])
+    assert exit_info.value.code == 0
+    assert "--budget" in capsys.readouterr().out
+
+
 def test_gsp_engine_sim(ring_dir, capsys):
     code = main(
         [

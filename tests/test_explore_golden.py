@@ -2,12 +2,15 @@
 
 Each case pins (n_states, initial, accepting, sorted transitions) of one
 automaton on a fixed fixture, so any change to discovery order, start
-handling or the empty-start convention shows up as a diff.  The values in
-`golden/explore.json` were recorded from the hand-written explorations that
-the kernel replaced.  Regenerate (only for a deliberate numbering change)
-with `PYTHONPATH=src python tests/test_explore_golden.py`.
+handling, the empty-start convention or the place of a completion sink shows
+up as a diff.  Over an alphabet above `COMPLETION_CAP` the transition list
+is pinned by its length and SHA-256.  The values in `golden/explore.json`
+were recorded from the hand-written explorations and completions that the
+kernel and `automata.complete` replaced.  Regenerate (only for a deliberate
+numbering change) with `PYTHONPATH=src python tests/test_explore_golden.py`.
 """
 
+import hashlib
 import json
 from pathlib import Path
 from unittest import mock
@@ -20,6 +23,7 @@ from rmckit import (
     build_augmented_finite,
     build_augmented_losp,
     build_augmented_omega,
+    determinize,
     determinize_weak,
     image,
     intersect,
@@ -35,6 +39,8 @@ from rmckit import (
     universal,
     validate,
 )
+from rmckit.alphabet import COMPLETION_CAP
+from rmckit.automata import complete
 from rmckit.fixtures import (
     build_fa,
     cop_one_token,
@@ -52,6 +58,7 @@ from rmckit.transducer import FINITE, OMEGA, identity
 GOLDEN = Path(__file__).parent / "golden" / "explore.json"
 NT = ring_alphabet()
 AB = Alphabet.base(("a", "b"))
+WIDE = Alphabet.base(tuple(f"x{i}" for i in range(COMPLETION_CAP + 4)))
 
 
 def last_a():
@@ -64,6 +71,24 @@ def has_b():
     return build_fa(
         AB, 3, [0, 2], [1],
         [(0, "a", 0), (0, "b", 0), (0, "b", 1), (1, "a", 1), (1, "b", 1), (2, "b", 1)],
+    )
+
+
+def a_then_b():
+    # a(a|b)*b, nondeterministic; its minimal DFA needs a sink for b at the start
+    return build_fa(AB, 3, [0], [2], [(0, "a", 1), (1, "a", 1), (1, "b", 1), (1, "b", 2)])
+
+
+def dead_end():
+    # the empty language, with reachable states and an unreachable accepting one
+    return build_fa(AB, 3, [0], [2], [(0, "a", 1), (1, "b", 0), (1, "a", 1)])
+
+
+def wide_nfa():
+    # (x0|x1)* x1 x2 over an alphabet above the completion cap
+    return FiniteAutomaton(
+        WIDE, 3, frozenset({0}), frozenset({2}),
+        frozenset({(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 2, 2)}),
     )
 
 
@@ -167,16 +192,28 @@ CASES = {
     "gsp_finite_relation": lambda: gsp_finite_aug()[0].msys.system.relation.inner,
     "gsp_omega_relation": lambda: gsp_omega_aug().msys.system.relation.inner,
     "losp_initial": lambda: losp_aug().msys.system.initial,
+    "minimize_nfa": lambda: minimize(a_then_b()),
+    "minimize_nfa_trim": lambda: minimize(a_then_b(), completion=False),
+    "minimize_empty": lambda: minimize(dead_end()),
+    "minimize_empty_trim": lambda: minimize(dead_end(), completion=False),
+    "minimize_wide": lambda: minimize(wide_nfa()),
+    "determinize_nfa": lambda: determinize(a_then_b()),
+    "determinize_empty": lambda: determinize(dead_end()),
+    "complete_buchi": lambda: complete(eventually_n()),
 }
 
 
 def shape(a: FiniteAutomaton) -> dict:
+    transitions = [list(t) for t in sorted(a.transitions)]
+    if a.alphabet.size > COMPLETION_CAP:
+        text = json.dumps(transitions).encode()
+        transitions = {"count": len(transitions), "sha256": hashlib.sha256(text).hexdigest()}
     return {
         "class": type(a).__name__,
         "n_states": a.n_states,
         "initial": sorted(a.initial),
         "accepting": sorted(a.accepting),
-        "transitions": [list(t) for t in sorted(a.transitions)],
+        "transitions": transitions,
     }
 
 
