@@ -27,7 +27,7 @@ from .gsp import (
     negated_gsp,
     replay_gsp_witness,
 )
-from .losp import build_augmented_losp, check_losp, replay_losp_witness
+from .losp import build_augmented_losp, check_losp, losp_property, replay_losp_witness
 from .omega import OmegaAutomaton, _member, _segments
 from .simulation import check_emptiness_sim, sim_fixpoint
 from .system import (
@@ -345,8 +345,6 @@ def cmd_check_losp(args) -> int:
     loaded = load_system(args.system)
     block = _property_block(loaded, ("losp-negated",), args.property)
     if block is None:
-        from .losp import losp_property
-
         aut = parse_aut(Path(args.property).read_text())
         lo_prop = losp_property(aut, len(loaded.leps))
     else:

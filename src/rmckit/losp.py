@@ -30,6 +30,7 @@ from .errors import (
     NotDeterministic,
     NotWeakDeterministic,
 )
+from .gsp import check_emptiness_loop
 from .omega import (
     OmegaAutomaton,
     UltimatelyPeriodicWord,
@@ -354,8 +355,6 @@ def _losp_acceptance(sigma_a: Alphabet) -> FiniteAutomaton:
 
 
 def check_losp(aug: LospAugmentation, budget: int = 64) -> Verdict:
-    from .gsp import check_emptiness_loop
-
     return check_emptiness_loop(aug.msys, budget)
 
 

@@ -19,6 +19,7 @@ pipelines that would need it raise NonWeakResult / NotWeakDeterministic.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -35,6 +36,7 @@ from .automata import (
     complement,
     complete,
     explore,
+    includes,
     intersect,
     is_empty,
     minimize,
@@ -434,9 +436,7 @@ def omega_equivalent(a: OmegaAutomaton, b: OmegaAutomaton) -> bool:
     """
     a.alphabet.require_same(b.alphabet)
     da, db = to_weak_dba(a), to_weak_dba(b)
-    if not omega_is_empty(omega_intersect(da, complement_weak_dba(db))):
-        return False
-    return omega_is_empty(omega_intersect(db, complement_weak_dba(da)))
+    return _includes(da, db) and _includes(db, da)
 
 
 def sample_lassos(
@@ -501,8 +501,11 @@ def omega_empty_automaton(alphabet: Alphabet) -> OmegaAutomaton:
 #
 # A set of states is a finite-word automaton in finite mode and a weak Buchi
 # automaton in omega mode; its words are symbol tuples or ultimately periodic
-# words.  These operations are the one place that tells the two apart; union
-# needs no dispatch, as `automata.union` keeps the class of its first argument.
+# words.  These operations are the one place that tells the two apart, for
+# sets and relations alike: `_product` is the reachable product behind compose
+# and image, `_includes` decides inclusion and `_canon` gives the one canonical
+# form.  Union needs no dispatch, as `automata.union` keeps the class of its
+# first argument.
 
 
 def _canon(a: FiniteAutomaton) -> FiniteAutomaton:
@@ -516,6 +519,20 @@ def _intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     if isinstance(a, OmegaAutomaton):
         return omega_intersect(a, b)
     return intersect(a, b)
+
+
+def _product(a: FiniteAutomaton, b: FiniteAutomaton, alphabet: Alphabet, pairs):
+    """Reachable product of `a` and `b` over `alphabet`; see `product_general`."""
+    if isinstance(a, OmegaAutomaton):
+        return to_weak_dba(_product_omega(a, b, alphabet, pairs))
+    return product_general(a, b, alphabet, pairs)
+
+
+def _includes(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
+    """L(a) included in L(b)."""
+    if isinstance(a, OmegaAutomaton):
+        return omega_is_empty(omega_intersect(a, _complement(b)))
+    return includes(a, b)
 
 
 def _is_empty(a: FiniteAutomaton) -> bool:
@@ -562,3 +579,15 @@ def _map_letters(w, f):
     if isinstance(w, UltimatelyPeriodicWord):
         return UltimatelyPeriodicWord(tuple(map(f, w.prefix)), tuple(map(f, w.period)))
     return tuple(map(f, w))
+
+
+def _zip_letters(w1, w2, f):
+    """The word, of the kind of w1 and w2, whose i-th letter is f of their i-th letters."""
+    if isinstance(w1, UltimatelyPeriodicWord):
+        p = max(len(w1.prefix), len(w2.prefix))
+        k = math.lcm(len(w1.period), len(w2.period))
+        letters = tuple(f(w1.letter(i), w2.letter(i)) for i in range(p + k))
+        return UltimatelyPeriodicWord(letters[:p], letters[p:])
+    if len(w1) != len(w2):
+        raise InputError("pair words must have equal length")
+    return tuple(map(f, w1, w2))

@@ -132,20 +132,25 @@ class ReachResult:
 
 
 def _reach_layers(
-    m: RegularSystem, budget: int
+    m: RegularSystem,
+    budget: int,
+    stop: Callable[[FiniteAutomaton], bool] = lambda layer: False,
 ) -> tuple[list[FiniteAutomaton], FiniteAutomaton, bool, int]:
-    """Per-step image layers plus the canonical cumulative union."""
+    """Per-step image layers, the canonical cumulative union, convergence and
+    the last layer's index; unconverged at the first layer `stop` holds for."""
     layer = _canon(m.initial)
     layers = [layer]
     cumulative = layer
-    for step in range(1, budget + 1):
+    step = 0
+    while not stop(layer) and step < budget:
+        step += 1
         layer = _canon(image(m.relation, layer))
         layers.append(layer)
         nxt = _canon(union(cumulative, layer))
         if nxt == cumulative:
             return layers, cumulative, True, step
         cumulative = nxt
-    return layers, cumulative, False, budget
+    return layers, cumulative, False, step
 
 
 def reachable(m: RegularSystem, budget: int = 64) -> ReachResult:
@@ -175,27 +180,17 @@ def check_reachability_property(
     if bad.alphabet != m.alphabet:
         raise ModeMismatch("bad-set automaton is over a different alphabet")
     try:
-        layer = _canon(m.initial)
-        layers = [layer]
-        cumulative = layer
-        for step in range(budget + 1):
-            hit = _intersect(layers[-1], bad)
-            if not _is_empty(hit):
-                target = _pick(hit)
-                words = _backchain(m, layers, len(layers) - 1, target)
-                return Verdict.violated(
-                    LassoWitness(tuple(words), None), steps=step
-                )
-            if step == budget:
-                break
-            layer = _canon(image(m.relation, layers[-1]))
-            layers.append(layer)
-            nxt = _canon(union(cumulative, layer))
-            if nxt == cumulative:
-                return Verdict.holds(steps=step + 1)
-            cumulative = nxt
+        layers, _, converged, steps = _reach_layers(
+            m, budget, lambda layer: not _is_empty(_intersect(layer, bad))
+        )
+        target = None if converged else _pick(_intersect(layers[-1], bad))
+        if target is not None:
+            words = _backchain(m, layers, steps, target)
+            return Verdict.violated(LassoWitness(tuple(words), None), steps=steps)
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
+    if converged:
+        return Verdict.holds(steps=steps)
     return Verdict.unknown("budget exhausted before convergence", steps=budget)
 
 

@@ -39,7 +39,7 @@ from rmckit.fixtures import (
 from rmckit.gsp import cop_alphabet, cop_of
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word, omega_universal
 from rmckit.system import BuchiRegularSystem, RegularSystem
-from rmckit.transducer import FINITE, OMEGA, identity, pair_up_word
+from rmckit.transducer import FINITE, OMEGA, identity, pair_word
 
 from oracles import random_dfa_complete, random_sliced_system, random_weak_dba
 
@@ -125,7 +125,7 @@ def test_sim_fixpoint_omega_mode():
     x_then_ys = UltimatelyPeriodicWord((x,), (y,))
 
     def related(w1, w2):
-        return accepts_up_word(s.relation.inner, pair_up_word(base, w1, w2))
+        return accepts_up_word(s.relation.inner, pair_word(base, w1, w2))
 
     assert related(ys, xs)  # a stuck word is simulated by anything
     assert not related(xs, ys)

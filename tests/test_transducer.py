@@ -1,5 +1,6 @@
 """Transducer algebra and the iterative-closure engine."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from rmckit import (
     Alphabet,
     InputError,
+    ModeMismatch,
     Transducer,
     accepts_pair,
     closure,
@@ -28,6 +30,15 @@ from rmckit import (
     word_automaton,
 )
 from rmckit.automata import FiniteAutomaton, exact_length
+from rmckit.omega import (
+    UltimatelyPeriodicWord,
+    _canon,
+    _map_letters,
+    accepts_up_word,
+    sample_lassos,
+    up_word_automaton,
+)
+from rmckit.transducer import OMEGA, canonicalize
 from rmckit.fixtures import (
     build_fa,
     ring_alphabet,
@@ -206,25 +217,100 @@ def test_transducer_rejects_odd_alphabet():
         Transducer(ring_initial())
 
 
-def test_omega_closure_converges_on_weak_relation():
-    # may rewrite the first letter, copies the rest; idempotent as a relation
-    from rmckit.fixtures import build_fa
-    from rmckit.omega import UltimatelyPeriodicWord, accepts_up_word, up_word_automaton
-
-    pair = Alphabet.product(NT, NT)
-    flip = Transducer(
-        build_fa(
-            pair, 2, [0], [1],
-            [
-                (0, "N/N", 1), (0, "N/T", 1), (0, "T/N", 1), (0, "T/T", 1),
-                (1, "N/N", 1), (1, "T/T", 1),
-            ],
-            omega=True,
-        )
+def omega_relation(n_states: int, accepting, moves) -> Transducer:
+    return Transducer(
+        build_fa(Alphabet.product(NT, NT), n_states, [0], accepting, moves, omega=True)
     )
+
+
+def flip_relation() -> Transducer:
+    # may rewrite the first letter, copies the rest; idempotent as a relation
+    return omega_relation(
+        2, [1],
+        [
+            (0, "N/N", 1), (0, "N/T", 1), (0, "T/N", 1), (0, "T/T", 1),
+            (1, "N/N", 1), (1, "T/T", 1),
+        ],
+    )
+
+
+def late_relation() -> Transducer:
+    # copies, turns one N into T, then reads N forever
+    return omega_relation(
+        2, [1], [(0, "N/N", 0), (0, "T/T", 0), (0, "N/T", 1), (1, "N/N", 1)]
+    )
+
+
+def test_omega_closure_converges_on_weak_relation():
+    flip = flip_relation()
     result = closure(flip, "star", budget=8)
     assert result.converged and result.steps_used == 1
     img = image(result.relation, up_word_automaton(NT, UltimatelyPeriodicWord(word("T"), word("N"))))
     assert accepts_up_word(img, UltimatelyPeriodicWord(word("T"), word("N")))
     assert accepts_up_word(img, UltimatelyPeriodicWord(word("N"), word("N")))
     assert not accepts_up_word(img, UltimatelyPeriodicWord(word("TT"), word("N")))
+
+
+def test_canonicalize_is_the_shared_canonical_form():
+    relations = [slice_system(token_ring(), n).relation for n in (2, 3)]
+    for t in relations + [flip_relation()]:
+        assert canonicalize(t).inner == _canon(t.inner)
+
+
+def test_image_rejects_a_set_of_the_other_mode():
+    lasso = up_word_automaton(NT, UltimatelyPeriodicWord(word("T"), word("N")))
+    with pytest.raises(ModeMismatch, match="finite transducer applied to an omega"):
+        image(ring_relation(), lasso)
+    with pytest.raises(ModeMismatch, match="omega transducer applied to a finite"):
+        image(identity(NT, OMEGA), ring_initial())
+
+
+def omega_relations() -> list[Transducer]:
+    return [identity(NT, OMEGA), flip_relation(), late_relation()]
+
+
+def sampled_pairs(count: int, seed: int) -> list:
+    """Pairs of ultimately periodic words, drawn as words over the pair alphabet."""
+    pair = Alphabet.product(NT, NT)
+    size = NT.size
+    return [
+        (_map_letters(w, lambda s: s // size), _map_letters(w, lambda s: s % size))
+        for w in sample_lassos(pair, count, max_prefix=3, max_period=3, seed=seed)
+    ]
+
+
+def test_omega_relation_inclusion_agrees_with_sampled_pairs():
+    pairs = sampled_pairs(400, seed=5)
+
+    def sampled_includes(t1, t2):
+        return all(accepts_pair(t1, x, y) for x, y in pairs if accepts_pair(t2, x, y))
+
+    rels = omega_relations()
+    verdicts = set()
+    for t1, t2 in itertools.product(rels, repeat=2):
+        expected = sampled_includes(t1, t2)
+        assert relation_includes(t1, t2) == expected
+        assert relation_equal(t1, t2) == (expected and sampled_includes(t2, t1))
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    ident, flip, late = rels
+    assert relation_includes(flip, ident) and not relation_includes(ident, flip)
+    assert not relation_includes(late, ident) and not relation_includes(ident, late)
+
+
+def test_omega_compose_agrees_with_images_on_sampled_pairs():
+    pairs = sampled_pairs(120, seed=6)
+    seen = set()
+    for t1, t2 in itertools.product(omega_relations(), repeat=2):
+        composed = compose(t1, t2)
+        for x, z in pairs:
+            middle = image(t1, up_word_automaton(NT, x))
+            expected = accepts_up_word(image(t2, middle), z)
+            assert accepts_pair(composed, x, z) == expected
+            seen.add(expected)
+            # a sampled pair of t1 followed by t2 from its output is composed
+            if accepts_pair(t1, x, z):
+                for y, z2 in pairs:
+                    if y == z and accepts_pair(t2, y, z2):
+                        assert accepts_pair(composed, x, z2)
+    assert seen == {True, False}
