@@ -15,13 +15,16 @@ the subset construction `_determinize_subsets`, which numbers its subsets
 itself and hands `minimize` a plain transition map: routed through
 `explore`, every `minimize` call would build and validate one more
 automaton, which made the minimization-heavy library checks about a fifth
-slower.  `complete` is the one place that adds a completion sink, always as
-the highest-numbered state.
+slower.  A deterministic input skips the subset construction: `minimize`
+refines the input's own moves, and only the quotient is numbered.
+`complete` is the one place that adds a completion sink, always as the
+highest-numbered state.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
@@ -260,8 +263,6 @@ def _determinize_subsets(
     Returns (subsets in BFS discovery order, transition map, accepting ids).
     The empty subset appears only if it is the initial subset.
     """
-    from collections import deque
-
     adjacency = a.adjacency
     start = frozenset(a.initial)
     ids: dict[frozenset[int], int] = {start: 0}
@@ -323,61 +324,98 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
     small enough, or when `completion=True` is forced; above the cap the
     canonical trim form without the dead state is returned, which is equally
     canonical and avoids materializing huge sink rows.
-    """
-    order, delta, accepting = _determinize_subsets(a)
-    n = len(order)
 
-    # Moore refinement with a virtual sink state `n` (rejecting, no moves);
-    # moves into the sink's class are dropped from signatures so that a
-    # missing move and an explicit dead move compare equal.
-    sorted_rows: list[tuple[tuple[int, int], ...]] = [
-        tuple(sorted(delta.get(q, {}).items())) for q in range(n)
-    ]
-    sorted_rows.append(())
-    cls = [1] * (n + 1)
-    for q in accepting:
+    The coarsest partition is found by Hopcroft's refinement (1971) on the
+    live states, those that reach an accepting state, as Valmari and
+    Lehtinen (2008) adapt it to partial transition functions: the dead
+    states form one class that is never split, and a missing move and a
+    move into a dead state compare equal.  A deterministic input is refined
+    as it is; any other goes through the subset construction first.
+    """
+    if a.is_deterministic:
+        (start,) = a.initial
+        n, accepting = a.n_states, a.accepting
+        rows = {q: {sym: dst for sym, (dst,) in row.items()} for q, row in a.adjacency.items()}
+    else:
+        order, rows, accepting = _determinize_subsets(a)
+        n, start = len(order), 0
+
+    # the live states, by a backward search from the accepting ones; the
+    # class of a dead state stays -1
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for src, row in rows.items():
+        for sym, dst in row.items():
+            preds[dst].append((sym, src))
+    cls = [-1] * n
+    stack = list(accepting)
+    for q in stack:
         cls[q] = 0
-    if not accepting:
-        cls = [0] * (n + 1)
-    while True:
-        sink_cls = cls[n]
-        signatures: dict[tuple, int] = {}
-        new_cls = [0] * (n + 1)
-        for q in range(n + 1):
-            sig = (
-                cls[q],
-                tuple(
-                    (sym, cls[dst])
-                    for sym, dst in sorted_rows[q]
-                    if cls[dst] != sink_cls
-                ),
-            )
-            hit = signatures.get(sig)
-            if hit is None:
-                hit = signatures[sig] = len(signatures)
-            new_cls[q] = hit
-        if new_cls == cls:
-            break
-        cls = new_cls
+    rejecting = []
+    while stack:
+        for _, src in preds[stack.pop()]:
+            if cls[src] < 0:
+                cls[src] = 1
+                rejecting.append(src)
+                stack.append(src)
+
+    # Both initial blocks are splitters: with partial moves, stability with
+    # respect to one block does not give it for the complement.  Once a
+    # block has been a splitter, the smaller half of any later split of it
+    # suffices; a block still queued keeps its id, so its new half is
+    # queued too.  Either way the new block is the one queued.
+    blocks = [set(accepting), set(rejecting)]
+    queue = [0, 1]
+    while queue:
+        by_sym: dict[int, list[int]] = {}
+        for q in blocks[queue.pop()]:
+            for sym, src in preds[q]:
+                srcs = by_sym.get(sym)
+                if srcs is None:
+                    by_sym[sym] = [src]
+                else:
+                    srcs.append(src)
+        # each state has one move on a symbol, so `srcs` has no repeats
+        for srcs in by_sym.values():
+            touched: dict[int, list[int]] = {}
+            for q in srcs:
+                part = touched.get(cls[q])
+                if part is None:
+                    touched[cls[q]] = [q]
+                else:
+                    part.append(q)
+            for b, part in touched.items():
+                block = blocks[b]
+                if len(part) == len(block):
+                    continue
+                block.difference_update(part)
+                if len(block) < len(part):
+                    small, blocks[b] = block, set(part)
+                else:
+                    small = set(part)
+                for q in small:
+                    cls[q] = len(blocks)
+                queue.append(len(blocks))
+                blocks.append(small)
 
     # the quotient over the live classes, numbered from the initial class;
     # states of one class agree on their live moves, so one representative
     # per class gives its row
-    dead = cls[n]
     representative: dict[int, int] = {}
     for q in range(n):
         representative.setdefault(cls[q], q)
     accepting_classes = {cls[q] for q in accepting}
 
     def moves(c):
-        for sym, dst in sorted_rows[representative[c]]:
-            if cls[dst] != dead:
-                yield sym, cls[dst]
+        row = rows.get(representative[c], {})
+        for sym in sorted(row):
+            dst = cls[row[sym]]
+            if dst >= 0:
+                yield sym, dst
 
     quotient = explore(
         FiniteAutomaton,
         a.alphabet,
-        [cls[0]] if cls[0] != dead else [],
+        [cls[start]] if cls[start] >= 0 else [],
         moves,
         accepting_classes.__contains__,
     )

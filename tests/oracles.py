@@ -3,8 +3,12 @@
 Everything here recomputes expected results from first principles (word
 enumeration, explicit graphs, naive refinement) without going through the
 library's symbolic constructions, so that each check stays dual-route.
-The one exception is `closure_loop_formula`, the paper's closure-based
-emptiness formula, kept as a symbolic reference for the emptiness engine.
+There are two exceptions.  `closure_loop_formula`, the paper's
+closure-based emptiness formula, is kept as a symbolic reference for the
+emptiness engine.  `moore_minimize` is Moore's refinement, the algorithm
+`minimize` used before partition refinement, kept as its reference; it
+shares the subset construction, the quotient numbering and the completion
+with `minimize`, so only the refinement differs.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from rmckit.alphabet import Alphabet
-from rmckit.automata import FiniteAutomaton
+from rmckit.alphabet import COMPLETION_CAP, Alphabet
+from rmckit.automata import FiniteAutomaton, _complete_dfa, _determinize_subsets, explore
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord
 from rmckit.system import RegularSystem
 from rmckit.transducer import Transducer
@@ -28,6 +32,71 @@ def naive_accepts(aut, word) -> bool:
     for sym in word:
         frontier = set().union(*(step.get((q, sym), set()) for q in frontier)) if frontier else set()
     return bool(frontier & set(aut.accepting))
+
+
+def moore_minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutomaton:
+    """`minimize` by Moore's refinement, which recomputes every state's
+    signature each round until no class splits."""
+    order, delta, accepting = _determinize_subsets(a)
+    n = len(order)
+
+    # Moore refinement with a virtual sink state `n` (rejecting, no moves);
+    # moves into the sink's class are dropped from signatures so that a
+    # missing move and an explicit dead move compare equal.
+    sorted_rows: list[tuple[tuple[int, int], ...]] = [
+        tuple(sorted(delta.get(q, {}).items())) for q in range(n)
+    ]
+    sorted_rows.append(())
+    cls = [1] * (n + 1)
+    for q in accepting:
+        cls[q] = 0
+    if not accepting:
+        cls = [0] * (n + 1)
+    while True:
+        sink_cls = cls[n]
+        signatures: dict[tuple, int] = {}
+        new_cls = [0] * (n + 1)
+        for q in range(n + 1):
+            sig = (
+                cls[q],
+                tuple(
+                    (sym, cls[dst])
+                    for sym, dst in sorted_rows[q]
+                    if cls[dst] != sink_cls
+                ),
+            )
+            hit = signatures.get(sig)
+            if hit is None:
+                hit = signatures[sig] = len(signatures)
+            new_cls[q] = hit
+        if new_cls == cls:
+            break
+        cls = new_cls
+
+    # the quotient over the live classes, numbered from the initial class;
+    # states of one class agree on their live moves, so one representative
+    # per class gives its row
+    dead = cls[n]
+    representative: dict[int, int] = {}
+    for q in range(n):
+        representative.setdefault(cls[q], q)
+    accepting_classes = {cls[q] for q in accepting}
+
+    def moves(c):
+        for sym, dst in sorted_rows[representative[c]]:
+            if cls[dst] != dead:
+                yield sym, cls[dst]
+
+    quotient = explore(
+        FiniteAutomaton,
+        a.alphabet,
+        [cls[0]] if cls[0] != dead else [],
+        moves,
+        accepting_classes.__contains__,
+    )
+    if completion is None:
+        completion = a.alphabet.size <= COMPLETION_CAP
+    return _complete_dfa(quotient) if completion else quotient
 
 
 def all_words(alphabet: Alphabet, max_len: int):
@@ -401,6 +470,21 @@ def random_nfa(rng: random.Random, alphabet: Alphabet, max_states: int = 6) -> F
     return FiniteAutomaton(
         alphabet, n, frozenset(initial), frozenset(accepting), frozenset(transitions)
     )
+
+
+def random_partial_dfa(rng: random.Random, alphabet: Alphabet, max_states: int = 6) -> FiniteAutomaton:
+    """Deterministic, usually partial, with any state initial.
+
+    The moves use at most four letters, drawn once per automaton, so that
+    the states of a wide alphabet still share letters.
+    """
+    n = rng.randint(1, max_states)
+    letters = rng.sample(range(alphabet.size), min(4, alphabet.size))
+    transitions = frozenset(
+        (q, sym, rng.randrange(n)) for q in range(n) for sym in letters if rng.random() < 0.6
+    )
+    accepting = frozenset(q for q in range(n) if rng.random() < 0.4)
+    return FiniteAutomaton(alphabet, n, frozenset({rng.randrange(n)}), accepting, transitions)
 
 
 def random_transducer(rng: random.Random, base: Alphabet, max_states: int = 4) -> Transducer:

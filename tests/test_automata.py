@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,7 @@ from rmckit import (
 from rmckit.alphabet import COMPLETION_CAP
 from rmckit.fixtures import build_fa, ring_alphabet, ring_initial
 
-from oracles import language_upto, naive_accepts, random_nfa
+from oracles import language_upto, moore_minimize, naive_accepts, random_nfa, random_partial_dfa
 
 NT = ring_alphabet()
 AB = Alphabet.base(("a", "b"))
@@ -275,3 +276,111 @@ def test_completion_above_cap_raises_only_for_a_nonempty_language():
         assert not sink.accepting
     # by default minimize keeps the trim form above the cap
     assert minimize(aut({1})).transitions == frozenset({(0, 0, 1)})
+
+
+def _minimize_cases():
+    """Seeded random inputs for `minimize`, paired with a `completion` value.
+
+    Random NFAs and partial DFAs over 2-, 5-, 96- (a pair alphabet) and
+    `COMPLETION_CAP + 1`-letter alphabets, each with all three completion
+    values, plus an empty initial set on each alphabet.
+    """
+    rng = random.Random(41)
+    alphabets = (
+        AB,
+        Alphabet.base(tuple("abcde")),
+        Alphabet.product(
+            Alphabet.base(tuple(f"p{i}" for i in range(12))),
+            Alphabet.base(tuple(f"q{i}" for i in range(8))),
+        ),
+        Alphabet.base(tuple(f"x{i}" for i in range(COMPLETION_CAP + 1))),
+    )
+    for alphabet in alphabets:
+        for completion in (None, True, False):
+            yield FiniteAutomaton(alphabet, 2, frozenset(), frozenset({1}), frozenset()), completion
+            for _ in range(20):
+                yield random_nfa(rng, alphabet), completion
+                yield random_partial_dfa(rng, alphabet), completion
+
+
+def _closure(starts, edges) -> set[int]:
+    seen, stack = set(starts), list(starts)
+    while stack:
+        q = stack.pop()
+        for src, dst in edges:
+            if src == q and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
+def _outcome(op, a, completion):
+    """The canonical text of `op(a, completion)` where the alphabet
+    serializes (the value itself otherwise), or the InputError it raises."""
+    try:
+        m = op(a, completion)
+    except InputError as err:
+        return ("InputError", str(err))
+    return serialize_aut(m) if m.alphabet.arity == 1 else m
+
+
+def test_minimize_matches_moore_oracle_on_random_automata():
+    seen = {"dead": 0, "unreachable": 0, "initial not 0": 0, "deterministic": 0,
+            "empty language": 0, "no initial state": 0, "raises": 0}
+    for a, completion in _minimize_cases():
+        expected = _outcome(moore_minimize, a, completion)
+        assert _outcome(minimize, a, completion) == expected
+        edges = {(src, dst) for src, _, dst in a.transitions}
+        reachable = _closure(a.initial, edges)
+        live = _closure(a.accepting, {(dst, src) for src, dst in edges})
+        seen["dead"] += bool(reachable - live)
+        seen["unreachable"] += len(reachable) < a.n_states
+        seen["initial not 0"] += 0 not in a.initial
+        seen["deterministic"] += a.is_deterministic
+        seen["empty language"] += not (reachable & a.accepting)
+        seen["no initial state"] += not a.initial
+        seen["raises"] += isinstance(expected, tuple)
+    # every kind of input the refinement must treat like Moore's did occurs
+    assert all(seen.values()), seen
+
+
+def test_minimize_output_has_no_two_equivalent_states():
+    for a, completion in _minimize_cases():
+        try:
+            m = minimize(a, completion)
+        except InputError:
+            continue
+        assert m.n_states == moore_minimize(a, completion).n_states
+        for p, q in itertools.combinations(range(m.n_states), 2):
+            at_p = replace(m, initial=frozenset({p}))
+            at_q = replace(m, initial=frozenset({q}))
+            assert not equivalent(at_p, at_q), (a, completion, p, q)
+
+
+def test_deterministic_input_gives_the_subset_route_bytes():
+    # `union(a, a)` has two initial states, so it goes through the subset
+    # construction, while the DFA `a` is refined as it is
+    cases = {
+        # initial state 2; states 3 and 4 unreachable
+        "initial not 0": build_fa(
+            AB, 5, [2], [0],
+            [(2, "a", 0), (2, "b", 1), (1, "a", 0), (0, "b", 0), (3, "a", 4), (4, "b", 2)],
+        ),
+        # the initial state has moves but reaches no accepting state
+        "dead initial": build_fa(
+            AB, 3, [1], [0], [(1, "a", 2), (2, "b", 1), (2, "a", 2), (0, "a", 1)],
+        ),
+        # state 2 is an explicit dead state; state 1 has no b-move
+        "partial with explicit dead": build_fa(
+            AB, 4, [0], [1, 3],
+            [(0, "a", 1), (0, "b", 2), (1, "a", 3), (2, "a", 2), (2, "b", 2), (3, "b", 1),
+             (3, "a", 2)],
+        ),
+    }
+    for name, a in cases.items():
+        doubled = union(a, a)
+        assert a.is_deterministic and not doubled.is_deterministic, name
+        for completion in (None, False):
+            m = minimize(a, completion)
+            assert m == minimize(doubled, completion), name
+            assert serialize_aut(m) == serialize_aut(moore_minimize(a, completion)), name
