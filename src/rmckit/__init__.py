@@ -116,6 +116,7 @@ from .system import (
     locality_evidence,
     reachable,
     replay_lasso,
+    replay_path,
     slice_system,
     validate,
     verify_parametric,

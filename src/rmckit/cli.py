@@ -1,10 +1,15 @@
-"""Command-line verification pipelines.
+"""Command-line verification pipelines: parsing and rendering only.
+
+Each command hands one `check(m) -> Verdict` to the library's slice runner,
+`system.verify_parametric`, and `_report` renders its results.  `closure`
+and `sim` report holds when their fixpoint converged, else unknown.
 
 Exit codes: 0 the property holds (on every requested slice), 1 violated
 (a replayed witness is printed), 2 unknown (budget or approximation), 3
 input error, a usage error among them.  `--budget` is a positive integer.
 `--slice LO..HI` needs 1 <= LO <= HI; slices are checked one after another
-and reported in slice order.
+and reported in slice order.  `--slice none` runs the check once on the
+unsliced system.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import fixtures
 from .errors import InputError, RmckitError
 from .fileformat import LoadedSystem, load_system, parse_aut
 from .gsp import (
-    GspAugmentation,
     NegatedGsp,
     build_augmented_finite,
     build_augmented_omega,
@@ -28,7 +33,7 @@ from .gsp import (
     replay_gsp_witness,
 )
 from .losp import build_augmented_losp, check_losp, losp_property, replay_losp_witness
-from .omega import OmegaAutomaton, _member, _segments
+from .omega import _segments
 from .simulation import check_emptiness_sim, sim_fixpoint
 from .system import (
     HOLDS,
@@ -36,18 +41,15 @@ from .system import (
     VIOLATED,
     RegularSystem,
     Verdict,
-    _conjoin,
     check_reachability_property,
-    slice_system,
+    verify_parametric,
 )
-from .transducer import OMEGA, accepts_pair, closure
+from .transducer import OMEGA, closure
 
 SCHEMA = 1
 _EXIT = {HOLDS: 0, VIOLATED: 1, UNKNOWN: 2}
-# verdict diagnostics copied into report rows, in print order
-_DIAGNOSTIC_KEYS = (
-    "steps", "reach_steps", "nested_rounds", "closure_steps", "reason", "sim_exact", "converged",
-)
+# verdict diagnostics that a verdict's text line prints, in print order
+_LINE_KEYS = ("steps", "reach_steps", "nested_rounds", "closure_steps", "reason", "sim_exact")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,9 +135,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_slice(text: str) -> tuple[int, int] | None:
-    """`none`, a length N or a range LO..HI with 1 <= LO <= HI."""
+def _parse_slice(text: str, unsliced_error: str | None = None) -> tuple[int, int] | None:
+    """`none`, a length N or a range LO..HI with 1 <= LO <= HI; `none` is
+    refused with `unsliced_error` if one is given."""
     if text == "none":
+        if unsliced_error is not None:
+            raise InputError(unsliced_error)
         return None
     lo, sep, hi = text.partition("..")
     try:
@@ -147,27 +152,20 @@ def _parse_slice(text: str) -> tuple[int, int] | None:
     return span
 
 
-def _slice_rows(text: str, base: RegularSystem, row, unsliced_error: str | None = None):
-    """Rows `row(n, system)` for each slice of `--slice`, in slice order, or
-    the one row `row(None, base)` for `none` unless `unsliced_error` forbids it."""
-    span = _parse_slice(text)
-    if span is None:
-        if unsliced_error is not None:
-            raise InputError(unsliced_error)
-        return [row(None, base)]
-    return [row(n, slice_system(base, n)) for n in range(span[0], span[1] + 1)]
-
-
-def _property_block(loaded: LoadedSystem, kinds: tuple[str, ...], arg: str | None):
+def _property(loaded: LoadedSystem, kinds: tuple[str, ...], arg: str | None, typed=None):
+    """The automaton of the first declared property of one of `kinds` named
+    `arg` (any name if None), or, when `arg` is a file, its automaton
+    passed through `typed`."""
     if arg is not None and Path(arg).exists():
-        return None  # caller parses the file
+        aut = parse_aut(Path(arg).read_text())
+        return aut if typed is None else typed(aut)
     for kind in kinds:
         try:
-            return loaded.property_named(kind, arg)
+            return loaded.property_named(kind, arg).automaton
         except InputError:
             continue
     raise InputError(
-        f"no declared property of kind {kinds} " + (f"named {arg!r}" if arg else "")
+        f"no {' or '.join(kinds)} property" + (f" named {arg!r}" if arg else "") + " declared"
     )
 
 
@@ -180,66 +178,83 @@ def _label(row: dict) -> str:
 
 
 def _verdict_line(row: dict) -> None:
-    extra = []
-    for key in _DIAGNOSTIC_KEYS:
-        if key != "converged" and row.get(key) is not None:
-            extra.append(f"{key}={row[key]}")
+    extra = [f"{key}={row[key]}" for key in _LINE_KEYS if row.get(key) is not None]
     suffix = f" ({', '.join(extra)})" if extra else ""
     print(f"{_label(row)}: {row['status']}{suffix} [{row['time_ms']} ms]")
     if row.get("witness"):
         w = row["witness"]
-        if w.get("loop_start") is not None:
-            print(f"  lasso, loop starts at index {w['loop_start']}:")
-        else:
-            print("  path witness:")
+        start = w["loop_start"]
+        print("  path witness:" if start is None else f"  lasso, loop starts at index {start}:")
         for i, word in enumerate(w["words"]):
             print(f"    {i}: {' '.join(word)}")
 
 
-def _report(args, command: str, rows: list[dict], line=_verdict_line) -> int:
-    """Print the rows as JSON or as text and return the exit code of their
-    conjunction.
+def _fields_line(row: dict, keys: tuple[str, ...]) -> None:
+    fields = " ".join(f"{key}={row[key]}" for key in keys)
+    print(f"{_label(row)}: {fields} [{row['time_ms']} ms]")
 
-    `line` prints one row as text; the default prints a verdict and its witness.
-    """
-    overall = _conjoin(row["status"] for row in rows)
+
+def _report(args, command: str, base: RegularSystem, check, span, fields=()) -> int:
+    """Run `check(m) -> Verdict` through `verify_parametric` on each slice of
+    `span` (None: unsliced), print a row per result, and return the exit
+    code of the runner's conjunction.  Witness words must be words of `base`;
+    a text row prints the diagnostics `fields`, or else verdict and witness."""
+
+    def timed(m: RegularSystem, n: int | None) -> Verdict:
+        start = time.perf_counter()
+        verdict = check(m)
+        ms = round((time.perf_counter() - start) * 1000, 1)
+        return replace(verdict, diagnostics={**verdict.diagnostics, "time_ms": ms})
+
+    results, overall = verify_parametric(base, timed, *(span or (None,)))  # None: unsliced
+    rows = []
+    for n, verdict in results.items():
+        row = {"slice": n, "status": verdict.status, **verdict.diagnostics}
+        if verdict.witness is not None:
+            row["witness"] = {
+                "loop_start": verdict.witness.loop_start,
+                "words": _witness_words(verdict.witness.words, base.alphabet),
+            }
+        rows.append(row)
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
             "command": command,
             "system": args.system,
             "slices": rows,
-            "overall": overall,
+            "overall": overall.status,
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for row in rows:
-            line(row)
-        print(f"overall: {overall}")
-    return _EXIT[overall]
+            _fields_line(row, fields) if fields else _verdict_line(row)
+        print(f"overall: {overall.status}")
+    return _EXIT[overall.status]
 
 
-def _row(n: int | None, verdict: Verdict, elapsed: float, words=None) -> dict:
-    row = {
-        "slice": n,
-        "status": verdict.status,
-        "time_ms": round(elapsed * 1000, 1),
-    }
-    for key in _DIAGNOSTIC_KEYS:
-        if key in verdict.diagnostics:
-            row[key] = verdict.diagnostics[key]
-    if verdict.witness is not None:
-        row["witness"] = {
-            "loop_start": verdict.witness.loop_start,
-            "words": words,
-        }
-    return row
+def _witness_words(words, alphabet) -> list[list[str]]:
+    """Witness words as letter names; the period of an omega-word follows a `|`."""
+    out = []
+    for w in words:
+        names = []
+        for i, part in enumerate(_segments(w)):
+            if i:
+                names.append("|")
+            names.extend(alphabet.name(s) for s in part)
+        out.append(names)
+    return out
 
 
-def _timed(fn, *fn_args):
-    start = time.perf_counter()
-    out = fn(*fn_args)
-    return out, time.perf_counter() - start
+def _replayed(verdict: Verdict, aug, replay) -> Verdict:
+    """The verdict once its witness has replayed through the full
+    construction, with the witness words projected onto the original system."""
+    if verdict.witness is None:
+        return verdict
+    ok, why = replay(aug, verdict.witness)
+    if not ok:
+        raise InputError(f"witness failed replay: {why}")
+    words = tuple(aug.sigma_word(w) for w in verdict.witness.words)
+    return replace(verdict, witness=replace(verdict.witness, words=words))
 
 
 # ---------------------------------------------------------------------------
@@ -248,179 +263,95 @@ def _timed(fn, *fn_args):
 
 def cmd_check_reach(args) -> int:
     loaded = load_system(args.system)
-    block = _property_block(loaded, ("reach-bad",), args.property)
-    bad = parse_aut(Path(args.property).read_text()) if block is None else block.automaton
-    base = loaded.system
+    bad = _property(loaded, ("reach-bad",), args.property)
 
-    def run(m: RegularSystem) -> Verdict:
-        verdict = check_reachability_property(m, bad, args.budget)
-        if verdict.status == VIOLATED:
-            _assert_path_witness(m, bad, verdict)
-        return verdict
+    def check(m: RegularSystem) -> Verdict:
+        return check_reachability_property(m, bad, args.budget)
 
-    def row(n: int | None, m: RegularSystem) -> dict:
-        verdict, dt = _timed(run, m)
-        return _row(n, verdict, dt, _witness_words(verdict, base.alphabet))
-
-    return _report(args, "check-reach", _slice_rows(args.slice, base, row))
-
-
-def _assert_path_witness(m: RegularSystem, bad, verdict: Verdict) -> None:
-    """Re-validate a path witness before it is printed."""
-    words = verdict.witness.words
-    ok = (
-        bool(words)
-        and _member(m.initial, words[0])
-        and _member(bad, words[-1])
-        and all(accepts_pair(m.relation, a, b) for a, b in zip(words, words[1:]))
-    )
-    if not ok:
-        raise InputError("reachability witness failed replay (bug)")
-
-
-def _witness_words(verdict: Verdict, alphabet, project=None):
-    """Witness words as letter names, after `project` maps each to the system's
-    words; the period of an omega-word follows a `|`."""
-    if verdict.witness is None:
-        return None
-    out = []
-    for w in verdict.witness.words:
-        names = []
-        for i, part in enumerate(_segments(w if project is None else project(w))):
-            if i:
-                names.append("|")
-            names.extend(alphabet.name(s) for s in part)
-        out.append(names)
-    return out
+    return _report(args, "check-reach", loaded.system, check, _parse_slice(args.slice))
 
 
 def cmd_check_gsp(args) -> int:
     loaded = load_system(args.system)
     neg = _gsp_property(loaded, args)
     base = loaded.system
-    cops = loaded.cops
     build = build_augmented_omega if base.mode == OMEGA else build_augmented_finite
 
-    def run(m: RegularSystem) -> tuple[Verdict, GspAugmentation]:
-        aug = build(m, neg, cops)
+    def check(m: RegularSystem) -> Verdict:
+        aug = build(m, neg, loaded.cops)
         if args.engine == "sim":
-            sim = sim_fixpoint(aug.msys, cops, args.budget)
+            sim = sim_fixpoint(aug.msys, loaded.cops, args.budget)
             if not sim.exact:
                 # an unconverged iterate is not a simulation, so no check runs
                 return Verdict.unknown(
                     f"budget {args.budget} exhausted before the simulation fixpoint converged",
                     sim_exact=False,
-                ), aug
+                )
             verdict = check_emptiness_sim(aug.msys, sim, args.budget)
         else:
             verdict = check_emptiness_loop(aug.msys, args.budget)
-        if verdict.status == VIOLATED:
-            ok, why = replay_gsp_witness(aug, verdict.witness)
-            if not ok:
-                raise InputError(f"witness failed replay: {why}")
-        return verdict, aug
-
-    def row(n: int | None, m: RegularSystem) -> dict:
-        (verdict, aug), dt = _timed(run, m)
-        return _row(n, verdict, dt, _witness_words(verdict, base.alphabet, aug.sigma_word))
+        return _replayed(verdict, aug, replay_gsp_witness)
 
     # omega-mode systems are not sliced (their words are infinite), but a
     # malformed --slice is rejected all the same
-    _parse_slice(args.slice)
-    spec = "none" if base.mode == OMEGA else args.slice
-    return _report(args, "check-gsp", _slice_rows(spec, base, row))
+    span = _parse_slice(args.slice)
+    return _report(args, "check-gsp", base, check, None if base.mode == OMEGA else span)
 
 
 def _gsp_property(loaded: LoadedSystem, args) -> NegatedGsp:
-    block = _property_block(loaded, ("gsp-negated", "gsp"), args.property)
-    if block is None:
-        aut = parse_aut(Path(args.property).read_text())
-        if not isinstance(aut, OmegaAutomaton):
-            raise InputError("gsp property file must hold a Buchi automaton")
-        return negated_gsp(aut, len(loaded.cops))
-    return block.automaton  # `gsp` blocks were negated at load time
+    # `gsp` blocks were negated at load time; a file holds a negated property
+    return _property(
+        loaded,
+        ("gsp-negated", "gsp"),
+        args.property,
+        lambda aut: negated_gsp(aut, len(loaded.cops)),
+    )
 
 
 def cmd_check_losp(args) -> int:
     loaded = load_system(args.system)
-    block = _property_block(loaded, ("losp-negated",), args.property)
-    if block is None:
-        aut = parse_aut(Path(args.property).read_text())
-        lo_prop = losp_property(aut, len(loaded.leps))
-    else:
-        lo_prop = block.automaton
-    base = loaded.system
+    lo_prop = _property(
+        loaded, ("losp-negated",), args.property, lambda aut: losp_property(aut, len(loaded.leps))
+    )
 
-    def run(m: RegularSystem):
+    def check(m: RegularSystem) -> Verdict:
         aug = build_augmented_losp(m, lo_prop, loaded.leps)
-        verdict = check_losp(aug, args.budget)
-        if verdict.status == VIOLATED:
-            ok, why = replay_losp_witness(aug, verdict.witness)
-            if not ok:
-                raise InputError(f"witness failed replay: {why}")
-        return verdict, aug
+        return _replayed(check_losp(aug, args.budget), aug, replay_losp_witness)
 
-    def row(n: int, m: RegularSystem) -> dict:
-        (verdict, aug), dt = _timed(run, m)
-        return _row(n, verdict, dt, _witness_words(verdict, base.alphabet, aug.sigma_word))
+    span = _parse_slice(args.slice, "check-losp needs a slice range (parametric verification)")
+    return _report(args, "check-losp", loaded.system, check, span)
 
-    needs = "check-losp needs a slice range (parametric verification)"
-    return _report(args, "check-losp", _slice_rows(args.slice, base, row, needs))
+
+def _fixpoint(done: bool, **diag) -> Verdict:
+    """A `closure` or `sim` row: holds when the fixpoint converged, else unknown."""
+    return Verdict(HOLDS if done else UNKNOWN, None, diag)
 
 
 def cmd_closure(args) -> int:
     loaded = load_system(args.system)
 
-    def row(n: int | None, m: RegularSystem) -> dict:
-        result, dt = _timed(closure, m.relation, args.kind, args.budget)
-        return {
-            "slice": n,
-            "status": HOLDS if result.converged else UNKNOWN,
-            "converged": result.converged,
-            "steps": result.steps_used,
-            "states": result.relation.inner.n_states,
-            "time_ms": round(dt * 1000, 1),
-        }
+    def check(m: RegularSystem) -> Verdict:
+        r = closure(m.relation, args.kind, args.budget)
+        states = r.relation.inner.n_states
+        return _fixpoint(r.converged, converged=r.converged, steps=r.steps_used, states=states)
 
-    return _report(args, "closure", _slice_rows(args.slice, loaded.system, row), _closure_line)
-
-
-def _closure_line(row: dict) -> None:
-    print(
-        f"{_label(row)}: converged={row['converged']} steps={row['steps']} "
-        f"states={row['states']} [{row['time_ms']} ms]"
-    )
+    span = _parse_slice(args.slice)
+    return _report(args, "closure", loaded.system, check, span, ("converged", "steps", "states"))
 
 
 def cmd_sim(args) -> int:
     loaded = load_system(args.system)
     neg = _gsp_property(loaded, args)
 
-    def run(m: RegularSystem):
+    def check(m: RegularSystem) -> Verdict:
         aug = build_augmented_finite(m, neg, loaded.cops)
-        return sim_fixpoint(aug.msys, loaded.cops, args.budget)
-
-    def row(n: int, m: RegularSystem) -> dict:
-        sim, dt = _timed(run, m)
-        return {
-            "slice": n,
-            "status": HOLDS if sim.exact else UNKNOWN,
-            "exact": sim.exact,
-            "iterations": sim.iteration_index,
-            "states": sim.relation.inner.n_states,
-            "time_ms": round(dt * 1000, 1),
-        }
+        sim = sim_fixpoint(aug.msys, loaded.cops, args.budget)
+        states = sim.relation.inner.n_states
+        return _fixpoint(sim.exact, exact=sim.exact, iterations=sim.iteration_index, states=states)
 
     needs = "sim needs a slice range (finite-index detection is per slice)"
-    rows = _slice_rows(args.slice, loaded.system, row, needs)
-    return _report(args, "sim", rows, _sim_line)
-
-
-def _sim_line(row: dict) -> None:
-    print(
-        f"{_label(row)}: exact={row['exact']} iterations={row['iterations']} "
-        f"states={row['states']} [{row['time_ms']} ms]"
-    )
+    span = _parse_slice(args.slice, needs)
+    return _report(args, "sim", loaded.system, check, span, ("exact", "iterations", "states"))
 
 
 def cmd_gen_example(args) -> int:

@@ -238,8 +238,9 @@ class LoadedSystem:
 PROPERTY_KINDS = ("reach-bad", "gsp-negated", "gsp", "losp-negated")
 
 
-def parse_system_file(text: str, directory: Path):
-    """Raw key lines of a system file, with paths resolved."""
+def parse_system_file(text: str) -> list[tuple[str, list[str], int]]:
+    """Raw key lines of a system file: key, value fields and line number.
+    File names stay as written; `load_system` resolves them."""
     entries: list[tuple[str, list[str], int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -257,7 +258,7 @@ def load_system(path: str | Path) -> LoadedSystem:
     if not path.exists():
         raise InputError(f"system file {str(path)!r} not found")
     directory = path.parent
-    entries = parse_system_file(path.read_text(), directory)
+    entries = parse_system_file(path.read_text())
 
     def read_aut(name: str, lineno: int):
         target = directory / name
@@ -268,9 +269,9 @@ def load_system(path: str | Path) -> LoadedSystem:
     alphabet: Alphabet | None = None
     mode = FINITE
     initial = relation = None
-    cops: list[StateProperty] = []
-    lep_entries: list[tuple[str, object, object]] = []
-    prop_entries: list[tuple[str, str, object]] = []
+    cops: list[tuple[str, FiniteAutomaton, int]] = []
+    lep_entries: list[tuple[str, FiniteAutomaton, FiniteAutomaton | None, int]] = []
+    prop_entries: list[tuple[str, str, object, int]] = []
     seen_single: set[str] = set()
     for key, fields, lineno in entries:
         if key in ("alphabet", "mode", "initial", "relation"):
@@ -338,15 +339,11 @@ def _typed_property(kind: str, aut, cops, leps):
             raise InputError("reach-bad property must be a finite-word automaton")
         return aut
     if kind == "gsp-negated":
-        if not isinstance(aut, OmegaAutomaton):
-            raise InputError("gsp-negated property must be a Buchi automaton")
         return negated_gsp(aut, len(cops))
     if kind == "gsp":
         if not isinstance(aut, OmegaAutomaton):
             raise InputError("gsp property must be a Buchi automaton")
         return negate_gsp(aut, len(cops))
     if kind == "losp-negated":
-        if isinstance(aut, (Transducer, OmegaAutomaton)):
-            raise InputError("losp-negated property must be a finite-word automaton")
         return losp_property(aut, len(leps))
     raise InputError(f"unknown property kind {kind!r}")

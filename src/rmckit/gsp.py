@@ -63,9 +63,10 @@ from .system import (
     Verdict,
     _backchain,
     _reach_layers,
+    _run_fault,
     replay_lasso,
 )
-from .transducer import FINITE, OMEGA, Transducer, accepts_pair, image, preimage
+from .transducer import FINITE, OMEGA, Transducer, image, preimage
 
 MAX_COPS = 8
 
@@ -149,6 +150,8 @@ class NegatedGsp:
 
 
 def negated_gsp(automaton: OmegaAutomaton, n_props: int) -> NegatedGsp:
+    if not isinstance(automaton, OmegaAutomaton):
+        raise ModeMismatch("negated gsp must be a Buchi automaton")
     if automaton.alphabet != cop_alphabet(n_props):
         raise AlphabetMismatch("negated property must be over the 2^COP mask alphabet")
     return NegatedGsp(complete(automaton), n_props)
@@ -616,15 +619,12 @@ def replay_gsp_witness(aug: GspAugmentation, witness: LassoWitness) -> tuple[boo
     ok, why = replay_lasso(aug.msys, witness)
     if not ok:
         return False, why
-    m = aug.original
     words = list(witness.words)
     ring = words + [words[witness.loop_start]]
     sigma = [aug.sigma_word(w) for w in ring]
-    if not _member(m.initial, sigma[0]):
-        return False, "projected first word is not initial in the original system"
-    for i in range(len(ring) - 1):
-        if not accepts_pair(m.relation, sigma[i], sigma[i + 1]):
-            return False, f"projected step {i} not in the original relation"
+    fault = _run_fault(aug.original, sigma, projected=True)
+    if fault is not None:
+        return False, fault
     chain = []
     for i, w in enumerate(ring):
         label, problem = aug.word_label(w)

@@ -47,9 +47,10 @@ from .system import (
     RegularSystem,
     Verdict,
     _conjoin,
+    _run_fault,
     replay_lasso,
 )
-from .transducer import FINITE, Transducer, accepts_pair
+from .transducer import FINITE, Transducer
 
 MAX_AUG_ALPHABET = 65536
 
@@ -145,6 +146,8 @@ def local_projection(witness: LassoWitness, j: int) -> LocalProjection:
 
 
 def losp_property(negation_automaton: FiniteAutomaton, n_props: int) -> Losp:
+    if type(negation_automaton) is not FiniteAutomaton:
+        raise ModeMismatch("negated losp must be a finite-word automaton")
     if negation_automaton.alphabet != lep_alphabet(n_props):
         raise AlphabetMismatch("negated losp must be over the 2^LEP mask alphabet")
     if not negation_automaton.is_deterministic:
@@ -370,16 +373,13 @@ def replay_losp_witness(aug: LospAugmentation, witness: LassoWitness) -> tuple[b
     ok, why = replay_lasso(aug.msys, witness)
     if not ok:
         return False, why
-    m = aug.original
     words = list(witness.words)
     ring = words + [words[witness.loop_start]]
     decoded = [[aug.decode(sym) for sym in w] for w in ring]
     sigma = [tuple(d[0] for d in dw) for dw in decoded]
-    if not accepts(m.initial, sigma[0]):
-        return False, "projected first word is not initial in the original system"
-    for t in range(len(ring) - 1):
-        if not accepts_pair(m.relation, sigma[t], sigma[t + 1]):
-            return False, f"projected step {t} not in the original relation"
+    fault = _run_fault(aug.original, sigma, projected=True)
+    if fault is not None:
+        return False, fault
     n_positions = len(ring[0])
     k = len(aug.leps)
     full = (1 << k) - 1

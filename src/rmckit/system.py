@@ -5,6 +5,10 @@ base alphabet, the initial set is an automaton and the transition relation a
 structure-preserving transducer.  Parametric verification slices a finite
 system to one word length per network instance; sliced systems have finitely
 many reachable states, so the fixpoint computations below are exact on them.
+`verify_parametric` is the one slice runner, for the library and the CLI
+alike: it runs a check on each slice of a range, or once on the unsliced
+system, and conjoins the verdicts.  A `violated` reachability verdict carries
+a path witness that has replayed against the system before it is returned.
 """
 
 from __future__ import annotations
@@ -176,7 +180,10 @@ def _backchain(
 def check_reachability_property(
     m: RegularSystem, bad: FiniteAutomaton, budget: int = 64
 ) -> Verdict:
-    """Holds iff no reachable word is bad; `bad` encodes the unsafe words."""
+    """Holds iff no reachable word is bad; `bad`, an automaton of the system's
+    mode, encodes the unsafe words.  A path witness replays before it is returned."""
+    if type(bad) is not (OmegaAutomaton if m.mode == OMEGA else FiniteAutomaton):
+        raise ModeMismatch(f"bad set must be a {m.mode}-word automaton")
     if bad.alphabet != m.alphabet:
         raise ModeMismatch("bad-set automaton is over a different alphabet")
     try:
@@ -185,8 +192,11 @@ def check_reachability_property(
         )
         target = None if converged else _pick(_intersect(layers[-1], bad))
         if target is not None:
-            words = _backchain(m, layers, steps, target)
-            return Verdict.violated(LassoWitness(tuple(words), None), steps=steps)
+            witness = LassoWitness(tuple(_backchain(m, layers, steps, target)), None)
+            ok, why = replay_path(m, bad, witness)
+            if not ok:
+                raise InputError(f"extracted witness failed replay: {why} (bug)")
+            return Verdict.violated(witness, steps=steps)
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
     if converged:
@@ -222,16 +232,27 @@ def thread_cap() -> int:
 
 def verify_parametric(
     m: RegularSystem,
-    check: Callable[[RegularSystem, int], Verdict],
-    lo: int = 2,
+    check: Callable[[RegularSystem, int | None], Verdict],
+    lo: int | None = 2,
     hi: int = 8,
-) -> tuple[dict[int, Verdict], Verdict]:
-    """Run a per-slice check on each length from lo to hi, in slice order;
-    the overall verdict is the conjunction of the slice verdicts."""
-    if lo < 1 or hi < lo:
+) -> tuple[dict[int | None, Verdict], Verdict]:
+    """Run `check(slice, n)` on each length n from lo to hi, in slice order,
+    or `check(m, None)` once on the unsliced system when lo is None; the
+    overall verdict is the conjunction of the results."""
+    if lo is None:
+        results = {None: check(m, None)}
+    elif lo < 1 or hi < lo:
         raise InputError("bad slice range")
-    results = {n: check(slice_system(m, n), n) for n in range(lo, hi + 1)}
-    return results, combine_conjunction(results)
+    else:
+        results = {n: check(slice_system(m, n), n) for n in range(lo, hi + 1)}
+    status = _conjoin(v.status for v in results.values())
+    if status == VIOLATED:
+        n = next(n for n, v in results.items() if v.status == VIOLATED)
+        return results, Verdict(VIOLATED, results[n].witness, {"slice": n})
+    if status == HOLDS:
+        return results, Verdict.holds(slices=list(results))
+    unknowns = [n for n, v in results.items() if v.status == UNKNOWN]
+    return results, Verdict.unknown("some slices unknown", slices=unknowns)
 
 
 def _conjoin(statuses: Iterable[str]) -> str:
@@ -242,36 +263,52 @@ def _conjoin(statuses: Iterable[str]) -> str:
     return HOLDS if statuses <= {HOLDS} else UNKNOWN
 
 
-def combine_conjunction(results: dict[int, Verdict]) -> Verdict:
-    status = _conjoin(v.status for v in results.values())
-    if status == VIOLATED:
-        n = min(n for n, v in results.items() if v.status == VIOLATED)
-        return Verdict(VIOLATED, results[n].witness, {"slice": n})
-    if status == HOLDS:
-        return Verdict.holds(slices=sorted(results))
-    unknowns = [n for n in sorted(results) if results[n].status == UNKNOWN]
-    return Verdict.unknown("some slices unknown", slices=unknowns)
-
-
 # ---------------------------------------------------------------------------
 # witness replay
+
+
+def _run_fault(m: RegularSystem, words: Sequence, projected: bool = False) -> str | None:
+    """Why `words` is not a run of `m` from an initial word, or None; a
+    `projected` run is the projection of a witness onto the original system."""
+    if not _member(m.initial, words[0]):
+        if projected:
+            return "projected first word is not initial in the original system"
+        return "first word is not initial"
+    for i in range(len(words) - 1):
+        if not accepts_pair(m.relation, words[i], words[i + 1]):
+            if projected:
+                return f"projected step {i} not in the original relation"
+            return f"step {i} is not in the transition relation"
+    return None
+
+
+def replay_path(m: RegularSystem, bad: FiniteAutomaton, witness: LassoWitness) -> tuple[bool, str]:
+    """Check a path witness against initialness, the step relation and the
+    bad set, which its last word must reach."""
+    words = witness.words
+    if not words:
+        return False, "empty witness"
+    if witness.loop_start is not None:
+        return False, "a path witness has no loop"
+    fault = _run_fault(m, words)
+    if fault is not None:
+        return False, fault
+    if not _member(bad, words[-1]):
+        return False, "last word is not bad"
+    return True, "ok"
 
 
 def replay_lasso(msys: BuchiRegularSystem, witness: LassoWitness) -> tuple[bool, str]:
     """Check a lasso against initialness, the step relation, loop closure and
     the acceptance condition; witnesses must replay before being reported."""
-    m = msys.system
     words = witness.words
     if not words:
         return False, "empty witness"
     if witness.loop_start is None or not (0 <= witness.loop_start < len(words)):
         return False, "missing or out-of-range loop start"
-    if not _member(m.initial, words[0]):
-        return False, "first word is not initial"
-    ring = list(words) + [words[witness.loop_start]]
-    for i in range(len(ring) - 1):
-        if not accepts_pair(m.relation, ring[i], ring[i + 1]):
-            return False, f"step {i} is not in the transition relation"
+    fault = _run_fault(msys.system, list(words) + [words[witness.loop_start]])
+    if fault is not None:
+        return False, fault
     loop = words[witness.loop_start:]
     if not any(_member(msys.acceptance, w) for w in loop):
         return False, "no loop word satisfies the acceptance condition"

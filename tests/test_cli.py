@@ -257,6 +257,48 @@ def test_bad_slice_range_is_an_input_error(dup_dir, capsys, command, span):
     assert "bad slice range" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, needs",
+    [
+        ("check-losp", "check-losp needs a slice range"),
+        ("sim", "sim needs a slice range"),
+    ],
+)
+def test_unsliced_run_is_refused_where_unsupported(dup_dir, capsys, command, needs):
+    code = main([command, "--system", str(dup_dir / "system.sys"), "--slice", "none"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "overall" not in captured.out
+    assert f"error: {needs}" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, prop",
+    [
+        ("check-reach", "relation.aut"),  # a transducer
+        ("check-reach", "lep_liveness.aut"),  # a Buchi automaton on a finite system
+        ("check-losp", "relation.aut"),
+        ("check-losp", "lep_liveness.aut"),
+        ("check-gsp", "bad_two_tokens.aut"),  # a finite-word automaton
+    ],
+)
+def test_wrong_kind_property_file_is_an_input_error(dup_dir, capsys, command, prop, fmt):
+    argv = [command, "--system", str(dup_dir / "system.sys"), "--slice", "2..3"]
+    code = main(argv + ["--property", str(dup_dir / prop), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "overall" not in captured.out
+    assert "error:" in captured.err
+
+
+def test_unknown_property_name_is_worded_like_the_loader(dup_dir, capsys):
+    argv = ["check-gsp", "--system", str(dup_dir / "system.sys"), "--property", "nope"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "error: no gsp-negated or gsp property named 'nope' declared" in err
+
+
 OMEGA_BUNDLE = {
     "system.sys": "alphabet: N T\nmode: omega\ninitial: initial.aut\nrelation: relation.aut\n",
     "initial.aut": "kind: weak-dba\nalphabet: N T\nstates: 1\ninitial: 0\naccepting: 0\n"

@@ -17,6 +17,8 @@ from rmckit import (
     locality_evidence,
     minimize,
     reachable,
+    replay_lasso,
+    replay_path,
     slice_system,
     universal,
     validate,
@@ -25,11 +27,13 @@ from rmckit import (
 from rmckit.fixtures import (
     bad_two_tokens,
     build_fa,
+    lep_liveness,
     ring_alphabet,
     ring_initial,
     ring_relation,
     token_ring,
 )
+from rmckit.system import BuchiRegularSystem, LassoWitness
 from rmckit.transducer import FINITE, OMEGA, identity
 
 from oracles import naive_accepts, word_graph
@@ -162,6 +166,51 @@ def test_reachability_witness_replays_through_relation():
     assert naive_accepts(bad_last, words[-1])
 
 
+def _ring_path_case():
+    """Token ring, slice 4, bad = token at the last position: T N N N steps to
+    N N N T in three moves."""
+    bad_last = build_fa(NT, 2, [0], [1], [(0, "N", 0), (0, "T", 1)])  # N*T
+    sl = slice_system(token_ring(), 4)
+    verdict = check_reachability_property(sl, bad_last, budget=16)
+    assert verdict.status == VIOLATED and len(verdict.witness.words) == 4
+    return sl, bad_last, verdict.witness
+
+
+def test_reachability_witness_passes_path_replay():
+    sl, bad_last, witness = _ring_path_case()
+    assert replay_path(sl, bad_last, witness) == (True, "ok")
+
+
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [
+        (lambda w: LassoWitness(w.words[1:2] + w.words[1:], None), "first word is not initial"),
+        (lambda w: LassoWitness(w.words[:1] + w.words[2:], None),
+         "step 0 is not in the transition relation"),
+        (lambda w: LassoWitness(w.words[:-1], None), "last word is not bad"),
+        (lambda w: LassoWitness(w.words, 0), "a path witness has no loop"),
+        (lambda w: LassoWitness((), None), "empty witness"),
+    ],
+    ids=["non_initial", "non_successor", "not_bad", "loop", "empty"],
+)
+def test_path_replay_rejects_tampered_witness(tamper, reason):
+    sl, bad_last, witness = _ring_path_case()
+    assert replay_path(sl, bad_last, tamper(witness)) == (False, reason)
+
+
+def test_lasso_replay_still_rejects_a_path_witness():
+    sl, bad_last, witness = _ring_path_case()
+    msys = BuchiRegularSystem(sl, bad_last)
+    assert replay_lasso(msys, witness) == (False, "missing or out-of-range loop start")
+
+
+def test_reachability_bad_set_must_match_the_system_mode():
+    with pytest.raises(ModeMismatch):  # a Buchi automaton on a finite system
+        check_reachability_property(token_ring(), lep_liveness(), budget=4)
+    with pytest.raises(ModeMismatch):  # a transducer is no set of words
+        check_reachability_property(token_ring(), ring_relation(), budget=4)
+
+
 def test_reachability_unknown_on_budget():
     verdict = check_reachability_property(token_ring(), bad_two_tokens(), budget=3)
     assert verdict.status == UNKNOWN
@@ -197,3 +246,17 @@ def test_verify_parametric_conjunction():
     assert set(results) == {2, 3, 4, 5}
     assert overall.status == HOLDS
     assert all(v.status == HOLDS for v in results.values())
+
+
+def test_verify_parametric_unsliced_runs_the_check_once():
+    m = token_ring()
+    calls = []
+
+    def check(sys_, n):
+        calls.append((sys_, n))
+        return check_reachability_property(sys_, bad_two_tokens(), budget=3)
+
+    results, overall = verify_parametric(m, check, lo=None)
+    assert len(calls) == 1 and calls[0][0] is m and calls[0][1] is None
+    assert list(results) == [None]
+    assert overall.status == UNKNOWN == results[None].status
