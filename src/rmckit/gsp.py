@@ -270,7 +270,7 @@ def build_augmented_finite(
     # node: (relation state, property automata states, labelled position read)
     def moves(node):
         q_r, qcops, _b = node
-        for pair_sym, dsts in rel.adjacency.get(q_r, {}).items():
+        for pair_sym, dsts in sorted(rel.adjacency.get(q_r, {}).items()):
             a1, a2 = divmod(pair_sym, base_size)
             qcops2 = tuple(deltas[j][(qcops[j], a1)] for j in range(k))
             for q_r2 in dsts:
@@ -395,7 +395,7 @@ def build_augmented_omega(
     def moves(node):
         q_r, qcops, alpha, lam = node
         succ_alpha = nga.adjacency.get(alpha, {}).get(lam, ())
-        for pair_sym, dsts in rel.adjacency.get(q_r, {}).items():
+        for pair_sym, dsts in sorted(rel.adjacency.get(q_r, {}).items()):
             a1, a2 = divmod(pair_sym, base_size)
             qcops2 = tuple(deltas[j][(qcops[j], a1)] for j in range(k))
             l1 = letter(a1, alpha, lam) * pair_size

@@ -1,6 +1,7 @@
 """Global-system-property pipeline: augmentation and loop-detection emptiness."""
 
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -33,8 +34,9 @@ from rmckit.fixtures import (
     ring_alphabet,
     token_ring,
     token_ring_dup_mutant,
+    token_ring_idle_mutant,
 )
-from rmckit.omega import omega_universal
+from rmckit.omega import OmegaAutomaton, omega_universal
 from rmckit.system import BuchiRegularSystem, RegularSystem, replay_lasso
 from rmckit.transducer import FINITE, OMEGA, Transducer, identity
 
@@ -190,6 +192,49 @@ def test_loop_check_agrees_with_explicit_oracle_federated():
             assert ok, why
         agreements += 1
     assert agreements == 12
+
+
+def reordered(a, rng):
+    """`a` with an equal transition set whose iteration order differs: the
+    moves are inserted shuffled into a set that held filler first."""
+    moves = list(a.transitions)
+    rng.shuffle(moves)
+    filler = {(-1, -1, i) for i in range(rng.choice((8, 64, 512, 4096)))}
+    rebuilt = set(filler)
+    rebuilt.update(moves)
+    return replace(a, transitions=frozenset(rebuilt - filler))
+
+
+def as_omega(a):
+    return OmegaAutomaton(*(getattr(a, f.name) for f in fields(a)))
+
+
+def test_augmentation_numbering_ignores_transition_set_order():
+    # equal systems give equal augmented relations, in both modes
+    neg = always_one_neg()
+    starts_t = build_fa(
+        NT, 3, [0], [1],
+        [(0, "T", 1), (0, "N", 2), (1, "T", 1), (1, "N", 1), (2, "T", 2), (2, "N", 2)],
+        omega=True,
+    )
+    omega_cop = state_property("starts_t", starts_t, "omega")
+    omega_init = build_fa(NT, 1, [0], [0], [(0, "N", 0), (0, "T", 0)], omega=True)
+    rng = random.Random(7)
+    orders = set()
+    for make in (token_ring, token_ring_idle_mutant, token_ring_dup_mutant):
+        for n in range(2, 6):
+            sl = slice_system(make(), n)
+            omega = RegularSystem(NT, omega_init, Transducer(as_omega(sl.relation.inner)), OMEGA)
+            cases = ((sl, build_augmented_finite, one_token_prop()),
+                     (omega, build_augmented_omega, omega_cop))
+            for system, build, cop in cases:
+                expected = build(system, neg, [cop]).msys.system.relation
+                for _ in range(6):
+                    inner = reordered(system.relation.inner, rng)
+                    orders.add(tuple(tuple(row) for row in inner.adjacency.values()))
+                    got = build(replace(system, relation=Transducer(inner)), neg, [cop])
+                    assert got.msys.system.relation == expected, (make.__name__, n, system.mode)
+    assert len(orders) > 12  # the reordering does reach the rows
 
 
 # ---------------------------------------------------------------------------
