@@ -10,15 +10,15 @@ tie-break.
 `explore` is the one place that numbers states: every product, every
 explicit construction over implicitly given states (here and in `omega`,
 `gsp`, `losp` and `simulation`) and the quotient of `minimize` is a `moves`
-function and an acceptance predicate handed to it.  The one exception is
-the subset construction `_determinize_subsets`, which numbers its subsets
-itself and hands `minimize` a plain transition map: routed through
-`explore`, every `minimize` call would build and validate one more
-automaton, which made the minimization-heavy library checks about a fifth
-slower.  A deterministic input skips the subset construction: `minimize`
-refines the input's own moves, and only the quotient is numbered.
-`complete` is the one place that adds a completion sink, always as the
-highest-numbered state.
+function and an acceptance predicate handed to it.  It hands the rows it
+walked to the automaton it returns as its `adjacency`, so the next product,
+image or `minimize` reads them without regrouping the transition set.  The
+one exception is the subset construction `_determinize_subsets`, which
+numbers its subsets itself and hands `minimize` rows of the `adjacency`
+shape without building an automaton.  A deterministic input skips the
+subset construction: `minimize` refines the input's own rows, and only the
+quotient is numbered.  `complete` is the one place that adds a completion
+sink, always as the highest-numbered state.
 """
 
 from __future__ import annotations
@@ -35,7 +35,14 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class FiniteAutomaton:
-    """Nondeterministic finite-word automaton over an indexed alphabet."""
+    """Nondeterministic finite-word automaton over an indexed alphabet.
+
+    Every state and symbol is checked on construction, except on the one
+    trusted path, `_trusted`, which `explore` and `complete` use: it skips
+    `__post_init__` and takes the `adjacency` its caller already built.
+    `explore` numbers every state itself and checks each row's symbols;
+    `complete` adds only in-range sink moves to a valid automaton.
+    """
 
     alphabet: Alphabet
     n_states: int
@@ -55,6 +62,15 @@ class FiniteAutomaton:
                 raise InputError(f"transition ({src},{sym},{dst}) references unknown state")
             if not (0 <= sym < size):
                 raise InputError(f"transition symbol {sym} not in alphabet")
+
+    @classmethod
+    def _trusted(cls, alphabet, n_states, initial, accepting, transitions, adjacency):
+        a = object.__new__(cls)
+        a.__dict__.update(
+            alphabet=alphabet, n_states=n_states, initial=initial, accepting=accepting,
+            transitions=transitions, adjacency=adjacency,
+        )
+        return a
 
     @cached_property
     def adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
@@ -123,7 +139,8 @@ def explore(
     order and without repeats (they are the initial states), then breadth
     first as `moves(node)` yields `(symbol, successor)` pairs.  `accepting`
     marks the accepting nodes.  No start node gives the one-state automaton
-    of the empty language.
+    of the empty language.  The result's `adjacency` is the rows as walked,
+    repeated moves dropped; a symbol outside `alphabet` is an `InputError`.
     """
     ids: dict[Hashable, int] = {}
     order: list[Hashable] = []
@@ -132,23 +149,33 @@ def explore(
             ids[node] = len(order)
             order.append(node)
     if not order:
-        return cls(alphabet, 1, frozenset({0}), frozenset(), frozenset())
-    n_starts = len(order)
+        return cls._trusted(alphabet, 1, frozenset({0}), frozenset(), frozenset(), {})
+    n_starts, size = len(order), alphabet.size
     transitions = set()
+    adjacency: dict[int, dict[int, tuple[int, ...]]] = {}
     # `order` grows while it is walked: that is the breadth-first queue
     for src, node in enumerate(order):
+        row: dict = {}
         for sym, nxt in moves(node):
             dst = ids.get(nxt)
             if dst is None:
                 dst = ids[nxt] = len(order)
                 order.append(nxt)
             transitions.add((src, sym, dst))
-    return cls(
+            row.setdefault(sym, []).append(dst)
+        for sym, dsts in row.items():
+            if not 0 <= sym < size:
+                raise InputError(f"transition symbol {sym} not in alphabet")
+            row[sym] = tuple(sorted(set(dsts))) if len(dsts) > 1 else (dsts[0],)
+        if row:
+            adjacency[src] = row
+    return cls._trusted(
         alphabet,
         len(order),
         frozenset(range(n_starts)),
         frozenset(i for i, node in enumerate(order) if accepting(node)),
         frozenset(transitions),
+        adjacency,
     )
 
 
@@ -194,13 +221,17 @@ def complete(a: FiniteAutomaton) -> FiniteAutomaton:
     if a.is_complete:
         return a
     sink, rows = a.n_states, a.adjacency
-    missing = frozenset(
-        (q, sym, sink)
-        for q in range(sink + 1)  # every move of the sink itself is missing
-        for sym in range(a.alphabet.size)
-        if sym not in rows.get(q, {})
+    adjacency, missing = {}, []
+    for q in range(sink + 1):  # every move of the sink itself is missing
+        row = dict(rows.get(q, ()))
+        for sym in range(a.alphabet.size):
+            if sym not in row:
+                row[sym] = (sink,)
+                missing.append((q, sym, sink))
+        adjacency[q] = row
+    return type(a)._trusted(
+        a.alphabet, sink + 1, a.initial, a.accepting, a.transitions.union(missing), adjacency
     )
-    return replace(a, n_states=sink + 1, transitions=a.transitions | missing)
 
 
 def strongly_connected_components(
@@ -257,22 +288,23 @@ def strongly_connected_components(
 
 def _determinize_subsets(
     a: FiniteAutomaton,
-) -> tuple[list[frozenset[int]], dict[int, dict[int, int]], set[int]]:
+) -> tuple[list[frozenset[int]], dict[int, dict[int, tuple[int]]], set[int]]:
     """Subset construction over reachable subsets; missing moves stay missing.
 
-    Returns (subsets in BFS discovery order, transition map, accepting ids).
-    The empty subset appears only if it is the initial subset.
+    Returns (subsets in BFS discovery order, their rows in the `adjacency`
+    shape, accepting ids).  The empty subset appears only if it is the
+    initial subset.
     """
     adjacency = a.adjacency
     start = frozenset(a.initial)
     ids: dict[frozenset[int], int] = {start: 0}
     order = [start]
-    delta: dict[int, dict[int, int]] = {}
+    delta: dict[int, dict[int, tuple[int]]] = {}
     queue = deque([start])
     while queue:
         current = queue.popleft()
         cid = ids[current]
-        row: dict[int, int] = {}
+        row: dict[int, tuple[int]] = {}
         moves: dict[int, set[int]] = {}
         for q in current:
             qrow = adjacency.get(q)
@@ -291,7 +323,7 @@ def _determinize_subsets(
                 hit = ids[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)
-            row[sym] = hit
+            row[sym] = (hit,)
         delta[cid] = row
     accepting = {ids[s] for s in order if s & a.accepting}
     return order, delta, accepting
@@ -311,7 +343,7 @@ def _complete_dfa(d: FiniteAutomaton) -> FiniteAutomaton:
 def determinize(a: FiniteAutomaton) -> FiniteAutomaton:
     """Deterministic complete automaton with the same language."""
     order, delta, accepting = _determinize_subsets(a)
-    transitions = frozenset((q, sym, d) for q, row in delta.items() for sym, d in row.items())
+    transitions = frozenset((q, sym, d) for q, row in delta.items() for sym, (d,) in row.items())
     return _complete_dfa(
         FiniteAutomaton(a.alphabet, len(order), frozenset({0}), frozenset(accepting), transitions)
     )
@@ -334,8 +366,7 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
     """
     if a.is_deterministic:
         (start,) = a.initial
-        n, accepting = a.n_states, a.accepting
-        rows = {q: {sym: dst for sym, (dst,) in row.items()} for q, row in a.adjacency.items()}
+        n, accepting, rows = a.n_states, a.accepting, a.adjacency
     else:
         order, rows, accepting = _determinize_subsets(a)
         n, start = len(order), 0
@@ -344,7 +375,7 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
     # class of a dead state stays -1
     preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for src, row in rows.items():
-        for sym, dst in row.items():
+        for sym, (dst,) in row.items():
             preds[dst].append((sym, src))
     cls = [-1] * n
     stack = list(accepting)
@@ -408,7 +439,7 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
     def moves(c):
         row = rows.get(representative[c], {})
         for sym in sorted(row):
-            dst = cls[row[sym]]
+            dst = cls[row[sym][0]]
             if dst >= 0:
                 yield sym, dst
 

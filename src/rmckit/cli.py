@@ -10,11 +10,15 @@ input error, a usage error among them.  `--budget` is a positive integer.
 `--slice LO..HI` needs 1 <= LO <= HI; slices are checked one after another
 and reported in slice order.  `--slice none` runs the check once on the
 unsliced system.
+
+The parser is built once per process; it names each command's handler,
+which `main` looks up in this module at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -55,7 +59,7 @@ _LINE_KEYS = ("steps", "reach_steps", "nested_rounds", "closure_steps", "reason"
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (RmckitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -80,6 +84,7 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rmckit",
@@ -106,15 +111,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-reach", help="reachability property (bad-state avoidance)")
     common(p)
-    p.set_defaults(handler=cmd_check_reach)
+    p.set_defaults(handler="cmd_check_reach")
 
     p = sub.add_parser("check-gsp", help="global system property")
     common(p, engine=True)
-    p.set_defaults(handler=cmd_check_gsp)
+    p.set_defaults(handler="cmd_check_gsp")
 
     p = sub.add_parser("check-losp", help="local-oriented system property")
     common(p)
-    p.set_defaults(handler=cmd_check_losp)
+    p.set_defaults(handler="cmd_check_losp")
 
     p = sub.add_parser("closure", help="iterative closure of the system relation")
     p.add_argument("--system", required=True)
@@ -122,16 +127,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slice", default="none")
     p.add_argument("--budget", type=_budget, default=64)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=cmd_closure)
+    p.set_defaults(handler="cmd_closure")
 
     p = sub.add_parser("sim", help="greatest-simulation fixpoint of the augmented system")
     common(p)
-    p.set_defaults(handler=cmd_sim)
+    p.set_defaults(handler="cmd_sim")
 
     p = sub.add_parser("gen-example", help="write a worked example bundle")
     p.add_argument("name", choices=fixtures.EXAMPLE_NAMES)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(handler=cmd_gen_example)
+    p.set_defaults(handler="cmd_gen_example")
     return parser
 
 

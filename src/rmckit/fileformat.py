@@ -327,16 +327,18 @@ def load_system(path: str | Path) -> LoadedSystem:
     blocks: list[PropertyBlock] = []
     for kind, name, aut, lineno in prop_entries:
         try:
-            blocks.append(PropertyBlock(kind, name, _typed_property(kind, aut, cop_list, lep_list)))
+            typed = _typed_property(kind, aut, mode, cop_list, lep_list)
+            blocks.append(PropertyBlock(kind, name, typed))
         except InputError as e:
             raise ParseError(f"property {name!r}: {e}", lineno)
     return LoadedSystem(system, cop_list, lep_list, tuple(blocks))
 
 
-def _typed_property(kind: str, aut, cops, leps):
+def _typed_property(kind: str, aut, mode: str, cops, leps):
     if kind == "reach-bad":
-        if isinstance(aut, (Transducer, OmegaAutomaton)):
-            raise InputError("reach-bad property must be a finite-word automaton")
+        if type(aut) is not (OmegaAutomaton if mode == OMEGA else FiniteAutomaton):
+            words = "an omega" if mode == OMEGA else "a finite"
+            raise InputError(f"reach-bad property must be {words}-word automaton")
         return aut
     if kind == "gsp-negated":
         return negated_gsp(aut, len(cops))

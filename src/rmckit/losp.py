@@ -328,7 +328,7 @@ def _losp_initial(initial, lo: Losp, leps, letter, sigma_a) -> FiniteAutomaton:
     def moves(node):
         srow = initial.adjacency.get(node[0], {})
         urow = neg.adjacency.get(node[1], {})
-        for a, sdsts in srow.items():
+        for a, sdsts in sorted(srow.items()):
             for lep_mask in range(n_masks):
                 udsts = urow.get(lep_mask, ())
                 sym = letter(a, q0s, q0n, lep_mask, 0, NORESET)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 from rmckit.alphabet import COMPLETION_CAP, Alphabet
 from rmckit.automata import FiniteAutomaton, _complete_dfa, _determinize_subsets, explore
@@ -44,7 +45,7 @@ def moore_minimize(a: FiniteAutomaton, completion: bool | None = None) -> Finite
     # moves into the sink's class are dropped from signatures so that a
     # missing move and an explicit dead move compare equal.
     sorted_rows: list[tuple[tuple[int, int], ...]] = [
-        tuple(sorted(delta.get(q, {}).items())) for q in range(n)
+        tuple(sorted((sym, dst) for sym, (dst,) in delta.get(q, {}).items())) for q in range(n)
     ]
     sorted_rows.append(())
     cls = [1] * (n + 1)
@@ -485,6 +486,25 @@ def random_partial_dfa(rng: random.Random, alphabet: Alphabet, max_states: int =
     )
     accepting = frozenset(q for q in range(n) if rng.random() < 0.4)
     return FiniteAutomaton(alphabet, n, frozenset({rng.randrange(n)}), accepting, transitions)
+
+
+def reordered(a: FiniteAutomaton, rng: random.Random) -> FiniteAutomaton:
+    """An automaton equal to `a` whose transition set and `adjacency` iterate
+    in other orders.  The moves are inserted shuffled into a set that held
+    filler first, and the rows and their symbols are shuffled, as rows that
+    `explore` hands over come in discovery order."""
+    moves = list(a.transitions)
+    rng.shuffle(moves)
+    filler = {(-1, -1, i) for i in range(rng.choice((8, 64, 512, 4096)))}
+    rebuilt = set(filler)
+    rebuilt.update(moves)
+    out = replace(a, transitions=frozenset(rebuilt - filler))
+    rows = [(q, list(row.items())) for q, row in out.adjacency.items()]
+    rng.shuffle(rows)
+    for _, items in rows:
+        rng.shuffle(items)
+    out.__dict__["adjacency"] = {q: dict(items) for q, items in rows}
+    return out
 
 
 def random_transducer(rng: random.Random, base: Alphabet, max_states: int = 4) -> Transducer:

@@ -15,12 +15,16 @@ from rmckit import (
     complement,
     determinize,
     difference,
+    determinize_weak,
     enumerate_words,
     equivalent,
+    image,
     includes,
     intersect,
     is_empty,
     minimize,
+    minimize_weak_dba,
+    omega_intersect,
     pick_word,
     project,
     serialize_aut,
@@ -30,9 +34,20 @@ from rmckit import (
     word_automaton,
 )
 from rmckit.alphabet import COMPLETION_CAP
+from rmckit.automata import complete, explore
 from rmckit.fixtures import build_fa, ring_alphabet, ring_initial
+from rmckit.omega import canonical_renumber
+from rmckit.transducer import compose
 
-from oracles import language_upto, moore_minimize, naive_accepts, random_nfa, random_partial_dfa
+from oracles import (
+    language_upto,
+    moore_minimize,
+    naive_accepts,
+    random_nfa,
+    random_partial_dfa,
+    random_transducer,
+    random_weak_dba,
+)
 
 NT = ring_alphabet()
 AB = Alphabet.base(("a", "b"))
@@ -384,3 +399,94 @@ def test_deterministic_input_gives_the_subset_route_bytes():
             m = minimize(a, completion)
             assert m == minimize(doubled, completion), name
             assert serialize_aut(m) == serialize_aut(moore_minimize(a, completion)), name
+
+
+# ---------------------------------------------------------------------------
+# trusted construction: `explore` and `complete` hand over their adjacency
+
+
+def _trusted_cases():
+    """(operation, result) pairs from seeded random NFAs, DFAs, products and
+    weak DBAs, finite and omega."""
+    rng = random.Random(53)
+    for alphabet in (AB, Alphabet.base(tuple("abcde")), Alphabet.product(NT, NT)):
+        for _ in range(12):
+            a, d = random_nfa(rng, alphabet), random_partial_dfa(rng, alphabet)
+            yield "intersect", intersect(a, d)
+            yield "sync_product", sync_product([a, d])
+            t1, t2 = random_transducer(rng, alphabet, 3), random_transducer(rng, alphabet, 3)
+            yield "image", image(t1, a)
+            yield "compose", compose(t1, t2).inner
+            yield "complete", complete(a)
+            yield "complete of explored", complete(intersect(d, a))
+            yield "minimize", minimize(a)
+            yield "minimize", minimize(d)
+            yield "minimize trim", minimize(a, completion=False)
+            w1, w2 = random_weak_dba(rng, alphabet, 4), random_weak_dba(rng, alphabet, 4)
+            yield "omega_intersect", omega_intersect(w1, w2)
+            yield "minimize_weak_dba", minimize_weak_dba(w1)
+            yield "determinize_weak", determinize_weak(w2)
+            partial = replace(
+                w1, transitions=frozenset(t for t in w1.transitions if rng.random() < 0.7)
+            )
+            yield "complete omega", complete(partial)
+            yield "canonical_renumber", canonical_renumber(partial)
+
+
+def test_handed_over_adjacency_is_the_one_rebuilt_from_transitions():
+    handed = set()
+    ops = set()
+    for op, a in _trusted_cases():
+        ops.add(op)
+        # read before anything else asks for it, so a lazily built map shows
+        if "adjacency" in a.__dict__:
+            handed.add(op)
+        # the public constructor checks every state and symbol again and
+        # regroups the transition set
+        checked = replace(a)
+        assert checked == a and type(checked) is type(a), op
+        assert a.adjacency == checked.adjacency, op
+        assert a.is_deterministic == checked.is_deterministic, op
+        assert a.is_complete == checked.is_complete, op
+    assert handed == ops
+
+
+@pytest.mark.parametrize("bad", [-1, AB.size, AB.size + 7])
+def test_explore_rejects_a_symbol_outside_the_alphabet(bad):
+    def moves(node):
+        if node < 2:
+            yield 0, node + 1
+        else:
+            yield bad, 0
+
+    with pytest.raises(InputError) as public:
+        FiniteAutomaton(AB, 3, frozenset({0}), frozenset(), frozenset({(2, bad, 0)}))
+    with pytest.raises(InputError) as explored:
+        explore(FiniteAutomaton, AB, [0], moves, lambda node: True)
+    assert str(explored.value) == str(public.value)
+
+
+def _completion_by_replace(a):
+    """`complete(a)` through the public constructor, from the transition set."""
+    if a.is_complete:
+        return a
+    sink = a.n_states
+    present = {(src, sym) for src, sym, _ in a.transitions}
+    missing = frozenset(
+        (q, sym, sink)
+        for q in range(sink + 1)
+        for sym in range(a.alphabet.size)
+        if (q, sym) not in present
+    )
+    return replace(a, n_states=sink + 1, transitions=a.transitions | missing)
+
+
+def test_complete_of_a_trusted_automaton_equals_the_replace_built_completion():
+    completed = 0
+    for op, a in _trusted_cases():
+        expected = _completion_by_replace(a)
+        got = complete(a)
+        assert got == expected and type(got) is type(expected), op
+        assert got.adjacency == replace(got).adjacency, op
+        completed += got is not a
+    assert completed

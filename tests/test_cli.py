@@ -1,13 +1,17 @@
 """Command-line pipelines: exit codes, reports, golden bundles, witnesses."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from rmckit import cli
 from rmckit.cli import main
 from rmckit.fixtures import EXAMPLE_NAMES, gen_example
 
@@ -220,6 +224,42 @@ def test_help_exits_zero(capsys):
     assert "--budget" in capsys.readouterr().out
 
 
+def _masked_run(argv) -> tuple[int, str, str]:
+    """Exit code, standard output with times masked, and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, re.sub(r'(\[|"time_ms": )[0-9.]+', r"\1<t>", out.getvalue()), err.getvalue()
+
+
+def test_cached_parser_gives_the_output_of_a_fresh_one(dup_dir):
+    system = str(dup_dir / "system.sys")
+    runs = [
+        ["check-gsp", "--budget", "abc", "--system", system],
+        ["check-reach", "--system", system, "--slice", "2..3"],
+        ["check-gsp", "--system", system, "--slice", "2..3", "--format", "json"],
+        ["closure", "--system", system, "--slice", "2..3"],
+    ]
+    cli._build_parser.cache_clear()
+    cached = [_masked_run(argv) for argv in runs]
+    assert cli._build_parser.cache_info().hits == len(runs) - 1
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(_masked_run(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [3, 1, 1, 0]
+
+
+def test_rebound_handler_is_called_after_the_parser_is_cached(ring_dir, monkeypatch):
+    system = str(ring_dir / "system.sys")
+    assert main(["check-reach", "--system", system, "--slice", "2..2"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check_reach", lambda args: seen.append(args.slice) or 7)
+    assert main(["check-reach", "--system", system, "--slice", "3..4"]) == 7
+    assert seen == ["3..4"]
+
+
 def test_gsp_engine_sim(ring_dir, capsys):
     code = main(
         [
@@ -320,6 +360,20 @@ def test_check_reach_omega_path_witness(tmp_path, capsys):
     assert code == 1
     # omega-words print as prefix | period
     assert "    0: N | N\n    1: T | N\n" in out
+
+
+def test_check_reach_omega_declared_property(tmp_path, capsys):
+    # an omega-mode system declares its reach-bad set as a weak DBA
+    bundle = dict(OMEGA_BUNDLE)
+    bundle["system.sys"] += "property: reach-bad has_t bad_has_t.aut\n"
+    for name, text in bundle.items():
+        (tmp_path / name).write_text(text)
+    argv = ["check-reach", "--system", str(tmp_path / "system.sys"), "--slice", "none"]
+    for extra in ([], ["--property", "has_t"]):
+        code = main(argv + extra)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "    0: N | N\n    1: T | N\n" in out
 
 
 @pytest.fixture

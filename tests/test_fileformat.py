@@ -117,3 +117,46 @@ def test_load_omega_system(tmp_path):
     loaded = load_system(tmp_path / "sys.sys")
     assert loaded.system.mode == "omega"
     assert loaded.system.initial.is_weak
+
+
+@pytest.mark.parametrize(
+    "mode, prop, error",
+    [
+        ("omega", "omega_bad.aut", None),
+        ("finite", "finite_bad.aut", None),
+        ("omega", "finite_bad.aut", "must be an omega-word automaton"),
+        ("finite", "omega_bad.aut", "must be a finite-word automaton"),
+        ("omega", "rel.aut", "must be an omega-word automaton"),
+        ("finite", "rel.aut", "must be a finite-word automaton"),
+    ],
+)
+def test_reach_bad_property_follows_the_system_mode(tmp_path, mode, prop, error):
+    from rmckit import load_system
+    from rmckit.fixtures import build_fa, ring_alphabet
+    from rmckit.transducer import identity
+
+    nt = ring_alphabet()
+    omega = mode == "omega"
+    files = {
+        "init.aut": build_fa(nt, 1, [0], [0], [(0, "N", 0)], omega=omega),
+        "rel.aut": identity(nt, mode),
+        # the words with a T, as a weak DBA and as a finite-word DFA
+        "omega_bad.aut": build_fa(
+            nt, 2, [0], [1], [(0, "N", 0), (0, "T", 1), (1, "N", 1), (1, "T", 1)], omega=True
+        ),
+        "finite_bad.aut": build_fa(
+            nt, 2, [0], [1], [(0, "N", 0), (0, "T", 1), (1, "N", 1), (1, "T", 1)]
+        ),
+    }
+    for name, value in files.items():
+        (tmp_path / name).write_text(serialize_aut(value))
+    (tmp_path / "sys.sys").write_text(
+        f"alphabet: N T\nmode: {mode}\ninitial: init.aut\nrelation: rel.aut\n"
+        f"property: reach-bad has_t {prop}\n"
+    )
+    if error is None:
+        loaded = load_system(tmp_path / "sys.sys")
+        assert loaded.property_named("reach-bad", "has_t").automaton == files[prop]
+    else:
+        with pytest.raises(ParseError, match=f"property 'has_t': reach-bad property {error}"):
+            load_system(tmp_path / "sys.sys")

@@ -48,6 +48,7 @@ from oracles import (
     random_layered_weak_dba,
     random_sliced_system,
     random_weak_dba,
+    reordered,
 )
 
 NT = ring_alphabet()
@@ -192,17 +193,6 @@ def test_loop_check_agrees_with_explicit_oracle_federated():
             assert ok, why
         agreements += 1
     assert agreements == 12
-
-
-def reordered(a, rng):
-    """`a` with an equal transition set whose iteration order differs: the
-    moves are inserted shuffled into a set that held filler first."""
-    moves = list(a.transitions)
-    rng.shuffle(moves)
-    filler = {(-1, -1, i) for i in range(rng.choice((8, 64, 512, 4096)))}
-    rebuilt = set(filler)
-    rebuilt.update(moves)
-    return replace(a, transitions=frozenset(rebuilt - filler))
 
 
 def as_omega(a):

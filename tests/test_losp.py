@@ -1,5 +1,8 @@
 """Local-oriented properties: reset construction, lep complements, flags."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from rmckit import (
@@ -36,13 +39,14 @@ from rmckit.fixtures import (
     ring_alphabet,
     ring_initial,
     token_ring,
+    token_ring_dup_mutant,
     token_ring_idle_mutant,
 )
 from rmckit.omega import UltimatelyPeriodicWord
 from rmckit.system import RegularSystem, reachable
 from rmckit.transducer import FINITE, identity
 
-from oracles import closure_loop_formula, losp_violation_oracle
+from oracles import closure_loop_formula, losp_violation_oracle, reordered
 
 NT = ring_alphabet()
 
@@ -53,6 +57,19 @@ def liveness_lep():
 
 def all_live():
     return losp_property(losp_all_live_negated(), 1)
+
+
+def test_augmented_initial_numbering_ignores_transition_set_order():
+    # equal initial sets give equal augmented initial sets
+    rng = random.Random(11)
+    for make in (token_ring, token_ring_idle_mutant, token_ring_dup_mutant):
+        for n in range(2, 5):
+            sl = slice_system(make(), n)
+            expected = build_augmented_losp(sl, all_live(), [liveness_lep()]).msys.system
+            for _ in range(4):
+                equal = replace(sl, initial=reordered(sl.initial, rng))
+                got = build_augmented_losp(equal, all_live(), [liveness_lep()]).msys.system
+                assert got.initial == expected.initial, (make.__name__, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
