@@ -1,13 +1,17 @@
-"""Golden state numbering of every construction built on `automata.explore`.
+"""Golden state numbering of every construction built on `automata.explore`,
+and of every construction that rewrites the letters of an automaton.
 
 Each case pins (n_states, initial, accepting, sorted transitions) of one
 automaton on a fixed fixture, so any change to discovery order, start
 handling, the empty-start convention or the place of a completion sink shows
 up as a diff.  Over an alphabet above `COMPLETION_CAP` the transition list
 is pinned by its length and SHA-256.  The values in `golden/explore.json`
-were recorded from the hand-written explorations and completions that the
-kernel and `automata.complete` replaced.  Regenerate (only for a deliberate
-numbering change) with `PYTHONPATH=src python tests/test_explore_golden.py`.
+were recorded from the hand-written explorations, completions and letter
+rewrites that the kernels `explore`, `complete` and `relabel` replaced.  The
+GSP initial sets are pinned in their canonical form (`omega._canon`), which
+does not depend on how they are built; their acceptance automata are pinned
+as they are.  Regenerate (only for a deliberate numbering change) with
+`PYTHONPATH=src python tests/test_explore_golden.py`.
 """
 
 import hashlib
@@ -25,8 +29,10 @@ from rmckit import (
     build_augmented_omega,
     determinize,
     determinize_weak,
+    extend_with_flags,
     image,
     intersect,
+    inverse,
     local_execution_property,
     losp_property,
     minimize,
@@ -40,7 +46,7 @@ from rmckit import (
     validate,
 )
 from rmckit.alphabet import COMPLETION_CAP
-from rmckit.automata import complete
+from rmckit.automata import complete, project_components
 from rmckit.fixtures import (
     build_fa,
     cop_one_token,
@@ -51,7 +57,7 @@ from rmckit.fixtures import (
     ring_alphabet,
     token_ring,
 )
-from rmckit.omega import OmegaAutomaton, canonical_renumber
+from rmckit.omega import OmegaAutomaton, _canon, canonical_renumber
 from rmckit.system import BuchiRegularSystem, RegularSystem
 from rmckit.transducer import FINITE, OMEGA, identity
 
@@ -163,6 +169,10 @@ def losp_aug():
     return build_augmented_losp(ring_slice(2), losp_property(losp_all_live_negated(), 1), [lep])
 
 
+def flagged_ring():
+    return extend_with_flags(token_ring(), ["a", "b"])
+
+
 def ring_image():
     sl = ring_slice(3)
     return image(sl.relation, sl.initial)
@@ -191,7 +201,17 @@ CASES = {
     "sim_init": sim_init_explored,
     "gsp_finite_relation": lambda: gsp_finite_aug()[0].msys.system.relation.inner,
     "gsp_omega_relation": lambda: gsp_omega_aug().msys.system.relation.inner,
+    "gsp_finite_initial_canon": lambda: _canon(gsp_finite_aug()[0].msys.system.initial),
+    "gsp_omega_initial_canon": lambda: _canon(gsp_omega_aug().msys.system.initial),
+    "gsp_finite_acceptance": lambda: gsp_finite_aug()[0].msys.acceptance,
+    "gsp_omega_acceptance": lambda: gsp_omega_aug().msys.acceptance,
     "losp_initial": lambda: losp_aug().msys.system.initial,
+    "losp_relation": lambda: losp_aug().msys.system.relation.inner,
+    "inverse_ring_slice_3": lambda: inverse(ring_slice(3).relation).inner,
+    "project_input_ring_slice_3": lambda: project_components(ring_slice(3).relation.inner, [1]),
+    "project_output_ring_slice_3": lambda: project_components(ring_slice(3).relation.inner, [0]),
+    "flags_initial": lambda: flagged_ring().initial,
+    "flags_relation": lambda: flagged_ring().relation.inner,
     "minimize_nfa": lambda: minimize(a_then_b()),
     "minimize_nfa_trim": lambda: minimize(a_then_b(), completion=False),
     "minimize_empty": lambda: minimize(dead_end()),
