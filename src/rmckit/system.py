@@ -183,7 +183,8 @@ def check_reachability_property(
     """Holds iff no reachable word is bad; `bad`, an automaton of the system's
     mode, encodes the unsafe words.  A path witness replays before it is returned."""
     if type(bad) is not (OmegaAutomaton if m.mode == OMEGA else FiniteAutomaton):
-        raise ModeMismatch(f"bad set must be a {m.mode}-word automaton")
+        words = "an omega" if m.mode == OMEGA else "a finite"
+        raise ModeMismatch(f"bad set must be {words}-word automaton")
     if bad.alphabet != m.alphabet:
         raise ModeMismatch("bad-set automaton is over a different alphabet")
     try:

@@ -376,6 +376,23 @@ def test_check_reach_omega_declared_property(tmp_path, capsys):
         assert "    0: N | N\n    1: T | N\n" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_reach_omega_finite_property_file_is_an_input_error(tmp_path, capsys, fmt):
+    bundle = dict(OMEGA_BUNDLE)
+    bundle["bad_finite.aut"] = (
+        "kind: nfa\nalphabet: N T\nstates: 2\ninitial: 0\naccepting: 1\n"
+        "trans:\n0 N 0\n0 T 1\n1 N 1\n1 T 1\n"
+    )
+    for name, text in bundle.items():
+        (tmp_path / name).write_text(text)
+    argv = ["check-reach", "--system", str(tmp_path / "system.sys"), "--slice", "none"]
+    code = main(argv + ["--property", str(tmp_path / "bad_finite.aut"), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "overall" not in captured.out
+    assert "error: bad set must be an omega-word automaton" in captured.err
+
+
 @pytest.fixture
 def omega_gsp_dir(tmp_path):
     bundle = dict(OMEGA_BUNDLE)

@@ -211,6 +211,16 @@ def test_reachability_bad_set_must_match_the_system_mode():
         check_reachability_property(token_ring(), ring_relation(), budget=4)
 
 
+def test_reachability_bad_set_mode_is_worded_like_the_loader():
+    omega_sys = validate(RegularSystem(
+        NT, build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True), identity(NT, OMEGA), OMEGA
+    ))
+    with pytest.raises(ModeMismatch, match="^bad set must be an omega-word automaton$"):
+        check_reachability_property(omega_sys, bad_two_tokens(), budget=4)
+    with pytest.raises(ModeMismatch, match="^bad set must be a finite-word automaton$"):
+        check_reachability_property(token_ring(), lep_liveness(), budget=4)
+
+
 def test_reachability_unknown_on_budget():
     verdict = check_reachability_property(token_ring(), bad_two_tokens(), budget=3)
     assert verdict.status == UNKNOWN
