@@ -18,7 +18,9 @@ numbers its subsets itself and hands `minimize` rows of the `adjacency`
 shape without building an automaton.  A deterministic input skips the
 subset construction: `minimize` refines the input's own rows, and only the
 quotient is numbered.  `complete` is the one place that adds a completion
-sink, always as the highest-numbered state.
+sink, always as the highest-numbered state.  `relabel` is the one place that
+rewrites letters: projections, transducer inverses, flag extensions and the
+GSP and LOSP label constructions are each a letter map handed to it.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ class FiniteAutomaton:
     """Nondeterministic finite-word automaton over an indexed alphabet.
 
     Every state and symbol is checked on construction, except on the one
-    trusted path, `_trusted`, which `explore` and `complete` use: it skips
-    `__post_init__` and takes the `adjacency` its caller already built.
-    `explore` numbers every state itself and checks each row's symbols;
-    `complete` adds only in-range sink moves to a valid automaton.
+    trusted path, `_trusted`: it skips `__post_init__` and takes the
+    `adjacency` its caller already built.  Its only callers are these four
+    builders.  `explore` numbers every state itself and checks each row's
+    symbols; `complete` adds only in-range sink moves to a valid automaton;
+    `relabel` keeps the states of a valid automaton and checks every new
+    letter; `union` shifts the states of two valid automata apart.
     """
 
     alphabet: Alphabet
@@ -231,6 +235,44 @@ def complete(a: FiniteAutomaton) -> FiniteAutomaton:
         adjacency[q] = row
     return type(a)._trusted(
         a.alphabet, sink + 1, a.initial, a.accepting, a.transitions.union(missing), adjacency
+    )
+
+
+def relabel(
+    a: FiniteAutomaton, alphabet: Alphabet, letters: Callable[[int], Iterable[int]]
+) -> FiniteAutomaton:
+    """`a` over `alphabet`, each move on `sym` replaced by one move on each
+    letter of `letters(sym)`.
+
+    States, initial and accepting states and the class of `a` stay the same;
+    a letter outside `alphabet` is an `InputError`.  The map may be
+    one-to-one, many-to-one (a projection) or one-to-many (a label guess).
+    """
+    size = alphabet.size
+    images: dict[int, list[int]] = {}
+    transitions = set()
+    rows: dict[int, dict[int, list[int]]] = {}
+    # the transition set, not `a.adjacency`: a complement is built by
+    # `replace`, which drops the cached rows
+    for src, sym, dst in a.transitions:
+        new = images.get(sym)
+        if new is None:
+            new = images[sym] = list(letters(sym))
+            for x in new:
+                if not 0 <= x < size:
+                    raise InputError(f"transition symbol {x} not in alphabet")
+        if not new:
+            continue
+        row = rows.setdefault(src, {})
+        for x in new:
+            transitions.add((src, x, dst))
+            row.setdefault(x, []).append(dst)
+    adjacency = {
+        src: {x: tuple(sorted(set(d))) if len(d) > 1 else (d[0],) for x, d in row.items()}
+        for src, row in rows.items()
+    }
+    return type(a)._trusted(
+        alphabet, a.n_states, a.initial, a.accepting, frozenset(transitions), adjacency
     )
 
 
@@ -463,13 +505,17 @@ def union(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     """Disjoint union; the result has the class of `a` (finite or Buchi)."""
     a.alphabet.require_same(b.alphabet)
     shift = a.n_states
-    return type(a)(
+    adjacency = dict(a.adjacency)
+    for src, row in b.adjacency.items():
+        adjacency[src + shift] = {sym: tuple(d + shift for d in dsts) for sym, dsts in row.items()}
+    return type(a)._trusted(
         a.alphabet,
         a.n_states + b.n_states,
         a.initial | frozenset(q + shift for q in b.initial),
         a.accepting | frozenset(q + shift for q in b.accepting),
         a.transitions
         | frozenset((s + shift, sym, d + shift) for s, sym, d in b.transitions),
+        adjacency,
     )
 
 
@@ -600,12 +646,12 @@ def project_components(a: FiniteAutomaton, drop: Sequence[int]) -> FiniteAutomat
     if len(dropset) >= a.alphabet.arity:
         raise InputError("cannot project away every component")
     target = a.alphabet.drop_components(sorted(dropset))
-    transitions = set()
-    for src, sym, dst in a.transitions:
+
+    def kept(sym):
         parts = a.alphabet.parts(sym)
-        kept = [p for i, p in enumerate(parts) if i not in dropset]
-        transitions.add((src, target.symbol(kept), dst))
-    return type(a)(target, a.n_states, a.initial, a.accepting, frozenset(transitions))
+        return (target.symbol([p for i, p in enumerate(parts) if i not in dropset]),)
+
+    return relabel(a, target, kept)
 
 
 def project(a: FiniteAutomaton, i: int) -> FiniteAutomaton:

@@ -11,6 +11,13 @@ the greatest set F inside R cap Acc with F within pre+(F), the words that
 reach F again in one or more steps, as the limit of F_0 = R cap Acc and
 F_{i+1} = F_i cap pre+(F_i).
 
+Each mode has one label shape, `shape(states)`: the labelled words whose
+negated-property state lies in `states` (on the last letter in finite mode,
+on every letter in omega mode).  The augmented initial set is the labelled
+initial set, every letter given any label by `automata.relabel`,
+intersected with the label shape of the initial states; the acceptance is
+the label shape of the accepting states.
+
 Verdicts of the loop engine, in finite and omega mode alike: `holds`,
 `violated` or `unknown`.  `holds` needs no configuration to repeat.  The
 accepting configurations of any accepting execution lie in R cap Acc, and
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, complete, explore, minimize, union
+from .automata import FiniteAutomaton, complete, explore, minimize, relabel, union
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -115,7 +122,9 @@ def state_property(name: str, automaton: FiniteAutomaton, mode: str = FINITE) ->
     return StateProperty(name, minimize(automaton, completion=True))
 
 
-def _check_cops(cops: Sequence[StateProperty], alphabet: Alphabet, mode: str) -> None:
+def _check_cops(cops: Sequence[StateProperty], neg, alphabet: Alphabet, mode: str) -> None:
+    if neg.n_props != len(cops):
+        raise AlphabetMismatch("negated property arity does not match the cop list")
     if len(cops) > MAX_COPS:
         raise AlphabetCapExceeded(f"at most {MAX_COPS} state properties supported")
     for cop in cops:
@@ -221,13 +230,24 @@ class GspAugmentation:
         return next(iter(lab)), ""
 
 
-def _delta_map(a: FiniteAutomaton) -> dict[tuple[int, int], int]:
-    """Deterministic transition function as a dict (automaton must be complete)."""
-    return {
-        (src, sym): dsts[0]
-        for src, row in a.adjacency.items()
-        for sym, dsts in row.items()
-    }
+def _labelled(m: RegularSystem, neg: NegatedGsp, cops, sigma_a: Alphabet, t_aug, shape):
+    """The augmentation over `sigma_a` with relation `t_aug`.
+
+    `shape(states)` is the set of labelled words whose label state lies in
+    `states`: the initial set is the initial words under any label cut down
+    to `shape(initial states)`, and the acceptance is `shape(accepting
+    states)` of the negated property.
+    """
+    radix = sigma_a.size // m.alphabet.size  # the letters of base letter a
+    nga = neg.automaton
+    init = _intersect(
+        relabel(m.initial, sigma_a, lambda a: range(a * radix, (a + 1) * radix)),
+        shape(nga.initial),
+    )
+    aug_system = RegularSystem(sigma_a, init, t_aug, m.mode)
+    return GspAugmentation(
+        BuchiRegularSystem(aug_system, shape(nga.accepting)), m, neg, tuple(cops), m.mode
+    )
 
 
 def build_augmented_finite(
@@ -242,9 +262,7 @@ def build_augmented_finite(
     """
     if m.mode != FINITE:
         raise ModeMismatch("finite augmentation needs a finite-mode system")
-    _check_cops(cops, m.alphabet, FINITE)
-    if neg.n_props != len(cops):
-        raise AlphabetMismatch("negated property arity does not match the cop list")
+    _check_cops(cops, neg, m.alphabet, FINITE)
     nga = neg.automaton
     k = len(cops)
     n_masks = 1 << k
@@ -259,7 +277,7 @@ def build_augmented_finite(
 
     base_size = m.alphabet.size
     pair_size = sigma_a.size
-    deltas = [_delta_map(c.automaton) for c in cops]
+    deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
     final_masks = [
         frozenset(c.automaton.accepting) for c in cops
     ]
@@ -272,7 +290,7 @@ def build_augmented_finite(
         q_r, qcops, _b = node
         for pair_sym, dsts in sorted(rel.adjacency.get(q_r, {}).items()):
             a1, a2 = divmod(pair_sym, base_size)
-            qcops2 = tuple(deltas[j][(qcops[j], a1)] for j in range(k))
+            qcops2 = tuple(deltas[j][qcops[j]][a1][0] for j in range(k))
             for q_r2 in dsts:
                 yield from _aug_moves(
                     q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter,
@@ -289,12 +307,18 @@ def build_augmented_finite(
         )
     )
 
-    init = _augment_initial_finite(m.initial, nga, n_masks, letter, bot_q, bot_m, sigma_a)
-    acc = _gsp_acceptance_finite(m.alphabet, nga, n_masks, letter, bot_q, bot_m, sigma_a)
-    aug_system = RegularSystem(sigma_a, init, t_aug, FINITE)
-    return GspAugmentation(
-        BuchiRegularSystem(aug_system, acc), m, neg, tuple(cops), FINITE
-    )
+    def shape(states) -> FiniteAutomaton:
+        """(bot-labelled letters)* followed by one letter labelled with a
+        negated-property state in `states` and any mask."""
+        transitions = set()
+        for a in m.alphabet.symbols():
+            transitions.add((0, letter(a, bot_q, bot_m), 0))
+            for f in states:
+                for mask in range(n_masks):
+                    transitions.add((0, letter(a, f, mask), 1))
+        return FiniteAutomaton(sigma_a, 2, frozenset({0}), frozenset({1}), frozenset(transitions))
+
+    return _labelled(m, neg, cops, sigma_a, t_aug, shape)
 
 
 def _aug_moves(q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter, pair_size):
@@ -323,41 +347,6 @@ def _aug_moves(q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter, pai
                 )
 
 
-def _augment_initial_finite(initial, nga, n_masks, letter, bot_q, bot_m, sigma_a):
-    """Words of the initial set, labelled (q0, any mask) on the last letter.
-
-    Two copies of the initial-set automaton: the first reads bot-labelled
-    letters, the second is entered by reading the single labelled letter and
-    has no outgoing moves, which pins the label to the final position.
-    """
-    n = initial.n_states
-    out = set()
-    for src, a, dst in initial.transitions:
-        out.add((src, letter(a, bot_q, bot_m), dst))
-        for q0 in nga.initial:
-            for mask in range(n_masks):
-                out.add((src, letter(a, q0, mask), dst + n))
-    return FiniteAutomaton(
-        sigma_a,
-        2 * n,
-        frozenset(initial.initial),
-        frozenset(q + n for q in initial.accepting),
-        frozenset(out),
-    )
-
-
-def _gsp_acceptance_finite(base, nga, n_masks, letter, bot_q, bot_m, sigma_a):
-    """(bot-labelled letters)* followed by one letter labelled with an
-    accepting negated-property state."""
-    transitions = set()
-    for a in base.symbols():
-        transitions.add((0, letter(a, bot_q, bot_m), 0))
-        for f in nga.accepting:
-            for mask in range(n_masks):
-                transitions.add((0, letter(a, f, mask), 1))
-    return FiniteAutomaton(sigma_a, 2, frozenset({0}), frozenset({1}), frozenset(transitions))
-
-
 def build_augmented_omega(
     m: RegularSystem, neg: NegatedGsp, cops: Sequence[StateProperty]
 ) -> GspAugmentation:
@@ -370,9 +359,7 @@ def build_augmented_omega(
     """
     if m.mode != OMEGA:
         raise ModeMismatch("omega augmentation needs an omega-mode system")
-    _check_cops(cops, m.alphabet, OMEGA)
-    if neg.n_props != len(cops):
-        raise AlphabetMismatch("negated property arity does not match the cop list")
+    _check_cops(cops, neg, m.alphabet, OMEGA)
     nga = neg.automaton
     k = len(cops)
     n_masks = 1 << k
@@ -387,7 +374,7 @@ def build_augmented_omega(
 
     pair_size = sigma_a.size
     base_size = m.alphabet.size
-    deltas = [_delta_map(complete(c.automaton)) for c in cops]
+    deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
     rel = m.relation.inner
     q0cops = tuple(next(iter(c.automaton.initial)) for c in cops)
 
@@ -397,7 +384,7 @@ def build_augmented_omega(
         succ_alpha = nga.adjacency.get(alpha, {}).get(lam, ())
         for pair_sym, dsts in sorted(rel.adjacency.get(q_r, {}).items()):
             a1, a2 = divmod(pair_sym, base_size)
-            qcops2 = tuple(deltas[j][(qcops[j], a1)] for j in range(k))
+            qcops2 = tuple(deltas[j][qcops[j]][a1][0] for j in range(k))
             l1 = letter(a1, alpha, lam) * pair_size
             for q_r2 in dsts:
                 nxt = (q_r2, qcops2, alpha, lam)
@@ -429,50 +416,24 @@ def build_augmented_omega(
         )
     )
 
-    init = _augment_initial_omega(m.initial, nga, n_masks, letter, sigma_a)
-    acc = _gsp_acceptance_omega(m.alphabet, nga, n_masks, letter, sigma_a)
-    aug_system = RegularSystem(sigma_a, init, t_aug, OMEGA)
-    return GspAugmentation(
-        BuchiRegularSystem(aug_system, acc), m, neg, tuple(cops), OMEGA
-    )
+    def shape(states) -> OmegaAutomaton:
+        """Words labelled uniformly with one (negated-property state in
+        `states`, mask) pair."""
+        combos = [(q, lam) for q in sorted(states) for lam in range(n_masks)]
+        transitions = set()
+        for ci, (q, lam) in enumerate(combos):
+            for a in m.alphabet.symbols():
+                transitions.add((0, letter(a, q, lam), 1 + ci))
+                transitions.add((1 + ci, letter(a, q, lam), 1 + ci))
+        return OmegaAutomaton(
+            sigma_a,
+            1 + max(len(combos), 1),
+            frozenset({0}),
+            frozenset(range(1, 1 + len(combos))),
+            frozenset(transitions),
+        )
 
-
-def _augment_initial_omega(initial, nga, n_masks, letter, sigma_a):
-    """Initial words carry a uniform (initial negated-property state, mask)."""
-    n = initial.n_states
-    combos = [(q0, lam) for q0 in sorted(nga.initial) for lam in range(n_masks)]
-    transitions = set()
-    for ci, (q0, lam) in enumerate(combos):
-        shift = ci * n
-        for src, sym, dst in initial.transitions:
-            transitions.add((src + shift, letter(sym, q0, lam), dst + shift))
-    accepting = frozenset(
-        q + ci * n for ci in range(len(combos)) for q in initial.accepting
-    )
-    initial_states = frozenset(
-        q + ci * n for ci in range(len(combos)) for q in initial.initial
-    )
-    return OmegaAutomaton(
-        sigma_a, n * max(len(combos), 1), initial_states, accepting, frozenset(transitions)
-    )
-
-
-def _gsp_acceptance_omega(base, nga, n_masks, letter, sigma_a):
-    """Uniformly labelled words whose label state is accepting for the
-    negated property."""
-    combos = [(q, lam) for q in sorted(nga.accepting) for lam in range(n_masks)]
-    transitions = set()
-    for ci, (q, lam) in enumerate(combos):
-        for a in base.symbols():
-            transitions.add((0, letter(a, q, lam), 1 + ci))
-            transitions.add((1 + ci, letter(a, q, lam), 1 + ci))
-    return OmegaAutomaton(
-        sigma_a,
-        1 + max(len(combos), 1),
-        frozenset({0}),
-        frozenset(range(1, 1 + len(combos))),
-        frozenset(transitions),
-    )
+    return _labelled(m, neg, cops, sigma_a, t_aug, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -588,24 +549,16 @@ def _extract_lasso(m: RegularSystem, layers, anchor, cycle_bound: int):
     prefix_words = _backchain(m, layers, j, anchor)
     # shortest strict cycle anchor -> anchor, via per-step singleton images
     y = [_canon(_singleton(m.alphabet, anchor))]
-    hit = None
-    for i in range(1, cycle_bound + 1):
+    for hit in range(1, cycle_bound + 1):
         y.append(_canon(image(m.relation, y[-1])))
         if _member(y[-1], anchor):
-            hit = i
             break
-    if hit is None:
+    else:
         return None
-    loop_words = [anchor]
-    for i in range(hit - 1, 0, -1):
-        back = _intersect(y[i], preimage(m.relation, _singleton(m.alphabet, loop_words[0])))
-        w = _pick(back)
-        if w is None:
-            return None
-        loop_words.insert(0, w)
-    # loop_words is now u_1 .. u_{hit-1}, anchor: the strict cycle body
-    words = tuple(prefix_words) + tuple(loop_words[:-1])
-    return LassoWitness(words, loop_start=j)
+    # the path anchor, u_1 .. u_{hit-1}, anchor through the layers y: its
+    # inner words are the strict cycle body
+    loop_words = _backchain(m, y, hit, anchor)[1:-1]
+    return LassoWitness(tuple(prefix_words) + tuple(loop_words), loop_start=j)
 
 
 # ---------------------------------------------------------------------------

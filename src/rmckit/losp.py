@@ -8,7 +8,10 @@ parallel at every position, and discharges the resulting generalized Buchi
 condition with the nondeterministic simultaneous-reset discipline: a
 position may reset only when every required automaton has reported an
 accepting visit, and the acceptance condition is the all-positions-reset
-set of words.
+set of words.  Labels are letters attached by `automata.relabel`: the
+initial set is the labelled initial set (any mask guessed) intersected with
+the label shape (the negated property read on the masks), and the relation
+labels every move of the system's relation by its input letter.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, accepts, complete, explore
+from .automata import FiniteAutomaton, accepts, complete, intersect, relabel
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -242,7 +245,7 @@ def build_augmented_losp(
 
     pair_size = sigma_a.size
     base_size = m.alphabet.size
-    rel = m.relation.inner
+    radix = pair_size // base_size  # letter(a, ...) == a * radix + letter(0, ...)
     qs_space = list(itertools.product(*(range(lep.automaton.n_states) for lep in leps)))
     qn_space = list(
         itertools.product(*(range(lep.complement_automaton.n_states) for lep in leps))
@@ -250,63 +253,50 @@ def build_augmented_losp(
     lep_acc = [frozenset(lep.automaton.accepting) for lep in leps]
     nlep_acc = [frozenset(lep.complement_automaton.accepting) for lep in leps]
 
-    transitions: set[tuple[int, int, int]] = set()
-    for q_r, row in rel.adjacency.items():
-        for pair_sym, dsts in row.items():
-            a1, a2 = divmod(pair_sym, base_size)
-            # per-automaton successor sets on the input letter
-            qs_next = [
-                {q: lep.automaton.adjacency.get(q, {}).get(a1, ()) for q in range(lep.automaton.n_states)}
-                for lep in leps
-            ]
-            qn_next = [
-                {
-                    q: lep.complement_automaton.adjacency.get(q, {}).get(a1, ())
-                    for q in range(lep.complement_automaton.n_states)
-                }
-                for lep in leps
-            ]
-            for qs1 in qs_space:
-                for qn1 in qn_space:
-                    qs2_choices = list(itertools.product(*(qs_next[i][qs1[i]] for i in range(k))))
-                    qn2_choices = list(itertools.product(*(qn_next[i][qn1[i]] for i in range(k))))
-                    if not qs2_choices or not qn2_choices:
-                        continue
-                    for lep1 in range(n_masks):
-                        gained = 0
-                        for i in range(k):
-                            tracked_accepting = (
-                                qs1[i] in lep_acc[i]
-                                if lep1 >> i & 1
-                                else qn1[i] in nlep_acc[i]
-                            )
-                            if tracked_accepting:
-                                gained |= 1 << i
-                        for lepf1 in range(n_masks):
-                            if lepf1 == full:
-                                outcomes = [(0, RESET), (lepf1, NORESET)]
-                            else:
-                                outcomes = [(lepf1 | gained, NORESET)]
-                            for rho1 in (NORESET, RESET):
-                                l1 = letter(a1, qs1, qn1, lep1, lepf1, rho1)
-                                for qs2 in qs2_choices:
-                                    for qn2 in qn2_choices:
-                                        for lepf2, rho2 in outcomes:
-                                            l2 = letter(a2, qs2, qn2, lep1, lepf2, rho2)
-                                            for q_r2 in dsts:
-                                                transitions.add(
-                                                    (q_r, l1 * pair_size + l2, q_r2)
-                                                )
+    def label_pairs(a1: int) -> list[tuple[int, int]]:
+        """(input, output) labels, as letters of base letter 0, of a step on
+        input letter a1: every automaton steps on a1, the mask stays, and
+        progress accumulates until the full mask, which may reset."""
+        pairs = []
+        for qs1 in qs_space:
+            for qn1 in qn_space:
+                qs2_choices = list(itertools.product(*(
+                    leps[i].automaton.adjacency[qs1[i]].get(a1, ()) for i in range(k)
+                )))
+                qn2_choices = list(itertools.product(*(
+                    leps[i].complement_automaton.adjacency[qn1[i]].get(a1, ())
+                    for i in range(k)
+                )))
+                for lep1 in range(n_masks):
+                    # the properties whose tracked automaton is accepting
+                    gained = sum(
+                        1 << i
+                        for i in range(k)
+                        if (qs1[i] in lep_acc[i] if lep1 >> i & 1 else qn1[i] in nlep_acc[i])
+                    )
+                    for lepf1 in range(n_masks):
+                        if lepf1 == full:
+                            outcomes = [(0, RESET), (lepf1, NORESET)]
+                        else:
+                            outcomes = [(lepf1 | gained, NORESET)]
+                        for rho1 in (NORESET, RESET):
+                            l1 = letter(0, qs1, qn1, lep1, lepf1, rho1)
+                            pairs += [
+                                (l1, letter(0, qs2, qn2, lep1, lepf2, rho2))
+                                for qs2 in qs2_choices
+                                for qn2 in qn2_choices
+                                for lepf2, rho2 in outcomes
+                            ]
+        return pairs
 
-    t_aug = Transducer(
-        FiniteAutomaton(
-            Alphabet.product(sigma_a, sigma_a),
-            rel.n_states,
-            rel.initial,
-            rel.accepting,
-            frozenset(transitions),
-        )
-    )
+    tables = [label_pairs(a) for a in range(base_size)]
+
+    def labelled(pair_sym: int) -> list[int]:
+        a1, a2 = divmod(pair_sym, base_size)
+        o1, o2 = a1 * radix, a2 * radix
+        return [(o1 + l1) * pair_size + o2 + l2 for l1, l2 in tables[a1]]
+
+    t_aug = Transducer(relabel(m.relation.inner, Alphabet.product(sigma_a, sigma_a), labelled))
 
     init = _losp_initial(m.initial, lo, leps, letter, sigma_a)
     acc = _losp_acceptance(sigma_a)
@@ -318,43 +308,31 @@ def build_augmented_losp(
 
 def _losp_initial(initial, lo: Losp, leps, letter, sigma_a) -> FiniteAutomaton:
     """Initial words carry initial automaton states, a guessed violating
-    labelling, an empty progress mask and noreset everywhere."""
-    neg = lo.negation_automaton
+    labelling, an empty progress mask and noreset everywhere: the initial
+    set with any mask guessed, intersected with the negated property read
+    on the masks."""
     q0s = tuple(next(iter(lep.automaton.initial)) for lep in leps)
     q0n = tuple(next(iter(lep.complement_automaton.initial)) for lep in leps)
     n_masks = 1 << lo.n_props
 
-    # node: (initial-set state, negation automaton state)
-    def moves(node):
-        srow = initial.adjacency.get(node[0], {})
-        urow = neg.adjacency.get(node[1], {})
-        for a, sdsts in sorted(srow.items()):
-            for lep_mask in range(n_masks):
-                udsts = urow.get(lep_mask, ())
-                sym = letter(a, q0s, q0n, lep_mask, 0, NORESET)
-                for s2 in sdsts:
-                    for u2 in udsts:
-                        yield sym, (s2, u2)
+    def label(a: int, mask: int) -> int:
+        return letter(a, q0s, q0n, mask, 0, NORESET)
 
-    return explore(
-        FiniteAutomaton,
+    guessed = relabel(initial, sigma_a, lambda a: [label(a, mask) for mask in range(n_masks)])
+    violating = relabel(
+        lo.negation_automaton,
         sigma_a,
-        sorted(itertools.product(initial.initial, neg.initial)),
-        moves,
-        lambda node: node[0] in initial.accepting and node[1] in neg.accepting,
+        lambda mask: [label(a, mask) for a in range(initial.alphabet.size)],
     )
+    return intersect(guessed, violating)
 
 
 def _losp_acceptance(sigma_a: Alphabet) -> FiniteAutomaton:
-    """Words whose every position carries the reset flag."""
-    reset_letters = [s for s in sigma_a.symbols() if sigma_a.parts(s)[-1] == RESET]
-    return FiniteAutomaton(
-        sigma_a,
-        1,
-        frozenset({0}),
-        frozenset({0}),
-        frozenset((0, s, 0) for s in reset_letters),
-    )
+    """Words whose every position carries the reset flag.  The flag is the
+    last letter component and has two values, so the reset letters are the
+    odd ones."""
+    loops = frozenset((0, s, 0) for s in range(RESET, sigma_a.size, 2))
+    return FiniteAutomaton(sigma_a, 1, frozenset({0}), frozenset({0}), loops)
 
 
 def check_losp(aug: LospAugmentation, budget: int = 64) -> Verdict:
@@ -445,32 +423,18 @@ def extend_with_flags(m: RegularSystem, flags: Sequence[str]) -> RegularSystem:
     new_base = Alphabet.product(m.alphabet, *flag_comps)
     if new_base.size > MAX_AUG_ALPHABET:
         raise AlphabetCapExceeded("flag extension exceeds the alphabet cap")
-    n_flags = len(flags)
-    n_vals = 1 << n_flags
+    n_vals = 1 << len(flags)
+    base_size, new_size = m.alphabet.size, new_base.size
+    new_init = relabel(m.initial, new_base, lambda a: range(a * n_vals, (a + 1) * n_vals))
 
-    def lift(a: int, val: int) -> int:
-        return a * n_vals + val
-
-    init_tr = frozenset(
-        (src, lift(sym, val), dst)
-        for src, sym, dst in m.initial.transitions
-        for val in range(n_vals)
-    )
-    new_init = FiniteAutomaton(
-        new_base, m.initial.n_states, m.initial.initial, m.initial.accepting, init_tr
-    )
-    base_size = m.alphabet.size
-    new_pair = Alphabet.product(new_base, new_base)
-    rel = m.relation.inner
-    rel_tr = set()
-    for src, sym, dst in rel.transitions:
+    def lifted(sym: int) -> list[int]:
         a1, a2 = divmod(sym, base_size)
-        for v1 in range(n_vals):
-            for v2 in range(n_vals):
-                rel_tr.add((src, lift(a1, v1) * new_base.size + lift(a2, v2), dst))
-    new_rel = Transducer(
-        FiniteAutomaton(new_pair, rel.n_states, rel.initial, rel.accepting, frozenset(rel_tr))
-    )
+        return [
+            (a1 * n_vals + v1) * new_size + a2 * n_vals + v2
+            for v1 in range(n_vals) for v2 in range(n_vals)
+        ]
+
+    new_rel = Transducer(relabel(m.relation.inner, Alphabet.product(new_base, new_base), lifted))
     return RegularSystem(new_base, new_init, new_rel, FINITE)
 
 

@@ -14,11 +14,11 @@ inclusion check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, union
+from .automata import FiniteAutomaton, relabel, union, universal
 # unused; perfbench's test_install_rebinds_every_binding_and_restore_undoes_it pins the name
 from .automata import minimize  # noqa: F401
 from .errors import AlphabetMismatch, InputError, ModeMismatch
@@ -29,6 +29,7 @@ from .omega import (
     _member,
     _product,
     _zip_letters,
+    omega_universal,
 )
 
 FINITE = "finite"
@@ -81,24 +82,19 @@ def pair_word(base: Alphabet, w1, w2):
 
 
 def identity(alphabet: Alphabet, mode: str = FINITE) -> Transducer:
-    """Transducer for {(w, w)}; single accepting state."""
+    """Transducer for {(w, w)}: every word, each letter read on both tracks."""
     size = alphabet.size
-    transitions = frozenset((0, a * size + a, 0) for a in alphabet.symbols())
-    pair_alpha = Alphabet.product(alphabet, alphabet)
-    cls = OmegaAutomaton if mode == OMEGA else FiniteAutomaton
-    return Transducer(
-        cls(pair_alpha, 1, frozenset({0}), frozenset({0}), transitions)
-    )
+    words = omega_universal(alphabet) if mode == OMEGA else universal(alphabet)
+    pairs = Alphabet.product(alphabet, alphabet)
+    return Transducer(relabel(words, pairs, lambda a: (a * size + a,)))
 
 
 def inverse(t: Transducer) -> Transducer:
     """Swap the letter components (represents the inverse relation)."""
     size = t.base.size
-    swapped = frozenset(
-        (src, (sym % size) * size + (sym // size), dst)
-        for src, sym, dst in t.inner.transitions
+    return Transducer(
+        relabel(t.inner, t.inner.alphabet, lambda sym: ((sym % size) * size + sym // size,))
     )
-    return Transducer(replace(t.inner, transitions=swapped))
 
 
 def accepts_pair(t: Transducer, w1, w2) -> bool:

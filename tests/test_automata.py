@@ -1,11 +1,14 @@
 """Finite-word algebra: examples and enumeration-oracle properties."""
 
+import ast
 import itertools
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import rmckit
 from rmckit import (
     Alphabet,
     FiniteAutomaton,
@@ -34,10 +37,10 @@ from rmckit import (
     word_automaton,
 )
 from rmckit.alphabet import COMPLETION_CAP
-from rmckit.automata import complete, explore
+from rmckit.automata import complete, explore, relabel
 from rmckit.fixtures import build_fa, ring_alphabet, ring_initial
-from rmckit.omega import canonical_renumber
-from rmckit.transducer import compose
+from rmckit.omega import OmegaAutomaton, canonical_renumber
+from rmckit.transducer import compose, inverse
 
 from oracles import (
     language_upto,
@@ -402,7 +405,8 @@ def test_deterministic_input_gives_the_subset_route_bytes():
 
 
 # ---------------------------------------------------------------------------
-# trusted construction: `explore` and `complete` hand over their adjacency
+# trusted construction: `explore`, `complete`, `relabel` and `union` hand
+# over their adjacency
 
 
 def _trusted_cases():
@@ -422,6 +426,10 @@ def _trusted_cases():
             yield "minimize", minimize(a)
             yield "minimize", minimize(d)
             yield "minimize trim", minimize(a, completion=False)
+            yield "union", union(a, d)
+            yield "union of a complement", union(complement(d), a)
+            yield "inverse", inverse(t1).inner
+            yield "relabel", relabel(a, alphabet, lambda s: (s, (s * 7 + 1) % alphabet.size))
             w1, w2 = random_weak_dba(rng, alphabet, 4), random_weak_dba(rng, alphabet, 4)
             yield "omega_intersect", omega_intersect(w1, w2)
             yield "minimize_weak_dba", minimize_weak_dba(w1)
@@ -430,6 +438,8 @@ def _trusted_cases():
                 w1, transitions=frozenset(t for t in w1.transitions if rng.random() < 0.7)
             )
             yield "complete omega", complete(partial)
+            yield "union omega", union(w1, w2)
+            yield "relabel omega", relabel(w1, alphabet, lambda s: (alphabet.size - 1 - s,))
             yield "canonical_renumber", canonical_renumber(partial)
 
 
@@ -490,3 +500,119 @@ def test_complete_of_a_trusted_automaton_equals_the_replace_built_completion():
         assert got.adjacency == replace(got).adjacency, op
         completed += got is not a
     assert completed
+
+
+class _TrustedReferences(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every `._trusted` reference."""
+
+    def __init__(self, module):
+        self.module, self.functions, self.found = module, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if node.attr == "_trusted":
+            self.found.add((self.module, self.functions[-1] if self.functions else None))
+        self.generic_visit(node)
+
+
+def test_only_the_four_trusted_builders_skip_validation():
+    # `_trusted` skips every check of `__post_init__`; a new caller must
+    # check what it builds itself and be added here on purpose
+    found = set()
+    for path in sorted(Path(rmckit.__file__).parent.glob("*.py")):
+        visitor = _TrustedReferences(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        found |= visitor.found
+    assert found == {
+        ("automata", "explore"),
+        ("automata", "complete"),
+        ("automata", "relabel"),
+        ("automata", "union"),
+    }
+
+
+def _union_by_constructor(a, b):
+    """`union(a, b)` through the public constructor, from the transition sets."""
+    shift = a.n_states
+    return type(a)(
+        a.alphabet,
+        a.n_states + b.n_states,
+        a.initial | frozenset(q + shift for q in b.initial),
+        a.accepting | frozenset(q + shift for q in b.accepting),
+        a.transitions | frozenset((s + shift, sym, d + shift) for s, sym, d in b.transitions),
+    )
+
+
+def test_union_equals_the_constructor_built_union():
+    rng = random.Random(71)
+    for alphabet in (AB, Alphabet.product(NT, NT)):
+        for _ in range(20):
+            a, b = random_nfa(rng, alphabet), random_partial_dfa(rng, alphabet)
+            # a complement is built by `replace`, so it has no rows cached
+            for x, y in ((a, b), (b, a), (complement(a), b), (a, a)):
+                got, expected = union(x, y), _union_by_constructor(x, y)
+                assert got == expected and type(got) is type(expected)
+                assert got.adjacency == expected.adjacency
+            w1, w2 = random_weak_dba(rng, alphabet, 4), random_weak_dba(rng, alphabet, 4)
+            got, expected = union(w1, w2), _union_by_constructor(w1, w2)
+            assert got == expected and type(got) is OmegaAutomaton
+
+
+# ---------------------------------------------------------------------------
+# relabel: the one letter substitution
+
+ABC = Alphabet.base(("a", "b", "c"))
+FIVE = Alphabet.base(tuple(f"x{i}" for i in range(5)))
+LETTER_MAPS = {
+    # a permutation of ABC
+    "one-to-one": (ABC, lambda s: ((s + 1) % 3,)),
+    # c is read as a
+    "many-to-one": (AB, lambda s: (s % 2,)),
+    # a guesses one of two letters, b one of three, and c has no image
+    "one-to-many": (FIVE, lambda s: [(0, 1), (2, 3, 4), ()][s]),
+}
+
+
+def _substituted(words, letters):
+    """Every word that replaces each letter s of a word by one of letters(s)."""
+    return {w2 for w in words for w2 in itertools.product(*(letters(s) for s in w))}
+
+
+@pytest.mark.parametrize("kind", sorted(LETTER_MAPS))
+def test_relabel_gives_the_substituted_words(kind):
+    target, letters = LETTER_MAPS[kind]
+    rng = random.Random(1414)
+    for i in range(40):
+        a = random_nfa(rng, ABC, 5)
+        if i % 4 == 3:
+            a = complement(a)  # no rows cached
+        r = relabel(a, target, letters)
+        assert type(r) is FiniteAutomaton and r.alphabet == target
+        assert (r.n_states, r.initial, r.accepting) == (a.n_states, a.initial, a.accepting)
+        expected = _substituted(enumerate_words(a, 4), letters)
+        assert set(enumerate_words(r, 4)) == expected
+        assert r.adjacency == replace(r).adjacency
+
+
+def test_relabel_keeps_an_omega_automaton_one():
+    rng = random.Random(1415)
+    for _ in range(10):
+        w = random_weak_dba(rng, ABC, 4)
+        r = relabel(w, AB, lambda s: (s % 2,))
+        assert type(r) is OmegaAutomaton
+        assert (r.n_states, r.initial, r.accepting) == (w.n_states, w.initial, w.accepting)
+        assert r.transitions == {(p, s % 2, q) for p, s, q in w.transitions}
+
+
+@pytest.mark.parametrize("bad", [-1, AB.size, AB.size + 7])
+def test_relabel_rejects_a_letter_outside_the_alphabet(bad):
+    a = random_nfa(random.Random(3), ABC, 4)
+    a = replace(a, transitions=a.transitions | {(0, 2, 0)})
+    with pytest.raises(InputError, match=f"transition symbol {bad} not in alphabet"):
+        relabel(a, AB, lambda s: (bad,) if s == 2 else (0,))
