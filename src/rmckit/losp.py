@@ -8,10 +8,10 @@ parallel at every position, and discharges the resulting generalized Buchi
 condition with the nondeterministic simultaneous-reset discipline: a
 position may reset only when every required automaton has reported an
 accepting visit, and the acceptance condition is the all-positions-reset
-set of words.  Labels are letters attached by `automata.relabel`: the
+set of words.  Labels are attached to letters by `automata.relabel`: the
 initial set is the labelled initial set (any mask guessed) intersected with
-the label shape (the negated property read on the masks), and the relation
-labels every move of the system's relation by its input letter.
+the label shape (the negated property read on the masks), and each move of
+the system's relation gets every label pair its input letter allows.
 """
 
 from __future__ import annotations
@@ -268,12 +268,15 @@ def build_augmented_losp(
                     for i in range(k)
                 )))
                 for lep1 in range(n_masks):
-                    # the properties whose tracked automaton is accepting
-                    gained = sum(
-                        1 << i
-                        for i in range(k)
-                        if (qs1[i] in lep_acc[i] if lep1 >> i & 1 else qn1[i] in nlep_acc[i])
-                    )
+                    gained = 0
+                    for i in range(k):
+                        tracked_accepting = (
+                            qs1[i] in lep_acc[i]
+                            if lep1 >> i & 1
+                            else qn1[i] in nlep_acc[i]
+                        )
+                        if tracked_accepting:
+                            gained |= 1 << i
                     for lepf1 in range(n_masks):
                         if lepf1 == full:
                             outcomes = [(0, RESET), (lepf1, NORESET)]

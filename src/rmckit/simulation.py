@@ -82,13 +82,8 @@ def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRela
         return base.symbol(sigma_a.parts(sym)[:width])
 
     sigma_of = [sigma_part(s) for s in sigma_a.symbols()]
-    deltas = []
-    finals = []
-    for c in cops:
-        deltas.append(
-            {(q, s): d[0] for q, row in c.automaton.adjacency.items() for s, d in row.items()}
-        )
-        finals.append(frozenset(c.automaton.accepting))
+    deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
+    finals = [frozenset(c.automaton.accepting) for c in cops]
     q0 = tuple(next(iter(c.automaton.initial)) for c in cops)
     size = sigma_a.size
 
@@ -97,10 +92,10 @@ def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRela
         left, right = node
         for s1 in range(size):
             a1 = sigma_of[s1]
-            left2 = tuple(deltas[j][(left[j], a1)] for j in range(len(cops)))
+            left2 = tuple(deltas[j][left[j]][a1][0] for j in range(len(cops)))
             for s2 in range(size):
                 a2 = sigma_of[s2]
-                right2 = tuple(deltas[j][(right[j], a2)] for j in range(len(cops)))
+                right2 = tuple(deltas[j][right[j]][a2][0] for j in range(len(cops)))
                 yield s1 * size + s2, (left2, right2)
 
     def label_mask(states: tuple) -> int:
