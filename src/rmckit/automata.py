@@ -726,10 +726,10 @@ def exact_length(alphabet: Alphabet, n: int) -> FiniteAutomaton:
     """All words of exactly length n."""
     if n < 0:
         raise InputError("length must be nonnegative")
-    transitions = frozenset(
-        (i, sym, i + 1) for i in range(n) for sym in alphabet.symbols()
-    )
-    return FiniteAutomaton(alphabet, n + 1, frozenset({0}), frozenset({n}), transitions)
+    def moves(i):
+        return [(sym, i + 1) for sym in alphabet.symbols()] if i < n else []
+
+    return explore(FiniteAutomaton, alphabet, [0], moves, lambda i: i == n)
 
 
 def pick_word(a: FiniteAutomaton) -> tuple[int, ...] | None:

@@ -240,10 +240,11 @@ def _labelled(m: RegularSystem, neg: NegatedGsp, cops, sigma_a: Alphabet, t_aug,
     """
     radix = sigma_a.size // m.alphabet.size  # the letters of base letter a
     nga = neg.automaton
-    init = _intersect(
-        relabel(m.initial, sigma_a, lambda a: range(a * radix, (a + 1) * radix)),
-        shape(nga.initial),
-    )
+    start = shape(nga.initial)
+    labels: dict[int, set[int]] = {}  # base letter -> its letters the shape reads
+    for _, sym, _ in start.transitions:
+        labels.setdefault(sym // radix, set()).add(sym)
+    init = _intersect(relabel(m.initial, sigma_a, lambda a: sorted(labels.get(a, ()))), start)
     aug_system = RegularSystem(sigma_a, init, t_aug, m.mode)
     return GspAugmentation(
         BuchiRegularSystem(aug_system, shape(nga.accepting)), m, neg, tuple(cops), m.mode

@@ -4,11 +4,14 @@ The greatest simulation compatible with the declared state properties is the
 limit of a decreasing transducer sequence: the initial relation pairs
 equal-length words with equal cop sets, and each refinement removes pairs
 whose moves cannot be matched.  A refinement step is derived from relation
-composition, inverse and complement of the step relation T:
+composition and complement of the step relation T:
 
     G    = T o Sim^-1        (w2, w3): w2 steps to a word that simulates w3
     Bad  = T o (not G)^-1    (w1, w2): w1 has a move that w2 cannot match
     Sim' = Sim cap not Bad
+
+Sim^-1 and (not G)^-1 are never built: each composition joins the output
+track of T with the output track of the other relation (`transducer._join`).
 
 Every question asked of the relation is about reachable words, so the
 fixpoint and the closures run on reachable words only.  Let R be a T-closed
@@ -40,10 +43,10 @@ from .system import BuchiRegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
     OMEGA,
     Transducer,
+    _join,
+    _require_same_base,
     closure,
-    compose,
     identity,
-    inverse,
     preimage,
     relation_includes,
 )
@@ -122,13 +125,12 @@ def sim_step(s: SimRelation, t: Transducer) -> SimRelation:
     counterpart w4 of w2 with (w3, w4) still related:
     G = T o Sim^-1, Bad = T o (not G)^-1 and Sim' = Sim cap not Bad.
     """
-    if s.relation.base != t.base:
-        raise InputError("simulation relation and transducer bases differ")
+    _require_same_base(t, s.relation)
     # G(w2, w3) = exists w4: (w2, w4) in T and (w3, w4) in Sim
-    g = compose(t, inverse(s.relation))
+    g = _join(t.inner, s.relation, 1)
     # Bad(w1, w2) = exists w3: (w1, w3) in T and not G(w2, w3)
-    bad = compose(t, inverse(Transducer(_complement(g.inner))))
-    refined = _intersect(s.relation.inner, _complement(bad.inner))
+    bad = _join(t.inner, Transducer(_complement(g)), 1)
+    refined = _intersect(s.relation.inner, _complement(bad))
     return SimRelation(Transducer(_canon(refined)), s.iteration_index + 1, False)
 
 

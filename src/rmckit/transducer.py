@@ -2,9 +2,9 @@
 
 A transducer is an automaton over the two-track product of a base alphabet;
 each transition consumes exactly one (input, output) letter pair, so finite
-relations are length-preserving by construction.  Composition and image are
-the classic product/projection constructions, fused into single reachable
-products.  Products, inclusion and canonical forms come from the set
+relations are length-preserving by construction.  Image, preimage and
+composition are one reachable product, `_join`, that reads a relation on
+either track, so no inverse is built.  Products, inclusion and canonical forms come from the set
 operations in `omega`, the one place that tells finite words from omega-words,
 so a relation has the same canonical form as any other set.  The iterative
 closure engine detects convergence by canonical equality of consecutive
@@ -102,24 +102,29 @@ def accepts_pair(t: Transducer, w1, w2) -> bool:
     return _member(t.inner, pair_word(t.base, w1, w2))
 
 
-def _by_input_letter(size: int) -> Callable[[dict], dict[int, list[int]]]:
-    """Index of a transducer adjacency row by input letter, memoized per row.
+def _join(left: FiniteAutomaton, t: Transducer, track: int) -> FiniteAutomaton:
+    """Reachable product of `left`, a set or a relation, with relation `t`.
 
-    The index maps an input letter to the row's pair symbols with that input,
-    in ascending order; rows are keyed by identity, so it serves one product.
-    """
-    cache: dict[int, dict[int, list[int]]] = {}
+    A `left` move's last letter meets the letter on `t`'s input (`track` 0)
+    or output (1) track; the move made keeps `left`'s first letter, if any,
+    and `t`'s other one.  Moves come in ascending `left`, then `t` symbol
+    order, so `track` 1 numbers a product as `t`'s inverse would."""
+    size = t.base.size
+    cache: dict[int, dict[int, list[tuple[int, int]]]] = {}  # keyed by row identity
 
-    def index(row: dict) -> dict[int, list[int]]:
-        by_left = cache.get(id(row))
-        if by_left is None:
-            by_left = {}
-            for sym in sorted(row):
-                by_left.setdefault(sym // size, []).append(sym)
-            cache[id(row)] = by_left
-        return by_left
+    def pairs(rowl, rowt):
+        by_letter = cache.get(id(rowt))
+        if by_letter is None:
+            by_letter = cache[id(rowt)] = {}
+            for sym in sorted(rowt):
+                letters = divmod(sym, size)
+                by_letter.setdefault(letters[track], []).append((sym, letters[1 - track]))
+        for syml in sorted(rowl):
+            first, last = divmod(syml, size)
+            for sym, other in by_letter.get(last, ()):
+                yield syml, sym, first * size + other
 
-    return index
+    return _product(left, t.inner, left.alphabet, pairs)
 
 
 def compose(t1: Transducer, t2: Transducer) -> Transducer:
@@ -129,41 +134,27 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     of the two pair languages: pi_{!=2}[(T1 x id) cap (id x T2)].
     """
     _require_same_base(t1, t2)
-    size = t1.base.size
-    by_input = _by_input_letter(size)
-
-    def pairs(row1, row2):
-        by_left = by_input(row2)
-        for sym1 in sorted(row1):
-            x, y = divmod(sym1, size)
-            for sym2 in by_left.get(y, ()):
-                yield sym1, sym2, x * size + (sym2 % size)
-
-    return Transducer(_product(t1.inner, t2.inner, t1.inner.alphabet, pairs))
+    return Transducer(_join(t1.inner, t2, 0))
 
 
-def image(t: Transducer, a: FiniteAutomaton) -> FiniteAutomaton:
-    """Automaton for R(L(a)): pi_{!=1}[(A x universe) cap T]."""
+def _apply(t: Transducer, a: FiniteAutomaton, track: int) -> FiniteAutomaton:
     if a.alphabet != t.base:
         raise AlphabetMismatch("automaton is not over the transducer base alphabet")
     if t.mode == OMEGA and not isinstance(a, OmegaAutomaton):
         raise ModeMismatch("omega transducer applied to a finite-word automaton")
     if t.mode == FINITE and isinstance(a, OmegaAutomaton):
         raise ModeMismatch("finite transducer applied to an omega automaton")
-    size = t.base.size
-    by_input = _by_input_letter(size)
+    return _join(a, t, track)
 
-    def pairs(rowa, rowt):
-        by_left = by_input(rowt)
-        for sa in sorted(rowa):
-            for sym in by_left.get(sa, ()):
-                yield sa, sym, sym % size
 
-    return _product(a, t.inner, t.base, pairs)
+def image(t: Transducer, a: FiniteAutomaton) -> FiniteAutomaton:
+    """Automaton for R(L(a)): pi_{!=1}[(A x universe) cap T]."""
+    return _apply(t, a, 0)
 
 
 def preimage(t: Transducer, a: FiniteAutomaton) -> FiniteAutomaton:
-    return image(inverse(t), a)
+    """Automaton for R^-1(L(a)): pi_{!=2}[(universe x A) cap T]."""
+    return _apply(t, a, 1)
 
 
 def union_t(t1: Transducer, t2: Transducer) -> Transducer:

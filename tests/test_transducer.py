@@ -1,12 +1,16 @@
 """Transducer algebra and the iterative-closure engine."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import rmckit
 from rmckit import (
     Alphabet,
+    AlphabetMismatch,
     InputError,
     ModeMismatch,
     Transducer,
@@ -34,11 +38,12 @@ from rmckit.omega import (
     UltimatelyPeriodicWord,
     _canon,
     _map_letters,
+    _product,
     accepts_up_word,
     sample_lassos,
     up_word_automaton,
 )
-from rmckit.transducer import OMEGA, canonicalize
+from rmckit.transducer import OMEGA, _join, canonicalize
 from rmckit.fixtures import (
     build_fa,
     ring_alphabet,
@@ -47,7 +52,13 @@ from rmckit.fixtures import (
     token_ring,
 )
 
-from oracles import compose_pairs, random_transducer, relation_pairs_upto
+from oracles import (
+    compose_pairs,
+    random_nfa,
+    random_transducer,
+    random_weak_dba,
+    relation_pairs_upto,
+)
 
 NT = ring_alphabet()
 
@@ -258,11 +269,71 @@ def test_canonicalize_is_the_shared_canonical_form():
 
 
 def test_image_rejects_a_set_of_the_other_mode():
+    # preimage checks its set as image does, another base included
     lasso = up_word_automaton(NT, UltimatelyPeriodicWord(word("T"), word("N")))
-    with pytest.raises(ModeMismatch, match="finite transducer applied to an omega"):
-        image(ring_relation(), lasso)
-    with pytest.raises(ModeMismatch, match="omega transducer applied to a finite"):
-        image(identity(NT, OMEGA), ring_initial())
+    other_base = Alphabet.base(("a", "b", "c"))
+    for apply in (image, preimage):
+        with pytest.raises(ModeMismatch, match="finite transducer applied to an omega"):
+            apply(ring_relation(), lasso)
+        with pytest.raises(ModeMismatch, match="omega transducer applied to a finite"):
+            apply(identity(NT, OMEGA), ring_initial())
+        with pytest.raises(AlphabetMismatch, match="not over the transducer base alphabet"):
+            apply(ring_relation(), word_automaton(other_base, (0, 1)))
+
+
+def _as_built(a):
+    """Everything that tells two automata apart, rows in walk order included."""
+    rows = [(q, list(row.items())) for q, row in a.adjacency.items()]
+    return type(a), a.alphabet, a.n_states, a.initial, a.accepting, a.transitions, rows
+
+
+def _forward_join(left, rel, size):
+    """Each `left` move's last letter against the input letter of a `rel`
+    move, both in ascending symbol order: the join spelled out by hand."""
+
+    def pairs(rowl, rowr):
+        for syml in sorted(rowl):
+            for sym in sorted(rowr):
+                if sym // size == syml % size:
+                    yield syml, sym, syml // size * size + sym % size
+
+    return _product(left, rel, left.alphabet, pairs)
+
+
+def test_relations_are_joined_backwards_as_their_inverses_would_be():
+    # preimage and the output-track join read a relation as its inverse
+    # without building it, and number every product as the inverse would
+    rng = random.Random(151)
+    for case in range(600):
+        base = Alphabet.base(("a", "b", "c")[: 2 + case % 2])
+        if case % 8 > 1:  # omega products cost far more, so one case in four
+            t, s = random_transducer(rng, base), random_transducer(rng, base)
+            a = random_nfa(rng, base)
+        else:
+            pair = Alphabet.product(base, base)
+            t, s = (Transducer(random_weak_dba(rng, pair, 4)) for _ in range(2))
+            a = random_weak_dba(rng, base, 4)
+        t_inv, s_inv = inverse(t), inverse(s)
+        pre = _as_built(preimage(t, a))
+        assert pre == _as_built(image(t_inv, a)), case
+        assert pre == _as_built(_forward_join(a, t_inv.inner, base.size)), case
+        joined = _as_built(_join(t.inner, s, 1))
+        assert joined == _as_built(compose(t, s_inv).inner), case
+        assert joined == _as_built(_forward_join(t.inner, s_inv.inner, base.size)), case
+
+
+def test_no_module_builds_an_inverse():
+    # a relation is applied backwards through `transducer._join`; building
+    # the inverse relabels every transition of the relation
+    calls = []
+    for path in sorted(Path(rmckit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "inverse":
+                    calls.append((path.stem, node.lineno))
+    assert calls == []
 
 
 def omega_relations() -> list[Transducer]:
