@@ -113,6 +113,7 @@ from .system import (
     RegularSystem,
     Verdict,
     check_reachability_property,
+    each_slice,
     locality_evidence,
     reachable,
     replay_lasso,

@@ -732,6 +732,28 @@ def exact_length(alphabet: Alphabet, n: int) -> FiniteAutomaton:
     return explore(FiniteAutomaton, alphabet, [0], moves, lambda i: i == n)
 
 
+def cut_lengths(a: FiniteAutomaton, lengths: Iterable[int]) -> FiniteAutomaton:
+    """The words of `a` whose length is one of `lengths`: the reachable
+    product of `a` with a length counter, of the class of `a`."""
+    lengths = frozenset(lengths)
+    top, rows = max(lengths, default=0), a.adjacency
+
+    def moves(node):
+        q, depth = node
+        if depth < top:
+            for sym, dsts in rows.get(q, {}).items():
+                for dst in dsts:
+                    yield sym, (dst, depth + 1)
+
+    return explore(
+        type(a),
+        a.alphabet,
+        [(q, 0) for q in sorted(a.initial)],
+        moves,
+        lambda node: node[0] in a.accepting and node[1] in lengths,
+    )
+
+
 def pick_word(a: FiniteAutomaton) -> tuple[int, ...] | None:
     """Canonical accepted word: shortest, then lexicographically least."""
     words = _shortest_words(a)

@@ -1,15 +1,19 @@
 """Command-line verification pipelines: parsing and rendering only.
 
-Each command hands one `check(m) -> Verdict` to the library's slice runner,
-`system.verify_parametric`, and `_report` renders its results.  `closure`
-and `sim` report holds when their fixpoint converged, else unknown.
+Each command hands one check to the library's slice runner,
+`system.verify_parametric`, and `_report` renders its results.
+`check-reach` and `check-gsp --engine loop` run once over the whole slice
+range and give a verdict per slice; the other commands run slice by slice
+through `system.each_slice`.  A row's `time_ms` is the wall time of the run
+that gave it, so the rows of one range run all carry that run's time.
+`closure` and `sim` report holds when their fixpoint converged, else
+unknown.
 
 Exit codes: 0 the property holds (on every requested slice), 1 violated
 (a replayed witness is printed), 2 unknown (budget or approximation), 3
 input error, a usage error among them.  `--budget` is a positive integer.
-`--slice LO..HI` needs 1 <= LO <= HI; slices are checked one after another
-and reported in slice order.  `--slice none` runs the check once on the
-unsliced system.
+`--slice LO..HI` needs 1 <= LO <= HI; slices are reported in slice order.
+`--slice none` runs the check once on the unsliced system.
 
 The parser is built once per process; it names each command's handler,
 which `main` looks up in this module at call time.
@@ -46,6 +50,7 @@ from .system import (
     RegularSystem,
     Verdict,
     check_reachability_property,
+    each_slice,
     verify_parametric,
 )
 from .transducer import OMEGA, closure
@@ -200,18 +205,11 @@ def _fields_line(row: dict, keys: tuple[str, ...]) -> None:
 
 
 def _report(args, command: str, base: RegularSystem, check, span, fields=()) -> int:
-    """Run `check(m) -> Verdict` through `verify_parametric` on each slice of
-    `span` (None: unsliced), print a row per result, and return the exit
-    code of the runner's conjunction.  Witness words must be words of `base`;
-    a text row prints the diagnostics `fields`, or else verdict and witness."""
-
-    def timed(m: RegularSystem, n: int | None) -> Verdict:
-        start = time.perf_counter()
-        verdict = check(m)
-        ms = round((time.perf_counter() - start) * 1000, 1)
-        return replace(verdict, diagnostics={**verdict.diagnostics, "time_ms": ms})
-
-    results, overall = verify_parametric(base, timed, *(span or (None,)))  # None: unsliced
+    """Run `check` through `verify_parametric` over the slices of `span`
+    (None: unsliced), print a row per result, and return the exit code of
+    the runner's conjunction.  Witness words must be words of `base`; a
+    text row prints the diagnostics `fields`, or else verdict and witness."""
+    results, overall = verify_parametric(base, check, *(span or (None,)))  # None: unsliced
     rows = []
     for n, verdict in results.items():
         row = {"slice": n, "status": verdict.status, **verdict.diagnostics}
@@ -237,6 +235,24 @@ def _report(args, command: str, base: RegularSystem, check, span, fields=()) -> 
     return _EXIT[overall.status]
 
 
+def _each(out, f):
+    """`f` applied to a verdict, or to each verdict of a per-slice dict."""
+    return f(out) if isinstance(out, Verdict) else {n: f(v) for n, v in out.items()}
+
+
+def _timed(check):
+    """`check` with the wall time of each call stamped on the verdicts it
+    returns, as `time_ms`."""
+
+    def run(m: RegularSystem, lengths):
+        start = time.perf_counter()
+        out = check(m, lengths)
+        ms = round((time.perf_counter() - start) * 1000, 1)
+        return _each(out, lambda v: replace(v, diagnostics={**v.diagnostics, "time_ms": ms}))
+
+    return run
+
+
 def _witness_words(words, alphabet) -> list[list[str]]:
     """Witness words as letter names; the period of an omega-word follows a `|`."""
     out = []
@@ -250,16 +266,20 @@ def _witness_words(words, alphabet) -> list[list[str]]:
     return out
 
 
-def _replayed(verdict: Verdict, aug, replay) -> Verdict:
-    """The verdict once its witness has replayed through the full
+def _replayed(out, aug, replay):
+    """The verdicts once their witnesses have replayed through the full
     construction, with the witness words projected onto the original system."""
-    if verdict.witness is None:
-        return verdict
-    ok, why = replay(aug, verdict.witness)
-    if not ok:
-        raise InputError(f"witness failed replay: {why}")
-    words = tuple(aug.sigma_word(w) for w in verdict.witness.words)
-    return replace(verdict, witness=replace(verdict.witness, words=words))
+
+    def project(verdict: Verdict) -> Verdict:
+        if verdict.witness is None:
+            return verdict
+        ok, why = replay(aug, verdict.witness)
+        if not ok:
+            raise InputError(f"witness failed replay: {why}")
+        words = tuple(aug.sigma_word(w) for w in verdict.witness.words)
+        return replace(verdict, witness=replace(verdict.witness, words=words))
+
+    return _each(out, project)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +290,10 @@ def cmd_check_reach(args) -> int:
     loaded = load_system(args.system)
     bad = _property(loaded, ("reach-bad",), args.property)
 
-    def check(m: RegularSystem) -> Verdict:
-        return check_reachability_property(m, bad, args.budget)
+    def check(m: RegularSystem, lengths):
+        return check_reachability_property(m, bad, args.budget, lengths)
 
-    return _report(args, "check-reach", loaded.system, check, _parse_slice(args.slice))
+    return _report(args, "check-reach", loaded.system, _timed(check), _parse_slice(args.slice))
 
 
 def cmd_check_gsp(args) -> int:
@@ -282,21 +302,24 @@ def cmd_check_gsp(args) -> int:
     base = loaded.system
     build = build_augmented_omega if base.mode == OMEGA else build_augmented_finite
 
-    def check(m: RegularSystem) -> Verdict:
+    def loop(m: RegularSystem, lengths):
         aug = build(m, neg, loaded.cops)
-        if args.engine == "sim":
-            sim = sim_fixpoint(aug.msys, loaded.cops, args.budget)
-            if not sim.exact:
-                # an unconverged iterate is not a simulation, so no check runs
-                return Verdict.unknown(
-                    f"budget {args.budget} exhausted before the simulation fixpoint converged",
-                    sim_exact=False,
-                )
-            verdict = check_emptiness_sim(aug.msys, sim, args.budget)
-        else:
-            verdict = check_emptiness_loop(aug.msys, args.budget)
+        verdicts = check_emptiness_loop(aug.msys, args.budget, lengths)
+        return _replayed(verdicts, aug, replay_gsp_witness)
+
+    def sim(m: RegularSystem, n) -> Verdict:
+        aug = build(m, neg, loaded.cops)
+        sim = sim_fixpoint(aug.msys, loaded.cops, args.budget)
+        if not sim.exact:
+            # an unconverged iterate is not a simulation, so no check runs
+            return Verdict.unknown(
+                f"budget {args.budget} exhausted before the simulation fixpoint converged",
+                sim_exact=False,
+            )
+        verdict = check_emptiness_sim(aug.msys, sim, args.budget)
         return _replayed(verdict, aug, replay_gsp_witness)
 
+    check = each_slice(_timed(sim)) if args.engine == "sim" else _timed(loop)
     # omega-mode systems are not sliced (their words are infinite), but a
     # malformed --slice is rejected all the same
     span = _parse_slice(args.slice)
@@ -319,12 +342,12 @@ def cmd_check_losp(args) -> int:
         loaded, ("losp-negated",), args.property, lambda aut: losp_property(aut, len(loaded.leps))
     )
 
-    def check(m: RegularSystem) -> Verdict:
+    def check(m: RegularSystem, n) -> Verdict:
         aug = build_augmented_losp(m, lo_prop, loaded.leps)
         return _replayed(check_losp(aug, args.budget), aug, replay_losp_witness)
 
     span = _parse_slice(args.slice, "check-losp needs a slice range (parametric verification)")
-    return _report(args, "check-losp", loaded.system, check, span)
+    return _report(args, "check-losp", loaded.system, each_slice(_timed(check)), span)
 
 
 def _fixpoint(done: bool, **diag) -> Verdict:
@@ -335,20 +358,21 @@ def _fixpoint(done: bool, **diag) -> Verdict:
 def cmd_closure(args) -> int:
     loaded = load_system(args.system)
 
-    def check(m: RegularSystem) -> Verdict:
+    def check(m: RegularSystem, n) -> Verdict:
         r = closure(m.relation, args.kind, args.budget)
         states = r.relation.inner.n_states
         return _fixpoint(r.converged, converged=r.converged, steps=r.steps_used, states=states)
 
     span = _parse_slice(args.slice)
-    return _report(args, "closure", loaded.system, check, span, ("converged", "steps", "states"))
+    fields = ("converged", "steps", "states")
+    return _report(args, "closure", loaded.system, each_slice(_timed(check)), span, fields)
 
 
 def cmd_sim(args) -> int:
     loaded = load_system(args.system)
     neg = _gsp_property(loaded, args)
 
-    def check(m: RegularSystem) -> Verdict:
+    def check(m: RegularSystem, n) -> Verdict:
         aug = build_augmented_finite(m, neg, loaded.cops)
         sim = sim_fixpoint(aug.msys, loaded.cops, args.budget)
         states = sim.relation.inner.n_states
@@ -356,7 +380,8 @@ def cmd_sim(args) -> int:
 
     needs = "sim needs a slice range (finite-index detection is per slice)"
     span = _parse_slice(args.slice, needs)
-    return _report(args, "sim", loaded.system, check, span, ("exact", "iterations", "states"))
+    fields = ("exact", "iterations", "states")
+    return _report(args, "sim", loaded.system, each_slice(_timed(check)), span, fields)
 
 
 def cmd_gen_example(args) -> int:

@@ -69,6 +69,7 @@ from .system import (
     RegularSystem,
     Verdict,
     _backchain,
+    _Lengths,
     _reach_layers,
     _run_fault,
     replay_lasso,
@@ -441,7 +442,9 @@ def build_augmented_omega(
 # loop-detection emptiness
 
 
-def check_emptiness_loop(msys: BuchiRegularSystem, budget: int = 64) -> Verdict:
+def check_emptiness_loop(
+    msys: BuchiRegularSystem, budget: int = 64, lengths: range | None = None
+) -> Verdict | dict[int, Verdict]:
     """Loop-detection emptiness of a Buchi regular system, in either mode.
 
     `holds` needs the reach, pre+ and nested fixpoints to have converged
@@ -449,17 +452,22 @@ def check_emptiness_loop(msys: BuchiRegularSystem, budget: int = 64) -> Verdict:
     replayed lasso, whether or not they converged.  A nonempty limit with no
     lasso in bound gives `unknown`: in omega mode an accepting execution need
     not repeat a configuration, so it may have no lasso at all.  An omega
-    operation that leaves the weak automata gives `unknown` too.
+    operation that leaves the weak automata gives `unknown` too.  Given
+    `lengths`, those the initial set was cut to, the result is a verdict per
+    length, each the one its slice's own run gives.
     """
+    keys = _Lengths(msys.system.alphabet, lengths)
     try:
-        return _nested_emptiness(msys, budget)
+        verdicts = _nested_emptiness(msys, budget, keys)
     except NonWeakResult as e:
-        return Verdict.unknown(f"weak representability lost: {e}")
+        verdicts = {key: Verdict.unknown(f"weak representability lost: {e}") for key in keys.keys}
+    return verdicts if lengths is not None else verdicts[None]
 
 
-def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
+def _nested_emptiness(msys: BuchiRegularSystem, budget: int, keys: _Lengths) -> dict:
     """Emerson-Lei fixpoint: the accepting reachable words that reach the
-    set again in one or more steps, iterated down to the greatest such set.
+    set again in one or more steps, iterated down to the greatest such set;
+    a verdict per key of `keys`.
 
     The accepting configurations of an accepting execution each reach
     another in one or more steps, so they stay inside every iterate, whether
@@ -469,23 +477,45 @@ def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
     one length must repeat; in omega mode it need not.
     """
     m = msys.system
-    layers, reach, reach_conv, reach_steps = _reach_layers(m, budget)
+    layers, reach, ends = _reach_layers(m, budget, keys=keys)
     fair = _canon(_intersect(reach, msys.acceptance))
-    if reach_conv and _is_empty(fair):
-        return Verdict.holds(reach_steps=reach_steps, nested_rounds=0, converged=True)
-    reason = None if reach_conv else "reachability"
-    rounds = 0
-    for rounds in range(1, budget + 1):
-        back, back_conv = _pre_plus(m, reach, fair, budget)
-        if not back_conv:
-            reason = "backward reachability"
-        nxt = _canon(_intersect(fair, back))
-        if nxt == fair:
+    live = set(keys.keys)
+    reasons = {key: None if conv else "reachability" for key, (conv, _) in ends.items()}
+    # a key whose reach converged without an accepting word is done at round 0
+    converged = {key for key in live if ends[key][0]}
+    done = converged - keys.of(fair, live) if converged else set()
+    limits = dict.fromkeys(done, fair)
+    rounds = dict.fromkeys(done, 0)
+    fair = keys.decide(done, live, fair)
+    for r in range(1, budget + 1):
+        if not live:
             break
-        fair = nxt
-    else:
-        reason = reason or "nested"
-    diag = {"reach_steps": reach_steps, "nested_rounds": rounds, "converged": reason is None}
+        back, open_keys = _pre_plus(m, reach, fair, budget, keys, live)
+        reasons.update(dict.fromkeys(open_keys, "backward reachability"))
+        nxt = _canon(_intersect(fair, back))
+        done = live - keys.moved(fair, nxt, live)
+        limits.update(dict.fromkeys(done, nxt))
+        rounds.update(dict.fromkeys(done, r))
+        fair = keys.decide(done, live, nxt)
+    for key in live:
+        limits[key], rounds[key] = fair, budget
+        reasons[key] = reasons[key] or "nested"
+    verdicts = {}
+    for key in keys.keys:
+        diag = {
+            "reach_steps": ends[key][1],
+            "nested_rounds": rounds[key],
+            "converged": reasons[key] is None,
+        }
+        fair = keys.part(limits[key], key)
+        verdicts[key] = _limit_verdict(msys, layers, reach, fair, reasons[key], budget, diag)
+    return verdicts
+
+
+def _limit_verdict(msys, layers, reach, fair, reason, budget: int, diag: dict) -> Verdict:
+    """The verdict of one key whose nested limit is `fair`; `reason` names
+    the fixpoint that did not converge, if one did not."""
+    m = msys.system
     if _is_empty(fair):
         if reason is None:
             return Verdict.holds(**diag)
@@ -504,16 +534,19 @@ def _nested_emptiness(msys: BuchiRegularSystem, budget: int) -> Verdict:
     return Verdict.violated(witness, **diag)
 
 
-def _pre_plus(m: RegularSystem, reach, target, budget: int):
+def _pre_plus(m: RegularSystem, reach, target, budget: int, keys: _Lengths, live: set):
     """Words of `reach` with a path of one or more steps into `target`, and
-    whether the backward fixpoint converged within `budget` steps."""
+    the keys of `live` whose backward fixpoint did not converge within
+    `budget` steps."""
+    live = set(live)
     back = _canon(_intersect(reach, preimage(m.relation, target)))
     for _ in range(budget):
         nxt = _canon(union(back, _intersect(reach, preimage(m.relation, back))))
-        if nxt == back:
-            return back, True
+        live &= keys.moved(nxt, back, live)
         back = nxt
-    return back, False
+        if not live:
+            break
+    return back, live
 
 
 def _fair_lasso(m: RegularSystem, layers, reach, fair, budget: int):

@@ -152,8 +152,8 @@ def sim_fixpoint(
         raise InputError("budget must be at least 1")
     m = msys.system
     try:
-        _, reach, converged, _ = _reach_layers(m, budget)
-        closed = reach if converged else None
+        _, reach, ends = _reach_layers(m, budget)
+        closed = reach if ends[None][0] else None
     except NonWeakResult:
         closed = None
     t = _on_reach(m.relation, closed)
@@ -217,7 +217,8 @@ def check_emptiness_sim(
         raise InputError("inexact iterate is not a sound simulation; validate a candidate instead")
     m = msys.system
     try:
-        layers, reach, reach_conv, _ = _reach_layers(m, budget)
+        layers, reach, ends = _reach_layers(m, budget)
+        reach_conv = ends[None][0]
         plus = closure(_on_reach(m.relation, reach if reach_conv else None), "plus", budget)
         # words w1 with (w1, w2) in T+ cap Sim for some accepting w2
         similar = Transducer(_intersect(plus.relation.inner, sim.relation.inner))

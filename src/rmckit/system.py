@@ -5,10 +5,18 @@ base alphabet, the initial set is an automaton and the transition relation a
 structure-preserving transducer.  Parametric verification slices a finite
 system to one word length per network instance; sliced systems have finitely
 many reachable states, so the fixpoint computations below are exact on them.
-`verify_parametric` is the one slice runner, for the library and the CLI
-alike: it runs a check on each slice of a range, or once on the unsliced
-system, and conjoins the verdicts.  A `violated` reachability verdict carries
-a path witness that has replayed against the system before it is returned.
+
+The relation preserves length, so a run from an initial set cut to a set of
+lengths is the disjoint union of the runs of its slices: every iterate, cut
+to length n, is slice n's own.  `verify_parametric` is the one slice runner,
+for the library and the CLI alike: it cuts the initial set to the lengths of
+a range, leaves the relation whole, runs the check once, and conjoins the
+verdict it gives for each length; or it runs the check once on the unsliced
+system.  The reachability engine here and the loop engine of `gsp` give a
+verdict per length, each equal to the one its slice's own run gives; checks
+with no such engine run slice by slice through `each_slice`.  A `violated`
+reachability verdict carries a path witness that has replayed against the
+system before it is returned.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, exact_length, intersect, minimize, union
+from .automata import FiniteAutomaton, cut_lengths, exact_length, intersect, minimize, union
 from .errors import InputError, ModeMismatch, NonWeakResult, NotDeterministic, NotWeak
 from .omega import (
     OmegaAutomaton,
@@ -135,32 +143,118 @@ class ReachResult:
     steps: int
 
 
+class _Lengths:
+    """The verdict keys of one fixpoint run over a system.
+
+    A run over the whole system has the one key None.  A run over a system
+    whose initial set was cut to a set of lengths has one key per length,
+    and each length's part of an iterate is that length's own run.  A run
+    keeps the keys it has yet to decide in a `live` set.  A length changes
+    between two iterates iff it is a length of the words in one and not in
+    the other, and once a fixpoint's length stops changing it never changes
+    again.  With one key live, canonical equality is that test, so no change
+    set is built.  The iterates a run still steps are cut to the live
+    lengths whenever a key is decided: that drops the lengths a stopped
+    reach run would go on growing, so that the test stays exact, and keeps
+    the iterates small.
+    """
+
+    def __init__(self, alphabet, lengths: Iterable[int] | None = None):
+        self.alphabet = alphabet
+        self.keys = (None,) if lengths is None else tuple(lengths)
+        self.hi = max(self.keys) if lengths is not None else 0
+
+    def of(self, a: FiniteAutomaton, live: set) -> set:
+        """The keys of `live` with a word in `a`, which holds no word of a
+        decided length."""
+        if len(live) == 1:
+            return set() if _is_empty(a) else set(live)
+        return _lengths_of(a, self.hi) & live
+
+    def moved(self, a: FiniteAutomaton, b: FiniteAutomaton, live: set) -> set:
+        """The keys of `live` on which `a` has words that `b`, within `a`
+        and canonical like it, has not."""
+        if len(live) == 1:
+            return set() if a == b else set(live)
+        return _lengths_of(a, self.hi, b) & live
+
+    def decide(self, done: set, live: set, a: FiniteAutomaton) -> FiniteAutomaton:
+        """Drop `done` from `live`, and return `a` cut to the keys left."""
+        live -= done
+        if not done or not live:
+            return a
+        return _canon(cut_lengths(a, live))
+
+    def part(self, a: FiniteAutomaton, key) -> FiniteAutomaton:
+        """The words of `a` of length `key`; all of them in a one-key run."""
+        if len(self.keys) == 1:
+            return a
+        return cut_lengths(a, (key,))
+
+
+def _lengths_of(a: FiniteAutomaton, hi: int, b: FiniteAutomaton | None = None) -> set[int]:
+    """The lengths up to `hi` of the words of `a` that `b`, a DFA, lacks (of
+    all words of `a` without `b`), read by a frontier walk of the product;
+    with `b` the iterate before `a`, this is a run's per-length change set."""
+    lengths = set()
+    b_rows = {} if b is None else b.adjacency
+    b_accepting = frozenset() if b is None else b.accepting
+    frontier = {(q, None if b is None else next(iter(b.initial))) for q in a.initial}
+    for n in range(hi + 1):
+        if not frontier:
+            break
+        if any(qa in a.accepting and qb not in b_accepting for qa, qb in frontier):
+            lengths.add(n)
+        frontier = {
+            (da, b_rows.get(qb, {}).get(sym, (None,))[0])
+            for qa, qb in frontier
+            for sym, dsts in a.adjacency.get(qa, {}).items()
+            for da in dsts
+        }
+    return lengths
+
+
 def _reach_layers(
     m: RegularSystem,
     budget: int,
-    stop: Callable[[FiniteAutomaton], bool] = lambda layer: False,
-) -> tuple[list[FiniteAutomaton], FiniteAutomaton, bool, int]:
-    """Per-step image layers, the canonical cumulative union, convergence and
-    the last layer's index; unconverged at the first layer `stop` holds for."""
+    stop: Callable[[FiniteAutomaton], FiniteAutomaton] | None = None,
+    keys: _Lengths | None = None,
+) -> tuple[list[FiniteAutomaton], FiniteAutomaton, dict]:
+    """Per-step image layers, the canonical cumulative union, and per key
+    of `keys` (the whole system by default) whether its reach converged and
+    the index of its last layer.  A key stops, unconverged, at the first
+    layer where `stop(layer)` has a word of its length.  Once a key is
+    decided, later layers hold the words of the keys still live only."""
+    keys = keys or _Lengths(m.alphabet)
+    live = set(keys.keys)
+    ends = {}
     layer = _canon(m.initial)
     layers = [layer]
     cumulative = layer
     step = 0
-    while not stop(layer) and step < budget:
+    while live:
+        if stop is not None:
+            hit = keys.of(stop(layer), live)
+            ends.update((key, (False, step)) for key in hit)
+            layer = keys.decide(hit, live, layer)
+        if not live or step >= budget:
+            break
         step += 1
         layer = _canon(image(m.relation, layer))
         layers.append(layer)
         nxt = _canon(union(cumulative, layer))
-        if nxt == cumulative:
-            return layers, cumulative, True, step
+        done = live - keys.moved(nxt, cumulative, live)
+        ends.update((key, (True, step)) for key in done)
+        layer = keys.decide(done, live, layer)
         cumulative = nxt
-    return layers, cumulative, False, step
+    ends.update((key, (False, step)) for key in live)
+    return layers, cumulative, {key: ends[key] for key in keys.keys}
 
 
 def reachable(m: RegularSystem, budget: int = 64) -> ReachResult:
     """Iterated-image fixpoint for T*(initial) with exact convergence."""
-    _, cumulative, converged, steps = _reach_layers(m, budget)
-    return ReachResult(cumulative, converged, steps)
+    _, cumulative, ends = _reach_layers(m, budget)
+    return ReachResult(cumulative, *ends[None])
 
 
 def _backchain(
@@ -178,31 +272,36 @@ def _backchain(
 
 
 def check_reachability_property(
-    m: RegularSystem, bad: FiniteAutomaton, budget: int = 64
-) -> Verdict:
+    m: RegularSystem, bad: FiniteAutomaton, budget: int = 64, lengths: range | None = None
+) -> Verdict | dict[int, Verdict]:
     """Holds iff no reachable word is bad; `bad`, an automaton of the system's
-    mode, encodes the unsafe words.  A path witness replays before it is returned."""
+    mode, encodes the unsafe words.  A path witness replays before it is
+    returned.  Given `lengths`, those the initial set of `m` was cut to, the
+    result is a verdict per length, each the one its slice's own run gives."""
     if type(bad) is not (OmegaAutomaton if m.mode == OMEGA else FiniteAutomaton):
         words = "an omega" if m.mode == OMEGA else "a finite"
         raise ModeMismatch(f"bad set must be {words}-word automaton")
     if bad.alphabet != m.alphabet:
         raise ModeMismatch("bad-set automaton is over a different alphabet")
+    keys = _Lengths(m.alphabet, lengths)
     try:
-        layers, _, converged, steps = _reach_layers(
-            m, budget, lambda layer: not _is_empty(_intersect(layer, bad))
-        )
-        target = None if converged else _pick(_intersect(layers[-1], bad))
-        if target is not None:
-            witness = LassoWitness(tuple(_backchain(m, layers, steps, target)), None)
-            ok, why = replay_path(m, bad, witness)
-            if not ok:
-                raise InputError(f"extracted witness failed replay: {why} (bug)")
-            return Verdict.violated(witness, steps=steps)
+        layers, _, ends = _reach_layers(m, budget, lambda layer: _intersect(layer, bad), keys)
+        verdicts = {}
+        for key, (converged, steps) in ends.items():
+            target = None if converged else _pick(_intersect(keys.part(layers[steps], key), bad))
+            if target is not None:
+                witness = LassoWitness(tuple(_backchain(m, layers, steps, target)), None)
+                ok, why = replay_path(m, bad, witness)
+                if not ok:
+                    raise InputError(f"extracted witness failed replay: {why} (bug)")
+                verdicts[key] = Verdict.violated(witness, steps=steps)
+            elif converged:
+                verdicts[key] = Verdict.holds(steps=steps)
+            else:
+                verdicts[key] = Verdict.unknown("budget exhausted before convergence", steps=budget)
     except NonWeakResult as e:
-        return Verdict.unknown(f"weak representability lost: {e}")
-    if converged:
-        return Verdict.holds(steps=steps)
-    return Verdict.unknown("budget exhausted before convergence", steps=budget)
+        verdicts = {key: Verdict.unknown(f"weak representability lost: {e}") for key in keys.keys}
+    return verdicts if lengths is not None else verdicts[None]
 
 
 @dataclass(frozen=True)
@@ -233,19 +332,25 @@ def thread_cap() -> int:
 
 def verify_parametric(
     m: RegularSystem,
-    check: Callable[[RegularSystem, int | None], Verdict],
+    check: Callable[[RegularSystem, range | None], Verdict | dict[int, Verdict]],
     lo: int | None = 2,
     hi: int = 8,
 ) -> tuple[dict[int | None, Verdict], Verdict]:
-    """Run `check(slice, n)` on each length n from lo to hi, in slice order,
-    or `check(m, None)` once on the unsliced system when lo is None; the
-    overall verdict is the conjunction of the results."""
+    """Run `check(cut, range(lo, hi + 1))` once, where `cut` is `m` with its
+    initial set cut to the lengths lo to hi and its relation whole, for a
+    verdict per length; or, when lo is None, `check(m, None)` once on the
+    unsliced system for one verdict.  The overall verdict is the
+    conjunction of the results, in slice order."""
     if lo is None:
         results = {None: check(m, None)}
     elif lo < 1 or hi < lo:
         raise InputError("bad slice range")
+    elif m.mode != FINITE:
+        raise ModeMismatch("slicing is defined for finite-mode systems only")
     else:
-        results = {n: check(slice_system(m, n), n) for n in range(lo, hi + 1)}
+        lengths = range(lo, hi + 1)
+        initial = minimize(cut_lengths(m.initial, lengths))
+        results = check(RegularSystem(m.alphabet, initial, m.relation, FINITE), lengths)
     status = _conjoin(v.status for v in results.values())
     if status == VIOLATED:
         n = next(n for n, v in results.items() if v.status == VIOLATED)
@@ -254,6 +359,21 @@ def verify_parametric(
         return results, Verdict.holds(slices=list(results))
     unknowns = [n for n, v in results.items() if v.status == UNKNOWN]
     return results, Verdict.unknown("some slices unknown", slices=unknowns)
+
+
+def each_slice(
+    check: Callable[[RegularSystem, int | None], Verdict],
+) -> Callable[[RegularSystem, range | None], Verdict | dict[int, Verdict]]:
+    """A check for `verify_parametric` that runs `check(slice_system(m, n),
+    n)` on each length n, for checks with no engine that runs a length set
+    at once; unsliced, it runs `check(m, None)`."""
+
+    def run(m: RegularSystem, lengths: range | None):
+        if lengths is None:
+            return check(m, None)
+        return {n: check(slice_system(m, n), n) for n in lengths}
+
+    return run
 
 
 def _conjoin(statuses: Iterable[str]) -> str:

@@ -614,3 +614,31 @@ def random_sliced_system(rng: random.Random, n: int) -> RegularSystem:
     rel = random_transducer(rng, base, max_states=4)
     system = RegularSystem(base, init, rel, "finite")
     return slice_system(validate(system), n)
+
+
+def random_unsliced_system(rng: random.Random, lo: int = 2, hi: int = 6) -> RegularSystem:
+    """Random finite-mode system over words of several lengths, not sliced.
+
+    The initial set is a random complete DFA cut to the lengths lo..hi,
+    drawn again until it has words of at least two lengths.  The relation
+    is a random transducer plus a planted cycle for each length with
+    initial words: one initial word w steps to a word u1, and u1 .. uk step
+    round a cycle, all of w's length, so every slice with an initial word
+    has an infinite execution whatever the random part draws.
+    """
+    from rmckit.automata import cut_lengths, minimize, union, word_automaton
+    from rmckit.system import validate
+
+    base = Alphabet.base(("A", "B"))
+    words: list[tuple[int, ...]] = []
+    while len({len(w) for w in words}) < 2:
+        init = minimize(cut_lengths(random_dfa_complete(rng, base, 4), range(lo, hi + 1)))
+        words = sorted(language_upto(init, hi))
+    rel = random_transducer(rng, base, max_states=4).inner
+    for n in sorted({len(w) for w in words}):
+        w = rng.choice([w for w in words if len(w) == n])
+        cycle = [tuple(rng.randrange(base.size) for _ in w) for _ in range(rng.randint(1, 3))]
+        for a, b in [(w, cycle[0])] + list(zip(cycle, cycle[1:] + cycle[:1])):
+            pair = [x * base.size + y for x, y in zip(a, b)]
+            rel = union(rel, word_automaton(rel.alphabet, pair))
+    return validate(RegularSystem(base, init, Transducer(rel), "finite"))

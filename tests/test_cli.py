@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rmckit import cli
+from rmckit import cli, system
 from rmckit.cli import main
 from rmckit.fixtures import EXAMPLE_NAMES, gen_example
 
@@ -284,6 +284,34 @@ def test_slices_reported_in_order(ring_dir, capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("slice ")]
     assert [l.split(":")[0] for l in lines] == [f"slice {n}" for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("command", ["check-reach", "check-gsp"])
+@pytest.mark.parametrize("bundle", ["ring_dir", "idle_dir", "dup_dir"])
+def test_range_rows_equal_the_rows_of_single_slice_runs(request, capsys, command, bundle):
+    # one range run gives each slice the row that the slice's own run gives
+    sys_file = str(request.getfixturevalue(bundle) / "system.sys")
+
+    def rows(span):
+        main([command, "--system", sys_file, "--slice", span, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        for row in doc["slices"]:
+            del row["time_ms"]
+        return doc["slices"]
+
+    assert rows("2..7") == [row for n in range(2, 8) for row in rows(str(n))]
+
+
+@pytest.mark.parametrize("command", ["check-reach", "check-gsp"])
+def test_range_checks_slice_no_system(ring_dir, capsys, monkeypatch, command):
+    calls = []
+    real = system.slice_system
+    monkeypatch.setattr(system, "slice_system", lambda *args: calls.append(args) or real(*args))
+    code = main([command, "--system", str(ring_dir / "system.sys"), "--slice", "2..24"])
+    assert code == 0 and calls == []
+    # checks with no range engine still slice, once per slice
+    main(["closure", "--system", str(ring_dir / "system.sys"), "--slice", "2..3"])
+    assert [n for _, n in calls] == [2, 3]
 
 
 @pytest.mark.parametrize("command", ["check-reach", "check-gsp", "check-losp", "sim", "closure"])

@@ -11,7 +11,9 @@ from rmckit import (
     NotDeterministic,
     NotWeak,
     RegularSystem,
+    Verdict,
     check_reachability_property,
+    each_slice,
     enumerate_words,
     includes,
     locality_evidence,
@@ -246,27 +248,61 @@ def test_sliced_reach_included_in_converging_unsliced_reach():
     assert includes(sl_reach.automaton, full.automaton)
 
 
-def test_verify_parametric_conjunction():
-    results, overall = verify_parametric(
-        token_ring(),
-        lambda m, n: check_reachability_property(m, bad_two_tokens(), budget=32),
-        lo=2,
-        hi=5,
-    )
-    assert set(results) == {2, 3, 4, 5}
+def test_verify_parametric_runs_the_check_once_on_the_cut_system():
+    m = token_ring()
+    calls = []
+
+    def check(sys_, lengths):
+        calls.append((sys_, lengths))
+        return check_reachability_property(sys_, bad_two_tokens(), budget=32, lengths=lengths)
+
+    results, overall = verify_parametric(m, check, lo=2, hi=5)
+    assert len(calls) == 1
+    cut, lengths = calls[0]
+    assert lengths == range(2, 6)
+    # the initial set is cut to the lengths of the range; the relation stays whole
+    assert cut.relation is m.relation
+    assert enumerate_words(cut.initial, 7) == [
+        w for w in enumerate_words(m.initial, 7) if 2 <= len(w) <= 5
+    ]
+    assert list(results) == [2, 3, 4, 5]
     assert overall.status == HOLDS
     assert all(v.status == HOLDS for v in results.values())
+
+
+def test_verify_parametric_conjoins_per_length_verdicts_in_slice_order():
+    verdicts = {3: Verdict.holds(), 4: Verdict.unknown("x"), 5: Verdict.holds()}
+    results, overall = verify_parametric(token_ring(), lambda m, lengths: verdicts, lo=3, hi=5)
+    assert results is verdicts
+    assert overall.status == UNKNOWN and overall.diagnostics["slices"] == [4]
 
 
 def test_verify_parametric_unsliced_runs_the_check_once():
     m = token_ring()
     calls = []
 
-    def check(sys_, n):
-        calls.append((sys_, n))
-        return check_reachability_property(sys_, bad_two_tokens(), budget=3)
+    def check(sys_, lengths):
+        calls.append((sys_, lengths))
+        return check_reachability_property(sys_, bad_two_tokens(), budget=3, lengths=lengths)
 
     results, overall = verify_parametric(m, check, lo=None)
     assert len(calls) == 1 and calls[0][0] is m and calls[0][1] is None
     assert list(results) == [None]
     assert overall.status == UNKNOWN == results[None].status
+
+
+def test_each_slice_runs_a_per_slice_check_on_each_slice():
+    m = token_ring()
+    calls = []
+
+    def check(sl, n):
+        calls.append((sl, n))
+        return check_reachability_property(sl, bad_two_tokens(), budget=32)
+
+    results, overall = verify_parametric(m, each_slice(check), lo=2, hi=4)
+    assert [n for _, n in calls] == [2, 3, 4]
+    # slicing the cut system gives the very values that slicing m gives
+    assert all(sl == slice_system(m, n) for sl, n in calls)
+    assert list(results) == [2, 3, 4] and overall.status == HOLDS
+    _, unsliced = verify_parametric(m, each_slice(check), lo=None)
+    assert calls[-1] == (m, None) and unsliced.status == UNKNOWN
