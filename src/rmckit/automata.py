@@ -7,45 +7,60 @@ automaton.  State ids are dense integers; canonical numbering is
 breadth-first discovery order from the initial states with symbol order as
 tie-break.
 
+An automaton is its rows: `FiniteAutomaton.adjacency` is the one stored
+form of its moves, and every construction hands rows to the next one.  The
+transition set is derived from the rows only when something reads it, such
+as serialization; no check does.
+
 `explore` is the one place that numbers states: every product, every
 explicit construction over implicitly given states (here and in `omega`,
 `gsp`, `losp` and `simulation`) and the quotient of `minimize` is a `moves`
-function and an acceptance predicate handed to it.  It hands the rows it
-walked to the automaton it returns as its `adjacency`, so the next product,
-image or `minimize` reads them without regrouping the transition set.  The
-one exception is the subset construction `_determinize_subsets`, which
-numbers its subsets itself and hands `minimize` rows of the `adjacency`
-shape without building an automaton.  A deterministic input skips the
-subset construction: `minimize` refines the input's own rows, and only the
-quotient is numbered.  `complete` is the one place that adds a completion
-sink, always as the highest-numbered state.  `relabel` is the one place that
-rewrites letters: projections, transducer inverses, flag extensions and the
-GSP and LOSP label constructions are each a letter map handed to it.
+function and an acceptance predicate handed to it, and the rows it walked
+become the rows of the automaton it returns.  The one exception is the
+subset construction `_determinize_subsets`, which numbers its subsets itself,
+in the order `explore` would, because walking the rows directly is faster.
+A deterministic input skips the subset construction: `minimize` refines the
+input's own rows, and only the quotient is numbered.  `complete` is the one
+place that adds a completion sink, always as the highest-numbered state.
+`relabel` is the one place that rewrites letters: projections, transducer
+inverses, flag extensions and the GSP and LOSP label constructions are each
+a letter map handed to it.  `_reflag` is the one place that changes the
+accepting states or the class of an automaton; the rows are shared.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .alphabet import COMPLETION_CAP, Alphabet
-from .errors import InputError
+from .errors import AlphabetCapExceeded, InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FiniteAutomaton:
     """Nondeterministic finite-word automaton over an indexed alphabet.
 
-    Every state and symbol is checked on construction, except on the one
-    trusted path, `_trusted`: it skips `__post_init__` and takes the
-    `adjacency` its caller already built.  Its only callers are these four
-    builders.  `explore` numbers every state itself and checks each row's
-    symbols; `complete` adds only in-range sink moves to a valid automaton;
-    `relabel` keeps the states of a valid automaton and checks every new
-    letter; `union` shifts the states of two valid automata apart.
+    The moves are stored once, as rows: `adjacency` maps a state to a map
+    from symbol to the sorted tuple of its distinct destinations, with no
+    empty row and no empty symbol entry.  `transitions`, the set of
+    (src, sym, dst) triples, is derived from the rows on first read and
+    cached; the public constructor takes that set, checks every state and
+    symbol, and groups it into rows.  Equality compares the class, the
+    alphabet, the state count, the initial and accepting states and the
+    rows, so an `OmegaAutomaton` never equals a `FiniteAutomaton`.
+
+    Constructions skip the constructor through `_trusted`, which takes the rows
+    its caller already built.  Its only callers are these six.  `explore`
+    numbers every state itself and checks each row's symbols; `complete`
+    adds only in-range sink moves to a valid automaton; `relabel` keeps the
+    states of a valid automaton and checks every new letter; `union` shifts
+    the states of two valid automata apart; `_determinize_subsets` numbers
+    the subsets of a valid automaton; `_reflag` changes only the accepting
+    states, checked in range, and the class of a valid automaton.
     """
 
     alphabet: Alphabet
@@ -54,38 +69,61 @@ class FiniteAutomaton:
     accepting: frozenset[int]
     transitions: frozenset[tuple[int, int, int]]
 
-    def __post_init__(self):
-        if self.n_states <= 0:
+    def __init__(self, alphabet, n_states, initial, accepting, transitions):
+        if n_states <= 0:
             raise InputError("automaton needs at least one state")
-        size = self.alphabet.size
-        for q in self.initial | self.accepting:
-            if not (0 <= q < self.n_states):
+        initial, accepting = frozenset(initial), frozenset(accepting)
+        size = alphabet.size
+        for q in initial | accepting:
+            if not (0 <= q < n_states):
                 raise InputError(f"state {q} out of range")
-        for src, sym, dst in self.transitions:
-            if not (0 <= src < self.n_states and 0 <= dst < self.n_states):
+        rows: dict[int, dict[int, list[int]]] = {}
+        for src, sym, dst in transitions:
+            if not (0 <= src < n_states and 0 <= dst < n_states):
                 raise InputError(f"transition ({src},{sym},{dst}) references unknown state")
             if not (0 <= sym < size):
                 raise InputError(f"transition symbol {sym} not in alphabet")
+            rows.setdefault(src, {}).setdefault(sym, []).append(dst)
+        for row in rows.values():
+            for sym, dsts in row.items():
+                row[sym] = tuple(sorted(set(dsts)))
+        self.__dict__.update(
+            alphabet=alphabet, n_states=n_states, initial=initial, accepting=accepting,
+            transitions=frozenset(transitions), adjacency=rows,
+        )
 
     @classmethod
-    def _trusted(cls, alphabet, n_states, initial, accepting, transitions, adjacency):
+    def _trusted(cls, alphabet, n_states, initial, accepting, adjacency):
         a = object.__new__(cls)
         a.__dict__.update(
             alphabet=alphabet, n_states=n_states, initial=initial, accepting=accepting,
-            transitions=transitions, adjacency=adjacency,
+            adjacency=adjacency,
         )
         return a
 
     @cached_property
-    def adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        """state -> symbol -> sorted destination states."""
-        out: dict[int, dict[int, list[int]]] = {}
-        for src, sym, dst in self.transitions:
-            out.setdefault(src, {}).setdefault(sym, []).append(dst)
-        return {
-            src: {sym: tuple(sorted(dsts)) for sym, dsts in row.items()}
-            for src, row in out.items()
-        }
+    def transitions(self) -> frozenset[tuple[int, int, int]]:
+        """Every move as a (src, sym, dst) triple, derived from the rows."""
+        return frozenset(
+            (src, sym, dst)
+            for src, row in self.adjacency.items()
+            for sym, dsts in row.items()
+            for dst in dsts
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.n_states == other.n_states
+            and self.initial == other.initial
+            and self.accepting == other.accepting
+            and self.alphabet == other.alphabet
+            and self.adjacency == other.adjacency
+        )
+
+    def __hash__(self):
+        return hash((self.alphabet, self.n_states, self.initial, self.accepting))
 
     @cached_property
     def is_deterministic(self) -> bool:
@@ -153,32 +191,38 @@ def explore(
             ids[node] = len(order)
             order.append(node)
     if not order:
-        return cls._trusted(alphabet, 1, frozenset({0}), frozenset(), frozenset(), {})
+        return cls._trusted(alphabet, 1, frozenset({0}), frozenset(), {})
     n_starts, size = len(order), alphabet.size
-    transitions = set()
     adjacency: dict[int, dict[int, tuple[int, ...]]] = {}
     # `order` grows while it is walked: that is the breadth-first queue
     for src, node in enumerate(order):
         row: dict = {}
+        repeated = False
         for sym, nxt in moves(node):
             dst = ids.get(nxt)
             if dst is None:
                 dst = ids[nxt] = len(order)
                 order.append(nxt)
-            transitions.add((src, sym, dst))
-            row.setdefault(sym, []).append(dst)
-        for sym, dsts in row.items():
-            if not 0 <= sym < size:
-                raise InputError(f"transition symbol {sym} not in alphabet")
-            row[sym] = tuple(sorted(set(dsts))) if len(dsts) > 1 else (dsts[0],)
+            dsts = row.get(sym)
+            if dsts is None:
+                row[sym] = (dst,)
+            else:
+                row[sym] = dsts + (dst,)
+                repeated = True
         if row:
+            if min(row) < 0 or max(row) >= size:
+                bad = next(sym for sym in row if not 0 <= sym < size)
+                raise InputError(f"transition symbol {bad} not in alphabet")
+            if repeated:
+                for sym, dsts in row.items():
+                    if len(dsts) > 1:
+                        row[sym] = tuple(sorted(set(dsts)))
             adjacency[src] = row
     return cls._trusted(
         alphabet,
         len(order),
         frozenset(range(n_starts)),
         frozenset(i for i, node in enumerate(order) if accepting(node)),
-        frozenset(transitions),
         adjacency,
     )
 
@@ -195,9 +239,13 @@ def _reachable_states(a: FiniteAutomaton) -> set[int]:
     return seen
 
 
-def _shortest_words(a: FiniteAutomaton) -> dict[int, tuple[int, ...]]:
-    """Shortest, then lexicographically least, word reaching each reachable state."""
-    settled: dict[int, tuple[int, ...]] = {q: () for q in a.initial}
+def _shortest_words(
+    a: FiniteAutomaton, starts: Iterable[int] | None = None, within: set[int] | None = None
+) -> dict[int, tuple[int, ...]]:
+    """Shortest, then lexicographically least, word reaching each state
+    reachable from `starts` (default: the initial states), moving only
+    between states of `within` if it is given."""
+    settled: dict[int, tuple[int, ...]] = {q: () for q in (a.initial if starts is None else starts)}
     frontier = dict(settled)
     while frontier:
         nxt: dict[int, tuple[int, ...]] = {}
@@ -205,7 +253,7 @@ def _shortest_words(a: FiniteAutomaton) -> dict[int, tuple[int, ...]]:
             w = frontier[q]
             for sym in sorted(a.adjacency.get(q, {})):
                 for dst in a.adjacency[q][sym]:
-                    if dst in settled:
+                    if dst in settled or (within is not None and dst not in within):
                         continue
                     cand = w + (sym,)
                     if dst not in nxt or cand < nxt[dst]:
@@ -225,17 +273,14 @@ def complete(a: FiniteAutomaton) -> FiniteAutomaton:
     if a.is_complete:
         return a
     sink, rows = a.n_states, a.adjacency
-    adjacency, missing = {}, []
+    adjacency = {}
     for q in range(sink + 1):  # every move of the sink itself is missing
         row = dict(rows.get(q, ()))
         for sym in range(a.alphabet.size):
             if sym not in row:
                 row[sym] = (sink,)
-                missing.append((q, sym, sink))
         adjacency[q] = row
-    return type(a)._trusted(
-        a.alphabet, sink + 1, a.initial, a.accepting, a.transitions.union(missing), adjacency
-    )
+    return type(a)._trusted(a.alphabet, sink + 1, a.initial, a.accepting, adjacency)
 
 
 def relabel(
@@ -250,30 +295,31 @@ def relabel(
     """
     size = alphabet.size
     images: dict[int, list[int]] = {}
-    transitions = set()
-    rows: dict[int, dict[int, list[int]]] = {}
-    # the transition set, not `a.adjacency`: a complement is built by
-    # `replace`, which drops the cached rows
-    for src, sym, dst in a.transitions:
-        new = images.get(sym)
-        if new is None:
-            new = images[sym] = list(letters(sym))
+    adjacency: dict[int, dict[int, tuple[int, ...]]] = {}
+    for src, row in a.adjacency.items():
+        out: dict[int, list[int]] = {}
+        for sym, dsts in row.items():
+            new = images.get(sym)
+            if new is None:
+                new = images[sym] = list(letters(sym))
+                for x in new:
+                    if not 0 <= x < size:
+                        raise InputError(f"transition symbol {x} not in alphabet")
             for x in new:
-                if not 0 <= x < size:
-                    raise InputError(f"transition symbol {x} not in alphabet")
-        if not new:
-            continue
-        row = rows.setdefault(src, {})
-        for x in new:
-            transitions.add((src, x, dst))
-            row.setdefault(x, []).append(dst)
-    adjacency = {
-        src: {x: tuple(sorted(set(d))) if len(d) > 1 else (d[0],) for x, d in row.items()}
-        for src, row in rows.items()
-    }
-    return type(a)._trusted(
-        alphabet, a.n_states, a.initial, a.accepting, frozenset(transitions), adjacency
-    )
+                out.setdefault(x, []).extend(dsts)
+        if out:
+            adjacency[src] = {x: tuple(sorted(set(d))) for x, d in out.items()}
+    return type(a)._trusted(alphabet, a.n_states, a.initial, a.accepting, adjacency)
+
+
+def _reflag(
+    a: FiniteAutomaton, accepting: frozenset[int], cls: type[FiniteAutomaton] | None = None
+) -> FiniteAutomaton:
+    """`a` with the accepting states `accepting`, as a `cls` value (default:
+    the class of `a`); states, initial states and rows stay, shared."""
+    if accepting and not (0 <= min(accepting) and max(accepting) < a.n_states):
+        raise InputError("accepting state out of range")
+    return (cls or type(a))._trusted(a.alphabet, a.n_states, a.initial, accepting, a.adjacency)
 
 
 def strongly_connected_components(
@@ -328,14 +374,13 @@ def strongly_connected_components(
 # determinization / minimization
 
 
-def _determinize_subsets(
-    a: FiniteAutomaton,
-) -> tuple[list[frozenset[int]], dict[int, dict[int, tuple[int]]], set[int]]:
+def _determinize_subsets(a: FiniteAutomaton) -> FiniteAutomaton:
     """Subset construction over reachable subsets; missing moves stay missing.
 
-    Returns (subsets in BFS discovery order, their rows in the `adjacency`
-    shape, accepting ids).  The empty subset appears only if it is the
-    initial subset.
+    The subsets are numbered in breadth-first discovery order, symbols in
+    ascending order, as `explore` would number them; walking the rows here
+    directly is faster than through a `moves` function.  The empty subset
+    appears only if it is the initial subset.
     """
     adjacency = a.adjacency
     start = frozenset(a.initial)
@@ -366,29 +411,28 @@ def _determinize_subsets(
                 order.append(nxt)
                 queue.append(nxt)
             row[sym] = (hit,)
-        delta[cid] = row
-    accepting = {ids[s] for s in order if s & a.accepting}
-    return order, delta, accepting
+        if row:
+            delta[cid] = row
+    accepting = frozenset(i for i, s in enumerate(order) if s & a.accepting)
+    return FiniteAutomaton._trusted(a.alphabet, len(order), frozenset({0}), accepting, delta)
 
 
 def _complete_dfa(d: FiniteAutomaton) -> FiniteAutomaton:
     """`complete(d)`, or the one-state rejecting sink when `d` has no
     accepting state; only the sink is built above `COMPLETION_CAP`."""
     if not d.accepting:
-        return replace(universal(d.alphabet), accepting=frozenset())
+        return _reflag(universal(d.alphabet), frozenset())
     size = d.alphabet.size
     if size > COMPLETION_CAP:
-        raise InputError(f"alphabet of size {size} exceeds completion cap {COMPLETION_CAP}")
+        raise AlphabetCapExceeded(
+            f"alphabet of size {size} exceeds completion cap {COMPLETION_CAP}"
+        )
     return complete(d)
 
 
 def determinize(a: FiniteAutomaton) -> FiniteAutomaton:
     """Deterministic complete automaton with the same language."""
-    order, delta, accepting = _determinize_subsets(a)
-    transitions = frozenset((q, sym, d) for q, row in delta.items() for sym, (d,) in row.items())
-    return _complete_dfa(
-        FiniteAutomaton(a.alphabet, len(order), frozenset({0}), frozenset(accepting), transitions)
-    )
+    return _complete_dfa(_determinize_subsets(a))
 
 
 def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutomaton:
@@ -406,12 +450,9 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
     move into a dead state compare equal.  A deterministic input is refined
     as it is; any other goes through the subset construction first.
     """
-    if a.is_deterministic:
-        (start,) = a.initial
-        n, accepting, rows = a.n_states, a.accepting, a.adjacency
-    else:
-        order, rows, accepting = _determinize_subsets(a)
-        n, start = len(order), 0
+    d = a if a.is_deterministic else _determinize_subsets(a)
+    (start,) = d.initial
+    n, accepting, rows = d.n_states, d.accepting, d.adjacency
 
     # the live states, by a backward search from the accepting ones; the
     # class of a dead state stays -1
@@ -507,14 +548,14 @@ def union(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     shift = a.n_states
     adjacency = dict(a.adjacency)
     for src, row in b.adjacency.items():
-        adjacency[src + shift] = {sym: tuple(d + shift for d in dsts) for sym, dsts in row.items()}
+        adjacency[src + shift] = {
+            sym: tuple([d + shift for d in dsts]) for sym, dsts in row.items()
+        }
     return type(a)._trusted(
         a.alphabet,
         a.n_states + b.n_states,
         a.initial | frozenset(q + shift for q in b.initial),
         a.accepting | frozenset(q + shift for q in b.accepting),
-        a.transitions
-        | frozenset((s + shift, sym, d + shift) for s, sym, d in b.transitions),
         adjacency,
     )
 
@@ -575,7 +616,7 @@ def product_general(
 
 def complement(a: FiniteAutomaton) -> FiniteAutomaton:
     d = determinize(a)
-    return replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
+    return _reflag(d, frozenset(range(d.n_states)) - d.accepting)
 
 
 def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
@@ -706,20 +747,19 @@ def equivalent(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
 
 def universal(alphabet: Alphabet) -> FiniteAutomaton:
     """Automaton accepting every finite word (alphabet must be enumerable)."""
-    return FiniteAutomaton(
-        alphabet,
-        1,
-        frozenset({0}),
-        frozenset({0}),
-        frozenset((0, sym, 0) for sym in alphabet.symbols()),
-    )
+    def moves(q):
+        return ((sym, 0) for sym in alphabet.symbols())
+
+    return explore(FiniteAutomaton, alphabet, [0], moves, lambda q: True)
 
 
 def word_automaton(alphabet: Alphabet, word: Sequence[int]) -> FiniteAutomaton:
-    transitions = frozenset((i, sym, i + 1) for i, sym in enumerate(word))
-    return FiniteAutomaton(
-        alphabet, len(word) + 1, frozenset({0}), frozenset({len(word)}), transitions
-    )
+    n = len(word)
+
+    def moves(i):
+        return [(word[i], i + 1)] if i < n else []
+
+    return explore(FiniteAutomaton, alphabet, [0], moves, lambda i: i == n)
 
 
 def exact_length(alphabet: Alphabet, n: int) -> FiniteAutomaton:

@@ -202,6 +202,8 @@ def _verdict_line(row: dict) -> None:
 def _fields_line(row: dict, keys: tuple[str, ...]) -> None:
     fields = " ".join(f"{key}={row[key]}" for key in keys)
     print(f"{_label(row)}: {fields} [{row['time_ms']} ms]")
+    if "reason" in row:
+        print(f"  reason: {row['reason']}")
 
 
 def _report(args, command: str, base: RegularSystem, check, span, fields=()) -> int:
@@ -312,10 +314,8 @@ def cmd_check_gsp(args) -> int:
         sim = sim_fixpoint(aug.msys, loaded.cops, args.budget)
         if not sim.exact:
             # an unconverged iterate is not a simulation, so no check runs
-            return Verdict.unknown(
-                f"budget {args.budget} exhausted before the simulation fixpoint converged",
-                sim_exact=False,
-            )
+            budget = f"budget {args.budget} exhausted before the simulation fixpoint converged"
+            return Verdict.unknown(sim.reason or budget, sim_exact=False)
         verdict = check_emptiness_sim(aug.msys, sim, args.budget)
         return _replayed(verdict, aug, replay_gsp_witness)
 
@@ -376,7 +376,10 @@ def cmd_sim(args) -> int:
         aug = build_augmented_finite(m, neg, loaded.cops)
         sim = sim_fixpoint(aug.msys, loaded.cops, args.budget)
         states = sim.relation.inner.n_states
-        return _fixpoint(sim.exact, exact=sim.exact, iterations=sim.iteration_index, states=states)
+        capped = {} if sim.reason is None else {"reason": sim.reason}
+        return _fixpoint(
+            sim.exact, exact=sim.exact, iterations=sim.iteration_index, states=states, **capped
+        )
 
     needs = "sim needs a slice range (finite-index detection is per slice)"
     span = _parse_slice(args.slice, needs)

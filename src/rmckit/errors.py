@@ -50,7 +50,8 @@ class InconsistentComplement(InputError):
 
 
 class AlphabetCapExceeded(InputError):
-    """An augmented alphabet would exceed the configured size cap."""
+    """An alphabet exceeds a size cap: an augmented alphabet its configured
+    cap, or the alphabet of a finite-word complement `alphabet.COMPLETION_CAP`."""
 
 
 class ParseError(InputError):

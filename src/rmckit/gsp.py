@@ -243,8 +243,9 @@ def _labelled(m: RegularSystem, neg: NegatedGsp, cops, sigma_a: Alphabet, t_aug,
     nga = neg.automaton
     start = shape(nga.initial)
     labels: dict[int, set[int]] = {}  # base letter -> its letters the shape reads
-    for _, sym, _ in start.transitions:
-        labels.setdefault(sym // radix, set()).add(sym)
+    for row in start.adjacency.values():
+        for sym in row:
+            labels.setdefault(sym // radix, set()).add(sym)
     init = _intersect(relabel(m.initial, sigma_a, lambda a: sorted(labels.get(a, ()))), start)
     aug_system = RegularSystem(sigma_a, init, t_aug, m.mode)
     return GspAugmentation(
@@ -312,13 +313,17 @@ def build_augmented_finite(
     def shape(states) -> FiniteAutomaton:
         """(bot-labelled letters)* followed by one letter labelled with a
         negated-property state in `states` and any mask."""
-        transitions = set()
-        for a in m.alphabet.symbols():
-            transitions.add((0, letter(a, bot_q, bot_m), 0))
-            for f in states:
-                for mask in range(n_masks):
-                    transitions.add((0, letter(a, f, mask), 1))
-        return FiniteAutomaton(sigma_a, 2, frozenset({0}), frozenset({1}), frozenset(transitions))
+        finals = sorted(states)
+
+        def moves(node):
+            if node == 0:
+                for a in m.alphabet.symbols():
+                    yield letter(a, bot_q, bot_m), 0
+                    for f in finals:
+                        for mask in range(n_masks):
+                            yield letter(a, f, mask), 1
+
+        return explore(FiniteAutomaton, sigma_a, [0], moves, lambda node: node == 1)
 
     return _labelled(m, neg, cops, sigma_a, t_aug, shape)
 
@@ -422,18 +427,15 @@ def build_augmented_omega(
         """Words labelled uniformly with one (negated-property state in
         `states`, mask) pair."""
         combos = [(q, lam) for q in sorted(states) for lam in range(n_masks)]
-        transitions = set()
-        for ci, (q, lam) in enumerate(combos):
-            for a in m.alphabet.symbols():
-                transitions.add((0, letter(a, q, lam), 1 + ci))
-                transitions.add((1 + ci, letter(a, q, lam), 1 + ci))
-        return OmegaAutomaton(
-            sigma_a,
-            1 + max(len(combos), 1),
-            frozenset({0}),
-            frozenset(range(1, 1 + len(combos))),
-            frozenset(transitions),
-        )
+
+        # node 0 picks a combo, node 1 + ci keeps combo ci
+        def moves(node):
+            for ci in range(len(combos)) if node == 0 else (node - 1,):
+                q, lam = combos[ci]
+                for a in m.alphabet.symbols():
+                    yield letter(a, q, lam), 1 + ci
+
+        return explore(OmegaAutomaton, sigma_a, [0], moves, lambda node: node > 0)
 
     return _labelled(m, neg, cops, sigma_a, t_aug, shape)
 

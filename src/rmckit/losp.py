@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, accepts, complete, intersect, relabel
+from .automata import FiniteAutomaton, accepts, complete, explore, intersect, relabel
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -334,8 +334,10 @@ def _losp_acceptance(sigma_a: Alphabet) -> FiniteAutomaton:
     """Words whose every position carries the reset flag.  The flag is the
     last letter component and has two values, so the reset letters are the
     odd ones."""
-    loops = frozenset((0, s, 0) for s in range(RESET, sigma_a.size, 2))
-    return FiniteAutomaton(sigma_a, 1, frozenset({0}), frozenset({0}), loops)
+    resets = range(RESET, sigma_a.size, 2)
+    return explore(
+        FiniteAutomaton, sigma_a, [0], lambda q: ((s, 0) for s in resets), lambda q: True
+    )
 
 
 def check_losp(aug: LospAugmentation, budget: int = 64) -> Verdict:

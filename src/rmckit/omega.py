@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -29,6 +29,7 @@ from .alphabet import Alphabet
 from .automata import (
     FiniteAutomaton,
     _reachable_states,
+    _reflag,
     _same_symbol,
     _shortest_words,
     _sync_symbols,
@@ -45,6 +46,7 @@ from .automata import (
     project,
     strongly_connected_components,
     union,
+    universal,
     word_automaton,
 )
 from .errors import InputError, NonWeakResult, NotWeak, NotWeakDeterministic
@@ -67,7 +69,6 @@ class UltimatelyPeriodicWord:
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
 
-@dataclass(frozen=True)
 class OmegaAutomaton(FiniteAutomaton):
     """Buchi automaton; flags below are computed from the graph, never trusted."""
 
@@ -156,7 +157,7 @@ def normalize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
     for comp in a.sccs:
         if a._accepting_cycle_in(comp):
             accepting.update(comp)
-    return replace(a, accepting=frozenset(accepting))
+    return _reflag(a, frozenset(accepting))
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +211,13 @@ def _cycle_word(a: OmegaAutomaton, anchor: int, comp: set[int]) -> tuple[int, ..
     A shortest cycle is a shortest word to some state with a move back to
     the anchor, followed by that move.
     """
-    inside = frozenset(t for t in a.transitions if t[0] in comp and t[2] in comp)
-    words = _shortest_words(replace(a, initial=frozenset({anchor}), transitions=inside))
-    cycles = [words[q] + (sym,) for q, sym, dst in inside if dst == anchor]
+    words = _shortest_words(a, [anchor], comp)  # comp is one SCC: all of it
+    cycles = [
+        words[q] + (sym,)
+        for q in words
+        for sym, dsts in a.adjacency.get(q, {}).items()
+        if anchor in dsts
+    ]
     return min(cycles, key=lambda w: (len(w), w), default=None)
 
 
@@ -253,7 +258,7 @@ def _require_weak_dba(a: OmegaAutomaton, op: str) -> OmegaAutomaton:
 def complement_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
     """Complement by inverting accepting and non-accepting states."""
     d = _require_weak_dba(a, "complement")
-    return replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
+    return _reflag(d, frozenset(range(d.n_states)) - d.accepting)
 
 
 def determinize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
@@ -285,10 +290,9 @@ def determinize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
             "determinization left the weak class; language has no weak DBA"
         )
     flipped = normalize_weak(det)
-    flipped = replace(
-        flipped, accepting=frozenset(range(flipped.n_states)) - flipped.accepting
+    return canonical_renumber(
+        _reflag(flipped, frozenset(range(flipped.n_states)) - flipped.accepting)
     )
-    return canonical_renumber(flipped)
 
 
 def canonical_renumber(a: OmegaAutomaton) -> OmegaAutomaton:
@@ -328,10 +332,10 @@ def minimize_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
         for q in comp:
             colour[q] = c
     even = frozenset(q for q in range(d.n_states) if colour[q] % 2 == 0)
-    m = minimize(FiniteAutomaton(d.alphabet, d.n_states, d.initial, even, d.transitions))
+    m = minimize(_reflag(d, even))
     if not m.accepting:
-        return replace(omega_universal(d.alphabet), accepting=frozenset())
-    quotient = OmegaAutomaton(m.alphabet, m.n_states, m.initial, m.accepting, m.transitions)
+        return _reflag(omega_universal(d.alphabet), frozenset())
+    quotient = _reflag(m, m.accepting, OmegaAutomaton)
     return canonical_renumber(normalize_weak(complete(quotient)))
 
 
@@ -466,30 +470,17 @@ def up_word_automaton(
     alphabet: Alphabet, w: UltimatelyPeriodicWord
 ) -> OmegaAutomaton:
     """Weak deterministic automaton for the single word prefix.period^w."""
-    p, k = len(w.prefix), len(w.period)
-    transitions = set()
-    for i, sym in enumerate(w.prefix):
-        transitions.add((i, sym, i + 1))
-    for j, sym in enumerate(w.period):
-        nxt = p + ((j + 1) % k)
-        transitions.add((p + j, sym, nxt))
-    return OmegaAutomaton(
-        alphabet,
-        p + k,
-        frozenset({0}),
-        frozenset(range(p, p + k)),
-        frozenset(transitions),
-    )
+    p, letters = len(w.prefix), w.prefix + w.period
+    last = len(letters) - 1
+
+    def moves(i):
+        return [(letters[i], i + 1 if i < last else p)]
+
+    return explore(OmegaAutomaton, alphabet, [0], moves, lambda i: i >= p)
 
 
 def omega_universal(alphabet: Alphabet) -> OmegaAutomaton:
-    return OmegaAutomaton(
-        alphabet,
-        1,
-        frozenset({0}),
-        frozenset({0}),
-        frozenset((0, sym, 0) for sym in alphabet.symbols()),
-    )
+    return _reflag(universal(alphabet), frozenset({0}), OmegaAutomaton)
 
 
 def omega_empty_automaton(alphabet: Alphabet) -> OmegaAutomaton:

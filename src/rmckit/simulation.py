@@ -25,7 +25,7 @@ Budget-exhausted over-approximations are never used to report Holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .alphabet import Alphabet
@@ -36,7 +36,7 @@ from .automata import (
     product_general,
     project_components,
 )
-from .errors import InputError, NonWeakResult
+from .errors import AlphabetCapExceeded, InputError, NonWeakResult
 from .gsp import StateProperty, _extract_lasso
 from .omega import _canon, _complement, _intersect, _pick
 from .system import BuchiRegularSystem, Verdict, _reach_layers, replay_lasso
@@ -54,11 +54,16 @@ from .transducer import (
 
 @dataclass(frozen=True)
 class SimRelation:
-    """Iterate of the decreasing simulation sequence (exact once a fixpoint)."""
+    """Iterate of the decreasing simulation sequence (exact once a fixpoint).
+
+    `reason` names the cap that stopped an inexact iterate before the
+    budget ran out, and is None otherwise.
+    """
 
     relation: Transducer
     iteration_index: int
     exact: bool
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,10 @@ def sim_fixpoint(
     simulation on reachable words; otherwise both stay unrestricted.
     Terminates exactly on systems with a finite-index simulation; a
     budget-exhausted result is an over-approximation usable only as
-    "not yet refuted", never to conclude emptiness.
+    "not yet refuted", never to conclude emptiness.  A refinement step that
+    would complement a finite-mode relation over a pair alphabet above
+    `COMPLETION_CAP` ends the iteration: the last iterate comes back inexact,
+    with the cap as its `reason`.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
@@ -159,7 +167,10 @@ def sim_fixpoint(
     t = _on_reach(m.relation, closed)
     current = SimRelation(_on_reach(sim_init(msys, cops).relation, closed), 0, False)
     for _ in range(budget):
-        nxt = sim_step(current, t)
+        try:
+            nxt = sim_step(current, t)
+        except AlphabetCapExceeded as e:
+            return replace(current, reason=str(e))
         if not relation_includes(current.relation, nxt.relation):
             raise InputError("refinement grew the relation (bug)")
         if nxt.relation == current.relation:
@@ -178,7 +189,8 @@ def validate_candidate(
     Valid iff one more refinement step removes nothing and the candidate
     stays within the cop-compatible initial relation; a validated candidate
     is a simulation contained in the greatest one, so nonemptiness verdicts
-    built on it are sound.  The candidate is judged on all pairs of words,
+    built on it are sound.  A step that hits the completion cap leaves the
+    candidate unvalidated.  The candidate is judged on all pairs of words,
     with the unrestricted T.  A simulation on R x R for a T-closed R, such
     as the result of `sim_fixpoint`, passes too: the moves of words in R
     stay in R.
@@ -187,7 +199,10 @@ def validate_candidate(
     sim0 = sim_init(msys, cops)
     if not relation_includes(sim0.relation, canon):
         return SimCandidate(canon, False)
-    stepped = sim_step(SimRelation(canon, 0, False), msys.system.relation)
+    try:
+        stepped = sim_step(SimRelation(canon, 0, False), msys.system.relation)
+    except AlphabetCapExceeded:
+        return SimCandidate(canon, False)
     return SimCandidate(canon, stepped.relation == canon)
 
 

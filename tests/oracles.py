@@ -38,8 +38,8 @@ def naive_accepts(aut, word) -> bool:
 def moore_minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutomaton:
     """`minimize` by Moore's refinement, which recomputes every state's
     signature each round until no class splits."""
-    order, delta, accepting = _determinize_subsets(a)
-    n = len(order)
+    d = _determinize_subsets(a)
+    n, delta, accepting = d.n_states, d.adjacency, d.accepting
 
     # Moore refinement with a virtual sink state `n` (rejecting, no moves);
     # moves into the sink's class are dropped from signatures so that a

@@ -37,19 +37,31 @@ from rmckit import (
     word_automaton,
 )
 from rmckit.alphabet import COMPLETION_CAP
-from rmckit.automata import complete, explore, relabel
+from rmckit.automata import _determinize_subsets, _shortest_words, complete, explore, relabel
 from rmckit.fixtures import build_fa, ring_alphabet, ring_initial
-from rmckit.omega import OmegaAutomaton, canonical_renumber
+from rmckit.omega import (
+    OmegaAutomaton,
+    UltimatelyPeriodicWord,
+    _cycle_word,
+    canonical_renumber,
+    complement_weak_dba,
+    normalize_weak,
+    omega_universal,
+    to_weak_dba,
+    up_word_automaton,
+)
 from rmckit.transducer import compose, inverse
 
 from oracles import (
     language_upto,
     moore_minimize,
     naive_accepts,
+    random_layered_weak_dba,
     random_nfa,
     random_partial_dfa,
     random_transducer,
     random_weak_dba,
+    reordered,
 )
 
 NT = ring_alphabet()
@@ -405,60 +417,230 @@ def test_deterministic_input_gives_the_subset_route_bytes():
 
 
 # ---------------------------------------------------------------------------
-# trusted construction: `explore`, `complete`, `relabel` and `union` hand
-# over their adjacency
+# rows are the automaton: every construction hands over rows in normal form and
+# builds no transition set, and its output equals what the public
+# constructor builds from the transition set the construction describes
 
 
-def _trusted_cases():
-    """(operation, result) pairs from seeded random NFAs, DFAs, products and
-    weak DBAs, finite and omega."""
+def _subsets_by_constructor(a):
+    """The subset construction through the public constructor: the nonempty
+    subsets numbered breadth first, symbols ascending, and no completion."""
+    start = frozenset(a.initial)
+    ids, order, moves = {start: 0}, [start], set()
+    for subset in order:  # grows while it is walked: the breadth-first queue
+        for sym in range(a.alphabet.size):
+            nxt = frozenset(d for q, x, d in a.transitions if q in subset and x == sym)
+            if nxt:
+                if nxt not in ids:
+                    ids[nxt] = len(order)
+                    order.append(nxt)
+                moves.add((ids[subset], sym, ids[nxt]))
+    accepting = frozenset(i for i, subset in enumerate(order) if subset & a.accepting)
+    return FiniteAutomaton(a.alphabet, len(order), frozenset({0}), accepting, frozenset(moves))
+
+
+def _determinize_by_constructor(a):
+    """`determinize(a)`: the subset construction completed, or the one-state
+    rejecting sink when no subset accepts."""
+    d = _subsets_by_constructor(a)
+    if not d.accepting:
+        return _sink_by_constructor(FiniteAutomaton, a.alphabet)
+    return _completion_by_replace(d)
+
+
+def _sink_by_constructor(cls, alphabet):
+    """The one-state automaton of the empty language, with every move."""
+    loops = frozenset((0, sym, 0) for sym in range(alphabet.size))
+    return cls(alphabet, 1, frozenset({0}), frozenset(), loops)
+
+
+def _flipped_by_replace(d):
+    return replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
+
+
+def _relabel_by_constructor(a, alphabet, letters):
+    moves = frozenset((p, x, q) for p, s, q in a.transitions for x in letters(s))
+    return type(a)(alphabet, a.n_states, a.initial, a.accepting, moves)
+
+
+def _construction_cases():
+    """(operation, inputs, output, expected or None) from seeded random NFAs,
+    partial DFAs, transducers and layered weak DBAs; `expected` is built
+    through the public constructor from the transition sets of the inputs."""
     rng = random.Random(53)
     for alphabet in (AB, Alphabet.base(tuple("abcde")), Alphabet.product(NT, NT)):
-        for _ in range(12):
+        for _ in range(8):
             a, d = random_nfa(rng, alphabet), random_partial_dfa(rng, alphabet)
-            yield "intersect", intersect(a, d)
-            yield "sync_product", sync_product([a, d])
             t1, t2 = random_transducer(rng, alphabet, 3), random_transducer(rng, alphabet, 3)
-            yield "image", image(t1, a)
-            yield "compose", compose(t1, t2).inner
-            yield "complete", complete(a)
-            yield "complete of explored", complete(intersect(d, a))
-            yield "minimize", minimize(a)
-            yield "minimize", minimize(d)
-            yield "minimize trim", minimize(a, completion=False)
-            yield "union", union(a, d)
-            yield "union of a complement", union(complement(d), a)
-            yield "inverse", inverse(t1).inner
-            yield "relabel", relabel(a, alphabet, lambda s: (s, (s * 7 + 1) % alphabet.size))
-            w1, w2 = random_weak_dba(rng, alphabet, 4), random_weak_dba(rng, alphabet, 4)
-            yield "omega_intersect", omega_intersect(w1, w2)
-            yield "minimize_weak_dba", minimize_weak_dba(w1)
-            yield "determinize_weak", determinize_weak(w2)
+            yield "intersect", (a, d), intersect(a, d), None
+            yield "sync_product", (a, d), sync_product([a, d]), None
+            yield "image", (a,), image(t1, a), None
+            yield "compose", (), compose(t1, t2).inner, None
+            yield "complete", (a,), complete(a), _completion_by_replace(a)
+            x = intersect(d, a)
+            yield "complete", (x,), complete(x), _completion_by_replace(x)
+            yield "determinize", (a,), determinize(a), _determinize_by_constructor(a)
+            yield "_determinize_subsets", (a,), _determinize_subsets(a), _subsets_by_constructor(a)
+            yield "complement", (d,), complement(d), _flipped_by_replace(
+                _determinize_by_constructor(d)
+            )
+            for x, completion in ((a, None), (d, None), (a, False)):
+                yield "minimize", (x,), minimize(x, completion), moore_minimize(x, completion)
+            empty = replace(a, accepting=frozenset())
+            yield "minimize", (empty,), minimize(empty), _sink_by_constructor(
+                FiniteAutomaton, alphabet
+            )
+            yield "union", (a, d), union(a, d), _union_by_constructor(a, d)
+            c = complement(d)
+            yield "union", (c, a), union(c, a), _union_by_constructor(c, a)
+            yield "inverse", (), inverse(t1).inner, None
+
+            def letters(s):
+                return (s, (s * 7 + 1) % alphabet.size)
+
+            yield "relabel", (a,), relabel(a, alphabet, letters), _relabel_by_constructor(
+                a, alphabet, letters
+            )
+            word = [rng.randrange(alphabet.size) for _ in range(rng.randrange(4))]
+            yield "word_automaton", (), word_automaton(alphabet, word), FiniteAutomaton(
+                alphabet,
+                len(word) + 1,
+                frozenset({0}),
+                frozenset({len(word)}),
+                frozenset((i, sym, i + 1) for i, sym in enumerate(word)),
+            )
+            yield "universal", (), universal(alphabet), _flipped_by_replace(
+                _sink_by_constructor(FiniteAutomaton, alphabet)
+            )
+
+            w1, w2 = (random_layered_weak_dba(rng, alphabet, 3, 2) for _ in range(2))
+            yield "omega_intersect", (w1, w2), omega_intersect(w1, w2), None
+            norm = normalize_weak(w1)
+            yield "normalize_weak", (w1,), norm, replace(w1, accepting=norm.accepting)
+            yield "complement_weak_dba", (w1,), complement_weak_dba(w1), _flipped_by_replace(
+                _completion_by_replace(w1)
+            )
+            both = union(w1, w2)  # two initial states: not deterministic
+            yield "determinize_weak", (both,), determinize_weak(both), None
+            yield "to_weak_dba", (both,), to_weak_dba(both), None
+            yield "minimize_weak_dba", (w1,), minimize_weak_dba(w1), None
+            never = replace(w1, accepting=frozenset())
+            yield "minimize_weak_dba", (never,), minimize_weak_dba(never), _sink_by_constructor(
+                OmegaAutomaton, alphabet
+            )
             partial = replace(
                 w1, transitions=frozenset(t for t in w1.transitions if rng.random() < 0.7)
             )
-            yield "complete omega", complete(partial)
-            yield "union omega", union(w1, w2)
-            yield "relabel omega", relabel(w1, alphabet, lambda s: (alphabet.size - 1 - s,))
-            yield "canonical_renumber", canonical_renumber(partial)
+            yield "complete", (partial,), complete(partial), _completion_by_replace(partial)
+            yield "union", (w1, w2), both, _union_by_constructor(w1, w2)
+
+            def mirror(s):
+                return (alphabet.size - 1 - s,)
+
+            yield "relabel", (w1,), relabel(w1, alphabet, mirror), _relabel_by_constructor(
+                w1, alphabet, mirror
+            )
+            yield "canonical_renumber", (partial,), canonical_renumber(partial), None
+            lasso = UltimatelyPeriodicWord(tuple(word), (rng.randrange(alphabet.size),) * 2)
+            p = len(lasso.prefix)
+            yield "up_word_automaton", (), up_word_automaton(alphabet, lasso), OmegaAutomaton(
+                alphabet,
+                p + 2,
+                frozenset({0}),
+                frozenset({p, p + 1}),
+                frozenset(
+                    [(i, sym, i + 1) for i, sym in enumerate(word)]
+                    + [(p, lasso.period[0], p + 1), (p + 1, lasso.period[1], p)]
+                ),
+            )
+            yield "omega_universal", (), omega_universal(alphabet), _flipped_by_replace(
+                _sink_by_constructor(OmegaAutomaton, alphabet)
+            )
 
 
-def test_handed_over_adjacency_is_the_one_rebuilt_from_transitions():
-    handed = set()
+def _assert_normal_rows(a):
+    """No empty row, no empty symbol entry, sorted distinct destinations."""
+    for q, row in a.adjacency.items():
+        assert 0 <= q < a.n_states and row
+        for sym, dsts in row.items():
+            assert 0 <= sym < a.alphabet.size and dsts
+            assert type(dsts) is tuple and list(dsts) == sorted(set(dsts))
+            assert 0 <= dsts[0] and dsts[-1] < a.n_states
+
+
+def test_every_construction_hands_over_normal_rows_and_builds_no_transition_set():
     ops = set()
-    for op, a in _trusted_cases():
+    for op, inputs, out, expected in _construction_cases():
         ops.add(op)
-        # read before anything else asks for it, so a lazily built map shows
-        if "adjacency" in a.__dict__:
-            handed.add(op)
+        # read before anything asks for the set: a construction must not make one
+        if not any(out is x for x in inputs):
+            assert "transitions" not in out.__dict__, op
+        _assert_normal_rows(out)
         # the public constructor checks every state and symbol again and
-        # regroups the transition set
-        checked = replace(a)
-        assert checked == a and type(checked) is type(a), op
-        assert a.adjacency == checked.adjacency, op
-        assert a.is_deterministic == checked.is_deterministic, op
-        assert a.is_complete == checked.is_complete, op
-    assert handed == ops
+        # groups the derived transition set into rows
+        rebuilt = replace(out)
+        assert rebuilt == out and out == rebuilt and type(rebuilt) is type(out), op
+        assert hash(rebuilt) == hash(out), op
+        assert rebuilt.adjacency == out.adjacency, op
+        assert (out.is_deterministic, out.is_complete) == (
+            rebuilt.is_deterministic,
+            rebuilt.is_complete,
+        ), op
+        if expected is not None:
+            assert out == expected and type(out) is type(expected), op
+            assert hash(out) == hash(expected), op
+    assert ops == {
+        "intersect", "sync_product", "image", "compose", "complete", "determinize",
+        "_determinize_subsets",
+        "complement", "minimize", "union", "inverse", "relabel", "word_automaton",
+        "universal", "omega_intersect", "normalize_weak", "complement_weak_dba",
+        "determinize_weak", "to_weak_dba", "minimize_weak_dba", "canonical_renumber",
+        "up_word_automaton", "omega_universal",
+    }
+
+
+def test_equality_and_hashing_agree_on_construction_outputs():
+    rng = random.Random(54)
+    outputs = [out for _, _, out, _ in _construction_cases()]
+    for a, b in itertools.product(outputs[:120], repeat=2):
+        assert (a == b) == (b == a)
+        if a == b:
+            assert hash(a) == hash(b)
+    for a in outputs[::5]:
+        # equal rows in another order, and the same rows read as the other class
+        assert reordered(a, rng) == a and hash(reordered(a, rng)) == hash(a)
+        other = OmegaAutomaton if type(a) is FiniteAutomaton else FiniteAutomaton
+        recast = other(a.alphabet, a.n_states, a.initial, a.accepting, a.transitions)
+        assert recast != a and a != recast
+        # one accepting state more or less, or one move fewer
+        flipped = frozenset({0}) ^ a.accepting
+        assert replace(a, accepting=flipped) != a
+        if a.transitions:
+            fewer = a.transitions - {min(a.transitions)}
+            assert replace(a, transitions=fewer) != a
+
+
+def _cycle_word_by_replace(a, anchor, comp):
+    """`omega._cycle_word` through the public constructor: the shortest words
+    of the automaton cut down to the component's moves, started at `anchor`."""
+    inside = frozenset(t for t in a.transitions if t[0] in comp and t[2] in comp)
+    words = _shortest_words(replace(a, initial=frozenset({anchor}), transitions=inside))
+    cycles = [words[q] + (sym,) for q, sym, dst in inside if dst == anchor]
+    return min(cycles, key=lambda w: (len(w), w), default=None)
+
+
+def test_cycle_words_equal_the_constructor_built_ones():
+    rng = random.Random(55)
+    checked = 0
+    for alphabet in (AB, Alphabet.product(NT, NT)):
+        for _ in range(30):
+            w = union(*(random_layered_weak_dba(rng, alphabet, 3, 2) for _ in range(2)))
+            for comp in w.sccs:
+                for q in comp:
+                    want = _cycle_word_by_replace(w, q, set(comp))
+                    assert _cycle_word(w, q, set(comp)) == want
+                    checked += want is not None
+    assert checked
 
 
 @pytest.mark.parametrize("bad", [-1, AB.size, AB.size + 7])
@@ -493,7 +675,7 @@ def _completion_by_replace(a):
 
 def test_complete_of_a_trusted_automaton_equals_the_replace_built_completion():
     completed = 0
-    for op, a in _trusted_cases():
+    for op, _, a, _ in _construction_cases():
         expected = _completion_by_replace(a)
         got = complete(a)
         assert got == expected and type(got) is type(expected), op
@@ -521,9 +703,9 @@ class _TrustedReferences(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_only_the_four_trusted_builders_skip_validation():
-    # `_trusted` skips every check of `__post_init__`; a new caller must
-    # check what it builds itself and be added here on purpose
+def test_only_the_six_trusted_constructions_skip_validation():
+    # `_trusted` skips every check of the public constructor; a new caller
+    # must check what it builds itself and be added here on purpose
     found = set()
     for path in sorted(Path(rmckit.__file__).parent.glob("*.py")):
         visitor = _TrustedReferences(path.stem)
@@ -534,6 +716,8 @@ def test_only_the_four_trusted_builders_skip_validation():
         ("automata", "complete"),
         ("automata", "relabel"),
         ("automata", "union"),
+        ("automata", "_determinize_subsets"),
+        ("automata", "_reflag"),
     }
 
 
@@ -554,7 +738,7 @@ def test_union_equals_the_constructor_built_union():
     for alphabet in (AB, Alphabet.product(NT, NT)):
         for _ in range(20):
             a, b = random_nfa(rng, alphabet), random_partial_dfa(rng, alphabet)
-            # a complement is built by `replace`, so it has no rows cached
+            # a complement shares the rows of a determinization
             for x, y in ((a, b), (b, a), (complement(a), b), (a, a)):
                 got, expected = union(x, y), _union_by_constructor(x, y)
                 assert got == expected and type(got) is type(expected)
@@ -591,7 +775,7 @@ def test_relabel_gives_the_substituted_words(kind):
     for i in range(40):
         a = random_nfa(rng, ABC, 5)
         if i % 4 == 3:
-            a = complement(a)  # no rows cached
+            a = complement(a)  # rows shared with a determinization
         r = relabel(a, target, letters)
         assert type(r) is FiniteAutomaton and r.alphabet == target
         assert (r.n_states, r.initial, r.accepting) == (a.n_states, a.initial, a.accepting)

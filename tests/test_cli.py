@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rmckit import cli, system
+from rmckit import FiniteAutomaton, cli, system
 from rmckit.cli import main
 from rmckit.fixtures import EXAMPLE_NAMES, gen_example
 
@@ -312,6 +312,70 @@ def test_range_checks_slice_no_system(ring_dir, capsys, monkeypatch, command):
     # checks with no range engine still slice, once per slice
     main(["closure", "--system", str(ring_dir / "system.sys"), "--slice", "2..3"])
     assert [n for _, n in calls] == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "command, bundle, span",
+    [
+        ("check-losp", "ring_dir", "2"),
+        ("check-losp", "idle_dir", "2"),
+        ("check-gsp", "ring_dir", "2..4"),
+        ("check-gsp", "dup_dir", "2..3"),
+    ],
+)
+def test_finite_checks_build_no_transition_set(request, capsys, monkeypatch, command, bundle, span):
+    # rows are the one stored form of an automaton: once the system is
+    # loaded, a check (witness replay included) neither reads a transition
+    # set nor groups one into rows through the public constructor
+    calls = []
+    real_load, real_init = cli.load_system, FiniteAutomaton.__init__
+    derive = FiniteAutomaton.transitions.func
+
+    def load(path):
+        out = real_load(path)
+        calls.append("loaded")
+        return out
+
+    def init(self, *args):
+        calls.append("constructor")
+        real_init(self, *args)
+
+    def transitions(self):
+        calls.append("transitions")
+        return derive(self)
+
+    monkeypatch.setattr(cli, "load_system", load)
+    monkeypatch.setattr(FiniteAutomaton, "__init__", init)
+    monkeypatch.setattr(FiniteAutomaton, "transitions", property(transitions))
+    sys_file = str(request.getfixturevalue(bundle) / "system.sys")
+    assert main([command, "--system", sys_file, "--slice", span]) in (0, 1)
+    assert calls[calls.index("loaded"):] == ["loaded"]
+
+
+# a negated GSP property with ten states: with one cop the augmented
+# alphabet has 2 * 11 * 3 = 66 letters, and the simulation refinement
+# complements relations over its 4356 letter pairs
+NEGATED_TEN_STATES = (
+    "kind: weak-dba\nalphabet: m0 m1\nstates: 10\ninitial: 0\naccepting: 9\ntrans:\n"
+    + "".join(f"{i} m0 {i}\n{i} m1 {min(i + 1, 9)}\n" for i in range(10))
+)
+
+
+@pytest.mark.parametrize("command", [["check-gsp", "--engine", "sim"], ["sim"]])
+def test_sim_engine_at_the_completion_cap_is_unknown(ring_dir, tmp_path, capsys, command):
+    prop = tmp_path / "neg.aut"
+    prop.write_text(NEGATED_TEN_STATES)
+    argv = ["--system", str(ring_dir / "system.sys"), "--property", str(prop), "--slice", "2..3"]
+    code = main(command + argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["overall"] == "unknown"
+    assert [row["reason"] for row in doc["slices"]] == [
+        "alphabet of size 4356 exceeds completion cap 4096"
+    ] * 2
+    # the loop engine decides the same instance
+    assert main(["check-gsp"] + argv) == 1
 
 
 @pytest.mark.parametrize("command", ["check-reach", "check-gsp", "check-losp", "sim", "closure"])

@@ -1,6 +1,7 @@
 """Symbolic simulation fixpoint vs the explicit oracle, and sim-based emptiness."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,7 +42,15 @@ from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word
 from rmckit.system import BuchiRegularSystem, RegularSystem
 from rmckit.transducer import FINITE, OMEGA, identity, pair_word
 
-from oracles import random_dfa_complete, random_sliced_system, random_weak_dba
+from rmckit.alphabet import COMPLETION_CAP
+
+from oracles import (
+    random_dfa_complete,
+    random_layered_weak_dba,
+    random_sliced_system,
+    random_unsliced_system,
+    random_weak_dba,
+)
 
 NT = ring_alphabet()
 
@@ -258,6 +267,41 @@ def test_sim_on_reachable_words_matches_brute_force_and_loop_on_random_systems()
             ok, why = replay_gsp_witness(aug, v_sim.witness)
             assert ok, (seed, why)
     assert violated == 2
+
+
+def test_sim_and_loop_engines_agree_on_planted_cycle_systems():
+    # every slice of a `random_unsliced_system` draw has an infinite
+    # execution, so layered negated properties give both verdicts; a
+    # property with many states takes the squared augmented alphabet above
+    # the completion cap, and the simulation engine then stops, unconverged
+    tally = Counter()
+    for seed in range(24):
+        rng = random.Random(seed)
+        system = random_unsliced_system(rng, 2, 3)
+        cops = [state_property("c0", random_dfa_complete(rng, system.alphabet))]
+        neg = negated_gsp(random_layered_weak_dba(rng, cop_alphabet(1), 3, 2), 1)
+        aug = build_augmented_finite(slice_system(system, rng.randint(2, 3)), neg, cops)
+        v_loop = check_emptiness_loop(aug.msys, budget=30)
+        sim = sim_fixpoint(aug.msys, cops, budget=30)
+        if sim.reason is not None:
+            size = aug.msys.system.relation.inner.alphabet.size
+            assert size > COMPLETION_CAP and not sim.exact, seed
+            assert sim.reason == f"alphabet of size {size} exceeds completion cap {COMPLETION_CAP}"
+            tally["cap"] += 1
+            continue
+        assert sim.exact, seed
+        v_sim = check_emptiness_sim(aug.msys, sim, budget=30)
+        if v_sim.status == VIOLATED:
+            ok, why = replay_gsp_witness(aug, v_sim.witness)
+            assert ok, (seed, why)
+        if UNKNOWN in (v_sim.status, v_loop.status):
+            tally[UNKNOWN] += 1
+            continue
+        assert v_sim.status == v_loop.status, seed
+        tally[v_sim.status] += 1
+    decided = tally[HOLDS] + tally[VIOLATED]
+    assert tally[HOLDS] >= 0.3 * decided and tally[VIOLATED] >= 0.3 * decided, tally
+    assert tally["cap"] > 0, tally
 
 
 def test_sim_iterates_shrink_monotonically():
