@@ -134,8 +134,6 @@ from .transducer import (
     pair_word,
     power,
     preimage,
-    reflexive_check,
-    relation_equal,
     relation_includes,
     union_t,
 )

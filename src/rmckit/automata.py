@@ -595,6 +595,12 @@ def product_general(
     `symbol_pairs(row_a, row_b)` yields (sym_a, sym_b, sym_out) triples; the
     result accepts with both components accepting.
     """
+    return _pair_product(a, b, alphabet, _paired_moves(a, b, symbol_pairs))
+
+
+def _paired_moves(a: FiniteAutomaton, b: FiniteAutomaton, symbol_pairs):
+    """`moves` of the product node (qa, qb) whose moves pair as
+    `symbol_pairs(row_a, row_b)` says (see `product_general`)."""
     adj_a, adj_b = a.adjacency, b.adjacency
 
     def moves(node):
@@ -605,6 +611,15 @@ def product_general(
                 for db in rowb[sb]:
                     yield out, (da, db)
 
+    return moves
+
+
+def _pair_product(
+    a: FiniteAutomaton, b: FiniteAutomaton, alphabet: Alphabet, moves
+) -> FiniteAutomaton:
+    """Reachable product of `a` and `b` over `alphabet`, of the class of `a`:
+    nodes (qa, qb) from the sorted pairs of initial states, moving as
+    `moves(node)` says, accepting when both components accept."""
     return explore(
         type(a),
         alphabet,

@@ -541,9 +541,9 @@ def _pre_plus(m: RegularSystem, reach, target, budget: int, keys: _Lengths, live
     the keys of `live` whose backward fixpoint did not converge within
     `budget` steps."""
     live = set(live)
-    back = _canon(_intersect(reach, preimage(m.relation, target)))
+    back = _canon(preimage(m.relation, target, within=reach))
     for _ in range(budget):
-        nxt = _canon(union(back, _intersect(reach, preimage(m.relation, back))))
+        nxt = _canon(union(back, preimage(m.relation, back, within=reach)))
         live &= keys.moved(nxt, back, live)
         back = nxt
         if not live:
@@ -567,7 +567,7 @@ def _fair_lasso(m: RegularSystem, layers, reach, fair, budget: int):
         seen[word] = walked
         front = _singleton(m.alphabet, word)
         for hop in range(1, budget + 1):
-            front = _canon(_intersect(reach, image(m.relation, front)))
+            front = _canon(image(m.relation, front, within=reach))
             word = _pick(_intersect(front, fair))
             if word is not None:
                 break

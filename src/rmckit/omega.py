@@ -28,6 +28,8 @@ from typing import Iterable, Sequence
 from .alphabet import Alphabet
 from .automata import (
     FiniteAutomaton,
+    _pair_product,
+    _paired_moves,
     _reachable_states,
     _reflag,
     _same_symbol,
@@ -42,7 +44,6 @@ from .automata import (
     is_empty,
     minimize,
     pick_word,
-    product_general,
     project,
     strongly_connected_components,
     union,
@@ -350,41 +351,38 @@ def _product_omega(
     a: OmegaAutomaton,
     b: OmegaAutomaton,
     alphabet: Alphabet,
-    symbol_pairs,
+    moves,
 ) -> OmegaAutomaton:
     """Buchi product; plain when both weak, two-copy otherwise.
 
-    `symbol_pairs(row_a, row_b)` yields (sym_a, sym_b, sym_out) move combos.
+    `moves(node)` yields the (sym_out, (qa', qb')) moves of the product node
+    (qa, qb), as for `automata._pair_product`.
     """
     if a.is_inherently_weak and b.is_inherently_weak:
-        return product_general(normalize_weak(a), normalize_weak(b), alphabet, symbol_pairs)
+        return _pair_product(normalize_weak(a), normalize_weak(b), alphabet, moves)
 
     # phase 0 waits for an accepting state of `a`, phase 1 for one of `b`
-    def moves(node):
+    def phased(node):
         qa, qb, phase = node
         if phase == 0:
             nphase = 1 if qa in a.accepting else 0
         else:
             nphase = 0 if qb in b.accepting else 1
-        rowa = a.adjacency.get(qa, {})
-        rowb = b.adjacency.get(qb, {})
-        for sa, sb, out in symbol_pairs(rowa, rowb):
-            for da in rowa[sa]:
-                for db in rowb[sb]:
-                    yield out, (da, db, nphase)
+        for out, (da, db) in moves((qa, qb)):
+            yield out, (da, db, nphase)
 
     return explore(
         OmegaAutomaton,
         alphabet,
         [(qa, qb, 0) for qa, qb in sorted(itertools.product(a.initial, b.initial))],
-        moves,
+        phased,
         lambda node: node[2] == 1 and node[1] in b.accepting,
     )
 
 
 def omega_intersect(a: OmegaAutomaton, b: OmegaAutomaton) -> OmegaAutomaton:
     a.alphabet.require_same(b.alphabet)
-    return _product_omega(a, b, a.alphabet, _same_symbol)
+    return _product_omega(a, b, a.alphabet, _paired_moves(a, b, _same_symbol))
 
 
 def omega_sync_product(automata: Sequence[OmegaAutomaton]) -> OmegaAutomaton:
@@ -394,7 +392,8 @@ def omega_sync_product(automata: Sequence[OmegaAutomaton]) -> OmegaAutomaton:
     result = automata[0]
     for nxt in automata[1:]:
         alphabet = Alphabet.product(result.alphabet, nxt.alphabet)
-        result = _product_omega(result, nxt, alphabet, _sync_symbols(nxt.alphabet.size))
+        pairs = _sync_symbols(nxt.alphabet.size)
+        result = _product_omega(result, nxt, alphabet, _paired_moves(result, nxt, pairs))
     return result
 
 
@@ -512,11 +511,13 @@ def _intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     return intersect(a, b)
 
 
-def _product(a: FiniteAutomaton, b: FiniteAutomaton, alphabet: Alphabet, pairs):
-    """Reachable product of `a` and `b` over `alphabet`; see `product_general`."""
+def _product(a: FiniteAutomaton, b: FiniteAutomaton, alphabet: Alphabet, moves):
+    """Reachable product of `a` and `b` over `alphabet` whose node (qa, qb)
+    moves as `moves(node)` says; see `automata._pair_product`.  In omega
+    mode, the Buchi product of `_product_omega` as a weak DBA."""
     if isinstance(a, OmegaAutomaton):
-        return to_weak_dba(_product_omega(a, b, alphabet, pairs))
-    return product_general(a, b, alphabet, pairs)
+        return to_weak_dba(_product_omega(a, b, alphabet, moves))
+    return _pair_product(a, b, alphabet, moves)
 
 
 def _includes(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:

@@ -93,18 +93,26 @@ def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRela
     deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
     finals = [frozenset(c.automaton.accepting) for c in cops]
     q0 = tuple(next(iter(c.automaton.initial)) for c in cops)
-    size = sigma_a.size
+    successors: dict[tuple, list[tuple]] = {}
+
+    def step(states: tuple) -> list[tuple]:
+        """The cop states after each letter, from `states`; computed once."""
+        out = successors.get(states)
+        if out is None:
+            rows = [delta[q] for delta, q in zip(deltas, states)]
+            out = successors[states] = [
+                tuple(row[a][0] for row in rows) for a in sigma_of
+            ]
+        return out
 
     # node: (cop automata states on the left word, on the right word)
     def moves(node):
-        left, right = node
-        for s1 in range(size):
-            a1 = sigma_of[s1]
-            left2 = tuple(deltas[j][left[j]][a1][0] for j in range(len(cops)))
-            for s2 in range(size):
-                a2 = sigma_of[s2]
-                right2 = tuple(deltas[j][right[j]][a2][0] for j in range(len(cops)))
-                yield s1 * size + s2, (left2, right2)
+        rights = step(node[1])
+        sym = 0
+        for left2 in step(node[0]):
+            for right2 in rights:
+                yield sym, (left2, right2)
+                sym += 1
 
     def label_mask(states: tuple) -> int:
         mask = 0
@@ -237,7 +245,7 @@ def check_emptiness_sim(
         plus = closure(_on_reach(m.relation, reach if reach_conv else None), "plus", budget)
         # words w1 with (w1, w2) in T+ cap Sim for some accepting w2
         similar = Transducer(_intersect(plus.relation.inner, sim.relation.inner))
-        anchor = _pick(_intersect(reach, preimage(similar, msys.acceptance)))
+        anchor = _pick(preimage(similar, msys.acceptance, within=reach))
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
     diag = {

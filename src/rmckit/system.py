@@ -263,8 +263,7 @@ def _backchain(
     """Concrete path w_0 .. w_k with w_k = target and w_i in layer i."""
     words = [target]
     for i in range(k - 1, -1, -1):
-        back = _intersect(layers[i], preimage(m.relation, _singleton(m.alphabet, words[0])))
-        w = _pick(back)
+        w = _pick(preimage(m.relation, _singleton(m.alphabet, words[0]), within=layers[i]))
         if w is None:
             raise InputError("witness backchain broke (bug)")
         words.insert(0, w)

@@ -8,7 +8,9 @@ closure-based emptiness formula, is kept as a symbolic reference for the
 emptiness engine.  `moore_minimize` is Moore's refinement, the algorithm
 `minimize` used before partition refinement, kept as its reference; it
 shares the subset construction, the quotient numbering and the completion
-with `minimize`, so only the refinement differs.
+with `minimize`, so only the refinement differs.  `relation_equal` and
+`reflexive_check` are test helpers on top of `transducer.relation_includes`;
+nothing in the library uses them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from rmckit.alphabet import COMPLETION_CAP, Alphabet
 from rmckit.automata import FiniteAutomaton, _complete_dfa, _determinize_subsets, explore
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord
 from rmckit.system import RegularSystem
-from rmckit.transducer import Transducer
+from rmckit.transducer import Transducer, identity, relation_includes
 
 
 def naive_accepts(aut, word) -> bool:
@@ -120,6 +122,16 @@ def relation_pairs_upto(t: Transducer, max_len: int) -> set[tuple[tuple, tuple]]
                 if naive_accepts(t.inner, pair):
                     out.add((w1, w2))
     return out
+
+
+def relation_equal(t1: Transducer, t2: Transducer) -> bool:
+    """Equal relation languages: inclusion both ways."""
+    return relation_includes(t1, t2) and relation_includes(t2, t1)
+
+
+def reflexive_check(t: Transducer) -> bool:
+    """Reflexive iff the identity language is included in L(t)."""
+    return relation_includes(t, identity(t.base, t.mode))
 
 
 def compose_pairs(p1: set, p2: set) -> set:

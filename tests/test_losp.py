@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -77,6 +78,25 @@ def test_token_ring_liveness_holds(n):
     sl = slice_system(token_ring(), n)
     aug = build_augmented_losp(sl, all_live(), [liveness_lep()])
     assert check_losp(aug, budget=32).status == HOLDS
+
+
+def test_check_losp_indexes_each_relation_state_once_per_track():
+    # every join of a check reads the relation's own track index, so no
+    # state's moves are regrouped by letter twice
+    aug = build_augmented_losp(slice_system(token_ring(), 2), all_live(), [liveness_lep()])
+    relation = aug.msys.system.relation
+    builds: dict[tuple[int, int], int] = {}
+    by_letter = Transducer._by_letter
+
+    def counted(t, track, q):
+        if t.inner is relation.inner and q not in t._tracks[track]:
+            builds[track, q] = builds.get((track, q), 0) + 1
+        return by_letter(t, track, q)
+
+    with mock.patch.object(Transducer, "_by_letter", counted):
+        assert check_losp(aug, budget=32).status == HOLDS
+    assert {track for track, _ in builds} == {0, 1}
+    assert max(builds.values()) == 1, builds
 
 
 @pytest.mark.parametrize("n", [2, 3])

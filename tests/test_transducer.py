@@ -26,24 +26,24 @@ from rmckit import (
     minimize,
     power,
     preimage,
-    reflexive_check,
-    relation_equal,
     relation_includes,
     slice_system,
     union_t,
     word_automaton,
 )
-from rmckit.automata import FiniteAutomaton, exact_length
+from rmckit.automata import FiniteAutomaton, _paired_moves, exact_length
 from rmckit.omega import (
     UltimatelyPeriodicWord,
     _canon,
+    _intersect,
+    _is_empty,
     _map_letters,
     _product,
     accepts_up_word,
     sample_lassos,
     up_word_automaton,
 )
-from rmckit.transducer import OMEGA, _join, canonicalize
+from rmckit.transducer import FINITE, OMEGA, _join, canonicalize
 from rmckit.fixtures import (
     build_fa,
     ring_alphabet,
@@ -54,9 +54,12 @@ from rmckit.fixtures import (
 
 from oracles import (
     compose_pairs,
+    random_layered_weak_dba,
     random_nfa,
     random_transducer,
     random_weak_dba,
+    reflexive_check,
+    relation_equal,
     relation_pairs_upto,
 )
 
@@ -297,7 +300,7 @@ def _forward_join(left, rel, size):
                 if sym // size == syml % size:
                     yield syml, sym, syml // size * size + sym % size
 
-    return _product(left, rel, left.alphabet, pairs)
+    return _product(left, rel, left.alphabet, _paired_moves(left, rel, pairs))
 
 
 def test_relations_are_joined_backwards_as_their_inverses_would_be():
@@ -334,6 +337,93 @@ def test_no_module_builds_an_inverse():
                 if name == "inverse":
                     calls.append((path.stem, node.lineno))
     assert calls == []
+
+
+def test_no_module_intersects_a_join_result():
+    # `image` and `preimage` take `within` and explore only the part of the
+    # join inside it; intersecting afterwards builds the whole join first
+    joins = {"image", "preimage", "_join"}
+    intersections = {"_intersect", "intersect", "omega_intersect"}
+
+    def name_of(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    calls = []
+    for path in sorted(Path(rmckit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and name_of(node) in intersections:
+                if any(isinstance(arg, ast.Call) and name_of(arg) in joins for arg in node.args):
+                    calls.append((path.stem, node.lineno))
+    assert calls == []
+
+
+def _row_pairing_join(left, t: Transducer, track: int):
+    """The join spelled out as a pairing of rows: each `t` row grouped by its
+    letter on `track` afresh for every product node, then handed to the
+    shared product.  The reference for the numbering of every join."""
+    size = t.base.size
+
+    def pairs(rowl, rowt):
+        by_letter: dict = {}
+        for sym in sorted(rowt):
+            letters = divmod(sym, size)
+            by_letter.setdefault(letters[track], []).append((sym, letters[1 - track]))
+        for syml in sorted(rowl):
+            first, last = divmod(syml, size)
+            for sym, other in by_letter.get(last, ()):
+                yield syml, sym, first * size + other
+
+    return _product(left, t.inner, left.alphabet, _paired_moves(left, t.inner, pairs))
+
+
+def _random_join_inputs(rng: random.Random, case: int):
+    """A relation and two sets over a base of two or three letters: finite
+    in three cases of four, omega (weak) in the fourth."""
+    base = Alphabet.base(("a", "b", "c")[: 2 + case % 2])
+    pair = Alphabet.product(base, base)
+    if case % 4:
+        return random_transducer(rng, base), random_nfa(rng, base), random_nfa(rng, base)
+    t = Transducer(random_weak_dba(rng, pair, 4))
+    a, w = (random_layered_weak_dba(rng, base, max_blocks=3, max_block=2) for _ in range(2))
+    return t, a, w
+
+
+def test_restricted_joins_equal_intersected_joins():
+    rng = random.Random(181)
+    nonempty = {FINITE: 0, OMEGA: 0}
+    for case in range(200):
+        t, a, w = _random_join_inputs(rng, case)
+        for apply in (image, preimage):
+            restricted = _canon(apply(t, a, within=w))
+            assert restricted == _canon(_intersect(w, apply(t, a))), (case, apply.__name__)
+            nonempty[t.mode] += not _is_empty(restricted)
+    # the draws are not all trivially empty, in either mode
+    assert min(nonempty.values()) >= 20, nonempty
+
+
+def test_joins_number_as_the_row_pairing_join_does():
+    # the track index changes how a join reads `t`, not the automaton built
+    rng = random.Random(182)
+    for case in range(200):
+        t, a, _ = _random_join_inputs(rng, case)
+        s = _random_join_inputs(rng, case)[0]  # the same base as t
+        assert _as_built(image(t, a)) == _as_built(_row_pairing_join(a, t, 0)), case
+        assert _as_built(preimage(t, a)) == _as_built(_row_pairing_join(a, t, 1)), case
+        composed = compose(t, s).inner
+        assert _as_built(composed) == _as_built(_row_pairing_join(t.inner, s, 0)), case
+        backwards = _join(t.inner, s, 1)
+        assert _as_built(backwards) == _as_built(_row_pairing_join(t.inner, s, 1)), case
+
+
+def test_within_must_match_the_relation():
+    lasso = up_word_automaton(NT, UltimatelyPeriodicWord(word("T"), word("N")))
+    other_base = Alphabet.base(("a", "b", "c"))
+    for apply in (image, preimage):
+        with pytest.raises(ModeMismatch, match="finite transducer applied to an omega"):
+            apply(ring_relation(), ring_initial(), within=lasso)
+        with pytest.raises(AlphabetMismatch, match="not over the transducer base alphabet"):
+            apply(ring_relation(), ring_initial(), within=word_automaton(other_base, (0, 1)))
 
 
 def omega_relations() -> list[Transducer]:
