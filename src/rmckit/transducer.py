@@ -45,7 +45,11 @@ OMEGA = "omega"
 
 @dataclass(frozen=True)
 class Transducer:
-    """Automaton over base x base, read as a binary relation on words."""
+    """Automaton over base x base, read as a binary relation on words.
+
+    It keeps, per track, its rows indexed by the letter on that track (see
+    `_by_letter`), filled as joins visit its states.
+    """
 
     inner: FiniteAutomaton
 
