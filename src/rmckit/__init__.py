@@ -11,7 +11,6 @@ from .alphabet import Alphabet
 from .automata import (
     FiniteAutomaton,
     accepts,
-    boolean,
     complement,
     determinize,
     difference,
@@ -85,7 +84,6 @@ from .omega import (
     complement_weak_dba,
     determinize_weak,
     minimize_weak_dba,
-    omega_boolean,
     omega_equivalent,
     omega_intersect,
     omega_project,

@@ -635,26 +635,41 @@ def complement(a: FiniteAutomaton) -> FiniteAutomaton:
 
 
 def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
-    return intersect(a, complement(b))
+    """The words of `a` that `b` rejects, of the class of `a`.
 
+    One reachable product of `a`'s rows with `b`'s subset construction: a
+    node (qa, S) pairs a state of `a` with the set of states `b` can be in,
+    a move that `b` lacks leads to the empty set, and a node accepts when
+    `qa` accepts and `S` holds no accepting state of `b`.  No completion of
+    `b` is built, so no alphabet is too large for it.
+    """
+    a.alphabet.require_same(b.alphabet)
+    rows_a, rows_b, fa, fb = a.adjacency, b.adjacency, a.accepting, b.accepting
+    subset_rows: dict[frozenset[int], dict[int, frozenset[int]]] = {}
+    none: frozenset[int] = frozenset()
 
-def boolean(
-    op: str, a: FiniteAutomaton, b: FiniteAutomaton | None = None
-) -> FiniteAutomaton:
-    """Dispatcher over {union, intersect, complement, difference}."""
-    if op == "complement":
-        if b is not None:
-            raise InputError("complement is unary")
-        return complement(a)
-    if b is None:
-        raise InputError(f"{op} needs two automata")
-    if op == "union":
-        return union(a, b)
-    if op == "intersect":
-        return intersect(a, b)
-    if op == "difference":
-        return difference(a, b)
-    raise InputError(f"unknown Boolean operation {op!r}")
+    def moves(node):
+        qa, states = node
+        row = subset_rows.get(states)
+        if row is None:  # the subset's moves, merged once per subset
+            merged: dict[int, set[int]] = {}
+            for q in states:
+                for sym, dsts in rows_b.get(q, {}).items():
+                    merged.setdefault(sym, set()).update(dsts)
+            row = subset_rows[states] = {sym: frozenset(d) for sym, d in merged.items()}
+        for sym, dsts in rows_a.get(qa, {}).items():
+            nxt = row.get(sym, none)
+            for dst in dsts:
+                yield sym, (dst, nxt)
+
+    b0 = frozenset(b.initial)
+    return explore(
+        type(a),
+        a.alphabet,
+        [(qa, b0) for qa in sorted(a.initial)],
+        moves,
+        lambda node: node[0] in fa and not node[1] & fb,
+    )
 
 
 # ---------------------------------------------------------------------------

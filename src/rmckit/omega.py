@@ -38,6 +38,7 @@ from .automata import (
     accepts,
     complement,
     complete,
+    difference,
     explore,
     includes,
     intersect,
@@ -399,25 +400,6 @@ def omega_sync_product(automata: Sequence[OmegaAutomaton]) -> OmegaAutomaton:
 
 # projection keeps the automaton class, and with it Buchi acceptance
 omega_project = project
-omega_complement = complement_weak_dba
-
-
-def omega_boolean(
-    op: str, a: OmegaAutomaton, b: OmegaAutomaton | None = None
-) -> OmegaAutomaton:
-    if op == "complement":
-        if b is not None:
-            raise InputError("complement is unary")
-        return omega_complement(a)
-    if b is None:
-        raise InputError(f"{op} needs two automata")
-    if op == "union":
-        return omega_union(a, b)
-    if op == "intersect":
-        return omega_intersect(a, b)
-    if op == "difference":
-        return omega_intersect(a, omega_complement(b))
-    raise InputError(f"unknown Boolean operation {op!r}")
 
 
 def omega_is_empty(a: OmegaAutomaton) -> bool:
@@ -493,9 +475,10 @@ def omega_empty_automaton(alphabet: Alphabet) -> OmegaAutomaton:
 # automaton in omega mode; its words are symbol tuples or ultimately periodic
 # words.  These operations are the one place that tells the two apart, for
 # sets and relations alike: `_product` is the reachable product behind compose
-# and image, `_includes` decides inclusion and `_canon` gives the one canonical
-# form.  Union needs no dispatch, as `automata.union` keeps the class of its
-# first argument.
+# and image, `_difference` removes one language from another without
+# completing anything in finite mode, `_includes` decides inclusion and
+# `_canon` gives the one canonical form.  Union needs no dispatch, as
+# `automata.union` keeps the class of its first argument.
 
 
 def _canon(a: FiniteAutomaton) -> FiniteAutomaton:
@@ -523,7 +506,7 @@ def _product(a: FiniteAutomaton, b: FiniteAutomaton, alphabet: Alphabet, moves):
 def _includes(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
     """L(a) included in L(b)."""
     if isinstance(a, OmegaAutomaton):
-        return omega_is_empty(omega_intersect(a, _complement(b)))
+        return omega_is_empty(_difference(a, b))
     return includes(a, b)
 
 
@@ -544,6 +527,15 @@ def _complement(a: FiniteAutomaton) -> FiniteAutomaton:
     if isinstance(a, OmegaAutomaton):
         return complement_weak_dba(to_weak_dba(a))
     return complement(a)
+
+
+def _difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
+    """L(a) minus L(b).  In finite mode one product of `a` with `b`'s
+    subsets (`automata.difference`), which completes nothing; in omega
+    mode `a` intersected with the complement of `b`."""
+    if isinstance(a, OmegaAutomaton):
+        return omega_intersect(a, _complement(b))
+    return difference(a, b)
 
 
 def _member(a: FiniteAutomaton, w) -> bool:

@@ -4,11 +4,11 @@ The greatest simulation compatible with the declared state properties is the
 limit of a decreasing transducer sequence: the initial relation pairs
 equal-length words with equal cop sets, and each refinement removes pairs
 whose moves cannot be matched.  A refinement step is derived from relation
-composition and complement of the step relation T:
+composition and difference with the step relation T:
 
     G    = T o Sim^-1        (w2, w3): w2 steps to a word that simulates w3
     Bad  = T o (not G)^-1    (w1, w2): w1 has a move that w2 cannot match
-    Sim' = Sim cap not Bad
+    Sim' = Sim minus Bad
 
 Sim^-1 and (not G)^-1 are never built: each composition joins the output
 track of T with the output track of the other relation (`transducer._join`).
@@ -18,13 +18,18 @@ fixpoint and the closures run on reachable words only.  Let R be a T-closed
 set, T(R) contained in R; the converged reachable set is one.  The
 simulation game started in R x R never leaves it, so the greatest simulation
 on R x R is the global one restricted to R x R; for the same reason the
-strict closure of T cap (R x R) is T+ cap (R x R).  An unconverged reachable
-set is not T-closed, and then the relations stay unrestricted.
-Budget-exhausted over-approximations are never used to report Holds.
+strict closure of T cap (R x R) is T+ cap (R x R).  With such an R, the
+initial relation is built inside R x R, and not G is taken relative to
+R x R, as a difference: no relation is completed over the pair alphabet,
+so the completion cap is never met.  An unconverged reachable set is not
+T-closed, and then the relations stay unrestricted and not G is a
+complement.  Budget-exhausted over-approximations are never used to report
+Holds.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -35,10 +40,11 @@ from .automata import (
     explore,
     product_general,
     project_components,
+    universal,
 )
 from .errors import AlphabetCapExceeded, InputError, NonWeakResult
 from .gsp import StateProperty, _extract_lasso
-from .omega import _canon, _complement, _intersect, _pick
+from .omega import _canon, _complement, _difference, _intersect, _pick, omega_universal
 from .system import BuchiRegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
     OMEGA,
@@ -74,9 +80,23 @@ class SimCandidate:
     validated: bool
 
 
-def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRelation:
-    """Initial relation: same-length pairs whose projections have equal cop sets."""
-    sigma_a = msys.system.alphabet
+def sim_init(
+    msys: BuchiRegularSystem,
+    cops: Sequence[StateProperty],
+    within: FiniteAutomaton | None = None,
+) -> SimRelation:
+    """Initial relation: the same-length pairs of words of R whose
+    projections have equal cop sets, R being `within` or every word.
+
+    One product of R's rows, read once per track, with the cop automata on
+    both words: a node (r1, r2, left cop states, right cop states) moves on
+    the pair letter a * |Sigma| + b for each move of r1 on a and each move
+    of r2 on b, and accepts when r1 and r2 accept and the cop sets agree.
+    """
+    m = msys.system
+    sigma_a = m.alphabet
+    if within is None:
+        within = omega_universal(sigma_a) if m.mode == OMEGA else universal(sigma_a)
     if cops:
         base = cops[0].automaton.alphabet
         width = len(base.components)
@@ -105,14 +125,19 @@ def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRela
             ]
         return out
 
-    # node: (cop automata states on the left word, on the right word)
+    size, rows_r, fr = sigma_a.size, within.adjacency, within.accepting
+
     def moves(node):
-        rights = step(node[1])
-        sym = 0
-        for left2 in step(node[0]):
-            for right2 in rights:
-                yield sym, (left2, right2)
-                sym += 1
+        r1, r2, left, right = node
+        row2 = rows_r.get(r2, {})
+        lefts, rights = step(left), step(right)
+        for a, d1s in rows_r.get(r1, {}).items():
+            left2, first = lefts[a], a * size
+            for b, d2s in row2.items():
+                right2 = rights[b]
+                for d1 in d1s:
+                    for d2 in d2s:
+                        yield first + b, (d1, d2, left2, right2)
 
     def label_mask(states: tuple) -> int:
         mask = 0
@@ -122,28 +147,38 @@ def sim_init(msys: BuchiRegularSystem, cops: Sequence[StateProperty]) -> SimRela
         return mask
 
     inner = explore(
-        type(msys.system.relation.inner),
+        type(m.relation.inner),
         Alphabet.product(sigma_a, sigma_a),
-        [(q0, q0)],
+        [(r1, r2, q0, q0) for r1, r2 in sorted(itertools.product(within.initial, repeat=2))],
         moves,
-        lambda node: label_mask(node[0]) == label_mask(node[1]),
+        lambda node: node[0] in fr
+        and node[1] in fr
+        and label_mask(node[2]) == label_mask(node[3]),
     )
     return SimRelation(Transducer(_canon(inner)), 0, False)
 
 
-def sim_step(s: SimRelation, t: Transducer) -> SimRelation:
+def sim_step(
+    s: SimRelation, t: Transducer, universe: FiniteAutomaton | None = None
+) -> SimRelation:
     """One refinement: drop pairs with an unmatched move.
 
     Removed are pairs (w1, w2) such that some successor w3 of w1 has no
     counterpart w4 of w2 with (w3, w4) still related:
-    G = T o Sim^-1, Bad = T o (not G)^-1 and Sim' = Sim cap not Bad.
+    G = T o Sim^-1, Bad = T o (not G)^-1 and Sim' = Sim minus Bad.
+    `universe` is the set of pairs the relations live in, R x R for a
+    T-closed R with T and Sim inside it: not G is then its difference with
+    G, and no relation is completed over the pair alphabet.  Without it,
+    not G is the complement of G, which in finite mode stops at the
+    completion cap (`AlphabetCapExceeded`).
     """
     _require_same_base(t, s.relation)
     # G(w2, w3) = exists w4: (w2, w4) in T and (w3, w4) in Sim
     g = _join(t.inner, s.relation, 1)
+    not_g = _complement(g) if universe is None else _difference(universe, g)
     # Bad(w1, w2) = exists w3: (w1, w3) in T and not G(w2, w3)
-    bad = _join(t.inner, Transducer(_complement(g)), 1)
-    refined = _intersect(s.relation.inner, _complement(bad))
+    bad = _join(t.inner, Transducer(not_g), 1)
+    refined = _difference(s.relation.inner, bad)
     return SimRelation(Transducer(_canon(refined)), s.iteration_index + 1, False)
 
 
@@ -155,14 +190,15 @@ def sim_fixpoint(
     """Iterate refinement until a fixpoint or the budget runs out.
 
     When the reachable set R converges within the budget, the initial
-    relation and T are restricted to R x R and the result is the greatest
-    simulation on reachable words; otherwise both stay unrestricted.
-    Terminates exactly on systems with a finite-index simulation; a
-    budget-exhausted result is an over-approximation usable only as
-    "not yet refuted", never to conclude emptiness.  A refinement step that
+    relation is built inside R x R, T is restricted to it, every complement
+    is taken relative to it, and the result is the greatest simulation on
+    reachable words; otherwise all three stay unrestricted.  Terminates
+    exactly on systems with a finite-index simulation; a budget-exhausted
+    result is an over-approximation usable only as "not yet refuted", never
+    to conclude emptiness.  Without a converged R, a refinement step that
     would complement a finite-mode relation over a pair alphabet above
-    `COMPLETION_CAP` ends the iteration: the last iterate comes back inexact,
-    with the cap as its `reason`.
+    `COMPLETION_CAP` ends the iteration: the last iterate comes back
+    inexact, with the cap as its `reason`.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
@@ -172,11 +208,12 @@ def sim_fixpoint(
         closed = reach if ends[None][0] else None
     except NonWeakResult:
         closed = None
-    t = _on_reach(m.relation, closed)
-    current = SimRelation(_on_reach(sim_init(msys, cops).relation, closed), 0, False)
+    square = _square(closed)
+    t = _on_reach(m.relation, square)
+    current = sim_init(msys, cops, within=closed)
     for _ in range(budget):
         try:
-            nxt = sim_step(current, t)
+            nxt = sim_step(current, t, square)
         except AlphabetCapExceeded as e:
             return replace(current, reason=str(e))
         if not relation_includes(current.relation, nxt.relation):
@@ -242,7 +279,8 @@ def check_emptiness_sim(
     try:
         layers, reach, ends = _reach_layers(m, budget)
         reach_conv = ends[None][0]
-        plus = closure(_on_reach(m.relation, reach if reach_conv else None), "plus", budget)
+        square = _square(reach if reach_conv else None)
+        plus = closure(_on_reach(m.relation, square), "plus", budget)
         # words w1 with (w1, w2) in T+ cap Sim for some accepting w2
         similar = Transducer(_intersect(plus.relation.inner, sim.relation.inner))
         anchor = _pick(preimage(similar, msys.acceptance, within=reach))
@@ -278,22 +316,29 @@ def check_emptiness_sim(
     return Verdict.violated(witness, **diag)
 
 
-def _on_reach(t: Transducer, reach: FiniteAutomaton | None) -> Transducer:
-    """The relation restricted to R x R, for a T-closed set R; `t` when R is None.
+def _square(reach: FiniteAutomaton | None) -> FiniteAutomaton | None:
+    """R x R, the square of a set R over the pair alphabet; None when R is.
 
-    R x R is the square of R over the pair alphabet, an automaton of R's own
-    class.  In omega mode R is a weak DBA, so a cycle of the square stays in
-    one SCC of R per track, each accepting or not as a whole, and requiring
-    both tracks to accept is the Buchi condition of the square.
+    It is an automaton of R's own class.  In omega mode R is a weak DBA, so
+    a cycle of the square stays in one SCC of R per track, each accepting or
+    not as a whole, and requiring both tracks to accept is the Buchi
+    condition of the square.
     """
     if reach is None:
-        return t
-    square = product_general(
+        return None
+    return product_general(
         reach,
         reach,
         Alphabet.product(reach.alphabet, reach.alphabet),
         _sync_symbols(reach.alphabet.size),
     )
+
+
+def _on_reach(t: Transducer, square: FiniteAutomaton | None) -> Transducer:
+    """The relation restricted to R x R (`_square`), for a T-closed set R;
+    `t` when there is no square."""
+    if square is None:
+        return t
     return Transducer(_canon(_intersect(t.inner, square)))
 
 

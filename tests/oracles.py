@@ -500,6 +500,26 @@ def random_partial_dfa(rng: random.Random, alphabet: Alphabet, max_states: int =
     return FiniteAutomaton(alphabet, n, frozenset({rng.randrange(n)}), accepting, transitions)
 
 
+def random_dense_nfa(
+    rng: random.Random, alphabet: Alphabet, max_states: int = 6, density: float = 0.7
+) -> FiniteAutomaton:
+    """Nondeterministic, with most moves present: each state has a move on
+    each letter with probability `density`, to one or two states, and about
+    half the states accept, so its products and differences are mostly
+    nonempty (unlike those of `random_nfa`, which draws at most 3n moves)."""
+    n = rng.randint(2, max_states)
+    transitions = frozenset(
+        (q, sym, dst)
+        for q in range(n)
+        for sym in range(alphabet.size)
+        if rng.random() < density
+        for dst in rng.sample(range(n), rng.randint(1, 2))
+    )
+    initial = frozenset(rng.sample(range(n), rng.randint(1, 2)))
+    accepting = frozenset(q for q in range(n) if rng.random() < 0.5)
+    return FiniteAutomaton(alphabet, n, initial, accepting, transitions)
+
+
 def reordered(a: FiniteAutomaton, rng: random.Random) -> FiniteAutomaton:
     """An automaton equal to `a` whose transition set and `adjacency` iterate
     in other orders.  The moves are inserted shuffled into a set that held

@@ -14,7 +14,6 @@ from rmckit import (
     FiniteAutomaton,
     InputError,
     accepts,
-    boolean,
     complement,
     determinize,
     difference,
@@ -43,6 +42,7 @@ from rmckit.omega import (
     OmegaAutomaton,
     UltimatelyPeriodicWord,
     _cycle_word,
+    _canon,
     canonical_renumber,
     complement_weak_dba,
     normalize_weak,
@@ -56,6 +56,7 @@ from oracles import (
     language_upto,
     moore_minimize,
     naive_accepts,
+    random_dense_nfa,
     random_layered_weak_dba,
     random_nfa,
     random_partial_dfa,
@@ -153,14 +154,15 @@ def test_complement_involution_and_union_identity():
     assert equivalent(union(a, empty), a)
 
 
-def test_boolean_dispatcher():
-    a, b = nfa_one_token(), ring_initial()
-    assert equivalent(boolean("union", a, b), union(a, b))
-    assert equivalent(boolean("intersect", a, b), intersect(a, b))
-    assert equivalent(boolean("difference", a, b), difference(a, b))
-    assert equivalent(boolean("complement", a), complement(a))
-    with pytest.raises(InputError):
-        boolean("xor", a, b)
+def test_boolean_operations_against_word_enumeration():
+    a, b = nfa_one_token(), ring_initial()  # N*TN* and TN*
+    words_a, words_b = set(enumerate_words(a, 4)), set(enumerate_words(b, 4))
+    every = set(enumerate_words(universal(NT), 4))
+    assert set(enumerate_words(union(a, b), 4)) == words_a | words_b
+    assert set(enumerate_words(intersect(a, b), 4)) == words_a & words_b
+    assert set(enumerate_words(difference(a, b), 4)) == words_a - words_b
+    assert set(enumerate_words(difference(b, a), 4)) == set()
+    assert set(enumerate_words(complement(a), 4)) == every - words_a
 
 
 def test_sync_product_singletons():
@@ -234,6 +236,33 @@ def test_includes_matches_difference_emptiness():
     for _ in range(25):
         a, b = random_nfa(rng, AB), random_nfa(rng, AB)
         assert includes(a, b) == is_empty(difference(a, b))
+
+
+def test_difference_equals_intersect_with_complement_on_dense_draws():
+    # `difference` is one product with the subtrahend's subsets; the
+    # intersection with its complement is the reference
+    rng = random.Random(19)
+    nonempty = draws = 0
+    for alphabet in (AB, Alphabet.base(("a", "b", "c"))):
+        for _ in range(60):
+            a, b = random_dense_nfa(rng, alphabet), random_dense_nfa(rng, alphabet)
+            diff = difference(a, b)
+            assert type(diff) is FiniteAutomaton
+            assert _canon(diff) == _canon(intersect(a, complement(b)))
+            assert language_upto(diff, 4) == language_upto(a, 4) - language_upto(b, 4)
+            nonempty += not is_empty(diff)
+            draws += 1
+    assert nonempty >= 0.5 * draws, nonempty
+
+
+def test_difference_completes_nothing_above_the_cap():
+    wide = Alphabet.base(tuple(f"x{i}" for i in range(COMPLETION_CAP + 1)))
+    a = FiniteAutomaton(wide, 2, frozenset({0}), frozenset({1}), frozenset({(0, 0, 1), (0, 1, 1)}))
+    b = FiniteAutomaton(wide, 2, frozenset({0}), frozenset({1}), frozenset({(0, 0, 1)}))
+    with pytest.raises(InputError, match="completion cap"):
+        complement(b)
+    assert enumerate_words(difference(a, b), 2) == [(1,)]
+    assert is_empty(difference(b, a))
 
 
 def test_determinize_matches_enumeration_on_random_nfas():

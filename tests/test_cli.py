@@ -353,20 +353,27 @@ def test_finite_checks_build_no_transition_set(request, capsys, monkeypatch, com
 
 
 # a negated GSP property with ten states: with one cop the augmented
-# alphabet has 2 * 11 * 3 = 66 letters, and the simulation refinement
-# complements relations over its 4356 letter pairs
+# alphabet has 2 * 11 * 3 = 66 letters, 4356 letter pairs; the simulation
+# refinement complements relations over all of them only while
+# reachability has not converged
 NEGATED_TEN_STATES = (
     "kind: weak-dba\nalphabet: m0 m1\nstates: 10\ninitial: 0\naccepting: 9\ntrans:\n"
     + "".join(f"{i} m0 {i}\n{i} m1 {min(i + 1, 9)}\n" for i in range(10))
 )
 
 
-@pytest.mark.parametrize("command", [["check-gsp", "--engine", "sim"], ["sim"]])
-def test_sim_engine_at_the_completion_cap_is_unknown(ring_dir, tmp_path, capsys, command):
+def _ten_state_argv(ring_dir, tmp_path):
     prop = tmp_path / "neg.aut"
     prop.write_text(NEGATED_TEN_STATES)
-    argv = ["--system", str(ring_dir / "system.sys"), "--property", str(prop), "--slice", "2..3"]
-    code = main(command + argv + ["--format", "json"])
+    return ["--system", str(ring_dir / "system.sys"), "--property", str(prop), "--slice", "2..3"]
+
+
+@pytest.mark.parametrize("command", [["check-gsp", "--engine", "sim"], ["sim"]])
+def test_sim_engine_at_the_completion_cap_is_unknown(ring_dir, tmp_path, capsys, command):
+    # at budget 1 reach does not converge, so not G is a complement over
+    # the whole pair alphabet
+    argv = _ten_state_argv(ring_dir, tmp_path)
+    code = main(command + argv + ["--budget", "1", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     doc = json.loads(captured.out)
@@ -374,7 +381,18 @@ def test_sim_engine_at_the_completion_cap_is_unknown(ring_dir, tmp_path, capsys,
     assert [row["reason"] for row in doc["slices"]] == [
         "alphabet of size 4356 exceeds completion cap 4096"
     ] * 2
-    # the loop engine decides the same instance
+
+
+def test_sim_engine_with_converged_reach_decides_the_cap_instance(ring_dir, tmp_path, capsys):
+    # with reach converged, not G is taken relative to R x R and nothing is
+    # completed: the engine decides the instance as the loop engine does
+    argv = _ten_state_argv(ring_dir, tmp_path)
+    code = main(["check-gsp", "--engine", "sim"] + argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    rows = json.loads(captured.out)["slices"]
+    assert [(row["status"], row["sim_exact"]) for row in rows] == [("violated", True)] * 2
+    assert all(row["witness"]["words"] for row in rows)  # printed only after replay
     assert main(["check-gsp"] + argv) == 1
 
 

@@ -17,7 +17,6 @@ from rmckit import (
     complement_weak_dba,
     determinize_weak,
     minimize_weak_dba,
-    omega_boolean,
     omega_equivalent,
     omega_intersect,
     omega_project,
@@ -26,7 +25,14 @@ from rmckit import (
     sample_lassos,
 )
 from rmckit.fixtures import build_fa, ring_alphabet
-from rmckit.omega import omega_empty_automaton, omega_universal
+from rmckit.omega import (
+    OmegaAutomaton,
+    _canon,
+    _complement,
+    _difference,
+    omega_empty_automaton,
+    omega_universal,
+)
 
 from oracles import (
     lasso_accepts_deterministic,
@@ -191,13 +197,31 @@ def test_omega_project_product_recovers():
         assert accepts_up_word(back, w) == accepts_up_word(a, w)
 
 
-def test_omega_boolean_complement_restriction():
+def test_omega_complement_restriction():
     with pytest.raises(NotWeakDeterministic):
-        omega_boolean("complement", inf_many_t())
-    c = omega_boolean("complement", eventually_t())
+        complement_weak_dba(inf_many_t())
+    c = complement_weak_dba(eventually_t())
     assert accepts_up_word(c, lasso("", "N"))
-    diff = omega_boolean("difference", eventually_t(), eventually_t())
-    assert buchi_is_empty(diff)[0]
+    assert buchi_is_empty(_difference(eventually_t(), eventually_t()))[0]
+    assert not buchi_is_empty(_difference(omega_universal(NT), eventually_t()))[0]
+
+
+def test_omega_difference_dispatch_on_layered_draws():
+    # in omega mode `_difference` is the intersection with the complement;
+    # lasso membership is the independent check
+    rng = random.Random(19)
+    nonempty = 0
+    for _ in range(40):
+        a, b = random_layered_weak_dba(rng, NT, 4, 2), random_layered_weak_dba(rng, NT, 4, 2)
+        diff = _difference(a, b)
+        assert isinstance(diff, OmegaAutomaton)
+        assert _canon(diff) == _canon(omega_intersect(a, _complement(b)))
+        for w in sample_lassos(NT, 20, seed=rng.randrange(10**6)):
+            assert accepts_up_word(diff, w) == (
+                lasso_accepts_deterministic(a, w) and not lasso_accepts_deterministic(b, w)
+            )
+        nonempty += not buchi_is_empty(diff)[0]
+    assert nonempty >= 0.3 * 40, nonempty
 
 
 def test_buchi_is_empty_cases():

@@ -36,9 +36,12 @@ from rmckit.fixtures import (
     ring_alphabet,
     token_ring,
     token_ring_dup_mutant,
+    token_ring_idle_mutant,
 )
+from rmckit import automata, omega
 from rmckit.gsp import cop_alphabet, cop_of
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word, omega_universal
+from rmckit.simulation import _on_reach, _square
 from rmckit.system import BuchiRegularSystem, RegularSystem
 from rmckit.transducer import FINITE, OMEGA, identity, pair_word
 
@@ -273,7 +276,7 @@ def test_sim_and_loop_engines_agree_on_planted_cycle_systems():
     # every slice of a `random_unsliced_system` draw has an infinite
     # execution, so layered negated properties give both verdicts; a
     # property with many states takes the squared augmented alphabet above
-    # the completion cap, and the simulation engine then stops, unconverged
+    # the completion cap, which converged reach keeps the engine from meeting
     tally = Counter()
     for seed in range(24):
         rng = random.Random(seed)
@@ -283,13 +286,8 @@ def test_sim_and_loop_engines_agree_on_planted_cycle_systems():
         aug = build_augmented_finite(slice_system(system, rng.randint(2, 3)), neg, cops)
         v_loop = check_emptiness_loop(aug.msys, budget=30)
         sim = sim_fixpoint(aug.msys, cops, budget=30)
-        if sim.reason is not None:
-            size = aug.msys.system.relation.inner.alphabet.size
-            assert size > COMPLETION_CAP and not sim.exact, seed
-            assert sim.reason == f"alphabet of size {size} exceeds completion cap {COMPLETION_CAP}"
-            tally["cap"] += 1
-            continue
-        assert sim.exact, seed
+        assert sim.exact and sim.reason is None, seed
+        past_cap = aug.msys.system.relation.inner.alphabet.size > COMPLETION_CAP
         v_sim = check_emptiness_sim(aug.msys, sim, budget=30)
         if v_sim.status == VIOLATED:
             ok, why = replay_gsp_witness(aug, v_sim.witness)
@@ -299,9 +297,91 @@ def test_sim_and_loop_engines_agree_on_planted_cycle_systems():
             continue
         assert v_sim.status == v_loop.status, seed
         tally[v_sim.status] += 1
+        if past_cap:
+            tally[f"past cap, {v_sim.status}"] += 1
     decided = tally[HOLDS] + tally[VIOLATED]
     assert tally[HOLDS] >= 0.3 * decided and tally[VIOLATED] >= 0.3 * decided, tally
-    assert tally["cap"] > 0, tally
+    # draws above the completion cap are decided too, both ways
+    assert tally[f"past cap, {HOLDS}"] > 0 and tally[f"past cap, {VIOLATED}"] > 0, tally
+
+
+def ten_state_negated():
+    # the negated property of tests/test_cli.py: 66 augmented letters with one
+    # cop, 4356 letter pairs, above the completion cap
+    m = cop_alphabet(1)
+    moves = {(i, 0, i) for i in range(10)} | {(i, 1, min(i + 1, 9)) for i in range(10)}
+    return OmegaAutomaton(m, 10, frozenset({0}), frozenset({9}), frozenset(moves))
+
+
+@pytest.mark.parametrize(
+    "system, negated",
+    [
+        (token_ring, gsp_always_one_token_negated),
+        (token_ring_idle_mutant, gsp_always_one_token_negated),
+        (token_ring_dup_mutant, gsp_always_one_token_negated),
+        (token_ring, ten_state_negated),
+    ],
+)
+def test_sim_fixpoint_with_converged_reach_completes_nothing(monkeypatch, system, negated):
+    cop = state_property("one_token", cop_one_token())
+    aug = build_augmented_finite(slice_system(system(), 2), negated_gsp(negated(), 1), [cop])
+    assert reachable(aug.msys.system, budget=30).converged
+    calls = []
+    for module, name in ((automata, "complete"), (automata, "_complete_dfa"), (omega, "complete")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    sim = sim_fixpoint(aug.msys, [cop], budget=30)
+    assert sim.exact and sim.reason is None
+    assert calls == []
+
+
+def assert_sim_init_within_reach_is_the_restriction(msys, cops):
+    reach = reachable(msys.system, budget=30)
+    assert reach.converged
+    within = sim_init(msys, cops, within=reach.automaton)
+    whole = sim_init(msys, cops)
+    assert within.relation == _on_reach(whole.relation, _square(reach.automaton))
+    assert within.relation != whole.relation
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("system", [token_ring, token_ring_idle_mutant, token_ring_dup_mutant])
+def test_sim_init_within_reach_on_the_bundles(system, n):
+    aug, cop = ring_aug(n, system())
+    assert_sim_init_within_reach_is_the_restriction(aug.msys, [cop])
+
+
+def test_sim_init_within_reach_on_planted_cycle_systems():
+    for seed in range(6):
+        rng = random.Random(seed)
+        system = random_unsliced_system(rng, 2, 3)
+        cops = [state_property("c0", random_dfa_complete(rng, system.alphabet))]
+        neg = negated_gsp(random_layered_weak_dba(rng, cop_alphabet(1), 3, 2), 1)
+        aug = build_augmented_finite(slice_system(system, rng.randint(2, 3)), neg, cops)
+        assert_sim_init_within_reach_is_the_restriction(aug.msys, cops)
+
+
+def test_sim_init_within_reach_in_omega_mode():
+    # N^omega steps to T^omega; the cop holds of the words that start with T
+    base = Alphabet.base(("N", "T"))
+    pair = Alphabet.product(base, base)
+    moves = frozenset(
+        (src, pair.index(p), dst)
+        for src, p, dst in ((0, "T/T", 0), (0, "N/T", 1), (1, "N/T", 1), (1, "T/T", 1))
+    )
+    t = Transducer(OmegaAutomaton(pair, 2, frozenset({0}), frozenset({1}), moves))
+    n_omega = OmegaAutomaton(
+        base, 1, frozenset({0}), frozenset({0}), frozenset({(0, base.index("N"), 0)})
+    )
+    starts_t = OmegaAutomaton(
+        base, 3, frozenset({0}), frozenset({1}),
+        frozenset({(0, 1, 1), (0, 0, 2), (1, 0, 1), (1, 1, 1), (2, 0, 2), (2, 1, 2)}),
+    )
+    cop = state_property("starts_t", starts_t, OMEGA)
+    msys = BuchiRegularSystem(RegularSystem(base, n_omega, t, OMEGA), omega_universal(base))
+    assert_sim_init_within_reach_is_the_restriction(msys, [cop])
 
 
 def test_sim_iterates_shrink_monotonically():
