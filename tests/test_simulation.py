@@ -30,6 +30,7 @@ from rmckit import (
     state_property,
     validate_candidate,
 )
+from rmckit import automata, omega
 from rmckit.fixtures import (
     cop_one_token,
     gsp_always_one_token_negated,
@@ -38,7 +39,6 @@ from rmckit.fixtures import (
     token_ring_dup_mutant,
     token_ring_idle_mutant,
 )
-from rmckit import automata, omega
 from rmckit.gsp import cop_alphabet, cop_of
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word, omega_universal
 from rmckit.simulation import _on_reach, _square
