@@ -22,7 +22,6 @@ from .automata import (
     minimize,
     pick_word,
     project,
-    sync_product,
     union,
     universal,
     word_automaton,
@@ -61,7 +60,6 @@ from .gsp import (
 )
 from .losp import (
     LocalExecutionProperty,
-    LocalProjection,
     Losp,
     LospAugmentation,
     build_augmented_losp,
@@ -71,7 +69,6 @@ from .losp import (
     extend_with_flags,
     lep_alphabet,
     local_execution_property,
-    local_projection,
     losp_property,
     replay_losp_witness,
 )
@@ -84,11 +81,7 @@ from .omega import (
     complement_weak_dba,
     determinize_weak,
     minimize_weak_dba,
-    omega_equivalent,
     omega_intersect,
-    omega_project,
-    omega_sync_product,
-    omega_union,
     sample_lassos,
 )
 from .simulation import (
@@ -128,9 +121,7 @@ from .transducer import (
     compose,
     identity,
     image,
-    inverse,
     pair_word,
-    power,
     preimage,
     relation_includes,
     union_t,

@@ -54,12 +54,6 @@ class Alphabet:
     def size(self) -> int:
         return reduce(lambda n, c: n * len(c), self.components, 1)
 
-    def component_alphabet(self, lo: int, hi: int) -> "Alphabet":
-        """Sub-alphabet made of components lo..hi-1 (0-based)."""
-        if not (0 <= lo < hi <= self.arity):
-            raise InputError(f"bad component range {lo}..{hi}")
-        return Alphabet(self.components[lo:hi])
-
     def parts(self, sym: int) -> tuple[int, ...]:
         """Component indices of a symbol id."""
         if not (0 <= sym < self.size):

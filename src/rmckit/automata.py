@@ -1,7 +1,7 @@
 """Finite-word automaton algebra.
 
 Construction, Boolean operations, determinization, canonical minimization,
-synchronous products, projections and the standard decision procedures.
+products, projections and the standard decision procedures.
 Values are immutable; every operation is a pure function returning a new
 automaton.  State ids are dense integers; canonical numbering is
 breadth-first discovery order from the initial states with symbol order as
@@ -22,8 +22,8 @@ in the order `explore` would, because walking the rows directly is faster.
 A deterministic input skips the subset construction: `minimize` refines the
 input's own rows, and only the quotient is numbered.  `complete` is the one
 place that adds a completion sink, always as the highest-numbered state.
-`relabel` is the one place that rewrites letters: projections, transducer
-inverses, flag extensions and the GSP and LOSP label constructions are each
+`relabel` is the one place that rewrites letters: projections, the identity
+relation, flag extensions and the GSP and LOSP label constructions are each
 a letter map handed to it.  `_reflag` is the one place that changes the
 accepting states or the class of an automaton; the rows are shared.
 """
@@ -673,39 +673,7 @@ def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# synchronous product / projection
-
-
-def sync_product(automata: Sequence[FiniteAutomaton]) -> FiniteAutomaton:
-    """Automaton for the synchronous product of the component languages."""
-    if len(automata) < 2:
-        raise InputError("synchronous product needs at least two automata")
-    alphabet = Alphabet.product(*(x.alphabet for x in automata))
-    sizes = [x.alphabet.size for x in automata]
-
-    def compose_sym(parts: Sequence[int]) -> int:
-        sym = 0
-        for p, size in zip(parts, sizes):
-            sym = sym * size + p
-        return sym
-
-    def moves(combo):
-        rows = [x.adjacency.get(q, {}) for x, q in zip(automata, combo)]
-        for move in itertools.product(
-            *(
-                [(sym, dst) for sym in sorted(row) for dst in row[sym]]
-                for row in rows
-            )
-        ):
-            yield compose_sym([m[0] for m in move]), tuple(m[1] for m in move)
-
-    return explore(
-        FiniteAutomaton,
-        alphabet,
-        sorted(itertools.product(*(x.initial for x in automata))),
-        moves,
-        lambda combo: all(q in x.accepting for x, q in zip(automata, combo)),
-    )
+# projection
 
 
 def project_components(a: FiniteAutomaton, drop: Sequence[int]) -> FiniteAutomaton:
@@ -831,9 +799,11 @@ def pick_word(a: FiniteAutomaton) -> tuple[int, ...] | None:
     return min(hits, key=lambda w: (len(w), w), default=None)
 
 
-def enumerate_words(
-    a: FiniteAutomaton, max_len: int, cap: int = 200000
-) -> list[tuple[int, ...]]:
+#: `enumerate_words` gives up once it holds more words than this.
+ENUMERATION_CAP = 200000
+
+
+def enumerate_words(a: FiniteAutomaton, max_len: int) -> list[tuple[int, ...]]:
     """All accepted words of length <= max_len, sorted (oracle-scale sizes)."""
     out: list[tuple[int, ...]] = []
     frontier: dict[frozenset[int], list[tuple[int, ...]]] = {
@@ -843,7 +813,7 @@ def enumerate_words(
         for states, words in frontier.items():
             if states & a.accepting:
                 out.extend(words)
-                if len(out) > cap:
+                if len(out) > ENUMERATION_CAP:
                     raise InputError("word enumeration cap exceeded")
         if length == max_len:
             break
@@ -857,7 +827,7 @@ def enumerate_words(
                 if target:
                     bucket = nxt.setdefault(target, [])
                     bucket.extend(w + (sym,) for w in words)
-                    if len(bucket) > cap:
+                    if len(bucket) > ENUMERATION_CAP:
                         raise InputError("word enumeration cap exceeded")
         frontier = nxt
     return sorted(out)

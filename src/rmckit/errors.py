@@ -55,12 +55,8 @@ class AlphabetCapExceeded(InputError):
 
 
 class ParseError(InputError):
-    """A text input could not be parsed; carries line/column information."""
+    """A text input could not be parsed; carries the line number, if known."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")

@@ -101,9 +101,6 @@ class CopSet:
     def members(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.width) if self.mask >> i & 1)
 
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
 
 @dataclass(frozen=True)
 class StateProperty:

@@ -36,7 +36,6 @@ from .errors import (
 from .gsp import check_emptiness_loop
 from .omega import (
     OmegaAutomaton,
-    UltimatelyPeriodicWord,
     accepts_up_word,
     complement_weak_dba,
     sample_lassos,
@@ -56,6 +55,9 @@ from .system import (
 from .transducer import FINITE, Transducer
 
 MAX_AUG_ALPHABET = 65536
+
+#: A supplied complement is checked on this many sampled lassos (seed 0).
+COMPLEMENT_CHECK_LASSOS = 50
 
 NORESET, RESET = 0, 1
 
@@ -87,8 +89,6 @@ def local_execution_property(
     name: str,
     automaton: OmegaAutomaton,
     complement: OmegaAutomaton | None = None,
-    check_lassos: int = 50,
-    seed: int = 0,
 ) -> LocalExecutionProperty:
     primary = complete(automaton)
     if complement is None:
@@ -103,7 +103,7 @@ def local_execution_property(
         if complement.alphabet != automaton.alphabet:
             raise AlphabetMismatch("complement automaton is over a different alphabet")
         comp = complete(complement)
-        for w in sample_lassos(primary.alphabet, check_lassos, seed=seed):
+        for w in sample_lassos(primary.alphabet, COMPLEMENT_CHECK_LASSOS):
             if accepts_up_word(primary, w) == accepts_up_word(comp, w):
                 raise InconsistentComplement(
                     f"complement of {name!r} agrees with the primary on a lasso"
@@ -117,35 +117,6 @@ class Losp:
 
     negation_automaton: FiniteAutomaton
     n_props: int
-
-
-@dataclass(frozen=True)
-class LocalProjection:
-    """One position's column of an execution: the run of a single process."""
-
-    position: int
-    word: UltimatelyPeriodicWord
-
-
-def local_projection(witness: LassoWitness, j: int) -> LocalProjection:
-    """Column j of a lasso witness, as an ultimately periodic word.
-
-    Words must share one length (structure preservation guarantees this for
-    system witnesses); the projection of augmented witnesses should be taken
-    after mapping the words through the augmentation's sigma_word.
-    """
-    words = witness.words
-    if witness.loop_start is None:
-        raise InputError("local projections need a lasso, not a path witness")
-    lengths = {len(w) for w in words}
-    if len(lengths) != 1:
-        raise InputError("witness words do not share a common length")
-    (n,) = lengths
-    if not (0 <= j < n):
-        raise InputError(f"position {j} out of range for words of length {n}")
-    prefix = tuple(w[j] for w in words[: witness.loop_start])
-    period = tuple(w[j] for w in words[witness.loop_start:])
-    return LocalProjection(j, UltimatelyPeriodicWord(prefix, period))
 
 
 def losp_property(negation_automaton: FiniteAutomaton, n_props: int) -> Losp:

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .alphabet import Alphabet
 from .automata import (
@@ -34,7 +34,6 @@ from .automata import (
     _reflag,
     _same_symbol,
     _shortest_words,
-    _sync_symbols,
     accepts,
     complement,
     complete,
@@ -45,9 +44,7 @@ from .automata import (
     is_empty,
     minimize,
     pick_word,
-    project,
     strongly_connected_components,
-    union,
     universal,
     word_automaton,
 )
@@ -345,9 +342,6 @@ def minimize_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
 # Boolean operations and products
 
 
-omega_union = union
-
-
 def _product_omega(
     a: OmegaAutomaton,
     b: OmegaAutomaton,
@@ -386,22 +380,6 @@ def omega_intersect(a: OmegaAutomaton, b: OmegaAutomaton) -> OmegaAutomaton:
     return _product_omega(a, b, a.alphabet, _paired_moves(a, b, _same_symbol))
 
 
-def omega_sync_product(automata: Sequence[OmegaAutomaton]) -> OmegaAutomaton:
-    """Synchronous product over the tuple alphabet (binary folds)."""
-    if len(automata) < 2:
-        raise InputError("synchronous product needs at least two automata")
-    result = automata[0]
-    for nxt in automata[1:]:
-        alphabet = Alphabet.product(result.alphabet, nxt.alphabet)
-        pairs = _sync_symbols(nxt.alphabet.size)
-        result = _product_omega(result, nxt, alphabet, _paired_moves(result, nxt, pairs))
-    return result
-
-
-# projection keeps the automaton class, and with it Buchi acceptance
-omega_project = project
-
-
 def omega_is_empty(a: OmegaAutomaton) -> bool:
     empty, _ = buchi_is_empty(a)
     return empty
@@ -412,16 +390,6 @@ def to_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:
     if a.is_deterministic and a.is_weak:
         return complete(a)
     return determinize_weak(a)
-
-
-def omega_equivalent(a: OmegaAutomaton, b: OmegaAutomaton) -> bool:
-    """Exact omega-language equality via weak-DBA complementation.
-
-    Raises NonWeakResult when either side is not weak-representable.
-    """
-    a.alphabet.require_same(b.alphabet)
-    da, db = to_weak_dba(a), to_weak_dba(b)
-    return _includes(da, db) and _includes(db, da)
 
 
 def sample_lassos(
@@ -462,10 +430,6 @@ def up_word_automaton(
 
 def omega_universal(alphabet: Alphabet) -> OmegaAutomaton:
     return _reflag(universal(alphabet), frozenset({0}), OmegaAutomaton)
-
-
-def omega_empty_automaton(alphabet: Alphabet) -> OmegaAutomaton:
-    return OmegaAutomaton(alphabet, 1, frozenset({0}), frozenset(), frozenset())
 
 
 # ---------------------------------------------------------------------------

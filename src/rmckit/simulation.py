@@ -359,19 +359,22 @@ def _concretize(msys: BuchiRegularSystem, layers, reach, plus):
     return _extract_lasso(msys.system, layers, anchor, plus.steps_used + 1)
 
 
+#: `brute_force_simulation` refuses graphs with more states than this.
+BRUTE_FORCE_CAP = 500
+
+
 def brute_force_simulation(
     n_states: int,
     transitions: Sequence[tuple[int, int]],
     labels: Sequence[object],
-    cap: int = 500,
 ) -> set[tuple[int, int]]:
     """Greatest label-compatible simulation on an explicit graph.
 
     Naive refinement to fixpoint; (p, q) in the result means q simulates p.
     Serves as the independent oracle for the symbolic fixpoint.
     """
-    if n_states > cap:
-        raise InputError(f"explicit simulation capped at {cap} states")
+    if n_states > BRUTE_FORCE_CAP:
+        raise InputError(f"explicit simulation capped at {BRUTE_FORCE_CAP} states")
     if len(labels) != n_states:
         raise InputError("one label per state required")
     succ: dict[int, set[int]] = {i: set() for i in range(n_states)}

@@ -120,14 +120,6 @@ def identity(alphabet: Alphabet, mode: str = FINITE) -> Transducer:
     return Transducer(relabel(words, pairs, lambda a: (a * size + a,)))
 
 
-def inverse(t: Transducer) -> Transducer:
-    """Swap the letter components (represents the inverse relation)."""
-    size = t.base.size
-    return Transducer(
-        relabel(t.inner, t.inner.alphabet, lambda sym: ((sym % size) * size + sym // size,))
-    )
-
-
 def accepts_pair(t: Transducer, w1, w2) -> bool:
     """Whether (w1, w2) is in the relation; both words finite or both omega."""
     return _member(t.inner, pair_word(t.base, w1, w2))
@@ -246,18 +238,6 @@ def preimage(
 def union_t(t1: Transducer, t2: Transducer) -> Transducer:
     _require_same_base(t1, t2)
     return Transducer(union(t1.inner, t2.inner))
-
-
-def power(t: Transducer, i: int) -> Transducer:
-    """i-fold composition; the zero power is the identity relation."""
-    if i < 0:
-        raise InputError("power must be nonnegative")
-    if i == 0:
-        return identity(t.base, t.mode)
-    result = t
-    for _ in range(i - 1):
-        result = compose(result, t)
-    return result
 
 
 def canonicalize(t: Transducer) -> Transducer:

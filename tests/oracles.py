@@ -9,8 +9,10 @@ emptiness engine.  `moore_minimize` is Moore's refinement, the algorithm
 `minimize` used before partition refinement, kept as its reference; it
 shares the subset construction, the quotient numbering and the completion
 with `minimize`, so only the refinement differs.  `relation_equal` and
-`reflexive_check` are test helpers on top of `transducer.relation_includes`;
-nothing in the library uses them.
+`reflexive_check` are test helpers on top of `transducer.relation_includes`,
+and `inverse` swaps the tracks of a relation through `automata.relabel`, the
+reference for joins that read a relation on its output track; nothing in the
+library uses them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ import random
 from dataclasses import replace
 
 from rmckit.alphabet import COMPLETION_CAP, Alphabet
-from rmckit.automata import FiniteAutomaton, _complete_dfa, _determinize_subsets, explore
+from rmckit.automata import (
+    FiniteAutomaton,
+    _complete_dfa,
+    _determinize_subsets,
+    explore,
+    relabel,
+)
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord
 from rmckit.system import RegularSystem
 from rmckit.transducer import Transducer, identity, relation_includes
@@ -132,6 +140,14 @@ def relation_equal(t1: Transducer, t2: Transducer) -> bool:
 def reflexive_check(t: Transducer) -> bool:
     """Reflexive iff the identity language is included in L(t)."""
     return relation_includes(t, identity(t.base, t.mode))
+
+
+def inverse(t: Transducer) -> Transducer:
+    """Swap the letter components (represents the inverse relation)."""
+    size = t.base.size
+    return Transducer(
+        relabel(t.inner, t.inner.alphabet, lambda sym: ((sym % size) * size + sym // size,))
+    )
 
 
 def compose_pairs(p1: set, p2: set) -> set:

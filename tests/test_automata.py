@@ -5,6 +5,7 @@ import itertools
 import random
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -30,13 +31,20 @@ from rmckit import (
     pick_word,
     project,
     serialize_aut,
-    sync_product,
     union,
     universal,
     word_automaton,
 )
 from rmckit.alphabet import COMPLETION_CAP
-from rmckit.automata import _determinize_subsets, _shortest_words, complete, explore, relabel
+from rmckit.automata import (
+    _determinize_subsets,
+    _shortest_words,
+    _sync_symbols,
+    complete,
+    explore,
+    product_general,
+    relabel,
+)
 from rmckit.fixtures import build_fa, ring_alphabet, ring_initial
 from rmckit.omega import (
     OmegaAutomaton,
@@ -50,9 +58,10 @@ from rmckit.omega import (
     to_weak_dba,
     up_word_automaton,
 )
-from rmckit.transducer import compose, inverse
+from rmckit.transducer import compose
 
 from oracles import (
+    inverse,
     language_upto,
     moore_minimize,
     naive_accepts,
@@ -147,6 +156,16 @@ def test_boolean_intersect_at_length_one():
     assert enumerate_words(both, 1) == [NT.word("T")]
 
 
+@pytest.mark.parametrize("cap, max_len", [(2, 1), (3, 2)])
+def test_enumerate_words_stops_at_its_cap(cap, max_len):
+    # (2, 1) meets the cap in the accepted words, (3, 2) in the frontier
+    every = universal(NT)
+    with mock.patch("rmckit.automata.ENUMERATION_CAP", cap):
+        with pytest.raises(InputError, match="word enumeration cap exceeded"):
+            enumerate_words(every, max_len)
+        assert len(enumerate_words(every, max_len - 1)) == 2**max_len - 1
+
+
 def test_complement_involution_and_union_identity():
     a = nfa_one_token()
     assert equivalent(complement(complement(a)), a)
@@ -165,10 +184,17 @@ def test_boolean_operations_against_word_enumeration():
     assert set(enumerate_words(complement(a), 4)) == every - words_a
 
 
+def sync_product(a, b):
+    """Synchronous product of two languages: `product_general` reading every
+    pair of moves as the pair letter of `_sync_symbols`."""
+    pair = Alphabet.product(a.alphabet, b.alphabet)
+    return product_general(a, b, pair, _sync_symbols(b.alphabet.size))
+
+
 def test_sync_product_singletons():
     t = word_automaton(NT, NT.word("T"))
     n = word_automaton(NT, NT.word("N"))
-    prod = sync_product([t, n])
+    prod = sync_product(t, n)
     words = enumerate_words(prod, 1)
     assert words == [(prod.alphabet.index("T/N"),)]
 
@@ -176,7 +202,7 @@ def test_sync_product_singletons():
 def test_sync_product_enumeration():
     tn = ring_initial()  # TN*
     nstar = build_fa(NT, 1, [0], [0], [(0, "N", 0)])  # N*
-    prod = sync_product([tn, nstar])
+    prod = sync_product(tn, nstar)
     words = enumerate_words(prod, 2)
     names = {tuple(prod.alphabet.name(s) for s in w) for w in words if len(w) == 2}
     assert names == {("T/N", "N/N")}
@@ -184,13 +210,13 @@ def test_sync_product_enumeration():
 
 def test_sync_product_annihilator():
     empty = FiniteAutomaton(NT, 1, frozenset({0}), frozenset(), frozenset())
-    assert is_empty(sync_product([ring_initial(), empty]))
+    assert is_empty(sync_product(ring_initial(), empty))
 
 
 def test_project_singleton():
     t = word_automaton(NT, NT.word("T"))
     n = word_automaton(NT, NT.word("N"))
-    prod = sync_product([t, n])
+    prod = sync_product(t, n)
     p = project(prod, 2)
     assert equivalent(minimize(p), minimize(t))
 
@@ -215,7 +241,7 @@ def test_project_empty():
 def test_project_bad_index():
     with pytest.raises(InputError):
         project(ring_initial(), 1)  # arity 1
-    pair = sync_product([ring_initial(), ring_initial()])
+    pair = sync_product(ring_initial(), ring_initial())
     with pytest.raises(InputError):
         project(pair, 3)
 
@@ -290,7 +316,7 @@ def test_project_of_product_with_universal_recovers():
     rng = random.Random(3)
     for _ in range(20):
         a = random_nfa(rng, AB)
-        prod = sync_product([a, universal(AB)])
+        prod = sync_product(a, universal(AB))
         assert equivalent(project(prod, 2), a)
 
 
@@ -502,7 +528,7 @@ def _construction_cases():
             a, d = random_nfa(rng, alphabet), random_partial_dfa(rng, alphabet)
             t1, t2 = random_transducer(rng, alphabet, 3), random_transducer(rng, alphabet, 3)
             yield "intersect", (a, d), intersect(a, d), None
-            yield "sync_product", (a, d), sync_product([a, d]), None
+            yield "product_general", (a, d), sync_product(a, d), None
             yield "image", (a,), image(t1, a), None
             yield "compose", (), compose(t1, t2).inner, None
             yield "complete", (a,), complete(a), _completion_by_replace(a)
@@ -619,7 +645,7 @@ def test_every_construction_hands_over_normal_rows_and_builds_no_transition_set(
             assert out == expected and type(out) is type(expected), op
             assert hash(out) == hash(expected), op
     assert ops == {
-        "intersect", "sync_product", "image", "compose", "complete", "determinize",
+        "intersect", "product_general", "image", "compose", "complete", "determinize",
         "_determinize_subsets",
         "complement", "minimize", "union", "inverse", "relabel", "word_automaton",
         "universal", "omega_intersect", "normalize_weak", "complement_weak_dba",

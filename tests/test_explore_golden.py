@@ -32,7 +32,6 @@ from rmckit import (
     extend_with_flags,
     image,
     intersect,
-    inverse,
     local_execution_property,
     losp_property,
     minimize,
@@ -41,7 +40,6 @@ from rmckit import (
     sim_init,
     slice_system,
     state_property,
-    sync_product,
     universal,
     validate,
 )
@@ -60,6 +58,8 @@ from rmckit.fixtures import (
 from rmckit.omega import OmegaAutomaton, _canon, canonical_renumber
 from rmckit.system import BuchiRegularSystem, RegularSystem
 from rmckit.transducer import FINITE, OMEGA, identity
+
+from oracles import inverse
 
 GOLDEN = Path(__file__).parent / "golden" / "explore.json"
 NT = ring_alphabet()
@@ -191,8 +191,6 @@ CASES = {
     "intersect_no_start": lambda: intersect(no_start(AB), has_b()),
     "image_ring_slice_3": ring_image,
     "image_no_start": lambda: image(ring_slice(3).relation, no_start(NT)),
-    "sync_product": lambda: sync_product([last_a(), has_b()]),
-    "sync_product_no_start": lambda: sync_product([has_b(), no_start(NT)]),
     "omega_intersect_weak": lambda: omega_intersect(eventually_t_nondet(), eventually_n()),
     "omega_intersect_buchi": lambda: omega_intersect(inf_many_t(), eventually_t_nondet()),
     "omega_intersect_no_start": lambda: omega_intersect(no_start(NT, True), inf_many_t()),

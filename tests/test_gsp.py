@@ -356,7 +356,6 @@ def test_omega_violation_found_by_loop_check():
 def test_copset_helpers():
     c = CopSet(0b101, 3)
     assert c.members() == (0, 2)
-    assert c.contains(2) and not c.contains(1)
 
 
 def test_cop_count_cap():

@@ -101,7 +101,7 @@ def test_check_losp_indexes_each_relation_state_once_per_track():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_idle_mutant_violates_liveness_with_replayable_lasso(n):
-    from rmckit import LassoWitness, accepts_up_word, local_projection
+    from rmckit import UltimatelyPeriodicWord, accepts_up_word
 
     sl = slice_system(token_ring_idle_mutant(), n)
     aug = build_augmented_losp(sl, all_live(), [liveness_lep()])
@@ -111,18 +111,18 @@ def test_idle_mutant_violates_liveness_with_replayable_lasso(n):
     assert ok, why
     # the loop fixes the token: some position's column violates the local
     # property, i.e. its projection is accepted by the negated automaton
-    projected = LassoWitness(
-        tuple(aug.sigma_word(w) for w in verdict.witness.words),
-        verdict.witness.loop_start,
-    )
-    starving = [
-        j
-        for j in range(n)
-        if accepts_up_word(lep_liveness_negated(), local_projection(projected, j).word)
-    ]
+    words = [aug.sigma_word(w) for w in verdict.witness.words]
+    start = verdict.witness.loop_start
+
+    def column(j):
+        return UltimatelyPeriodicWord(
+            tuple(w[j] for w in words[:start]), tuple(w[j] for w in words[start:])
+        )
+
+    starving = [j for j in range(n) if accepts_up_word(lep_liveness_negated(), column(j))]
     assert starving
     t_id = NT.index("T")
-    loop = projected.words[projected.loop_start:]
+    loop = words[start:]
     assert all(all(w[j] != t_id for w in loop) for j in starving)
 
 

@@ -17,20 +17,22 @@ from rmckit import (
     complement_weak_dba,
     determinize_weak,
     minimize_weak_dba,
-    omega_equivalent,
     omega_intersect,
-    omega_project,
-    omega_sync_product,
-    omega_union,
+    project,
     sample_lassos,
+    union,
 )
+from rmckit.alphabet import Alphabet
+from rmckit.automata import _paired_moves, _sync_symbols
 from rmckit.fixtures import build_fa, ring_alphabet
 from rmckit.omega import (
     OmegaAutomaton,
     _canon,
     _complement,
     _difference,
-    omega_empty_automaton,
+    _includes,
+    _product,
+    _product_omega,
     omega_universal,
 )
 
@@ -75,6 +77,15 @@ def finitely_many_t():
         [(0, "N", 0), (0, "T", 0), (0, "N", 1), (1, "N", 1)],
         omega=True,
     )
+
+
+def never(alphabet):
+    return OmegaAutomaton(alphabet, 1, frozenset({0}), frozenset(), frozenset())
+
+
+def equal(a, b):
+    """Omega-language equality: `omega._includes` both ways."""
+    return _includes(a, b) and _includes(b, a)
 
 
 def lasso(prefix: str, period: str) -> UltimatelyPeriodicWord:
@@ -184,17 +195,29 @@ def test_omega_intersection_two_buchi():
 
 def test_omega_union_identity_on_lassos():
     a = inf_many_t()
-    u = omega_union(a, omega_empty_automaton(NT))
+    u = union(a, never(NT))
+    assert isinstance(u, OmegaAutomaton)
     for w in sample_lassos(NT, 40, seed=10):
         assert accepts_up_word(u, w) == accepts_up_word(a, w)
 
 
 def test_omega_project_product_recovers():
+    # a product over the pair alphabet, projected back onto its first track:
+    # the two-copy Buchi product of a non-weak automaton, and the weak DBA
+    # that `_product` makes of a weak one
+    u = omega_universal(NT)
+    pair = Alphabet.product(NT, NT)
+    pairs = _sync_symbols(NT.size)
     a = inf_many_t()
-    prod = omega_sync_product([a, omega_universal(NT)])
-    back = omega_project(prod, 2)
+    backs = [(a, project(_product_omega(a, u, pair, _paired_moves(a, u, pairs)), 2))]
+    for b in (eventually_t(), eventually_t_nondet()):
+        prod = _product(b, u, pair, _paired_moves(b, u, pairs))
+        assert prod.is_deterministic and prod.is_weak
+        backs.append((b, project(prod, 2)))
     for w in sample_lassos(NT, 40, seed=9):
-        assert accepts_up_word(back, w) == accepts_up_word(a, w)
+        for x, back in backs:
+            assert isinstance(back, OmegaAutomaton)
+            assert accepts_up_word(back, w) == accepts_up_word(x, w)
 
 
 def test_omega_complement_restriction():
@@ -254,7 +277,7 @@ def test_minimize_weak_dba_random_roundtrip():
         a = random_weak_dba(rng, NT)
         m = minimize_weak_dba(a)
         assert classify(m)["weak"] and m.is_deterministic
-        assert omega_equivalent(a, m)
+        assert equal(a, m)
         assert minimize_weak_dba(m) == m
 
 
@@ -267,12 +290,15 @@ def test_minimize_weak_dba_leaves_no_equivalent_states():
     assert sum(max_parity_colour(a) >= 3 for a in inputs) >= 4
     for a in inputs:
         m = minimize_weak_dba(a)
-        assert omega_equivalent(a, m)
+        assert equal(a, m)
         rooted = [replace(m, initial=frozenset({q})) for q in range(m.n_states)]
         for p, q in itertools.combinations(range(m.n_states), 2):
-            assert not omega_equivalent(rooted[p], rooted[q]), (p, q)
+            assert not equal(rooted[p], rooted[q]), (p, q)
 
 
-def test_omega_equivalent_exact():
-    assert omega_equivalent(eventually_t(), eventually_t_nondet())
-    assert not omega_equivalent(eventually_t(), omega_empty_automaton(NT))
+def test_omega_inclusion_both_ways_is_exact_equality():
+    assert equal(eventually_t(), eventually_t_nondet())
+    assert not equal(eventually_t(), never(NT))
+    assert _includes(never(NT), eventually_t())
+    assert _includes(eventually_t(), omega_universal(NT))
+    assert not _includes(omega_universal(NT), eventually_t())

@@ -1,0 +1,99 @@
+"""What the package exports and imports: `ast` guards over `src/rmckit`."""
+
+import ast
+from pathlib import Path
+
+import rmckit
+
+PACKAGE = Path(rmckit.__file__).parent
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def _modules():
+    """(stem, tree) of every module of the package except `__init__`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.stem, ast.parse(path.read_text())
+
+
+class _Reads(ast.NodeVisitor):
+    """Every name a module reads, as a bare name or an attribute, except the
+    reads inside the top-level definition of that same name."""
+
+    def __init__(self):
+        self.outer, self.found = None, set()
+
+    def visit_FunctionDef(self, node):
+        if self.outer is None:
+            self.outer = node.name
+            self.generic_visit(node)
+            self.outer = None
+        else:
+            self.generic_visit(node)
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def _read(self, name):
+        if name != self.outer:
+            self.found.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._read(node.id)
+
+    def visit_Attribute(self, node):
+        self._read(node.attr)
+        self.generic_visit(node)
+
+
+def _called_by_demos() -> set[str]:
+    called = set()
+    for path in sorted(DEMOS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called
+
+
+def test_every_export_is_used_by_the_package_or_a_demo():
+    # a name that only tests reach belongs in the tests (`oracles`), not in
+    # the library; a documented feature stays when a demo runs it
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for _, tree in _modules():
+        visitor = _Reads()
+        visitor.visit(tree)
+        read |= visitor.found
+    unused = sorted(exported - read - _called_by_demos())
+    assert unused == []
+
+
+# perfbench's test_install_rebinds_every_binding_and_restore_undoes_it
+# asserts that the tracer rebinds `rmckit.transducer.minimize`
+UNREAD_IMPORTS = {("transducer", "minimize")}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = set()
+    for stem, tree in _modules():
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread |= {(stem, name) for name in imported if name not in loaded}
+    assert unread == UNREAD_IMPORTS

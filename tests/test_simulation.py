@@ -169,6 +169,14 @@ def test_sim_fixpoint_chain_matches_brute_force():
     assert got == brute_force_simulation(4, [(0, 1), (1, 2), (2, 3)], ["s"] * 4)
 
 
+def test_brute_force_simulation_refuses_graphs_above_its_cap():
+    from rmckit.simulation import BRUTE_FORCE_CAP
+
+    n = BRUTE_FORCE_CAP + 1
+    with pytest.raises(InputError, match=f"capped at {BRUTE_FORCE_CAP} states"):
+        brute_force_simulation(n, [], ["s"] * n)
+
+
 def test_sim_fixpoint_identity_relation():
     msys, base = toy_system(["x/x", "y/y"])
     # make the relation the full identity

@@ -22,9 +22,7 @@ from rmckit import (
     identity,
     image,
     intersect,
-    inverse,
     minimize,
-    power,
     preimage,
     relation_includes,
     slice_system,
@@ -54,6 +52,8 @@ from rmckit.fixtures import (
 
 from oracles import (
     compose_pairs,
+    inverse,
+    random_dense_nfa,
     random_layered_weak_dba,
     random_nfa,
     random_transducer,
@@ -122,12 +122,9 @@ def test_inverse_involution_and_preimage():
     assert {NT.word_name(v) for v in enumerate_words(pre, 3)} == {"T N N"}
 
 
-def test_power():
+def test_composing_the_step_three_times_brings_the_token_back():
     t = ring_relation()
-    assert image_words(power(t, 3), "TNN", 3) == {"T N N"}
-    assert relation_equal(power(t, 0), identity(NT))
-    with pytest.raises(InputError):
-        power(t, -1)
+    assert image_words(compose(compose(t, t), t), "TNN", 3) == {"T N N"}
 
 
 def test_closure_of_empty_relation():
@@ -303,6 +300,20 @@ def _forward_join(left, rel, size):
     return _product(left, rel, left.alphabet, _paired_moves(left, rel, pairs))
 
 
+def _joined_backwards(t: Transducer, s: Transducer, a, case) -> tuple[bool, bool]:
+    """Check `preimage(t, a)` and the output-track join of `t` with `s`
+    against the joins of the inverses; whether each result is nonempty."""
+    size = t.base.size
+    t_inv, s_inv = inverse(t), inverse(s)
+    pre = preimage(t, a)
+    assert _as_built(pre) == _as_built(image(t_inv, a)), case
+    assert _as_built(pre) == _as_built(_forward_join(a, t_inv.inner, size)), case
+    joined = _join(t.inner, s, 1)
+    assert _as_built(joined) == _as_built(compose(t, s_inv).inner), case
+    assert _as_built(joined) == _as_built(_forward_join(t.inner, s_inv.inner, size)), case
+    return not _is_empty(pre), not _is_empty(joined)
+
+
 def test_relations_are_joined_backwards_as_their_inverses_would_be():
     # preimage and the output-track join read a relation as its inverse
     # without building it, and number every product as the inverse would
@@ -316,13 +327,19 @@ def test_relations_are_joined_backwards_as_their_inverses_would_be():
             pair = Alphabet.product(base, base)
             t, s = (Transducer(random_weak_dba(rng, pair, 4)) for _ in range(2))
             a = random_weak_dba(rng, base, 4)
-        t_inv, s_inv = inverse(t), inverse(s)
-        pre = _as_built(preimage(t, a))
-        assert pre == _as_built(image(t_inv, a)), case
-        assert pre == _as_built(_forward_join(a, t_inv.inner, base.size)), case
-        joined = _as_built(_join(t.inner, s, 1))
-        assert joined == _as_built(compose(t, s_inv).inner), case
-        assert joined == _as_built(_forward_join(t.inner, s_inv.inner, base.size)), case
+        _joined_backwards(t, s, a, case)
+    # the sparse draws above mostly join to the empty language; dense
+    # relations and sets make most of these joins nonempty
+    rng = random.Random(151)
+    nonempty = [0, 0]
+    for case in range(150):
+        base = Alphabet.base(("a", "b", "c")[: 2 + case % 2])
+        pair = Alphabet.product(base, base)
+        t, s = (Transducer(random_dense_nfa(rng, pair, 4)) for _ in range(2))
+        a = random_dense_nfa(rng, base)
+        for i, hit in enumerate(_joined_backwards(t, s, a, ("dense", case))):
+            nonempty[i] += hit
+    assert min(nonempty) >= 75, nonempty
 
 
 def test_no_module_builds_an_inverse():
@@ -400,6 +417,17 @@ def test_restricted_joins_equal_intersected_joins():
             nonempty[t.mode] += not _is_empty(restricted)
     # the draws are not all trivially empty, in either mode
     assert min(nonempty.values()) >= 20, nonempty
+    # dense finite draws, whose restricted joins are mostly nonempty
+    nonempty = {image: 0, preimage: 0}
+    for case in range(100):
+        base = Alphabet.base(("a", "b", "c")[: 2 + case % 2])
+        t = Transducer(random_dense_nfa(rng, Alphabet.product(base, base), 4))
+        a, w = random_dense_nfa(rng, base), random_dense_nfa(rng, base)
+        for apply in nonempty:
+            restricted = _canon(apply(t, a, within=w))
+            assert restricted == _canon(_intersect(w, apply(t, a))), ("dense", case)
+            nonempty[apply] += not _is_empty(restricted)
+    assert min(nonempty.values()) >= 50, nonempty
 
 
 def test_joins_number_as_the_row_pairing_join_does():
