@@ -314,8 +314,7 @@ def cmd_check_gsp(args) -> int:
         sim = sim_fixpoint(aug.msys, loaded.cops, args.budget)
         if not sim.exact:
             # an unconverged iterate is not a simulation, so no check runs
-            budget = f"budget {args.budget} exhausted before the simulation fixpoint converged"
-            return Verdict.unknown(sim.reason or budget, sim_exact=False)
+            return Verdict.unknown(sim.reason, sim_exact=False)
         verdict = check_emptiness_sim(aug.msys, sim, args.budget)
         return _replayed(verdict, aug, replay_gsp_witness)
 

@@ -24,13 +24,15 @@ R x R, as a difference: no relation is completed over the pair alphabet,
 so the completion cap is never met.  An unconverged reachable set is not
 T-closed, and then the relations stay unrestricted and not G is a
 complement.  Budget-exhausted over-approximations are never used to report
-Holds.
+Holds.  `_space` makes this choice once per check: `sim_fixpoint` and
+`validate_candidate` judge in the space it builds and hand it on in their
+result, and `check_emptiness_sim` asks only about pairs in its R x R.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .alphabet import Alphabet
@@ -45,7 +47,7 @@ from .automata import (
 from .errors import AlphabetCapExceeded, InputError, NonWeakResult
 from .gsp import StateProperty, _extract_lasso
 from .omega import _canon, _complement, _difference, _intersect, _pick, omega_universal
-from .system import BuchiRegularSystem, Verdict, _reach_layers, replay_lasso
+from .system import BuchiRegularSystem, RegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
     OMEGA,
     Transducer,
@@ -58,26 +60,53 @@ from .transducer import (
 )
 
 
+#: The reachability budget of `validate_candidate`, the engines' default.
+DEFAULT_BUDGET = 64
+
+
+@dataclass(frozen=True)
+class _Space:
+    """Where a simulation check runs (`_space`): the reach `layers` and set
+    `reach` of `system`, the square R x R when R converged, `relation` (T
+    cut to the square, else T) and `lost`, why there is no reach."""
+
+    system: RegularSystem
+    layers: tuple | None
+    reach: FiniteAutomaton | None
+    square: FiniteAutomaton | None
+    relation: Transducer
+    lost: str | None = None
+
+    @property
+    def closed(self) -> FiniteAutomaton | None:
+        """R when it converged, so T-closed; else None."""
+        return None if self.square is None else self.reach
+
+
 @dataclass(frozen=True)
 class SimRelation:
     """Iterate of the decreasing simulation sequence (exact once a fixpoint).
 
-    `reason` names the cap that stopped an inexact iterate before the
-    budget ran out, and is None otherwise.
+    `reason` says why an inexact `sim_fixpoint` result stopped, at the
+    completion cap or the budget, and is None otherwise; `space` is where
+    the iterate was computed.
     """
 
     relation: Transducer
     iteration_index: int
     exact: bool
     reason: str | None = None
+    space: _Space | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SimCandidate:
-    """Externally supplied under-approximation, usable only once validated."""
+    """Externally supplied under-approximation, usable only once validated;
+    `space` is the reachable space it was judged in."""
 
     relation: Transducer
     validated: bool
+    space: _Space | None = field(default=None, compare=False, repr=False)
 
 
 def sim_init(
@@ -179,49 +208,44 @@ def sim_step(
     # Bad(w1, w2) = exists w3: (w1, w3) in T and not G(w2, w3)
     bad = _join(t.inner, Transducer(not_g), 1)
     refined = _difference(s.relation.inner, bad)
-    return SimRelation(Transducer(_canon(refined)), s.iteration_index + 1, False)
+    return SimRelation(Transducer(_canon(refined)), s.iteration_index + 1, False, space=s.space)
 
 
 def sim_fixpoint(
     msys: BuchiRegularSystem,
     cops: Sequence[StateProperty],
-    budget: int = 64,
+    budget: int = DEFAULT_BUDGET,
 ) -> SimRelation:
     """Iterate refinement until a fixpoint or the budget runs out.
 
     When the reachable set R converges within the budget, the initial
     relation is built inside R x R, T is restricted to it, every complement
     is taken relative to it, and the result is the greatest simulation on
-    reachable words; otherwise all three stay unrestricted.  Terminates
-    exactly on systems with a finite-index simulation; a budget-exhausted
-    result is an over-approximation usable only as "not yet refuted", never
-    to conclude emptiness.  Without a converged R, a refinement step that
-    would complement a finite-mode relation over a pair alphabet above
-    `COMPLETION_CAP` ends the iteration: the last iterate comes back
-    inexact, with the cap as its `reason`.
+    reachable words; otherwise all three stay unrestricted.  Every result
+    carries that space (`_space`).  Terminates exactly on systems with a
+    finite-index simulation; a budget-exhausted result is an
+    over-approximation usable only as "not yet refuted", never to conclude
+    emptiness, and says so in its `reason`.  Without a converged R, a
+    refinement step that would complement a finite-mode relation over a
+    pair alphabet above `COMPLETION_CAP` ends the iteration: the last
+    iterate comes back inexact, with the cap as its `reason`.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
-    m = msys.system
-    try:
-        _, reach, ends = _reach_layers(m, budget)
-        closed = reach if ends[None][0] else None
-    except NonWeakResult:
-        closed = None
-    square = _square(closed)
-    t = _on_reach(m.relation, square)
-    current = sim_init(msys, cops, within=closed)
+    space = _space(msys.system, budget)
+    current = replace(sim_init(msys, cops, within=space.closed), space=space)
     for _ in range(budget):
         try:
-            nxt = sim_step(current, t, square)
+            nxt = sim_step(current, space.relation, space.square)
         except AlphabetCapExceeded as e:
             return replace(current, reason=str(e))
         if not relation_includes(current.relation, nxt.relation):
             raise InputError("refinement grew the relation (bug)")
         if nxt.relation == current.relation:
-            return SimRelation(current.relation, nxt.iteration_index, True)
+            return replace(current, iteration_index=nxt.iteration_index, exact=True)
         current = nxt
-    return current
+    reason = f"budget {budget} exhausted before the simulation fixpoint converged"
+    return replace(current, reason=reason)
 
 
 def validate_candidate(
@@ -235,26 +259,29 @@ def validate_candidate(
     stays within the cop-compatible initial relation; a validated candidate
     is a simulation contained in the greatest one, so nonemptiness verdicts
     built on it are sound.  A step that hits the completion cap leaves the
-    candidate unvalidated.  The candidate is judged on all pairs of words,
-    with the unrestricted T.  A simulation on R x R for a T-closed R, such
-    as the result of `sim_fixpoint`, passes too: the moves of words in R
-    stay in R.
+    candidate unvalidated.  It is judged in the space of `DEFAULT_BUDGET`
+    steps of reachability (`_space`), which the result carries: when R
+    converged, its part inside R x R, the result's relation and all that
+    `check_emptiness_sim` asks about, against the initial relation inside
+    R x R, stepping with T cut to the square; else on all pairs of words.
     """
-    canon = Transducer(_canon(c.inner))
-    sim0 = sim_init(msys, cops)
+    space = _space(msys.system, DEFAULT_BUDGET)
+    inner = c.inner if space.square is None else _intersect(c.inner, space.square)
+    canon = Transducer(_canon(inner))
+    sim0 = sim_init(msys, cops, within=space.closed)
     if not relation_includes(sim0.relation, canon):
-        return SimCandidate(canon, False)
+        return SimCandidate(canon, False, space)
     try:
-        stepped = sim_step(SimRelation(canon, 0, False), msys.system.relation)
+        stepped = sim_step(SimRelation(canon, 0, False), space.relation, space.square)
     except AlphabetCapExceeded:
-        return SimCandidate(canon, False)
-    return SimCandidate(canon, stepped.relation == canon)
+        return SimCandidate(canon, False, space)
+    return SimCandidate(canon, stepped.relation == canon, space)
 
 
 def check_emptiness_sim(
     msys: BuchiRegularSystem,
     sim: SimRelation | SimCandidate,
-    budget: int = 64,
+    budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Simulation-based (non)emptiness of the augmented system.
 
@@ -264,37 +291,40 @@ def check_emptiness_sim(
     and only in finite mode: an omega execution need not repeat a
     configuration even up to simulation, so there it gives Unknown.
 
-    The formula only pairs reachable words with their T+-successors, which
-    are reachable too.  So when reach converges, T+ is computed as the
-    closure of T cap (R x R), which equals T+ cap (R x R) because R is
-    T-closed; the anchor and the concretization see the same pairs as with
-    the unrestricted T+.
+    R, its layers and T cut to R x R come from the space `sim` carries, built
+    at the budget of `sim_fixpoint` or `validate_candidate`; `budget` bounds
+    only T+ and the lasso search.  The formula only pairs reachable words
+    with their T+-successors, which are reachable too.  So when reach
+    converged, T+ is the closure of T cap (R x R), which equals T+ cap
+    (R x R) because R is T-closed; the anchor and the concretization see the
+    same pairs as with the unrestricted T+.
     """
     exact = isinstance(sim, SimRelation) and sim.exact
     if isinstance(sim, SimCandidate) and not sim.validated:
         raise InputError("candidate simulation was not validated")
     if isinstance(sim, SimRelation) and not sim.exact:
         raise InputError("inexact iterate is not a sound simulation; validate a candidate instead")
-    m = msys.system
+    space = sim.space
+    if space is None or space.system != msys.system:
+        raise InputError("simulation was not built for this system")
+    if space.lost is not None:
+        return Verdict.unknown(space.lost)
     try:
-        layers, reach, ends = _reach_layers(m, budget)
-        reach_conv = ends[None][0]
-        square = _square(reach if reach_conv else None)
-        plus = closure(_on_reach(m.relation, square), "plus", budget)
+        plus = closure(space.relation, "plus", budget)
         # words w1 with (w1, w2) in T+ cap Sim for some accepting w2
         similar = Transducer(_intersect(plus.relation.inner, sim.relation.inner))
-        anchor = _pick(preimage(similar, msys.acceptance, within=reach))
+        anchor = _pick(preimage(similar, msys.acceptance, within=space.reach))
     except NonWeakResult as e:
         return Verdict.unknown(f"weak representability lost: {e}")
     diag = {
         "closure_steps": plus.steps_used,
-        "converged": reach_conv and plus.converged,
+        "converged": space.square is not None and plus.converged,
         "sim_exact": exact,
     }
     if anchor is None:
-        if not (exact and reach_conv and plus.converged):
+        if not (exact and diag["converged"]):
             return Verdict.unknown("formula empty but result not conclusive", **diag)
-        if m.mode == OMEGA:
+        if msys.system.mode == OMEGA:
             return Verdict.unknown(
                 "formula empty, but omega executions need not repeat a "
                 "configuration up to simulation",
@@ -304,7 +334,7 @@ def check_emptiness_sim(
     # the anchor only starts an abstract lasso (each accepting visit may be a
     # fresh, merely similar state); concretize through the exact-repetition
     # core, which exists on locally-finite instances
-    witness = _concretize(msys, layers, reach, plus)
+    witness = _concretize(msys, space.layers, space.reach, plus)
     if witness is None:
         return Verdict.unknown(
             "simulation detected an abstract lasso but no concrete repetition in bound",
@@ -316,30 +346,26 @@ def check_emptiness_sim(
     return Verdict.violated(witness, **diag)
 
 
-def _square(reach: FiniteAutomaton | None) -> FiniteAutomaton | None:
-    """R x R, the square of a set R over the pair alphabet; None when R is.
+def _space(m: RegularSystem, budget: int) -> _Space:
+    """The space of a simulation check on `m`, from reachability within
+    `budget` steps: the reach layers and set R, and, when R converged, the
+    square R x R over the pair alphabet with T cut to it.
 
-    It is an automaton of R's own class.  In omega mode R is a weak DBA, so
-    a cycle of the square stays in one SCC of R per track, each accepting or
-    not as a whole, and requiring both tracks to accept is the Buchi
-    condition of the square.
+    The square is an automaton of R's own class.  In omega mode R is a weak
+    DBA, so a cycle of the square stays in one SCC of R per track, each
+    accepting or not as a whole, and requiring both tracks to accept is the
+    Buchi condition of the square.
     """
-    if reach is None:
-        return None
-    return product_general(
-        reach,
-        reach,
-        Alphabet.product(reach.alphabet, reach.alphabet),
-        _sync_symbols(reach.alphabet.size),
-    )
-
-
-def _on_reach(t: Transducer, square: FiniteAutomaton | None) -> Transducer:
-    """The relation restricted to R x R (`_square`), for a T-closed set R;
-    `t` when there is no square."""
-    if square is None:
-        return t
-    return Transducer(_canon(_intersect(t.inner, square)))
+    try:
+        layers, reach, ends = _reach_layers(m, budget)
+    except NonWeakResult as e:
+        return _Space(m, None, None, None, m.relation, f"weak representability lost: {e}")
+    if not ends[None][0]:
+        return _Space(m, tuple(layers), reach, None, m.relation)
+    pairs = Alphabet.product(reach.alphabet, reach.alphabet)
+    square = product_general(reach, reach, pairs, _sync_symbols(reach.alphabet.size))
+    t = Transducer(_canon(_intersect(m.relation.inner, square)))
+    return _Space(m, tuple(layers), reach, square, t)
 
 
 def _loopable_from_plus(msys: BuchiRegularSystem, plus):

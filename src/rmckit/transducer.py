@@ -12,8 +12,7 @@ it, so no join result is built only to be intersected away.  Products,
 inclusion and canonical forms come from the set operations in `omega`, the
 one place that tells finite words from omega-words, so a relation has the
 same canonical form as any other set.  The iterative closure engine detects
-convergence by canonical equality of consecutive unions and accepts
-accelerator candidates only after the one-step soundness inclusion check.
+convergence by canonical equality of consecutive unions.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
 
 from .alphabet import Alphabet
 from .automata import FiniteAutomaton, explore, relabel, union, universal
@@ -251,22 +249,12 @@ def relation_includes(t1: Transducer, t2: Transducer) -> bool:
     return _includes(t2.inner, t1.inner)
 
 
-Accelerator = Callable[[Sequence[Transducer]], Optional[Transducer]]
-
-
-def closure(
-    t: Transducer,
-    kind: str = "star",
-    budget: int = 64,
-    accelerator: Accelerator | None = None,
-) -> ClosureResult:
+def closure(t: Transducer, kind: str = "star", budget: int = 64) -> ClosureResult:
     """Iterative transitive closure with exact convergence detection.
 
     Unions U_k of the first k powers are canonically minimized each round;
-    convergence holds when one more round leaves the language unchanged.  A
-    candidate limit proposed by the accelerator is adopted only if it passes
-    the soundness check L(C) >= L(T o C) cup L(T) (plus the identity for the
-    reflexive closure); exceeding the budget is reported, never raised.
+    convergence holds when one more round leaves the language unchanged;
+    exceeding the budget is reported, never raised.
     """
     if budget < 1:
         raise InputError("closure budget must be at least 1")
@@ -282,26 +270,11 @@ def closure(
 
     current = canonicalize(t)  # union of the first k powers, canonical
     frontier = current  # the k-th power alone
-    iterates: list[Transducer] = [current]
     steps = 0
     for steps in range(1, budget + 1):
-        if accelerator is not None:
-            candidate = accelerator(tuple(iterates))
-            if candidate is not None and _sound_closure_candidate(candidate, t):
-                return finish(canonicalize(candidate), True, steps - 1)
         frontier = canonicalize(compose(frontier, t))
         # the next power inside the union so far closes every later power too
         if relation_includes(current, frontier):
             return finish(current, True, steps)
         current = canonicalize(union_t(current, frontier))
-        iterates.append(current)
     return finish(current, False, steps)
-
-
-def _sound_closure_candidate(candidate: Transducer, t: Transducer) -> bool:
-    # the candidate stands for the transitive closure; the reflexive part is
-    # added by the engine, so the check is the same for star and plus
-    if candidate.mode != t.mode or candidate.base != t.base:
-        return False
-    step = union_t(compose(candidate, t), t)
-    return relation_includes(candidate, step)

@@ -182,6 +182,10 @@ def test_sim_json_report(ring_dir, capsys):
     assert doc["command"] == "sim"
     assert doc["overall"] == "unknown"
     assert [row["exact"] for row in doc["slices"]] == [False]
+    reason = "budget 1 exhausted before the simulation fixpoint converged"
+    assert [row["reason"] for row in doc["slices"]] == [reason]
+    assert main(argv + ["--budget", "1"]) == 2
+    assert f"  reason: {reason}\n" in capsys.readouterr().out
 
 
 def test_input_error_exit_three(capsys):

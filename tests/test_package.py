@@ -97,3 +97,40 @@ def test_no_module_imports_a_name_it_never_reads():
         }
         unread |= {(stem, name) for name in imported if name not in loaded}
     assert unread == UNREAD_IMPORTS
+
+
+class _Calls(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every call of `name`, as a
+    bare name or an attribute."""
+
+    def __init__(self, module, name):
+        self.module, self.name, self.functions, self.found = module, name, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == self.name:
+            self.found.add((self.module, self.functions[-1] if self.functions else None))
+        self.generic_visit(node)
+
+
+def test_only_four_functions_run_reachability():
+    # a simulation check reads R from the space its simulation carries; a
+    # new caller of `_reach_layers` must be added here on purpose
+    found = set()
+    for stem, tree in _modules():
+        visitor = _Calls(stem, "_reach_layers")
+        visitor.visit(tree)
+        found |= visitor.found
+    assert found == {
+        ("system", "reachable"),
+        ("system", "check_reachability_property"),
+        ("gsp", "_nested_emptiness"),
+        ("simulation", "_space"),
+    }

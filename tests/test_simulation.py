@@ -30,7 +30,7 @@ from rmckit import (
     state_property,
     validate_candidate,
 )
-from rmckit import automata, omega
+from rmckit import automata, gsp, omega, simulation, system as system_module
 from rmckit.fixtures import (
     cop_one_token,
     gsp_always_one_token_negated,
@@ -41,7 +41,7 @@ from rmckit.fixtures import (
 )
 from rmckit.gsp import cop_alphabet, cop_of
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word, omega_universal
-from rmckit.simulation import _on_reach, _square
+from rmckit.simulation import SimRelation, _space
 from rmckit.system import BuchiRegularSystem, RegularSystem
 from rmckit.transducer import FINITE, OMEGA, identity, pair_word
 
@@ -150,9 +150,11 @@ def chain_system():
 
 def test_sim_fixpoint_budget():
     msys, _ = chain_system()
-    assert not sim_fixpoint(msys, [], budget=1).exact
+    partial = sim_fixpoint(msys, [], budget=1)
+    assert not partial.exact
+    assert partial.reason == "budget 1 exhausted before the simulation fixpoint converged"
     full = sim_fixpoint(msys, [], budget=8)
-    assert full.exact and full.iteration_index == 4
+    assert full.exact and full.iteration_index == 4 and full.reason is None
 
 
 def test_sim_fixpoint_chain_matches_brute_force():
@@ -345,12 +347,62 @@ def test_sim_fixpoint_with_converged_reach_completes_nothing(monkeypatch, system
     assert calls == []
 
 
+def test_the_exact_fixpoint_above_the_completion_cap_validates_inside_the_square():
+    # on all pairs, one refinement step would complement G over 4356 letter
+    # pairs; inside R x R it is a difference, so validation meets no cap
+    cop = state_property("one_token", cop_one_token())
+    neg = negated_gsp(ten_state_negated(), 1)
+    aug = build_augmented_finite(slice_system(token_ring(), 2), neg, [cop])
+    assert aug.msys.system.relation.inner.alphabet.size > COMPLETION_CAP
+    sim = sim_fixpoint(aug.msys, [cop], budget=30)
+    assert sim.exact and sim.reason is None
+    candidate = validate_candidate(sim.relation, aug.msys, [cop])
+    assert candidate.validated
+    verdict = check_emptiness_sim(aug.msys, candidate, budget=32)
+    assert verdict.status == VIOLATED
+    ok, why = replay_gsp_witness(aug, verdict.witness)
+    assert ok, why
+
+
+def test_a_sim_check_runs_reachability_once(monkeypatch):
+    # check_emptiness_sim reads R and its layers from the space the
+    # simulation carries instead of exploring again
+    calls = []
+    real = system_module._reach_layers
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (system_module, gsp, simulation):
+        monkeypatch.setattr(module, "_reach_layers", counted)
+    aug, cop = ring_aug(2, token_ring_dup_mutant())
+    sim = sim_fixpoint(aug.msys, [cop], budget=30)
+    verdict = check_emptiness_sim(aug.msys, sim, budget=32)
+    assert verdict.status == VIOLATED
+    assert calls == [30]
+
+
+def test_check_emptiness_sim_refuses_a_simulation_without_the_systems_space():
+    aug, cop = ring_aug(2)
+    dup, _ = ring_aug(2, token_ring_dup_mutant())
+    sim = sim_fixpoint(aug.msys, [cop], budget=30)
+    with pytest.raises(InputError, match="not built for this system"):
+        check_emptiness_sim(dup.msys, sim, budget=32)
+    bare = SimRelation(sim.relation, sim.iteration_index, True)
+    assert bare == sim  # the space is not compared
+    with pytest.raises(InputError, match="not built for this system"):
+        check_emptiness_sim(aug.msys, bare, budget=32)
+    assert check_emptiness_sim(aug.msys, sim, budget=32).status == HOLDS
+
+
 def assert_sim_init_within_reach_is_the_restriction(msys, cops):
-    reach = reachable(msys.system, budget=30)
-    assert reach.converged
-    within = sim_init(msys, cops, within=reach.automaton)
+    space = _space(msys.system, 30)
+    assert space.square is not None and space.reach == reachable(msys.system, 30).automaton
+    within = sim_init(msys, cops, within=space.reach)
     whole = sim_init(msys, cops)
-    assert within.relation == _on_reach(whole.relation, _square(reach.automaton))
+    cut = omega._intersect(whole.relation.inner, space.square)
+    assert within.relation == Transducer(omega._canon(cut))
     assert within.relation != whole.relation
 
 
@@ -402,8 +454,8 @@ def test_sim_iterates_shrink_monotonically():
 
 
 def test_fixpoint_on_reachable_words_passes_candidate_validation():
-    # the fixpoint is a simulation on R x R only, yet it is judged on all
-    # pairs; a candidate never proves holds, as it need not be the greatest
+    # the fixpoint is a simulation on R x R only, and a candidate is judged
+    # there; a candidate never proves holds, as it need not be the greatest
     for system, status in ((token_ring(), UNKNOWN), (token_ring_dup_mutant(), VIOLATED)):
         aug, cop = ring_aug(2, system)
         sim = sim_fixpoint(aug.msys, [cop], budget=30)

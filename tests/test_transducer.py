@@ -167,33 +167,6 @@ def test_closure_converged_means_stable():
     assert equivalent(minimize(a_union(reach, a)), minimize(a_union(again, a)))
 
 
-def test_closure_accelerator_sound_candidate_accepted():
-    sl = slice_system(token_ring(), 3)
-    limit = closure(sl.relation, "plus", budget=16).relation
-
-    calls = []
-
-    def accel(iterates):
-        calls.append(len(iterates))
-        return limit
-
-    result = closure(sl.relation, "plus", budget=16, accelerator=accel)
-    assert result.converged and result.steps_used == 0 and calls
-    assert relation_equal(result.relation, limit)
-
-
-def test_closure_accelerator_unsound_candidate_rejected():
-    sl = slice_system(token_ring(), 3)
-
-    def accel(iterates):
-        return identity(NT)  # misses the relation itself: fails T subset check
-
-    result = closure(sl.relation, "plus", budget=16, accelerator=accel)
-    assert result.converged  # converges by iteration despite the bad candidate
-    honest = closure(sl.relation, "plus", budget=16)
-    assert relation_equal(result.relation, honest.relation)
-
-
 def test_reflexive_check():
     assert reflexive_check(identity(NT))
     assert not reflexive_check(ring_relation())
