@@ -10,7 +10,7 @@ alphabets are never enumerated eagerly, so they may be large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, InputError
@@ -50,8 +50,9 @@ class Alphabet:
     def arity(self) -> int:
         return len(self.components)
 
-    @property
+    @cached_property
     def size(self) -> int:
+        """Number of symbols; computed on first read, then kept."""
         return reduce(lambda n, c: n * len(c), self.components, 1)
 
     def parts(self, sym: int) -> tuple[int, ...]:

@@ -19,9 +19,19 @@ function and an acceptance predicate handed to it, and the rows it walked
 become the rows of the automaton it returns.  The one exception is the
 subset construction `_determinize_subsets`, which numbers its subsets itself,
 in the order `explore` would, because walking the rows directly is faster.
-A deterministic input skips the subset construction: `minimize` refines the
-input's own rows, and only the quotient is numbered.  `complete` is the one
-place that adds a completion sink, always as the highest-numbered state.
+A deterministic input skips the subset construction: `minimize` partitions
+the input's own rows, and only the quotient is numbered.
+
+`minimize` partitions the live states by one of two algorithms, picked by
+the input.  When Kahn's algorithm orders every live state, no cycle runs
+through them, so the live language is finite, as the language of every set
+and relation of a sliced check is: one registration pass in that order
+gives each state the class of its signature.  Otherwise Hopcroft's
+refinement splits the classes until they are stable.  Both give the
+coarsest partition, so the result is the same either way.
+
+`complete` is the one place that adds a completion sink, always as the
+highest-numbered state.
 `relabel` is the one place that rewrites letters: projections, the identity
 relation, flag extensions and the GSP and LOSP label constructions are each
 a letter map handed to it.  `_reflag` is the one place that changes the
@@ -443,35 +453,115 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
     canonical trim form without the dead state is returned, which is equally
     canonical and avoids materializing huge sink rows.
 
-    The coarsest partition is found by Hopcroft's refinement (1971) on the
-    live states, those that reach an accepting state, as Valmari and
-    Lehtinen (2008) adapt it to partial transition functions: the dead
-    states form one class that is never split, and a missing move and a
-    move into a dead state compare equal.  A deterministic input is refined
-    as it is; any other goes through the subset construction first.
+    Only the live states, those that reach an accepting state, are
+    partitioned: the dead states form one class that is never split, and a
+    missing move and a move into a dead state compare equal.  The input
+    picks one of two algorithms.  Kahn's algorithm orders the live states,
+    from those with no move into a live state.  When it orders all of them,
+    no cycle runs through a live state, so the live language is finite, and
+    one registration pass in that order gives the classes (Revuz 1992;
+    Daciuk, Mihov, Watson and Watson 2000).  Otherwise Hopcroft's
+    refinement (1971) finds them, as Valmari and Lehtinen (2008) adapt it to
+    partial transition functions.  Both give the coarsest partition, so the
+    result does not depend on the algorithm.  A deterministic input is
+    partitioned as it is; any other goes through the subset construction
+    first.
     """
     d = a if a.is_deterministic else _determinize_subsets(a)
     (start,) = d.initial
     n, accepting, rows = d.n_states, d.accepting, d.adjacency
 
-    # the live states, by a backward search from the accepting ones; the
-    # class of a dead state stays -1
+    # the live states, by a backward search from the accepting ones, each
+    # with its number of moves into live states; a dead state keeps -1
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for src, row in rows.items():
+        for (dst,) in row.values():
+            preds[dst].append(src)
+    live_moves = [-1] * n
+    stack = list(accepting)
+    for q in stack:
+        live_moves[q] = 0
+    rejecting = []
+    while stack:
+        for src in preds[stack.pop()]:
+            if live_moves[src] < 0:
+                live_moves[src] = 1
+                rejecting.append(src)
+                stack.append(src)
+            else:
+                live_moves[src] += 1
+
+    # Kahn's order, each live state after its live successors; only an
+    # accepting state can have no live move, and the sources of a move into
+    # a live state are live
+    order = [q for q in accepting if not live_moves[q]]
+    for q in order:  # grows while it is walked
+        for src in preds[q]:
+            live_moves[src] -= 1
+            if not live_moves[src]:
+                order.append(src)
+    if len(order) == len(accepting) + len(rejecting):
+        cls, moves = _register(order, rows, accepting, n)
+    else:
+        cls, moves = _refine(rows, accepting, rejecting, n)
+
+    # the quotient over the live classes, numbered from the initial class
+    accepting_classes = {cls[q] for q in accepting}
+    quotient = explore(
+        FiniteAutomaton,
+        a.alphabet,
+        [cls[start]] if cls[start] >= 0 else [],
+        moves,
+        accepting_classes.__contains__,
+    )
+    if completion is None:
+        completion = a.alphabet.size <= COMPLETION_CAP
+    return _complete_dfa(quotient) if completion else quotient
+
+
+# `_register` and `_refine` partition the states of a DFA given by its rows
+# and its accepting and live rejecting states.  Each returns the class of
+# every state, -1 for a dead one, and the quotient's `moves`: a live class's
+# moves into live classes as (symbol, class) pairs in ascending symbol order.
+
+
+def _register(order, rows, accepting, n):
+    """Registration, when `order` lists every live state after all its live
+    successors.  A state's class is that of its signature: whether it
+    accepts, then its moves into live states as (symbol, successor class)
+    pairs in ascending symbol order."""
+    cls = [-1] * n
+    register: dict[tuple, int] = {}
+    class_rows: list[list[tuple[int, int]]] = []
+    for q in order:
+        live = []
+        row = rows.get(q)
+        if row:
+            for sym in sorted(row):
+                c = cls[row[sym][0]]
+                if c >= 0:
+                    live.append((sym, c))
+        signature = (q in accepting, *live)
+        c = register.get(signature)
+        if c is None:
+            c = register[signature] = len(class_rows)
+            class_rows.append(live)
+        cls[q] = c
+    return cls, class_rows.__getitem__
+
+
+def _refine(rows, accepting, rejecting, n):
+    """Hopcroft's refinement of {accepting} and {live rejecting}."""
+    # the (symbol, source) of each move into a state
     preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for src, row in rows.items():
         for sym, (dst,) in row.items():
             preds[dst].append((sym, src))
     cls = [-1] * n
-    stack = list(accepting)
-    for q in stack:
+    for q in accepting:
         cls[q] = 0
-    rejecting = []
-    while stack:
-        for _, src in preds[stack.pop()]:
-            if cls[src] < 0:
-                cls[src] = 1
-                rejecting.append(src)
-                stack.append(src)
-
+    for q in rejecting:
+        cls[q] = 1
     # Both initial blocks are splitters: with partial moves, stability with
     # respect to one block does not give it for the complement.  Once a
     # block has been a splitter, the smaller half of any later split of it
@@ -511,13 +601,11 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
                 queue.append(len(blocks))
                 blocks.append(small)
 
-    # the quotient over the live classes, numbered from the initial class;
     # states of one class agree on their live moves, so one representative
     # per class gives its row
     representative: dict[int, int] = {}
     for q in range(n):
         representative.setdefault(cls[q], q)
-    accepting_classes = {cls[q] for q in accepting}
 
     def moves(c):
         row = rows.get(representative[c], {})
@@ -526,16 +614,7 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
             if dst >= 0:
                 yield sym, dst
 
-    quotient = explore(
-        FiniteAutomaton,
-        a.alphabet,
-        [cls[start]] if cls[start] >= 0 else [],
-        moves,
-        accepting_classes.__contains__,
-    )
-    if completion is None:
-        completion = a.alphabet.size <= COMPLETION_CAP
-    return _complete_dfa(quotient) if completion else quotient
+    return cls, moves
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +626,12 @@ def union(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     a.alphabet.require_same(b.alphabet)
     shift = a.n_states
     adjacency = dict(a.adjacency)
+    # most moves have one destination, which is shifted without building a
+    # list: the minimal DFAs that fixpoints unite have nothing else
     for src, row in b.adjacency.items():
         adjacency[src + shift] = {
-            sym: tuple([d + shift for d in dsts]) for sym, dsts in row.items()
+            sym: (dsts[0] + shift,) if len(dsts) == 1 else tuple([d + shift for d in dsts])
+            for sym, dsts in row.items()
         }
     return type(a)._trusted(
         a.alphabet,

@@ -255,16 +255,19 @@ def parse_system_file(text: str) -> list[tuple[str, list[str], int]]:
 
 def load_system(path: str | Path) -> LoadedSystem:
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"system file {str(path)!r} not found")
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise InputError(f"system file {str(path)!r} not found") from None
     directory = path.parent
-    entries = parse_system_file(path.read_text())
+    entries = parse_system_file(text)
 
     def read_aut(name: str, lineno: int):
-        target = directory / name
-        if not target.exists():
-            raise ParseError(f"referenced file {name!r} not found", lineno)
-        return parse_aut(target.read_text())
+        try:
+            text = (directory / name).read_text()
+        except FileNotFoundError:
+            raise ParseError(f"referenced file {name!r} not found", lineno) from None
+        return parse_aut(text)
 
     alphabet: Alphabet | None = None
     mode = FINITE

@@ -145,33 +145,36 @@ def _join(
     adj_w = None if within is None or t.mode == OMEGA else within.adjacency
 
     def moves(node):
+        made = []
         rowl = adj_l.get(node[0])
         if not rowl:
-            return
+            return made
         by_letter = by_letter_of(track, node[1])
         if adj_w is None:
             roww = None
         else:
             roww = adj_w.get(node[2])
             if not roww:
-                return
+                return made
         for syml in sorted(rowl):
             first, last = divmod(syml, size)
             entries = by_letter.get(last)
             if entries is None:
                 continue
             dls = rowl[syml]
+            first *= size
             for other, dts in entries:
-                out = first * size + other
+                out = first + other
                 if roww is None:
                     for dl in dls:
                         for dt in dts:
-                            yield out, (dl, dt)
-                else:
-                    for dw in roww.get(out, ()):
+                            made.append((out, (dl, dt)))
+                elif out in roww:
+                    for dw in roww[out]:
                         for dl in dls:
                             for dt in dts:
-                                yield out, (dl, dt, dw)
+                                made.append((out, (dl, dt, dw)))
+        return made
 
     if adj_w is not None:
         fl, ft, fw = left.accepting, t.inner.accepting, within.accepting

@@ -4,6 +4,7 @@ import ast
 import itertools
 import random
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -36,11 +37,14 @@ from rmckit import (
     word_automaton,
 )
 from rmckit.alphabet import COMPLETION_CAP
+from rmckit import automata
 from rmckit.automata import (
     _determinize_subsets,
     _shortest_words,
     _sync_symbols,
     complete,
+    cut_lengths,
+    exact_length,
     explore,
     product_general,
     relabel,
@@ -91,6 +95,16 @@ def nfa_one_token():
 def test_accepts_token_ring_initial():
     assert accepts(ring_initial(), NT.word("TNN"))
     assert not accepts(ring_initial(), NT.word("NTN"))
+
+
+def test_alphabet_size_is_kept_and_ignored_by_equality():
+    pairs = Alphabet.product(AB, Alphabet.base(tuple("xyz")))
+    fresh = Alphabet.product(AB, Alphabet.base(tuple("xyz")))
+    with mock.patch("rmckit.alphabet.reduce", wraps=reduce) as computed:
+        assert (pairs.size, pairs.size) == (6, 6)
+    assert computed.call_count == 1
+    assert "size" not in vars(fresh)
+    assert pairs == fresh and hash(pairs) == hash(fresh) and repr(pairs) == repr(fresh)
 
 
 def test_accepts_wrong_alphabet_symbol_is_error():
@@ -368,7 +382,9 @@ def _minimize_cases():
 
     Random NFAs and partial DFAs over 2-, 5-, 96- (a pair alphabet) and
     `COMPLETION_CAP + 1`-letter alphabets, each with all three completion
-    values, plus an empty initial set on each alphabet.
+    values, plus an empty initial set on each alphabet.  Then, from a second
+    seed, draws of finite languages: random NFAs and partial DFAs cut to a
+    few word lengths, and partial DFAs intersected with one word length.
     """
     rng = random.Random(41)
     alphabets = (
@@ -386,6 +402,21 @@ def _minimize_cases():
             for _ in range(20):
                 yield random_nfa(rng, alphabet), completion
                 yield random_partial_dfa(rng, alphabet), completion
+    rng = random.Random(43)
+    for alphabet in alphabets:
+        for completion in (None, True, False):
+            for _ in range(5):
+                for draw in (random_nfa, random_partial_dfa):
+                    lengths = rng.sample(range(5), rng.randint(1, 3))
+                    yield cut_lengths(draw(rng, alphabet), lengths), completion
+                word_length = exact_length(alphabet, rng.randint(0, 3))
+                yield intersect(random_partial_dfa(rng, alphabet), word_length), completion
+
+
+def _has_cycle(states, edges) -> bool:
+    """Whether a cycle of `edges` runs through `states` alone."""
+    inner = {(src, dst) for src, dst in edges if src in states and dst in states}
+    return any(q in _closure({dst for src, dst in inner if src == q}, inner) for q in states)
 
 
 def _closure(starts, edges) -> set[int]:
@@ -411,22 +442,61 @@ def _outcome(op, a, completion):
 
 def test_minimize_matches_moore_oracle_on_random_automata():
     seen = {"dead": 0, "unreachable": 0, "initial not 0": 0, "deterministic": 0,
-            "empty language": 0, "no initial state": 0, "raises": 0}
-    for a, completion in _minimize_cases():
-        expected = _outcome(moore_minimize, a, completion)
-        assert _outcome(minimize, a, completion) == expected
-        edges = {(src, dst) for src, _, dst in a.transitions}
-        reachable = _closure(a.initial, edges)
-        live = _closure(a.accepting, {(dst, src) for src, dst in edges})
-        seen["dead"] += bool(reachable - live)
-        seen["unreachable"] += len(reachable) < a.n_states
-        seen["initial not 0"] += 0 not in a.initial
-        seen["deterministic"] += a.is_deterministic
-        seen["empty language"] += not (reachable & a.accepting)
-        seen["no initial state"] += not a.initial
-        seen["raises"] += isinstance(expected, tuple)
-    # every kind of input the refinement must treat like Moore's did occurs
+            "empty language": 0, "no initial state": 0, "raises": 0,
+            "finite language": 0, "infinite language": 0,
+            "registered": 0, "refined": 0, "refined, finite language": 0}
+    register = mock.patch.object(automata, "_register", wraps=automata._register)
+    refine = mock.patch.object(automata, "_refine", wraps=automata._refine)
+    with register as registered, refine as refined:
+        for a, completion in _minimize_cases():
+            expected = _outcome(moore_minimize, a, completion)
+            registered.reset_mock()
+            refined.reset_mock()
+            assert _outcome(minimize, a, completion) == expected
+            edges = {(src, dst) for src, _, dst in a.transitions}
+            reachable = _closure(a.initial, edges)
+            live = _closure(a.accepting, {(dst, src) for src, dst in edges})
+            finite = not _has_cycle(reachable & live, edges)
+            # the DFA that is partitioned registers exactly when its live
+            # states have no cycle; a finite language can still be refined
+            # when a cycle of a DFA input's live states cannot be reached
+            d = a if a.is_deterministic else _determinize_subsets(a)
+            d_edges = {(src, dst) for src, _, dst in d.transitions}
+            d_live = _closure(d.accepting, {(dst, src) for src, dst in d_edges})
+            assert registered.call_count + refined.call_count == 1
+            assert bool(registered.call_count) is not _has_cycle(d_live, d_edges)
+            assert finite or refined.call_count
+            assert not finite or a.is_deterministic or registered.call_count
+            seen["dead"] += bool(reachable - live)
+            seen["unreachable"] += len(reachable) < a.n_states
+            seen["initial not 0"] += 0 not in a.initial
+            seen["deterministic"] += a.is_deterministic
+            seen["empty language"] += not (reachable & a.accepting)
+            seen["no initial state"] += not a.initial
+            seen["raises"] += isinstance(expected, tuple)
+            seen["finite language"] += finite
+            seen["infinite language"] += not finite
+            seen["registered"] += registered.call_count
+            seen["refined"] += refined.call_count
+            seen["refined, finite language"] += finite and refined.call_count
+    # every kind of input the partition must treat like Moore's did occurs,
+    # and both algorithms run
     assert all(seen.values()), seen
+
+
+def test_minimize_refines_only_when_a_cycle_runs_through_live_states():
+    # a*b has a live cycle; {ab} completed has a cycle only in its dead sink
+    a_star_b = build_fa(AB, 2, [0], [1], [(0, "a", 0), (0, "b", 1)])
+    ab = complete(build_fa(AB, 3, [0], [2], [(0, "a", 1), (1, "b", 2)]))
+    cases = {"a*b": (a_star_b, "refine"), "{ab}, completed": (ab, "register")}
+    for name, (a, expected) in cases.items():
+        with mock.patch.object(automata, "_register", wraps=automata._register) as registered, \
+                mock.patch.object(automata, "_refine", wraps=automata._refine) as refined:
+            m = minimize(a)
+        assert (registered.call_count, refined.call_count) == (
+            (1, 0) if expected == "register" else (0, 1)
+        ), name
+        assert serialize_aut(m) == serialize_aut(moore_minimize(a)), name
 
 
 def test_minimize_output_has_no_two_equivalent_states():

@@ -160,3 +160,43 @@ def test_reach_bad_property_follows_the_system_mode(tmp_path, mode, prop, error)
     else:
         with pytest.raises(ParseError, match=f"property 'has_t': reach-bad property {error}"):
             load_system(tmp_path / "sys.sys")
+
+
+def test_load_system_reports_missing_files(tmp_path):
+    from rmckit import InputError, load_system
+
+    missing = tmp_path / "none.sys"
+    with pytest.raises(InputError, match="not found") as info:
+        load_system(missing)
+    assert str(info.value) == f"system file {str(missing)!r} not found"
+    assert not isinstance(info.value, ParseError)
+    (tmp_path / "sys.sys").write_text("alphabet: N T\n# the initial set\ninitial: init.aut\n")
+    with pytest.raises(ParseError) as info:
+        load_system(tmp_path / "sys.sys")
+    assert str(info.value) == "referenced file 'init.aut' not found (line 3)"
+    assert info.value.line == 3
+
+
+def test_load_system_reads_each_file_once(tmp_path):
+    from pathlib import Path
+    from unittest import mock
+
+    from rmckit import load_system
+    from rmckit.fixtures import gen_example
+
+    gen_example("token-ring", tmp_path)
+    system = tmp_path / "system.sys"
+    referenced = {word for word in system.read_text().split() if word.endswith(".aut")}
+    assert len(referenced) == 8
+    reads = []
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    # no file is looked up before it is read
+    with mock.patch.object(Path, "read_text", counted), \
+            mock.patch.object(Path, "exists", side_effect=AssertionError("exists() called")):
+        load_system(system)
+    assert sorted(reads) == sorted({"system.sys"} | referenced)

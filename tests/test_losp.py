@@ -31,6 +31,7 @@ from rmckit import (
     sample_lassos,
     slice_system,
 )
+from rmckit import automata
 from rmckit.automata import equivalent, minimize, project_components
 from rmckit.fixtures import (
     build_fa,
@@ -124,6 +125,19 @@ def test_idle_mutant_violates_liveness_with_replayable_lasso(n):
     t_id = NT.index("T")
     loop = words[start:]
     assert all(all(w[j] != t_id for w in loop) for j in starving)
+
+
+def test_sliced_check_losp_never_refines_a_partition():
+    # every set and relation of a sliced check accepts a finite language, so
+    # `minimize` partitions each by registration and never by refinement
+    aug = build_augmented_losp(
+        slice_system(token_ring_idle_mutant(), 3), all_live(), [liveness_lep()]
+    )
+    with mock.patch.object(automata, "_register", wraps=automata._register) as registered, \
+            mock.patch.object(automata, "_refine", wraps=automata._refine) as refined:
+        assert check_losp(aug, budget=32).status == VIOLATED
+    assert registered.call_count > 0
+    assert refined.call_count == 0
 
 
 def test_losp_verdicts_match_explicit_generalized_buchi_oracle():
