@@ -21,7 +21,6 @@ from .automata import (
     is_empty,
     minimize,
     pick_word,
-    project,
     union,
     universal,
     word_automaton,

@@ -775,15 +775,6 @@ def project_components(a: FiniteAutomaton, drop: Sequence[int]) -> FiniteAutomat
     return relabel(a, target, kept)
 
 
-def project(a: FiniteAutomaton, i: int) -> FiniteAutomaton:
-    """Projection on all components except component i (1-based, per convention)."""
-    if a.alphabet.arity < 2:
-        raise InputError("projection needs a tuple alphabet")
-    if not (1 <= i <= a.alphabet.arity):
-        raise InputError(f"component index {i} out of range")
-    return project_components(a, [i - 1])
-
-
 # ---------------------------------------------------------------------------
 # decision procedures
 
@@ -793,28 +784,8 @@ def is_empty(a: FiniteAutomaton) -> bool:
 
 
 def includes(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
-    """L(a) included in L(b), decided on the fly (no completion materialized)."""
-    a.alphabet.require_same(b.alphabet)
-    b0 = frozenset(b.initial)
-    seen: set[tuple[int, frozenset[int]]] = set()
-    stack: list[tuple[int, frozenset[int]]] = []
-    for qa in a.initial:
-        pair = (qa, b0)
-        if pair not in seen:
-            seen.add(pair)
-            stack.append(pair)
-    while stack:
-        qa, bs = stack.pop()
-        if qa in a.accepting and not (bs & b.accepting):
-            return False
-        for sym, dsts in a.adjacency.get(qa, {}).items():
-            nxt = b.step(bs, sym)
-            for qa2 in dsts:
-                pair = (qa2, nxt)
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
-    return True
+    """L(a) included in L(b): L(a) minus L(b) is empty."""
+    return is_empty(difference(a, b))
 
 
 def equivalent(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
@@ -838,16 +809,6 @@ def word_automaton(alphabet: Alphabet, word: Sequence[int]) -> FiniteAutomaton:
 
     def moves(i):
         return [(word[i], i + 1)] if i < n else []
-
-    return explore(FiniteAutomaton, alphabet, [0], moves, lambda i: i == n)
-
-
-def exact_length(alphabet: Alphabet, n: int) -> FiniteAutomaton:
-    """All words of exactly length n."""
-    if n < 0:
-        raise InputError("length must be nonnegative")
-    def moves(i):
-        return [(sym, i + 1) for sym in alphabet.symbols()] if i < n else []
 
     return explore(FiniteAutomaton, alphabet, [0], moves, lambda i: i == n)
 

@@ -11,12 +11,19 @@ the greatest set F inside R cap Acc with F within pre+(F), the words that
 reach F again in one or more steps, as the limit of F_0 = R cap Acc and
 F_{i+1} = F_i cap pre+(F_i).
 
-Each mode has one label shape, `shape(states)`: the labelled words whose
-negated-property state lies in `states` (on the last letter in finite mode,
-on every letter in omega mode).  The augmented initial set is the labelled
-initial set, every letter given any label by `automata.relabel`,
-intersected with the label shape of the initial states; the acceptance is
-the label shape of the accepting states.
+Both modes share one augmentation skeleton, `_augmented`, and differ only
+in their label discipline.  The augmented relation is one reachable product
+of the system's relation with the cop automata run on its input track; a
+mode says how a relation move is labelled (`step`) and which labels accept
+(`final`).  Each mode has one label shape, `shape(states)`: the labelled
+words whose negated-property state lies in `states` (on the last letter in
+finite mode, on every letter in omega mode).  The augmented initial set is
+`_labelled_initial`, the initial words with each letter given every label
+the shape of the initial states reads with it, cut down to that shape; LOSP
+builds its initial set through it too.  The acceptance is the label shape
+of the accepting states.  `_Augmentation` is the record GSP and LOSP
+augmentations share, and `_projected_ring` the prologue both witness
+replays open with.
 
 Verdicts of the loop engine, in finite and omega mode alike: `holds`,
 `violated` or `unknown`.  `holds` needs no configuration to repeat.  The
@@ -176,27 +183,48 @@ def negate_gsp(automaton: OmegaAutomaton, n_props: int) -> NegatedGsp:
 
 
 @dataclass(frozen=True)
-class GspAugmentation:
-    """Augmented Buchi regular system plus the data needed to decode letters."""
+class _Augmentation:
+    """An augmented Buchi regular system over letters whose most significant
+    component is a letter of the original system."""
 
     msys: BuchiRegularSystem
     original: RegularSystem
-    neg: NegatedGsp
-    cops: tuple[StateProperty, ...]
-    mode: str
 
     @property
     def alphabet(self) -> Alphabet:
         return self.msys.system.alphabet
 
+    def sigma_word(self, word):
+        """Projection of a (finite or omega) augmented word to the system's."""
+        radix = self.alphabet.size // self.original.alphabet.size
+        return _map_letters(word, lambda sym: sym // radix)
+
+
+def _projected_ring(aug: _Augmentation, witness: LassoWitness):
+    """(ring, its projection, fault): the witness words closed by the loop
+    word and projected to the original system, with why they are not an
+    augmented lasso or not a run of the original system, or None."""
+    ok, why = replay_lasso(aug.msys, witness)
+    if not ok:
+        return None, None, why
+    words = list(witness.words)
+    ring = words + [words[witness.loop_start]]
+    sigma = [aug.sigma_word(w) for w in ring]
+    return ring, sigma, _run_fault(aug.original, sigma, projected=True)
+
+
+@dataclass(frozen=True)
+class GspAugmentation(_Augmentation):
+    """Augmented Buchi regular system plus the data needed to decode letters."""
+
+    neg: NegatedGsp
+    cops: tuple[StateProperty, ...]
+    mode: str
+
     def _split(self, sym: int) -> tuple[int, int, int]:
         parts = self.alphabet.parts(sym)
         width = len(self.original.alphabet.components)
         return self.original.alphabet.symbol(parts[:width]), parts[-2], parts[-1]
-
-    def sigma_word(self, word):
-        """Projection of a (finite or omega) augmented word to the system's."""
-        return _map_letters(word, lambda sym: self._split(sym)[0])
 
     def labels(self, word: Sequence[int]) -> list[tuple[int | None, int | None]]:
         """Per-position (negated-property state, cop mask); None encodes bot."""
@@ -228,22 +256,75 @@ class GspAugmentation:
         return next(iter(lab)), ""
 
 
-def _labelled(m: RegularSystem, neg: NegatedGsp, cops, sigma_a: Alphabet, t_aug, shape):
-    """The augmentation over `sigma_a` with relation `t_aug`.
-
-    `shape(states)` is the set of labelled words whose label state lies in
-    `states`: the initial set is the initial words under any label cut down
-    to `shape(initial states)`, and the acceptance is `shape(accepting
-    states)` of the negated property.
-    """
-    radix = sigma_a.size // m.alphabet.size  # the letters of base letter a
-    nga = neg.automaton
-    start = shape(nga.initial)
+def _labelled_initial(initial: FiniteAutomaton, sigma_a: Alphabet, shape) -> FiniteAutomaton:
+    """The initial words with each letter given every label `shape` reads
+    with it, cut down to `shape`.  The base letter is the most significant
+    component of `sigma_a`."""
+    radix = sigma_a.size // initial.alphabet.size
     labels: dict[int, set[int]] = {}  # base letter -> its letters the shape reads
-    for row in start.adjacency.values():
+    for row in shape.adjacency.values():
         for sym in row:
             labels.setdefault(sym // radix, set()).add(sym)
-    init = _intersect(relabel(m.initial, sigma_a, lambda a: sorted(labels.get(a, ()))), start)
+    return _intersect(relabel(initial, sigma_a, lambda a: sorted(labels.get(a, ()))), shape)
+
+
+def _label_alphabet(m: RegularSystem, neg: NegatedGsp, cops, bot: tuple[str, ...]):
+    """Once the cop automata are checked: Sigma x (negated-property states)
+    x (cop masks), each label component extended by `bot`, and its
+    letter(a, q, mask) encoder."""
+    _check_cops(cops, neg, m.alphabet, m.mode)
+    q_names = tuple(f"g{i}" for i in range(neg.automaton.n_states)) + bot
+    m_names = tuple(f"m{i}" for i in range(1 << len(cops))) + bot
+    sigma_a = Alphabet.product(m.alphabet, Alphabet.base(q_names), Alphabet.base(m_names))
+
+    def letter(a: int, q: int, mask: int) -> int:
+        return (a * len(q_names) + q) * len(m_names) + mask
+
+    return sigma_a, letter
+
+
+def _verdicts(cops, qcops) -> int:
+    """The cop mask of the property automata states `qcops`."""
+    return sum(1 << j for j, q in enumerate(qcops) if q in cops[j].automaton.accepting)
+
+
+def _augmented(m, neg, cops, sigma_a, labels, step, final, shape) -> GspAugmentation:
+    """The augmentation over `sigma_a` whose relation labels the system's.
+
+    A relation node is (relation state, cop automata states, label), from
+    every label of `labels`; a relation move on (a1, a2) gives the (letter
+    pair, next label) pairs of `step(label, a1, a2, cop states after a1)`,
+    and a node accepts when its relation state does and `final(cop states,
+    label)` holds.  `shape(states)` is the set of labelled words whose label
+    state lies in `states`: the initial set is cut down to `shape(initial
+    states)`, and the acceptance is `shape(accepting states)`.
+    """
+    rel = m.relation.inner
+    base_size = m.alphabet.size
+    deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
+
+    def moves(node):
+        q_r, qcops, label = node
+        for pair_sym, dsts in sorted(rel.adjacency.get(q_r, {}).items()):
+            a1, a2 = divmod(pair_sym, base_size)
+            qcops2 = tuple(delta[q][a1][0] for delta, q in zip(deltas, qcops))
+            steps = list(step(label, a1, a2, qcops2))
+            for q_r2 in dsts:
+                for pair, label2 in steps:
+                    yield pair, (q_r2, qcops2, label2)
+
+    q0cops = tuple(next(iter(c.automaton.initial)) for c in cops)
+    t_aug = Transducer(
+        explore(
+            type(rel),
+            Alphabet.product(sigma_a, sigma_a),
+            [(q, q0cops, label) for q in sorted(rel.initial) for label in labels],
+            moves,
+            lambda node: node[0] in rel.accepting and final(node[1], node[2]),
+        )
+    )
+    nga = neg.automaton
+    init = _labelled_initial(m.initial, sigma_a, shape(nga.initial))
     aug_system = RegularSystem(sigma_a, init, t_aug, m.mode)
     return GspAugmentation(
         BuchiRegularSystem(aug_system, shape(nga.accepting)), m, neg, tuple(cops), m.mode
@@ -262,50 +343,25 @@ def build_augmented_finite(
     """
     if m.mode != FINITE:
         raise ModeMismatch("finite augmentation needs a finite-mode system")
-    _check_cops(cops, neg, m.alphabet, FINITE)
+    sigma_a, letter = _label_alphabet(m, neg, cops, ("bot",))
     nga = neg.automaton
-    k = len(cops)
-    n_masks = 1 << k
+    n_masks = 1 << len(cops)
     bot_q, bot_m = nga.n_states, n_masks
-
-    q_names = tuple(f"g{i}" for i in range(nga.n_states)) + ("bot",)
-    m_names = tuple(f"m{i}" for i in range(n_masks)) + ("bot",)
-    sigma_a = Alphabet.product(m.alphabet, Alphabet.base(q_names), Alphabet.base(m_names))
-
-    def letter(a: int, q: int, mask: int) -> int:
-        return (a * (nga.n_states + 1) + q) * (n_masks + 1) + mask
-
-    base_size = m.alphabet.size
     pair_size = sigma_a.size
-    deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
-    final_masks = [
-        frozenset(c.automaton.accepting) for c in cops
-    ]
 
-    rel = m.relation.inner
-    q0cops = tuple(next(iter(c.automaton.initial)) for c in cops)
-
-    # node: (relation state, property automata states, labelled position read)
-    def moves(node):
-        q_r, qcops, _b = node
-        for pair_sym, dsts in sorted(rel.adjacency.get(q_r, {}).items()):
-            a1, a2 = divmod(pair_sym, base_size)
-            qcops2 = tuple(deltas[j][qcops[j]][a1][0] for j in range(k))
-            for q_r2 in dsts:
-                yield from _aug_moves(
-                    q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter,
-                    pair_size,
-                )
-
-    t_aug = Transducer(
-        explore(
-            FiniteAutomaton,
-            Alphabet.product(sigma_a, sigma_a),
-            [(q, q0cops, 0) for q in sorted(rel.initial)],
-            moves,
-            lambda node: node[0] in rel.accepting and node[2] == 1,
-        )
-    )
+    def step(_label, a1, a2, qcops2):
+        """A position is labelled on the output iff it is labelled on the
+        input, so execution words keep the bot*(label) shape of the initial
+        set.  On the labelled position the input mask is forced to the
+        property verdicts for the word read so far, and the output state
+        must extend the negated-property run on that mask."""
+        yield letter(a1, bot_q, bot_m) * pair_size + letter(a2, bot_q, bot_m), 0
+        mask = _verdicts(cops, qcops2)
+        for alpha1 in range(nga.n_states):
+            l1 = letter(a1, alpha1, mask) * pair_size
+            for alpha2 in nga.adjacency.get(alpha1, {}).get(mask, ()):
+                for mask2 in range(n_masks):
+                    yield l1 + letter(a2, alpha2, mask2), 1
 
     def shape(states) -> FiniteAutomaton:
         """(bot-labelled letters)* followed by one letter labelled with a
@@ -322,33 +378,9 @@ def build_augmented_finite(
 
         return explore(FiniteAutomaton, sigma_a, [0], moves, lambda node: node == 1)
 
-    return _labelled(m, neg, cops, sigma_a, t_aug, shape)
-
-
-def _aug_moves(q_r2, qcops2, a1, a2, nga, final_masks, bot_q, bot_m, letter, pair_size):
-    """(letter pair, successor node) moves for one underlying relation move.
-
-    A position is labelled on the output iff it is labelled on the input, so
-    execution words keep the bot*(label) shape of the initial set.  On the
-    labelled position the input mask is forced to the property verdicts for
-    the word read so far, and the output state must extend the
-    negated-property run on that mask.
-    """
-    yield (
-        letter(a1, bot_q, bot_m) * pair_size + letter(a2, bot_q, bot_m),
-        (q_r2, qcops2, 0),
+    return _augmented(
+        m, neg, cops, sigma_a, [0], step, lambda _qcops, label: label == 1, shape
     )
-    mask = 0
-    for j, acc in enumerate(final_masks):
-        if qcops2[j] in acc:
-            mask |= 1 << j
-    for alpha1 in range(nga.n_states):
-        for alpha2 in nga.adjacency.get(alpha1, {}).get(mask, ()):
-            for mask2 in range(bot_m):
-                yield (
-                    letter(a1, alpha1, mask) * pair_size + letter(a2, alpha2, mask2),
-                    (q_r2, qcops2, 1),
-                )
 
 
 def build_augmented_omega(
@@ -363,62 +395,20 @@ def build_augmented_omega(
     """
     if m.mode != OMEGA:
         raise ModeMismatch("omega augmentation needs an omega-mode system")
-    _check_cops(cops, neg, m.alphabet, OMEGA)
+    sigma_a, letter = _label_alphabet(m, neg, cops, ())
     nga = neg.automaton
-    k = len(cops)
-    n_masks = 1 << k
-    n_q = nga.n_states
-
-    q_names = tuple(f"g{i}" for i in range(n_q))
-    m_names = tuple(f"m{i}" for i in range(n_masks))
-    sigma_a = Alphabet.product(m.alphabet, Alphabet.base(q_names), Alphabet.base(m_names))
-
-    def letter(a: int, q: int, mask: int) -> int:
-        return (a * n_q + q) * n_masks + mask
-
+    n_masks = 1 << len(cops)
     pair_size = sigma_a.size
-    base_size = m.alphabet.size
-    deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
-    rel = m.relation.inner
-    q0cops = tuple(next(iter(c.automaton.initial)) for c in cops)
+    pinned = [(alpha, lam) for alpha in range(nga.n_states) for lam in range(n_masks)]
 
-    # node: (relation state, property automata states, pinned input label)
-    def moves(node):
-        q_r, qcops, alpha, lam = node
-        succ_alpha = nga.adjacency.get(alpha, {}).get(lam, ())
-        for pair_sym, dsts in sorted(rel.adjacency.get(q_r, {}).items()):
-            a1, a2 = divmod(pair_sym, base_size)
-            qcops2 = tuple(deltas[j][qcops[j]][a1][0] for j in range(k))
-            l1 = letter(a1, alpha, lam) * pair_size
-            for q_r2 in dsts:
-                nxt = (q_r2, qcops2, alpha, lam)
-                for alpha2 in succ_alpha:
-                    for lam2 in range(n_masks):
-                        yield l1 + letter(a2, alpha2, lam2), nxt
-
-    def node_accepting(node) -> bool:
-        q_r, qcops, _alpha, lam = node
-        if q_r not in rel.accepting:
-            return False
-        return all(
-            (qcops[j] in cops[j].automaton.accepting) == bool(lam >> j & 1)
-            for j in range(k)
-        )
-
-    t_aug = Transducer(
-        explore(
-            OmegaAutomaton,
-            Alphabet.product(sigma_a, sigma_a),
-            [
-                (q, q0cops, alpha, lam)
-                for q in sorted(rel.initial)
-                for alpha in range(n_q)
-                for lam in range(n_masks)
-            ],
-            moves,
-            node_accepting,
-        )
-    )
+    def step(label, a1, a2, _qcops2):
+        """The pinned input label stays; the output label extends the
+        negated-property run on the pinned mask."""
+        alpha, lam = label
+        l1 = letter(a1, alpha, lam) * pair_size
+        for alpha2 in nga.adjacency.get(alpha, {}).get(lam, ()):
+            for lam2 in range(n_masks):
+                yield l1 + letter(a2, alpha2, lam2), label
 
     def shape(states) -> OmegaAutomaton:
         """Words labelled uniformly with one (negated-property state in
@@ -434,7 +424,10 @@ def build_augmented_omega(
 
         return explore(OmegaAutomaton, sigma_a, [0], moves, lambda node: node > 0)
 
-    return _labelled(m, neg, cops, sigma_a, t_aug, shape)
+    return _augmented(
+        m, neg, cops, sigma_a, pinned, step,
+        lambda qcops, label: _verdicts(cops, qcops) == label[1], shape,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +595,7 @@ def replay_gsp_witness(aug: GspAugmentation, witness: LassoWitness) -> tuple[boo
     """Full fidelity replay: the projection is an execution of the original
     system, the claimed cop sets match the property automata, and the label
     states drive the negated-property automaton through an accepting run."""
-    ok, why = replay_lasso(aug.msys, witness)
-    if not ok:
-        return False, why
-    words = list(witness.words)
-    ring = words + [words[witness.loop_start]]
-    sigma = [aug.sigma_word(w) for w in ring]
-    fault = _run_fault(aug.original, sigma, projected=True)
+    ring, sigma, fault = _projected_ring(aug, witness)
     if fault is not None:
         return False, fault
     chain = []
@@ -626,7 +613,7 @@ def replay_gsp_witness(aug: GspAugmentation, witness: LassoWitness) -> tuple[boo
         q, mask = chain[i]
         if chain[i + 1][0] not in nga.adjacency.get(q, {}).get(mask, ()):
             return False, f"label chain breaks the negated-property run at step {i}"
-    loop_states = [chain[i][0] for i in range(witness.loop_start, len(words))]
+    loop_states = [chain[i][0] for i in range(witness.loop_start, len(witness.words))]
     if not any(q in nga.accepting for q in loop_states):
         return False, "loop never visits an accepting negated-property state"
     return True, "ok"

@@ -9,9 +9,11 @@ condition with the nondeterministic simultaneous-reset discipline: a
 position may reset only when every required automaton has reported an
 accepting visit, and the acceptance condition is the all-positions-reset
 set of words.  Labels are attached to letters by `automata.relabel`: the
-initial set is the labelled initial set (any mask guessed) intersected with
-the label shape (the negated property read on the masks), and each move of
-the system's relation gets every label pair its input letter allows.
+initial set is `gsp._labelled_initial` with the negated property read on
+the masks as its shape, and each move of the system's relation gets every
+label pair its input letter allows.  `LospAugmentation` extends the
+augmentation record of `gsp`, and `replay_losp_witness` opens with the same
+projection prologue, `gsp._projected_ring`, as `replay_gsp_witness`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, accepts, complete, explore, intersect, relabel
+from .automata import FiniteAutomaton, accepts, complete, explore, relabel
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -33,7 +35,7 @@ from .errors import (
     NotDeterministic,
     NotWeakDeterministic,
 )
-from .gsp import check_emptiness_loop
+from .gsp import _Augmentation, _labelled_initial, _projected_ring, check_emptiness_loop
 from .omega import (
     OmegaAutomaton,
     accepts_up_word,
@@ -49,8 +51,6 @@ from .system import (
     RegularSystem,
     Verdict,
     _conjoin,
-    _run_fault,
-    replay_lasso,
 )
 from .transducer import FINITE, Transducer
 
@@ -134,15 +134,9 @@ def losp_property(negation_automaton: FiniteAutomaton, n_props: int) -> Losp:
 
 
 @dataclass(frozen=True)
-class LospAugmentation:
-    msys: BuchiRegularSystem
-    original: RegularSystem
+class LospAugmentation(_Augmentation):
     losp: Losp
     leps: tuple[LocalExecutionProperty, ...]
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.msys.system.alphabet
 
     def decode(self, sym: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int, int, int]:
         """(sigma, lep states, complement states, lep mask, lepF mask, rho)."""
@@ -153,9 +147,6 @@ class LospAugmentation:
         qs = parts[bw : bw + k]
         qn = parts[bw + k : bw + 2 * k]
         return sigma, qs, qn, parts[-3], parts[-2], parts[-1]
-
-    def sigma_word(self, word: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.decode(s)[0] for s in word)
 
 
 def build_augmented_losp(
@@ -282,23 +273,16 @@ def build_augmented_losp(
 
 def _losp_initial(initial, lo: Losp, leps, letter, sigma_a) -> FiniteAutomaton:
     """Initial words carry initial automaton states, a guessed violating
-    labelling, an empty progress mask and noreset everywhere: the initial
-    set with any mask guessed, intersected with the negated property read
-    on the masks."""
+    labelling, an empty progress mask and noreset everywhere: the labelled
+    initial set whose shape is the negated property read on the masks."""
     q0s = tuple(next(iter(lep.automaton.initial)) for lep in leps)
     q0n = tuple(next(iter(lep.complement_automaton.initial)) for lep in leps)
-    n_masks = 1 << lo.n_props
-
-    def label(a: int, mask: int) -> int:
-        return letter(a, q0s, q0n, mask, 0, NORESET)
-
-    guessed = relabel(initial, sigma_a, lambda a: [label(a, mask) for mask in range(n_masks)])
     violating = relabel(
         lo.negation_automaton,
         sigma_a,
-        lambda mask: [label(a, mask) for a in range(initial.alphabet.size)],
+        lambda mask: [letter(a, q0s, q0n, mask, 0, NORESET) for a in range(initial.alphabet.size)],
     )
-    return intersect(guessed, violating)
+    return _labelled_initial(initial, sigma_a, violating)
 
 
 def _losp_acceptance(sigma_a: Alphabet) -> FiniteAutomaton:
@@ -324,16 +308,10 @@ def replay_losp_witness(aug: LospAugmentation, witness: LassoWitness) -> tuple[b
     labels are position-stable, the per-position automaton runs are genuine,
     and the reset discipline (progress accumulation, simultaneous reset) is
     respected."""
-    ok, why = replay_lasso(aug.msys, witness)
-    if not ok:
-        return False, why
-    words = list(witness.words)
-    ring = words + [words[witness.loop_start]]
-    decoded = [[aug.decode(sym) for sym in w] for w in ring]
-    sigma = [tuple(d[0] for d in dw) for dw in decoded]
-    fault = _run_fault(aug.original, sigma, projected=True)
+    ring, _sigma, fault = _projected_ring(aug, witness)
     if fault is not None:
         return False, fault
+    decoded = [[aug.decode(sym) for sym in w] for w in ring]
     n_positions = len(ring[0])
     k = len(aug.leps)
     full = (1 << k) - 1

@@ -39,7 +39,6 @@ from .automata import (
     complete,
     difference,
     explore,
-    includes,
     intersect,
     is_empty,
     minimize,
@@ -469,9 +468,7 @@ def _product(a: FiniteAutomaton, b: FiniteAutomaton, alphabet: Alphabet, moves):
 
 def _includes(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
     """L(a) included in L(b)."""
-    if isinstance(a, OmegaAutomaton):
-        return omega_is_empty(_difference(a, b))
-    return includes(a, b)
+    return _is_empty(_difference(a, b))
 
 
 def _is_empty(a: FiniteAutomaton) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, cut_lengths, exact_length, intersect, minimize, union
+from .automata import FiniteAutomaton, cut_lengths, minimize, union
 from .errors import InputError, ModeMismatch, NonWeakResult, NotDeterministic, NotWeak
 from .omega import (
     OmegaAutomaton,
@@ -124,11 +124,8 @@ def slice_system(m: RegularSystem, n: int) -> RegularSystem:
         raise ModeMismatch("slicing is defined for finite-mode systems only")
     if n < 1:
         raise InputError("slice length must be at least 1")
-    initial = minimize(intersect(m.initial, exact_length(m.alphabet, n)))
-    rel_inner = minimize(
-        intersect(m.relation.inner, exact_length(m.relation.inner.alphabet, n)),
-        completion=False,
-    )
+    initial = minimize(cut_lengths(m.initial, (n,)))
+    rel_inner = minimize(cut_lengths(m.relation.inner, (n,)), completion=False)
     return RegularSystem(m.alphabet, initial, Transducer(rel_inner), FINITE)
 
 

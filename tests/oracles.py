@@ -8,7 +8,11 @@ closure-based emptiness formula, is kept as a symbolic reference for the
 emptiness engine.  `moore_minimize` is Moore's refinement, the algorithm
 `minimize` used before partition refinement, kept as its reference; it
 shares the subset construction, the quotient numbering and the completion
-with `minimize`, so only the refinement differs.  `relation_equal` and
+with `minimize`, so only the refinement differs.  `naive_includes` is the
+on-the-fly inclusion search that `automata.includes` used before it became
+the emptiness of `automata.difference`, kept as its reference, and
+`exact_length` builds the words of one length that `system.slice_system`
+now cuts to with `cut_lengths`.  `relation_equal` and
 `reflexive_check` are test helpers on top of `transducer.relation_includes`,
 and `inverse` swaps the tracks of a relation through `automata.relabel`, the
 reference for joins that read a relation on its output track; nothing in the
@@ -113,6 +117,36 @@ def moore_minimize(a: FiniteAutomaton, completion: bool | None = None) -> Finite
 def all_words(alphabet: Alphabet, max_len: int):
     for length in range(max_len + 1):
         yield from itertools.product(range(alphabet.size), repeat=length)
+
+
+def naive_includes(a: FiniteAutomaton, b: FiniteAutomaton) -> bool:
+    """L(a) included in L(b), by a depth-first search over pairs (state of
+    `a`, subset of `b`) that stops at the first pair accepting in `a` and
+    not in `b`; no completion is built."""
+    a.alphabet.require_same(b.alphabet)
+    b0 = frozenset(b.initial)
+    seen = {(qa, b0) for qa in a.initial}
+    stack = list(seen)
+    while stack:
+        qa, bs = stack.pop()
+        if qa in a.accepting and not (bs & b.accepting):
+            return False
+        for sym, dsts in a.adjacency.get(qa, {}).items():
+            nxt = b.step(bs, sym)
+            for qa2 in dsts:
+                if (qa2, nxt) not in seen:
+                    seen.add((qa2, nxt))
+                    stack.append((qa2, nxt))
+    return True
+
+
+def exact_length(alphabet: Alphabet, n: int) -> FiniteAutomaton:
+    """All words of exactly length n."""
+
+    def moves(i):
+        return [(sym, i + 1) for sym in alphabet.symbols()] if i < n else []
+
+    return explore(FiniteAutomaton, alphabet, [0], moves, lambda i: i == n)
 
 
 def language_upto(aut, max_len: int) -> set[tuple[int, ...]]:
@@ -649,7 +683,7 @@ def random_dfa_complete(rng: random.Random, alphabet: Alphabet, max_states: int 
 
 def random_sliced_system(rng: random.Random, n: int) -> RegularSystem:
     """Random finite-mode system already restricted to words of length n."""
-    from rmckit.automata import exact_length, intersect, minimize, union, word_automaton
+    from rmckit.automata import intersect, minimize, union, word_automaton
     from rmckit.system import slice_system, validate
 
     base = Alphabet.base(("A", "B"))

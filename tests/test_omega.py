@@ -18,12 +18,11 @@ from rmckit import (
     determinize_weak,
     minimize_weak_dba,
     omega_intersect,
-    project,
     sample_lassos,
     union,
 )
 from rmckit.alphabet import Alphabet
-from rmckit.automata import _paired_moves, _sync_symbols
+from rmckit.automata import _paired_moves, _sync_symbols, project_components
 from rmckit.fixtures import build_fa, ring_alphabet
 from rmckit.omega import (
     OmegaAutomaton,
@@ -209,11 +208,11 @@ def test_omega_project_product_recovers():
     pair = Alphabet.product(NT, NT)
     pairs = _sync_symbols(NT.size)
     a = inf_many_t()
-    backs = [(a, project(_product_omega(a, u, pair, _paired_moves(a, u, pairs)), 2))]
+    backs = [(a, project_components(_product_omega(a, u, pair, _paired_moves(a, u, pairs)), [1]))]
     for b in (eventually_t(), eventually_t_nondet()):
         prod = _product(b, u, pair, _paired_moves(b, u, pairs))
         assert prod.is_deterministic and prod.is_weak
-        backs.append((b, project(prod, 2)))
+        backs.append((b, project_components(prod, [1])))
     for w in sample_lassos(NT, 40, seed=9):
         for x, back in backs:
             assert isinstance(back, OmegaAutomaton)

@@ -16,33 +16,74 @@ def _modules():
             yield path.stem, ast.parse(path.read_text())
 
 
-class _Reads(ast.NodeVisitor):
-    """Every name a module reads, as a bare name or an attribute, except the
-    reads inside the top-level definition of that same name."""
+def _bound_in(fn) -> set[str]:
+    """The names a function or lambda binds itself: its parameters and every
+    name its own body stores, imports or defines, nested scopes aside."""
+    args = fn.args
+    names = {
+        a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+        if a is not None
+    }
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif not isinstance(node, ast.Lambda):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                names.add(node.name)
+            stack.extend(ast.iter_child_nodes(node))
+    return names
 
-    def __init__(self):
-        self.outer, self.found = None, set()
+
+class _Reads(ast.NodeVisitor):
+    """Every module-level binding a module reads, except the reads inside
+    the top-level definition of that same name: a bare name that no
+    enclosing function binds itself, or an attribute of an imported module.
+    A local that happens to share an export's name is not a use of it."""
+
+    def __init__(self, tree):
+        self.outer, self.found, self.scopes = None, set(), []
+        self.modules = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module is None
+            for alias in node.names
+        }
 
     def visit_FunctionDef(self, node):
-        if self.outer is None:
+        top = self.outer is None
+        if top:
             self.outer = node.name
-            self.generic_visit(node)
+        self.scopes.append(set() if isinstance(node, ast.ClassDef) else _bound_in(node))
+        self.generic_visit(node)
+        self.scopes.pop()
+        if top:
             self.outer = None
-        else:
-            self.generic_visit(node)
 
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self.scopes.append(_bound_in(node))
+        self.generic_visit(node)
+        self.scopes.pop()
 
     def _read(self, name):
         if name != self.outer:
             self.found.add(name)
 
     def visit_Name(self, node):
-        if isinstance(node.ctx, ast.Load):
+        if isinstance(node.ctx, ast.Load) and not any(node.id in s for s in self.scopes):
             self._read(node.id)
 
     def visit_Attribute(self, node):
-        self._read(node.attr)
+        if isinstance(node.value, ast.Name) and node.value.id in self.modules:
+            self._read(node.attr)
         self.generic_visit(node)
 
 
@@ -68,7 +109,7 @@ def test_every_export_is_used_by_the_package_or_a_demo():
     }
     read = set()
     for _, tree in _modules():
-        visitor = _Reads()
+        visitor = _Reads(tree)
         visitor.visit(tree)
         read |= visitor.found
     unused = sorted(exported - read - _called_by_demos())

@@ -1,10 +1,11 @@
-"""Witness replay rejects tampered lassos, in finite and in omega mode.
+"""Witness replay rejects tampered lassos: GSP in finite and in omega mode,
+and LOSP.
 
 Every `violated` verdict is guarded by `replay_lasso` and the construction
 replay, so each tampering below must be refused with its reason.  The
 relaxed augmentation accepts every word as initial and accepting and every
 pair as a step, so its replay gets past `replay_lasso` and reaches the
-checks specific to the GSP construction.
+checks specific to the GSP or LOSP construction.
 """
 
 import dataclasses
@@ -14,10 +15,15 @@ import pytest
 from rmckit import (
     VIOLATED,
     build_augmented_finite,
+    build_augmented_losp,
     build_augmented_omega,
     check_emptiness_loop,
+    check_losp,
+    local_execution_property,
+    losp_property,
     negated_gsp,
     replay_gsp_witness,
+    replay_losp_witness,
     slice_system,
     state_property,
     validate,
@@ -27,8 +33,12 @@ from rmckit.fixtures import (
     build_fa,
     cop_one_token,
     gsp_always_one_token_negated,
+    lep_liveness,
+    lep_liveness_negated,
+    losp_all_live_negated,
     ring_alphabet,
     token_ring_dup_mutant,
+    token_ring_idle_mutant,
 )
 from rmckit.omega import UltimatelyPeriodicWord
 from rmckit.system import (
@@ -97,7 +107,7 @@ def _relaxed(aug):
         return cls(alphabet, 1, frozenset({0}), frozenset({0}), loops)
 
     every = everything(sigma)
-    m = RegularSystem(sigma, every, Transducer(everything(pairs)), aug.mode)
+    m = RegularSystem(sigma, every, Transducer(everything(pairs)), aug.msys.system.mode)
     return dataclasses.replace(aug, msys=BuchiRegularSystem(m, every))
 
 
@@ -211,3 +221,66 @@ def test_finite_replay_checks_label_placement_and_run(cases, kind, relaxed_reaso
         words[1] = words[1][:-1] + (_edit(aug, words[1][-1], q=1),)
     bad = LassoWitness(tuple(words), witness.loop_start)
     assert replay_gsp_witness(_relaxed(aug), bad) == (False, relaxed_reason)
+
+
+def _losp_case():
+    """Idle mutant, slice 2, against "every position is live": six words
+    looping on the fifth, the guessed labelling (0, 1)."""
+    lep = local_execution_property("liveness", lep_liveness(), lep_liveness_negated())
+    sl = slice_system(token_ring_idle_mutant(), 2)
+    aug = build_augmented_losp(sl, losp_property(losp_all_live_negated(), 1), [lep])
+    verdict = check_losp(aug, budget=32)
+    assert verdict.status == VIOLATED
+    assert len(verdict.witness.words) == 6 and verdict.witness.loop_start == 4
+    assert [aug.decode(s)[3] for s in verdict.witness.words[0]] == [0, 1]
+    return aug, verdict.witness
+
+
+def _losp_tamper(aug, witness, edits):
+    """The witness with the letter at position j of word t given new fields,
+    for every ((t, j), fields) of `edits`; the fields are named as
+    `LospAugmentation.decode` orders them."""
+    names = ("sigma", "qs", "qn", "lep", "lepf", "rho")
+    words = [list(w) for w in witness.words]
+    for (t, j), fields in edits:
+        d = dict(zip(names, aug.decode(words[t][j])), **fields)
+        words[t][j] = aug.alphabet.symbol(
+            (d["sigma"], *d["qs"], *d["qn"], d["lep"], d["lepf"], d["rho"])
+        )
+    return LassoWitness(tuple(map(tuple, words)), witness.loop_start)
+
+
+# position 0 labelled 1 in every word: the labelling (1, 1), which the
+# negated property rejects, with its progress mask kept consistent
+ALL_LIVE_LABELLING = [((0, 0), {"lep": 1})] + [
+    ((t, 0), {"lep": 1, "lepf": 1, "rho": 0}) for t in range(1, 6)
+]
+
+LOSP_CASES = [
+    ([((1, 1), {"sigma": N})], "projected step 0 not in the original relation"),
+    ([((5, 0), {"lep": 1})], "lep label at position 0 changes over time"),
+    ([((0, 0), {"lepf": 1})], "first word must carry empty progress and noreset"),
+    ([((0, 1), {"rho": 1})], "first word must carry empty progress and noreset"),
+    ([((1, 0), {"qs": (1,)})], "lep 0 run breaks at position 0, step 0"),
+    ([((1, 0), {"qn": (1,)})], "lep 0 complement run breaks at position 0, step 0"),
+    ([((2, 1), {"rho": 0})], "reset rule violated at position 1, step 1"),
+    ([((1, 1), {"lepf": 0})], "progress accumulation violated at position 1, step 0"),
+    (ALL_LIVE_LABELLING, "guessed labelling is not in the negated losp language"),
+]
+
+
+@pytest.fixture(scope="module")
+def losp_case():
+    return _losp_case()
+
+
+@pytest.mark.parametrize("edits, relaxed_reason", LOSP_CASES)
+def test_losp_replay_rejects_tampered_witness(losp_case, edits, relaxed_reason):
+    aug, witness = losp_case
+    assert replay_losp_witness(aug, witness) == (True, "ok")
+    assert replay_losp_witness(_relaxed(aug), witness) == (True, "ok")
+    bad = _losp_tamper(aug, witness, edits)
+    lasso = replay_lasso(aug.msys, bad)
+    assert not lasso[0]
+    assert replay_losp_witness(aug, bad) == lasso
+    assert replay_losp_witness(_relaxed(aug), bad) == (False, relaxed_reason)

@@ -29,7 +29,7 @@ from rmckit import (
     union_t,
     word_automaton,
 )
-from rmckit.automata import FiniteAutomaton, _paired_moves, exact_length
+from rmckit.automata import FiniteAutomaton, _paired_moves
 from rmckit.omega import (
     UltimatelyPeriodicWord,
     _canon,
@@ -52,6 +52,7 @@ from rmckit.fixtures import (
 
 from oracles import (
     compose_pairs,
+    exact_length,
     inverse,
     random_dense_nfa,
     random_layered_weak_dba,
