@@ -113,13 +113,6 @@ class Alphabet:
     def word_name(self, word: Sequence[int]) -> str:
         return " ".join(self.name(s) for s in word)
 
-    def drop_components(self, drop: Sequence[int]) -> "Alphabet":
-        """Alphabet without the given 0-based components."""
-        keep = [c for i, c in enumerate(self.components) if i not in set(drop)]
-        if not keep:
-            raise InputError("cannot drop every component")
-        return Alphabet(tuple(keep))
-
     def require_same(self, other: "Alphabet") -> None:
         if self != other:
             raise AlphabetMismatch("operation requires identical alphabets")

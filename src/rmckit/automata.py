@@ -1,7 +1,8 @@
 """Finite-word automaton algebra.
 
 Construction, Boolean operations, determinization, canonical minimization,
-products, projections and the standard decision procedures.
+products and the standard decision procedures; there is no projection
+function, as a projection is a many-to-one letter map handed to `relabel`.
 Values are immutable; every operation is a pure function returning a new
 automaton.  State ids are dense integers; canonical numbering is
 breadth-first discovery order from the initial states with symbol order as
@@ -32,10 +33,11 @@ coarsest partition, so the result is the same either way.
 
 `complete` is the one place that adds a completion sink, always as the
 highest-numbered state.
-`relabel` is the one place that rewrites letters: projections, the identity
-relation, flag extensions and the GSP and LOSP label constructions are each
-a letter map handed to it.  `_reflag` is the one place that changes the
-accepting states or the class of an automaton; the rows are shared.
+`relabel` is the one place that rewrites letters: the identity relation, the
+simulation's diagonal (the words w with (w, w) in T+), flag extensions and
+the GSP and LOSP label constructions are each a letter map handed to it.
+`_reflag` is the one place that changes the accepting states or the class
+of an automaton; the rows are shared.
 """
 
 from __future__ import annotations
@@ -752,27 +754,6 @@ def difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
         moves,
         lambda node: node[0] in fa and not node[1] & fb,
     )
-
-
-# ---------------------------------------------------------------------------
-# projection
-
-
-def project_components(a: FiniteAutomaton, drop: Sequence[int]) -> FiniteAutomaton:
-    """Projection dropping the given 0-based alphabet components."""
-    dropset = set(drop)
-    for i in dropset:
-        if not (0 <= i < a.alphabet.arity):
-            raise InputError(f"component index {i} out of range")
-    if len(dropset) >= a.alphabet.arity:
-        raise InputError("cannot project away every component")
-    target = a.alphabet.drop_components(sorted(dropset))
-
-    def kept(sym):
-        parts = a.alphabet.parts(sym)
-        return (target.symbol([p for i, p in enumerate(parts) if i not in dropset]),)
-
-    return relabel(a, target, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,9 @@ def state_property(name: str, automaton: FiniteAutomaton, mode: str = FINITE) ->
     return StateProperty(name, minimize(automaton, completion=True))
 
 
-def _check_cops(cops: Sequence[StateProperty], neg, alphabet: Alphabet, mode: str) -> None:
-    if neg.n_props != len(cops):
-        raise AlphabetMismatch("negated property arity does not match the cop list")
+def _check_cops(cops: Sequence[StateProperty], alphabet: Alphabet, mode: str) -> None:
+    """Each cop automaton is over `alphabet`, deterministic and complete, and
+    weak in omega mode; there are at most `MAX_COPS` of them."""
     if len(cops) > MAX_COPS:
         raise AlphabetCapExceeded(f"at most {MAX_COPS} state properties supported")
     for cop in cops:
@@ -272,7 +272,9 @@ def _label_alphabet(m: RegularSystem, neg: NegatedGsp, cops, bot: tuple[str, ...
     """Once the cop automata are checked: Sigma x (negated-property states)
     x (cop masks), each label component extended by `bot`, and its
     letter(a, q, mask) encoder."""
-    _check_cops(cops, neg, m.alphabet, m.mode)
+    if neg.n_props != len(cops):
+        raise AlphabetMismatch("negated property arity does not match the cop list")
+    _check_cops(cops, m.alphabet, m.mode)
     q_names = tuple(f"g{i}" for i in range(neg.automaton.n_states)) + bot
     m_names = tuple(f"m{i}" for i in range(1 << len(cops))) + bot
     sigma_a = Alphabet.product(m.alphabet, Alphabet.base(q_names), Alphabet.base(m_names))

@@ -90,6 +90,9 @@ def local_execution_property(
     automaton: OmegaAutomaton,
     complement: OmegaAutomaton | None = None,
 ) -> LocalExecutionProperty:
+    for aut in (automaton, complement):
+        if aut is not None and not isinstance(aut, OmegaAutomaton):
+            raise ModeMismatch(f"local execution property {name!r} needs Buchi automata")
     primary = complete(automaton)
     if complement is None:
         try:

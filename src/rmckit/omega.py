@@ -12,6 +12,10 @@ with the even-coloured states accepting (Loding, "Efficient minimization of
 deterministic weak omega-automata", IPL 79(3), 2001), so `automata.minimize`
 computes the classes.
 
+Lasso membership and emptiness ask one question, of the runs on the lasso
+(built by `automata.explore`) or of the automaton itself: does a reachable
+SCC have a cycle through acceptance?
+
 General nondeterministic Buchi complementation is deliberately not provided;
 pipelines that would need it raise NonWeakResult / NotWeakDeterministic.
 """
@@ -23,7 +27,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .alphabet import Alphabet
 from .automata import (
@@ -163,44 +166,25 @@ def normalize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
 
 
 def accepts_up_word(a: OmegaAutomaton, w: UltimatelyPeriodicWord) -> bool:
-    """True iff some run visits acceptance infinitely often on prefix.period^w."""
+    """True iff some run visits acceptance infinitely often on prefix.period^w.
+
+    A node of the runs is (state, position); after the last letter the
+    position goes back to the start of the period."""
+    letters = w.prefix + w.period
     size = a.alphabet.size
-    for sym in w.prefix + w.period:
+    for sym in letters:
         if not (0 <= sym < size):
             raise InputError(f"symbol {sym} not in alphabet")
-    p, k = len(w.prefix), len(w.period)
-    total = p + k
+    p, last, rows = len(w.prefix), len(letters) - 1, a.adjacency
 
-    def succ(node: int) -> Iterable[int]:
-        q, i = divmod(node, total)
-        nxt = i + 1 if i + 1 < total else p
-        for dst in a.adjacency.get(q, {}).get(w.letter(i), ()):
-            yield dst * total + nxt
+    def moves(node):
+        q, i = node
+        sym, nxt = letters[i], (i + 1 if i < last else p)
+        return [(sym, (d, nxt)) for d in rows.get(q, {}).get(sym, ())]
 
-    start = [q * total + 0 for q in a.initial]
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        n = stack.pop()
-        for m in succ(n):
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    if not seen:
-        return False
-    nodes = sorted(seen)
-    ids = {n: i for i, n in enumerate(nodes)}
-    comps = strongly_connected_components(
-        len(nodes), lambda i: (ids[m] for m in succ(nodes[i]) if m in ids)
-    )
-    for comp in comps:
-        members = [nodes[i] for i in comp]
-        has_cycle = len(comp) > 1 or any(
-            ids.get(m) == comp[0] for m in succ(nodes[comp[0]])
-        )
-        if has_cycle and any((n // total) in a.accepting for n in members):
-            return True
-    return False
+    starts = [(q, 0) for q in sorted(a.initial)]
+    runs = explore(OmegaAutomaton, a.alphabet, starts, moves, lambda node: node[0] in a.accepting)
+    return any(runs._accepting_cycle_in(comp) for comp in runs.sccs)
 
 
 def _cycle_word(a: OmegaAutomaton, anchor: int, comp: set[int]) -> tuple[int, ...] | None:
@@ -235,9 +219,7 @@ def buchi_is_empty(
         return True, None
     _, prefix, q = min(candidates)
     comp = set(a.sccs[a.scc_of[q]])
-    period = _cycle_word(a, q, comp)
-    if period is None:  # lone accepting state with a self-loop was required
-        return True, None
+    period = _cycle_word(a, q, comp)  # not None: q lies on a cycle of comp
     return False, UltimatelyPeriodicWord(prefix, period)
 
 
@@ -288,9 +270,7 @@ def determinize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
             "determinization left the weak class; language has no weak DBA"
         )
     flipped = normalize_weak(det)
-    return canonical_renumber(
-        _reflag(flipped, frozenset(range(flipped.n_states)) - flipped.accepting)
-    )
+    return _reflag(flipped, frozenset(range(flipped.n_states)) - flipped.accepting)
 
 
 def canonical_renumber(a: OmegaAutomaton) -> OmegaAutomaton:
@@ -380,8 +360,8 @@ def omega_intersect(a: OmegaAutomaton, b: OmegaAutomaton) -> OmegaAutomaton:
 
 
 def omega_is_empty(a: OmegaAutomaton) -> bool:
-    empty, _ = buchi_is_empty(a)
-    return empty
+    """True iff no reachable SCC has a cycle through acceptance."""
+    return not any(a._accepting_cycle_in(comp) for comp in a.sccs if comp[0] in a._reachable)
 
 
 def to_weak_dba(a: OmegaAutomaton) -> OmegaAutomaton:

@@ -27,6 +27,11 @@ complement.  Budget-exhausted over-approximations are never used to report
 Holds.  `_space` makes this choice once per check: `sim_fixpoint` and
 `validate_candidate` judge in the space it builds and hand it on in their
 result, and `check_emptiness_sim` asks only about pairs in its R x R.
+
+The cops are over the leading components of the augmented alphabet, so a
+cop reads the letter `sym` as `sym // radix`, and `gsp._verdicts` gives the
+cop mask.  The words w with (w, w) in T+ are one `automata.relabel` of T+
+that keeps its diagonal letters.
 """
 
 from __future__ import annotations
@@ -41,11 +46,11 @@ from .automata import (
     _sync_symbols,
     explore,
     product_general,
-    project_components,
+    relabel,
     universal,
 )
-from .errors import AlphabetCapExceeded, InputError, NonWeakResult
-from .gsp import StateProperty, _extract_lasso
+from .errors import AlphabetCapExceeded, AlphabetMismatch, InputError, NonWeakResult
+from .gsp import StateProperty, _check_cops, _extract_lasso, _verdicts
 from .omega import _canon, _complement, _difference, _intersect, _pick, omega_universal
 from .system import BuchiRegularSystem, RegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
@@ -54,7 +59,6 @@ from .transducer import (
     _join,
     _require_same_base,
     closure,
-    identity,
     preimage,
     relation_includes,
 )
@@ -121,26 +125,22 @@ def sim_init(
     both words: a node (r1, r2, left cop states, right cop states) moves on
     the pair letter a * |Sigma| + b for each move of r1 on a and each move
     of r2 on b, and accepts when r1 and r2 accept and the cop sets agree.
+    The cops must pass `gsp._check_cops` over the leading components of
+    Sigma, so that the base letter of a letter `sym` is `sym // radix`.
     """
     m = msys.system
     sigma_a = m.alphabet
     if within is None:
         within = omega_universal(sigma_a) if m.mode == OMEGA else universal(sigma_a)
+    radix = 1
     if cops:
         base = cops[0].automaton.alphabet
-        width = len(base.components)
-    else:
-        base = None
-        width = len(sigma_a.components)
-
-    def sigma_part(sym: int) -> int:
-        if base is None:
-            return 0
-        return base.symbol(sigma_a.parts(sym)[:width])
-
-    sigma_of = [sigma_part(s) for s in sigma_a.symbols()]
+        if sigma_a.components[: base.arity] != base.components:
+            raise AlphabetMismatch("state property alphabet is not a prefix of the system's")
+        _check_cops(cops, base, m.mode)
+        radix = sigma_a.size // base.size
+    bases = [sym // radix for sym in sigma_a.symbols()]
     deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
-    finals = [frozenset(c.automaton.accepting) for c in cops]
     q0 = tuple(next(iter(c.automaton.initial)) for c in cops)
     successors: dict[tuple, list[tuple]] = {}
 
@@ -149,9 +149,7 @@ def sim_init(
         out = successors.get(states)
         if out is None:
             rows = [delta[q] for delta, q in zip(deltas, states)]
-            out = successors[states] = [
-                tuple(row[a][0] for row in rows) for a in sigma_of
-            ]
+            out = successors[states] = [tuple(row[a][0] for row in rows) for a in bases]
         return out
 
     size, rows_r, fr = sigma_a.size, within.adjacency, within.accepting
@@ -168,13 +166,6 @@ def sim_init(
                     for d2 in d2s:
                         yield first + b, (d1, d2, left2, right2)
 
-    def label_mask(states: tuple) -> int:
-        mask = 0
-        for j, f in enumerate(finals):
-            if states[j] in f:
-                mask |= 1 << j
-        return mask
-
     inner = explore(
         type(m.relation.inner),
         Alphabet.product(sigma_a, sigma_a),
@@ -182,7 +173,7 @@ def sim_init(
         moves,
         lambda node: node[0] in fr
         and node[1] in fr
-        and label_mask(node[2]) == label_mask(node[3]),
+        and _verdicts(cops, node[2]) == _verdicts(cops, node[3]),
     )
     return SimRelation(Transducer(_canon(inner)), 0, False)
 
@@ -369,11 +360,15 @@ def _space(m: RegularSystem, budget: int) -> _Space:
 
 
 def _loopable_from_plus(msys: BuchiRegularSystem, plus):
-    """Automaton for words w with (w, w) in the given strict closure."""
-    tid = identity(msys.system.alphabet, msys.system.mode)
-    width = len(msys.system.alphabet.components)
-    cross = _intersect(plus.relation.inner, tid.inner)
-    return _canon(project_components(cross, range(width, 2 * width)))
+    """Automaton for words w with (w, w) in the given strict closure: its
+    diagonal letters a * |Sigma| + a renamed to a, every other letter dropped."""
+    sigma = msys.system.alphabet
+
+    def diagonal(sym: int) -> tuple[int, ...]:
+        a, b = divmod(sym, sigma.size)
+        return (a,) if a == b else ()
+
+    return _canon(relabel(plus.relation.inner, sigma, diagonal))
 
 
 def _concretize(msys: BuchiRegularSystem, layers, reach, plus):

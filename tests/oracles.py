@@ -16,7 +16,13 @@ now cuts to with `cut_lengths`.  `relation_equal` and
 `reflexive_check` are test helpers on top of `transducer.relation_includes`,
 and `inverse` swaps the tracks of a relation through `automata.relabel`, the
 reference for joins that read a relation on its output track; nothing in the
-library uses them.
+library uses them.  `project_components` drops alphabet components (the
+alphabet left is `drop_components`) through `automata.relabel`; the tests
+build expected languages with it, and it is the reference of the
+simulation's diagonal, which the library takes by one `relabel` of T+.
+`lasso_search` is the search of the runs on a lasso that
+`omega.accepts_up_word` made by hand before it used `explore`, kept as its
+reference.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from rmckit.automata import (
     _determinize_subsets,
     explore,
     relabel,
+    strongly_connected_components,
 )
+from rmckit.errors import InputError
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord
 from rmckit.system import RegularSystem
 from rmckit.transducer import Transducer, identity, relation_includes
@@ -184,6 +192,31 @@ def inverse(t: Transducer) -> Transducer:
     )
 
 
+def drop_components(alphabet: Alphabet, drop) -> Alphabet:
+    """Alphabet without the given 0-based components."""
+    keep = [c for i, c in enumerate(alphabet.components) if i not in set(drop)]
+    if not keep:
+        raise InputError("cannot drop every component")
+    return Alphabet(tuple(keep))
+
+
+def project_components(a: FiniteAutomaton, drop) -> FiniteAutomaton:
+    """Projection dropping the given 0-based alphabet components."""
+    dropset = set(drop)
+    for i in dropset:
+        if not (0 <= i < a.alphabet.arity):
+            raise InputError(f"component index {i} out of range")
+    if len(dropset) >= a.alphabet.arity:
+        raise InputError("cannot project away every component")
+    target = drop_components(a.alphabet, sorted(dropset))
+
+    def kept(sym):
+        parts = a.alphabet.parts(sym)
+        return (target.symbol([p for i, p in enumerate(parts) if i not in dropset]),)
+
+    return relabel(a, target, kept)
+
+
 def compose_pairs(p1: set, p2: set) -> set:
     """Relational composition of explicit pair sets (apply p1, then p2)."""
     by_mid: dict[tuple, set[tuple]] = {}
@@ -194,6 +227,50 @@ def compose_pairs(p1: set, p2: set) -> set:
         for a in by_mid.get(b, ()):
             out.add((a, c))
     return out
+
+
+def lasso_search(a: OmegaAutomaton, w: UltimatelyPeriodicWord) -> bool:
+    """Buchi acceptance of a lasso word by a search of the runs on it: a
+    node (state, position) is numbered state * (|prefix| + |period|) +
+    position, and some run accepts iff a reachable SCC with a cycle holds a
+    node of an accepting state."""
+    size = a.alphabet.size
+    for sym in w.prefix + w.period:
+        if not (0 <= sym < size):
+            raise InputError(f"symbol {sym} not in alphabet")
+    p, k = len(w.prefix), len(w.period)
+    total = p + k
+
+    def succ(node: int):
+        q, i = divmod(node, total)
+        nxt = i + 1 if i + 1 < total else p
+        for dst in a.adjacency.get(q, {}).get(w.letter(i), ()):
+            yield dst * total + nxt
+
+    start = [q * total + 0 for q in a.initial]
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        n = stack.pop()
+        for m in succ(n):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    if not seen:
+        return False
+    nodes = sorted(seen)
+    ids = {n: i for i, n in enumerate(nodes)}
+    comps = strongly_connected_components(
+        len(nodes), lambda i: (ids[m] for m in succ(nodes[i]) if m in ids)
+    )
+    for comp in comps:
+        members = [nodes[i] for i in comp]
+        has_cycle = len(comp) > 1 or any(
+            ids.get(m) == comp[0] for m in succ(nodes[comp[0]])
+        )
+        if has_cycle and any((n // total) in a.accepting for n in members):
+            return True
+    return False
 
 
 def lasso_accepts_deterministic(aut: OmegaAutomaton, w: UltimatelyPeriodicWord) -> bool:

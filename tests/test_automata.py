@@ -45,7 +45,6 @@ from rmckit.automata import (
     cut_lengths,
     explore,
     product_general,
-    project_components,
     relabel,
 )
 from rmckit.fixtures import build_fa, ring_alphabet, ring_initial
@@ -70,6 +69,7 @@ from oracles import (
     moore_minimize,
     naive_accepts,
     naive_includes,
+    project_components,
     random_dense_nfa,
     random_layered_weak_dba,
     random_nfa,

@@ -507,6 +507,20 @@ def test_check_reach_omega_finite_property_file_is_an_input_error(tmp_path, caps
     assert "error: bad set must be an omega-word automaton" in captured.err
 
 
+@pytest.mark.parametrize("files", ["cop_one_token.aut", "lep_liveness.aut cop_one_token.aut"])
+def test_finite_word_lep_is_an_input_error(tmp_path, capsys, files):
+    gen_example("token-ring", tmp_path)
+    path = tmp_path / "system.sys"
+    text = path.read_text()
+    lep = "lep: liveness lep_liveness.aut lep_liveness_neg.aut"
+    assert lep in text
+    path.write_text(text.replace(lep, f"lep: liveness {files}"))
+    code = main(["check-reach", "--system", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: local execution property 'liveness' needs Buchi automata\n"
+
+
 @pytest.fixture
 def omega_gsp_dir(tmp_path):
     bundle = dict(OMEGA_BUNDLE)

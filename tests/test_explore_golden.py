@@ -44,7 +44,7 @@ from rmckit import (
     validate,
 )
 from rmckit.alphabet import COMPLETION_CAP
-from rmckit.automata import complete, project_components
+from rmckit.automata import complete
 from rmckit.fixtures import (
     build_fa,
     cop_one_token,
@@ -59,7 +59,7 @@ from rmckit.omega import OmegaAutomaton, _canon, canonical_renumber
 from rmckit.system import BuchiRegularSystem, RegularSystem
 from rmckit.transducer import FINITE, OMEGA, identity
 
-from oracles import inverse
+from oracles import inverse, project_components
 
 GOLDEN = Path(__file__).parent / "golden" / "explore.json"
 NT = ring_alphabet()

@@ -13,6 +13,7 @@ from rmckit import (
     InconsistentComplement,
     InputError,
     MissingComplement,
+    ModeMismatch,
     NotWeakDeterministic,
     Transducer,
     UNKNOWN,
@@ -32,9 +33,10 @@ from rmckit import (
     slice_system,
 )
 from rmckit import automata
-from rmckit.automata import equivalent, minimize, project_components
+from rmckit.automata import equivalent, minimize
 from rmckit.fixtures import (
     build_fa,
+    cop_one_token,
     lep_liveness,
     lep_liveness_negated,
     losp_all_live_negated,
@@ -48,7 +50,7 @@ from rmckit.omega import UltimatelyPeriodicWord
 from rmckit.system import RegularSystem, reachable
 from rmckit.transducer import FINITE, identity
 
-from oracles import closure_loop_formula, losp_violation_oracle, reordered
+from oracles import closure_loop_formula, losp_violation_oracle, project_components, reordered
 
 NT = ring_alphabet()
 
@@ -195,6 +197,17 @@ def test_complement_lep_rejects_non_weak_deterministic():
 def test_inconsistent_supplied_complement_detected():
     with pytest.raises(InconsistentComplement):
         local_execution_property("bad", lep_liveness(), lep_liveness())
+
+
+def test_finite_word_lep_automata_are_a_mode_mismatch():
+    finite = cop_one_token()
+    for automaton, complement in (
+        (finite, None),
+        (finite, lep_liveness_negated()),
+        (lep_liveness(), finite),
+    ):
+        with pytest.raises(ModeMismatch):
+            local_execution_property("liveness", automaton, complement)
 
 
 def test_extend_with_flags_alphabet():

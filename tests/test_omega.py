@@ -8,6 +8,7 @@ import pytest
 
 from rmckit import (
     NonWeakResult,
+    NotWeak,
     NotWeakDeterministic,
     InputError,
     UltimatelyPeriodicWord,
@@ -22,7 +23,7 @@ from rmckit import (
     union,
 )
 from rmckit.alphabet import Alphabet
-from rmckit.automata import _paired_moves, _sync_symbols, project_components
+from rmckit.automata import _paired_moves, _reflag, _sync_symbols
 from rmckit.fixtures import build_fa, ring_alphabet
 from rmckit.omega import (
     OmegaAutomaton,
@@ -32,13 +33,19 @@ from rmckit.omega import (
     _includes,
     _product,
     _product_omega,
+    canonical_renumber,
+    omega_is_empty,
     omega_universal,
 )
 
 from oracles import (
     lasso_accepts_deterministic,
+    lasso_search,
     max_parity_colour,
+    project_components,
+    random_dense_nfa,
     random_layered_weak_dba,
+    random_nfa,
     random_weak_dba,
 )
 
@@ -301,3 +308,51 @@ def test_omega_inclusion_both_ways_is_exact_equality():
     assert _includes(never(NT), eventually_t())
     assert _includes(eventually_t(), omega_universal(NT))
     assert not _includes(omega_universal(NT), eventually_t())
+
+
+def buchi_draws(seed: int, count: int = 20) -> list[OmegaAutomaton]:
+    """Seeded Buchi automata over NT and NT x NT: `random_nfa` and
+    `random_dense_nfa` draws read as Buchi automata (nondeterministic, often
+    not weak) and layered weak DBAs."""
+    rng = random.Random(seed)
+    out = []
+    for alphabet in (NT, Alphabet.product(NT, NT)):
+        for _ in range(count):
+            for draw in (random_nfa, random_dense_nfa):
+                a = draw(rng, alphabet)
+                out.append(_reflag(a, a.accepting, OmegaAutomaton))
+            out.append(random_layered_weak_dba(rng, alphabet, 4, 2))
+    assert any(not a.is_deterministic for a in out)
+    assert any(not a.is_inherently_weak for a in out)
+    return out
+
+
+def test_accepts_up_word_equals_the_lasso_search():
+    outcomes = set()
+    for i, a in enumerate(buchi_draws(41)):
+        for w in sample_lassos(a.alphabet, 10, seed=i):
+            got = accepts_up_word(a, w)
+            assert got == lasso_search(a, w), (i, w)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_omega_is_empty_equals_the_lasso_witness_search():
+    outcomes = set()
+    for a in buchi_draws(42):
+        empty = omega_is_empty(a)
+        assert empty == buchi_is_empty(a)[0]
+        outcomes.add(empty)
+    assert outcomes == {True, False}
+
+
+def test_determinize_weak_is_numbered_canonically():
+    determinized = 0
+    for a in buchi_draws(43):
+        try:
+            d = determinize_weak(a)
+        except (NotWeak, NonWeakResult):
+            continue
+        assert canonical_renumber(d) == d
+        determinized += 1
+    assert determinized >= 20, determinized

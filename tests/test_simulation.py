@@ -7,9 +7,12 @@ import pytest
 
 from rmckit import (
     Alphabet,
+    AlphabetMismatch,
     FiniteAutomaton,
     HOLDS,
+    IncompleteCopAutomaton,
     InputError,
+    StateProperty,
     Transducer,
     UNKNOWN,
     VIOLATED,
@@ -43,14 +46,16 @@ from rmckit.gsp import cop_alphabet, cop_of
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word, omega_universal
 from rmckit.simulation import SimRelation, _space
 from rmckit.system import BuchiRegularSystem, RegularSystem
-from rmckit.transducer import FINITE, OMEGA, identity, pair_word
+from rmckit.transducer import FINITE, OMEGA, ClosureResult, closure, identity, pair_word
 
 from rmckit.alphabet import COMPLETION_CAP
 
 from oracles import (
+    project_components,
     random_dfa_complete,
     random_layered_weak_dba,
     random_sliced_system,
+    random_transducer,
     random_unsliced_system,
     random_weak_dba,
 )
@@ -100,6 +105,23 @@ def test_sim_init_cop_compatibility_and_length():
     # pairs of different length are unrepresentable over the pair alphabet
     with pytest.raises(InputError):
         accepts_pair(s0.relation, wx, base.word("xx"))
+
+
+def test_sim_engine_checks_its_cops():
+    aug, cop = ring_aug(2)
+    c = cop.automaton
+    ab = Alphabet.base(("a", "b"))
+    alien = StateProperty(
+        "alien", FiniteAutomaton(ab, c.n_states, c.initial, c.accepting, c.transitions)
+    )
+    one = frozenset({0})
+    only_n = frozenset({(0, NT.index("N"), 0)})
+    partial = StateProperty("partial", FiniteAutomaton(NT, 1, one, one, only_n))
+    for bad, error in ((alien, AlphabetMismatch), (partial, IncompleteCopAutomaton)):
+        with pytest.raises(error):
+            sim_fixpoint(aug.msys, [bad], budget=4)
+        with pytest.raises(error):
+            validate_candidate(aug.msys.system.relation, aug.msys, [bad])
 
 
 def test_sim_step_vacuous_when_relation_empty():
@@ -555,3 +577,36 @@ def test_brute_force_simulation_basics():
     assert empty == {(0, 0), (1, 1)}
     with pytest.raises(InputError):
         brute_force_simulation(1000, [], ["a"] * 1000)
+
+
+def loopable_by_projection(msys, plus):
+    """`simulation._loopable_from_plus` by its former route: T+ cut by the
+    identity relation, projected to its input track."""
+    m = msys.system
+    width = len(m.alphabet.components)
+    cross = omega._intersect(plus.relation.inner, identity(m.alphabet, m.mode).inner)
+    return omega._canon(project_components(cross, range(width, 2 * width)))
+
+
+def test_loopable_words_are_the_diagonal_of_the_closure():
+    rng = random.Random(61)
+    cases = []
+    for base in (NT, Alphabet.product(NT, NT)):
+        pair = Alphabet.product(base, base)
+        for _ in range(15):
+            cases.append((random_transducer(rng, base), automata.universal(base)))
+            weak = random_layered_weak_dba(rng, pair, 4, 2)
+            cases.append((Transducer(weak), omega_universal(base)))
+    msyss = [BuchiRegularSystem(RegularSystem(t.base, u, t, t.mode), u) for t, u in cases]
+    pluses = [ClosureResult(t, False, 0) for t, _ in cases]
+    for n in (2, 3):
+        sl = slice_system(token_ring(), n)
+        for msys in (ring_aug(n)[0].msys, BuchiRegularSystem(sl, sl.initial)):
+            msyss.append(msys)
+            pluses.append(closure(msys.system.relation, "plus", 16))
+    outcomes = set()
+    for msys, plus in zip(msyss, pluses):
+        loopable = simulation._loopable_from_plus(msys, plus)
+        assert loopable == loopable_by_projection(msys, plus)
+        outcomes.add((msys.system.mode, omega._is_empty(loopable)))
+    assert len(outcomes) == 4  # empty and nonempty, in both modes
