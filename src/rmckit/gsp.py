@@ -9,7 +9,8 @@ one engine in both modes: a nested (Emerson-Lei) fixpoint over sets of
 words.  With R the reachable words and Acc the accepting ones, it computes
 the greatest set F inside R cap Acc with F within pre+(F), the words that
 reach F again in one or more steps, as the limit of F_0 = R cap Acc and
-F_{i+1} = F_i cap pre+(F_i).
+F_{i+1} = F_i cap pre+(F_i).  R, each pre+ and the rounds F_i are runs of
+the fixpoint driver `omega._fixpoint`.
 
 Both modes share one augmentation skeleton, `_augmented`, and differ only
 in their label discipline.  The augmented relation is one reachable product
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, complete, explore, minimize, relabel, union
+from .automata import FiniteAutomaton, complete, explore, minimize, relabel
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -59,8 +60,10 @@ from .errors import (
 from .omega import (
     OmegaAutomaton,
     _canon,
+    _fixpoint,
     _intersect,
     _is_empty,
+    _Lengths,
     _map_letters,
     _member,
     _pick,
@@ -76,7 +79,6 @@ from .system import (
     RegularSystem,
     Verdict,
     _backchain,
-    _Lengths,
     _reach_layers,
     _run_fault,
     replay_lasso,
@@ -450,7 +452,7 @@ def check_emptiness_loop(
     `lengths`, those the initial set was cut to, the result is a verdict per
     length, each the one its slice's own run gives.
     """
-    keys = _Lengths(msys.system.alphabet, lengths)
+    keys = _Lengths(lengths)
     try:
         verdicts = _nested_emptiness(msys, budget, keys)
     except NonWeakResult as e:
@@ -474,35 +476,26 @@ def _nested_emptiness(msys: BuchiRegularSystem, budget: int, keys: _Lengths) -> 
     layers, reach, ends = _reach_layers(m, budget, keys=keys)
     fair = _canon(_intersect(reach, msys.acceptance))
     live = set(keys.keys)
-    reasons = {key: None if conv else "reachability" for key, (conv, _) in ends.items()}
+    reasons = {key: None if conv else "reachability" for key, (conv, _, _) in ends.items()}
     # a key whose reach converged without an accepting word is done at round 0
     converged = {key for key in live if ends[key][0]}
     done = converged - keys.of(fair, live) if converged else set()
-    limits = dict.fromkeys(done, fair)
-    rounds = dict.fromkeys(done, 0)
+    nested = dict.fromkeys(done, (True, 0, fair))
     fair = keys.decide(done, live, fair)
-    for r in range(1, budget + 1):
-        if not live:
-            break
+
+    def rounds(fair: FiniteAutomaton, _) -> FiniteAutomaton:
         back, open_keys = _pre_plus(m, reach, fair, budget, keys, live)
         reasons.update(dict.fromkeys(open_keys, "backward reachability"))
-        nxt = _canon(_intersect(fair, back))
-        done = live - keys.moved(fair, nxt, live)
-        limits.update(dict.fromkeys(done, nxt))
-        rounds.update(dict.fromkeys(done, r))
-        fair = keys.decide(done, live, nxt)
-    for key in live:
-        limits[key], rounds[key] = fair, budget
-        reasons[key] = reasons[key] or "nested"
+        return _canon(_intersect(fair, back))
+
+    nested.update(_fixpoint(fair, rounds, budget, keys, live)[1])
     verdicts = {}
     for key in keys.keys:
-        diag = {
-            "reach_steps": ends[key][1],
-            "nested_rounds": rounds[key],
-            "converged": reasons[key] is None,
-        }
-        fair = keys.part(limits[key], key)
-        verdicts[key] = _limit_verdict(msys, layers, reach, fair, reasons[key], budget, diag)
+        converged, r, limit = nested[key]
+        reason = reasons[key] or (None if converged else "nested")
+        diag = {"reach_steps": ends[key][1], "nested_rounds": r, "converged": reason is None}
+        part = keys.part(limit, key)
+        verdicts[key] = _limit_verdict(msys, layers, reach, part, reason, budget, diag)
     return verdicts
 
 
@@ -513,7 +506,7 @@ def _limit_verdict(msys, layers, reach, fair, reason, budget: int, diag: dict) -
     if _is_empty(fair):
         if reason is None:
             return Verdict.holds(**diag)
-        return Verdict.unknown(f"budget exhausted before the {reason} fixpoint converged", **diag)
+        return Verdict.exhausted(reason, **diag)
     witness = _fair_lasso(m, layers, reach, fair, budget)
     if witness is None:
         why = "accepting cycle set nonempty but no lasso found in bound"
@@ -532,15 +525,12 @@ def _pre_plus(m: RegularSystem, reach, target, budget: int, keys: _Lengths, live
     """Words of `reach` with a path of one or more steps into `target`, and
     the keys of `live` whose backward fixpoint did not converge within
     `budget` steps."""
-    live = set(live)
-    back = _canon(preimage(m.relation, target, within=reach))
-    for _ in range(budget):
-        nxt = _canon(union(back, preimage(m.relation, back, within=reach)))
-        live &= keys.moved(nxt, back, live)
-        back = nxt
-        if not live:
-            break
-    return back, live
+    back, ends = _fixpoint(
+        _canon(preimage(m.relation, target, within=reach)),
+        lambda back, _: preimage(m.relation, back, within=reach),
+        budget, keys, set(live), grow=True, cut=False,
+    )
+    return back, {key for key, (converged, _, _) in ends.items() if not converged}
 
 
 def _fair_lasso(m: RegularSystem, layers, reach, fair, budget: int):

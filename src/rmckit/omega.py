@@ -18,6 +18,11 @@ SCC have a cycle through acceptance?
 
 General nondeterministic Buchi complementation is deliberately not provided;
 pipelines that would need it raise NonWeakResult / NotWeakDeterministic.
+
+Every fixpoint of the package runs on one budgeted driver, `_fixpoint`,
+kept here with the set operations it iterates, below both `transducer`
+(the closure) and `system` (reachability): it steps, joins and tests
+convergence per verdict key (`_Lengths`), for finite and omega sets alike.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .automata import (
     accepts,
     complement,
     complete,
+    cut_lengths,
     difference,
     explore,
     intersect,
@@ -47,6 +53,7 @@ from .automata import (
     minimize,
     pick_word,
     strongly_connected_components,
+    union,
     universal,
     word_automaton,
 )
@@ -516,3 +523,123 @@ def _zip_letters(w1, w2, f):
     if len(w1) != len(w2):
         raise InputError("pair words must have equal length")
     return tuple(map(f, w1, w2))
+
+
+# ---------------------------------------------------------------------------
+# the budgeted fixpoint driver: every fixpoint over sets and relations
+
+
+class _Lengths:
+    """The verdict keys of one `_fixpoint` run.
+
+    A run over a whole system, or over a relation, has the one key None.  A
+    run over a system whose initial set was cut to a set of lengths has one
+    key per length, and each length's part of an iterate is that length's
+    own run.  A run keeps the keys it has yet to decide in a `live` set.  A
+    length changes between two iterates iff it is a length of the words in
+    one and not in the other, and once a fixpoint's length stops changing it
+    never changes again.  With one key live, canonical equality is that
+    test, so no change set is built.  The iterates a run still steps are cut
+    to the live lengths whenever a key is decided: that drops the lengths a
+    stopped reach run would go on growing, so that the test stays exact,
+    and keeps the iterates small.
+    """
+
+    def __init__(self, lengths: range | None = None):
+        self.keys = (None,) if lengths is None else tuple(lengths)
+        self.hi = max(self.keys) if lengths is not None else 0
+
+    def of(self, a: FiniteAutomaton, live: set) -> set:
+        """The keys of `live` with a word in `a`, which holds no word of a
+        decided length."""
+        if len(live) == 1:
+            return set() if _is_empty(a) else set(live)
+        return _lengths_of(a, self.hi) & live
+
+    def moved(self, a: FiniteAutomaton, b: FiniteAutomaton, live: set) -> set:
+        """The keys of `live` on which `a` has words that `b`, within `a`
+        and canonical like it, has not."""
+        if len(live) == 1:
+            return set() if a == b else set(live)
+        return _lengths_of(a, self.hi, b) & live
+
+    def decide(self, done: set, live: set, a: FiniteAutomaton) -> FiniteAutomaton:
+        """Drop `done` from `live`, and return `a` cut to the keys left."""
+        live -= done
+        if not done or not live:
+            return a
+        return _canon(cut_lengths(a, live))
+
+    def part(self, a: FiniteAutomaton, key) -> FiniteAutomaton:
+        """The words of `a` of length `key`; all of them in a one-key run."""
+        if len(self.keys) == 1:
+            return a
+        return cut_lengths(a, (key,))
+
+
+def _lengths_of(a: FiniteAutomaton, hi: int, b: FiniteAutomaton | None = None) -> set[int]:
+    """The lengths up to `hi` of the words of `a` that `b`, a DFA, lacks (of
+    all words of `a` without `b`), read by a frontier walk of the product;
+    with `b` the iterate before `a`, this is a run's per-length change set."""
+    lengths = set()
+    b_rows = {} if b is None else b.adjacency
+    b_accepting = frozenset() if b is None else b.accepting
+    frontier = {(q, None if b is None else next(iter(b.initial))) for q in a.initial}
+    for n in range(hi + 1):
+        if not frontier:
+            break
+        if any(qa in a.accepting and qb not in b_accepting for qa, qb in frontier):
+            lengths.add(n)
+        frontier = {
+            (da, b_rows.get(qb, {}).get(sym, (None,))[0])
+            for qa, qb in frontier
+            for sym, dsts in a.adjacency.get(qa, {}).items()
+            for da in dsts
+        }
+    return lengths
+
+
+def _fixpoint(start, step, budget: int, keys=None, live=None, grow=False, cut=True, stop=None):
+    """Iterate from `start` within `budget` steps; return the last iterate
+    and, per key of `keys` (`_Lengths`, one key by default) that was live,
+    whether it converged, at which step, and an iterate holding its words.
+
+    Step n makes y = step(x, y) from the iterate x and the step's previous
+    result y (`start` at first).  A growing run's next iterate is the
+    canonical union of x and y; any other run's is y, and its iterates
+    shrink.  A key converges at the first step that leaves its words
+    unchanged.  A key stops, unconverged, at the first y (`start`
+    included) where `stop(y)` has a word of its length.  Decided keys leave
+    `live`, the caller's set if one is given, so that its step can read
+    it (all keys otherwise), and with `cut` y is cut to the keys left; a
+    run whose step reads only x passes `cut=False`.  Keys still live after
+    `budget` steps end unconverged there.
+    """
+    if budget < 1:
+        raise InputError("budget must be at least 1")
+    keys = keys or _Lengths()
+    live = set(keys.keys) if live is None else live
+    ends = {}
+    x = y = start
+    n = 0
+    while live:
+        if stop is not None:
+            hit = keys.of(stop(y), live)
+            ends.update(dict.fromkeys(hit, (False, n, None)))
+            y = keys.decide(hit, live, y)
+        if not live or n == budget:
+            break
+        n += 1
+        y = step(x, y)
+        nxt = _canon(union(x, y)) if grow else y
+        done = live - (keys.moved(nxt, x, live) if grow else keys.moved(x, nxt, live))
+        # a shrinking run cuts its iterate, so a decided key keeps its own;
+        # a growing one never drops a word, so its last iterate holds them all
+        ends.update(dict.fromkeys(done, (True, n, None if grow else nxt)))
+        if cut:
+            y = keys.decide(done, live, y)
+        else:
+            live -= done
+        x = nxt if grow else y
+    ends.update(dict.fromkeys(live, (False, n, None)))
+    return x, {key: (*ends[key][:2], ends[key][2] or x) for key in keys.keys if key in ends}

@@ -12,6 +12,8 @@ composition and difference with the step relation T:
 
 Sim^-1 and (not G)^-1 are never built: each composition joins the output
 track of T with the output track of the other relation (`transducer._join`).
+The refinement runs on the fixpoint driver `omega._fixpoint`, as a
+shrinking run that converges when one step leaves the relation unchanged.
 
 Every question asked of the relation is about reachable words, so the
 fixpoint and the closures run on reachable words only.  Let R be a T-closed
@@ -51,7 +53,7 @@ from .automata import (
 )
 from .errors import AlphabetCapExceeded, AlphabetMismatch, InputError, NonWeakResult
 from .gsp import StateProperty, _check_cops, _extract_lasso, _verdicts
-from .omega import _canon, _complement, _difference, _intersect, _pick, omega_universal
+from .omega import _canon, _complement, _difference, _fixpoint, _intersect, _pick, omega_universal
 from .system import BuchiRegularSystem, RegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
     OMEGA,
@@ -221,22 +223,30 @@ def sim_fixpoint(
     pair alphabet above `COMPLETION_CAP` ends the iteration: the last
     iterate comes back inexact, with the cap as its `reason`.
     """
-    if budget < 1:
-        raise InputError("budget must be at least 1")
     space = _space(msys.system, budget)
-    current = replace(sim_init(msys, cops, within=space.closed), space=space)
-    for _ in range(budget):
+    sim = replace(sim_init(msys, cops, within=space.closed), space=space)
+    reason = None
+
+    def refine(relation: Transducer, _) -> Transducer:
+        """One refinement step; at the completion cap the relation comes
+        back unchanged, which ends the run."""
+        nonlocal reason
         try:
-            nxt = sim_step(current, space.relation, space.square)
+            nxt = sim_step(replace(sim, relation=relation), space.relation, space.square)
         except AlphabetCapExceeded as e:
-            return replace(current, reason=str(e))
-        if not relation_includes(current.relation, nxt.relation):
+            reason = str(e)
+            return relation
+        if not relation_includes(relation, nxt.relation):
             raise InputError("refinement grew the relation (bug)")
-        if nxt.relation == current.relation:
-            return replace(current, iteration_index=nxt.iteration_index, exact=True)
-        current = nxt
-    reason = f"budget {budget} exhausted before the simulation fixpoint converged"
-    return replace(current, reason=reason)
+        return nxt.relation
+
+    relation, ends = _fixpoint(sim.relation, refine, budget)
+    exact, steps, _ = ends[None]
+    if reason is not None:
+        exact, steps = False, steps - 1
+    elif not exact:
+        reason = f"budget {budget} exhausted before the simulation fixpoint converged"
+    return replace(sim, relation=relation, iteration_index=steps, exact=exact, reason=reason)
 
 
 def validate_candidate(

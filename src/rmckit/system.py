@@ -17,6 +17,11 @@ verdict per length, each equal to the one its slice's own run gives; checks
 with no such engine run slice by slice through `each_slice`.  A `violated`
 reachability verdict carries a path witness that has replayed against the
 system before it is returned.
+
+Reachability, like every fixpoint in the package, runs on the one budgeted
+driver `omega._fixpoint`, which decides each length of a run (`_Lengths`)
+on its own; the reachability step is one image of the last layer, and a
+bad word in a layer stops its length.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, cut_lengths, minimize, union
+from .automata import FiniteAutomaton, cut_lengths, minimize
 from .errors import InputError, ModeMismatch, NonWeakResult, NotDeterministic, NotWeak
 from .omega import (
     OmegaAutomaton,
     _canon,
+    _fixpoint,
     _intersect,
-    _is_empty,
+    _Lengths,
     _member,
     _pick,
     _singleton,
@@ -93,6 +99,11 @@ class Verdict:
         diag["reason"] = reason
         return Verdict(UNKNOWN, None, diag)
 
+    @staticmethod
+    def exhausted(fixpoint: str, **diag) -> "Verdict":
+        """Unknown: the budget ran out before the named fixpoint converged."""
+        return Verdict.unknown(f"budget exhausted before the {fixpoint} fixpoint converged", **diag)
+
 
 def validate(m: RegularSystem) -> RegularSystem:
     """Check system invariants; flags are recomputed, never trusted."""
@@ -140,77 +151,6 @@ class ReachResult:
     steps: int
 
 
-class _Lengths:
-    """The verdict keys of one fixpoint run over a system.
-
-    A run over the whole system has the one key None.  A run over a system
-    whose initial set was cut to a set of lengths has one key per length,
-    and each length's part of an iterate is that length's own run.  A run
-    keeps the keys it has yet to decide in a `live` set.  A length changes
-    between two iterates iff it is a length of the words in one and not in
-    the other, and once a fixpoint's length stops changing it never changes
-    again.  With one key live, canonical equality is that test, so no change
-    set is built.  The iterates a run still steps are cut to the live
-    lengths whenever a key is decided: that drops the lengths a stopped
-    reach run would go on growing, so that the test stays exact, and keeps
-    the iterates small.
-    """
-
-    def __init__(self, alphabet, lengths: Iterable[int] | None = None):
-        self.alphabet = alphabet
-        self.keys = (None,) if lengths is None else tuple(lengths)
-        self.hi = max(self.keys) if lengths is not None else 0
-
-    def of(self, a: FiniteAutomaton, live: set) -> set:
-        """The keys of `live` with a word in `a`, which holds no word of a
-        decided length."""
-        if len(live) == 1:
-            return set() if _is_empty(a) else set(live)
-        return _lengths_of(a, self.hi) & live
-
-    def moved(self, a: FiniteAutomaton, b: FiniteAutomaton, live: set) -> set:
-        """The keys of `live` on which `a` has words that `b`, within `a`
-        and canonical like it, has not."""
-        if len(live) == 1:
-            return set() if a == b else set(live)
-        return _lengths_of(a, self.hi, b) & live
-
-    def decide(self, done: set, live: set, a: FiniteAutomaton) -> FiniteAutomaton:
-        """Drop `done` from `live`, and return `a` cut to the keys left."""
-        live -= done
-        if not done or not live:
-            return a
-        return _canon(cut_lengths(a, live))
-
-    def part(self, a: FiniteAutomaton, key) -> FiniteAutomaton:
-        """The words of `a` of length `key`; all of them in a one-key run."""
-        if len(self.keys) == 1:
-            return a
-        return cut_lengths(a, (key,))
-
-
-def _lengths_of(a: FiniteAutomaton, hi: int, b: FiniteAutomaton | None = None) -> set[int]:
-    """The lengths up to `hi` of the words of `a` that `b`, a DFA, lacks (of
-    all words of `a` without `b`), read by a frontier walk of the product;
-    with `b` the iterate before `a`, this is a run's per-length change set."""
-    lengths = set()
-    b_rows = {} if b is None else b.adjacency
-    b_accepting = frozenset() if b is None else b.accepting
-    frontier = {(q, None if b is None else next(iter(b.initial))) for q in a.initial}
-    for n in range(hi + 1):
-        if not frontier:
-            break
-        if any(qa in a.accepting and qb not in b_accepting for qa, qb in frontier):
-            lengths.add(n)
-        frontier = {
-            (da, b_rows.get(qb, {}).get(sym, (None,))[0])
-            for qa, qb in frontier
-            for sym, dsts in a.adjacency.get(qa, {}).items()
-            for da in dsts
-        }
-    return lengths
-
-
 def _reach_layers(
     m: RegularSystem,
     budget: int,
@@ -219,39 +159,24 @@ def _reach_layers(
 ) -> tuple[list[FiniteAutomaton], FiniteAutomaton, dict]:
     """Per-step image layers, the canonical cumulative union, and per key
     of `keys` (the whole system by default) whether its reach converged and
-    the index of its last layer.  A key stops, unconverged, at the first
-    layer where `stop(layer)` has a word of its length.  Once a key is
-    decided, later layers hold the words of the keys still live only."""
-    keys = keys or _Lengths(m.alphabet)
-    live = set(keys.keys)
-    ends = {}
-    layer = _canon(m.initial)
-    layers = [layer]
-    cumulative = layer
-    step = 0
-    while live:
-        if stop is not None:
-            hit = keys.of(stop(layer), live)
-            ends.update((key, (False, step)) for key in hit)
-            layer = keys.decide(hit, live, layer)
-        if not live or step >= budget:
-            break
-        step += 1
-        layer = _canon(image(m.relation, layer))
-        layers.append(layer)
-        nxt = _canon(union(cumulative, layer))
-        done = live - keys.moved(nxt, cumulative, live)
-        ends.update((key, (True, step)) for key in done)
-        layer = keys.decide(done, live, layer)
-        cumulative = nxt
-    ends.update((key, (False, step)) for key in live)
-    return layers, cumulative, {key: ends[key] for key in keys.keys}
+    the index of its last layer (`_fixpoint`).  A key stops, unconverged,
+    at the first layer where `stop(layer)` has a word of its length.  Once
+    a key is decided, later layers hold the words of the keys still live
+    only."""
+    layers = [_canon(m.initial)]
+
+    def step(_, layer: FiniteAutomaton) -> FiniteAutomaton:
+        layers.append(_canon(image(m.relation, layer)))
+        return layers[-1]
+
+    reach, ends = _fixpoint(layers[0], step, budget, keys, grow=True, stop=stop)
+    return layers, reach, ends
 
 
 def reachable(m: RegularSystem, budget: int = 64) -> ReachResult:
     """Iterated-image fixpoint for T*(initial) with exact convergence."""
     _, cumulative, ends = _reach_layers(m, budget)
-    return ReachResult(cumulative, *ends[None])
+    return ReachResult(cumulative, *ends[None][:2])
 
 
 def _backchain(
@@ -279,11 +204,11 @@ def check_reachability_property(
         raise ModeMismatch(f"bad set must be {words}-word automaton")
     if bad.alphabet != m.alphabet:
         raise ModeMismatch("bad-set automaton is over a different alphabet")
-    keys = _Lengths(m.alphabet, lengths)
+    keys = _Lengths(lengths)
     try:
         layers, _, ends = _reach_layers(m, budget, lambda layer: _intersect(layer, bad), keys)
         verdicts = {}
-        for key, (converged, steps) in ends.items():
+        for key, (converged, steps, _) in ends.items():
             target = None if converged else _pick(_intersect(keys.part(layers[steps], key), bad))
             if target is not None:
                 witness = LassoWitness(tuple(_backchain(m, layers, steps, target)), None)
@@ -294,7 +219,7 @@ def check_reachability_property(
             elif converged:
                 verdicts[key] = Verdict.holds(steps=steps)
             else:
-                verdicts[key] = Verdict.unknown("budget exhausted before convergence", steps=budget)
+                verdicts[key] = Verdict.exhausted("reachability", steps=budget)
     except NonWeakResult as e:
         verdicts = {key: Verdict.unknown(f"weak representability lost: {e}") for key in keys.keys}
     return verdicts if lengths is not None else verdicts[None]

@@ -11,8 +11,9 @@ an optional set `within` and then explore only the part of the result inside
 it, so no join result is built only to be intersected away.  Products,
 inclusion and canonical forms come from the set operations in `omega`, the
 one place that tells finite words from omega-words, so a relation has the
-same canonical form as any other set.  The iterative closure engine detects
-convergence by canonical equality of consecutive unions.
+same canonical form as any other set.  The iterative closure runs on the
+fixpoint driver `omega._fixpoint` and detects convergence by canonical
+equality of consecutive unions.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import AlphabetMismatch, InputError, ModeMismatch
 from .omega import (
     OmegaAutomaton,
     _canon,
+    _fixpoint,
     _includes,
     _intersect,
     _member,
@@ -255,29 +257,19 @@ def relation_includes(t1: Transducer, t2: Transducer) -> bool:
 def closure(t: Transducer, kind: str = "star", budget: int = 64) -> ClosureResult:
     """Iterative transitive closure with exact convergence detection.
 
-    Unions U_k of the first k powers are canonically minimized each round;
-    convergence holds when one more round leaves the language unchanged;
-    exceeding the budget is reported, never raised.
+    Unions U_k of the first k powers are canonically minimized each round
+    (`omega._fixpoint`); convergence holds when one more power leaves the
+    union unchanged; exceeding the budget is reported, never raised.
     """
-    if budget < 1:
-        raise InputError("closure budget must be at least 1")
     if kind not in ("star", "plus"):
         raise InputError("closure kind must be 'star' or 'plus'")
-
-    def finish(plus_part: Transducer, converged: bool, steps: int) -> ClosureResult:
-        if kind == "star":
-            rel = canonicalize(union_t(plus_part, identity(t.base, t.mode)))
-        else:
-            rel = plus_part
-        return ClosureResult(rel, converged, steps)
-
-    current = canonicalize(t)  # union of the first k powers, canonical
-    frontier = current  # the k-th power alone
-    steps = 0
-    for steps in range(1, budget + 1):
-        frontier = canonicalize(compose(frontier, t))
-        # the next power inside the union so far closes every later power too
-        if relation_includes(current, frontier):
-            return finish(current, True, steps)
-        current = canonicalize(union_t(current, frontier))
-    return finish(current, False, steps)
+    plus, ends = _fixpoint(
+        canonicalize(t).inner,
+        lambda _, power: canonicalize(compose(Transducer(power), t)).inner,
+        budget,
+        grow=True,
+    )
+    rel = Transducer(plus)
+    if kind == "star":
+        rel = canonicalize(union_t(rel, identity(t.base, t.mode)))
+    return ClosureResult(rel, *ends[None][:2])

@@ -155,8 +155,10 @@ def test_check_reach_unsliced_budget_unknown(ring_dir, capsys):
             "8",
         ]
     )
+    out = capsys.readouterr().out
     assert code == 2
-    assert "overall: unknown" in capsys.readouterr().out
+    assert "reason=budget exhausted before the reachability fixpoint converged" in out
+    assert "overall: unknown" in out
 
 
 def test_sim_command_exact(ring_dir, capsys):

@@ -175,3 +175,48 @@ def test_only_four_functions_run_reachability():
         ("gsp", "_nested_emptiness"),
         ("simulation", "_space"),
     }
+
+
+class _Loops(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every `while` loop and of
+    every `for` loop whose iterable reads `budget`."""
+
+    def __init__(self, module):
+        self.module, self.functions, self.found = module, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _loop(self, node):
+        self.found.add((self.module, self.functions[-1] if self.functions else None))
+        self.generic_visit(node)
+
+    def visit_While(self, node):
+        self._loop(node)
+
+    def visit_For(self, node):
+        if any(isinstance(n, ast.Name) and n.id == "budget" for n in ast.walk(node.iter)):
+            self._loop(node)
+        else:
+            self.generic_visit(node)
+
+
+def test_one_budgeted_fixpoint_loop():
+    # reachability, pre+, the nested rounds, the closure and the simulation
+    # refinement step through `omega._fixpoint`; the other two loops are a
+    # bounded lasso walk and the explicit oracle's refinement
+    found = set()
+    for stem, tree in _modules():
+        if stem in ("system", "gsp", "transducer", "simulation", "omega"):
+            visitor = _Loops(stem)
+            visitor.visit(tree)
+            found |= visitor.found
+    assert found == {
+        ("omega", "_fixpoint"),
+        ("gsp", "_fair_lasso"),
+        ("simulation", "brute_force_simulation"),
+    }

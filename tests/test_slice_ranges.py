@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from rmckit import fixtures as fx
-from rmckit import system
+from rmckit import omega
 from rmckit.automata import intersect
 from rmckit.gsp import (
     build_augmented_finite,
@@ -103,8 +103,8 @@ def test_range_runs_match_slice_runs_on_the_bundles(name, make, gsp_hi, budget):
 
 def test_a_one_length_run_builds_no_change_sets(monkeypatch):
     calls = []
-    walk = system._lengths_of
-    monkeypatch.setattr(system, "_lengths_of", lambda *args: calls.append(args) or walk(*args))
+    walk = omega._lengths_of
+    monkeypatch.setattr(omega, "_lengths_of", lambda *args: calls.append(args) or walk(*args))
     cop = state_property("one_token", fx.cop_one_token())
     neg = negated_gsp(fx.gsp_always_one_token_negated(), 1)
     for make in (fx.token_ring, fx.token_ring_dup_mutant):
