@@ -1,10 +1,13 @@
 """Local-oriented properties: one Buchi condition per process, all at once.
 
 "Every process that is idle eventually gets the token" constrains each
-position's column of the execution separately.  The construction runs every
-property automaton and its complement at every position, accumulates their
-accepting visits, and lets all positions reset simultaneously once everyone
-has delivered - a generalized Buchi condition realized with one extra label.
+position's column of the execution separately.  The construction guesses
+which properties each position satisfies and runs there, per property, its
+automaton or its complement, whichever the guess selects: one run label per
+property, whose half (automaton or complement) is the guess.  It accumulates
+the runs' accepting visits and lets all positions reset simultaneously once
+everyone has delivered - a generalized Buchi condition realized with one
+extra label.
 """
 
 from rmckit import (

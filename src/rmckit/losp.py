@@ -3,8 +3,10 @@
 A local execution property constrains one position's column of an execution
 (one process's run); a local-oriented system property is a regular set of
 per-position property subsets.  Verification guesses a violating labelling
-on the initial words, runs every property automaton and its complement in
-parallel at every position, and discharges the resulting generalized Buchi
+on the initial words and runs, at every position, each property's automaton
+or its complement, whichever the guessed bit selects: one label component
+per property over the disjoint union of both state sets, the half a state
+lies in being the guessed bit.  It discharges the resulting generalized Buchi
 condition with the nondeterministic simultaneous-reset discipline: a
 position may reset only when every required automaton has reported an
 accepting visit, and the acceptance condition is the all-positions-reset
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, accepts, complete, explore, relabel
+from .automata import FiniteAutomaton, accepts, complete, explore, relabel, union
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -141,15 +143,24 @@ class LospAugmentation(_Augmentation):
     losp: Losp
     leps: tuple[LocalExecutionProperty, ...]
 
-    def decode(self, sym: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int, int, int]:
-        """(sigma, lep states, complement states, lep mask, lepF mask, rho)."""
-        k = len(self.leps)
+    def decode(self, sym: int) -> tuple[int, tuple[int, ...], int, int]:
+        """(sigma, run states, lepF mask, rho); the run state of property i
+        is a state of `_runs(leps)[i]`."""
         bw = len(self.original.alphabet.components)
         parts = self.alphabet.parts(sym)
-        sigma = self.original.alphabet.symbol(parts[:bw])
-        qs = parts[bw : bw + k]
-        qn = parts[bw + k : bw + 2 * k]
-        return sigma, qs, qn, parts[-3], parts[-2], parts[-1]
+        return self.original.alphabet.symbol(parts[:bw]), parts[bw:-2], parts[-2], parts[-1]
+
+
+def _runs(leps: Sequence[LocalExecutionProperty]) -> list[FiniteAutomaton]:
+    """Per property, the disjoint union of its automaton and its complement:
+    the automaton's states first, then the complement's, shifted."""
+    return [union(lep.automaton, lep.complement_automaton) for lep in leps]
+
+
+def _guess(leps: Sequence[LocalExecutionProperty], qs: Sequence[int]) -> int:
+    """The lep mask that run states select: bit i is set when property i's
+    run is one of its automaton's, clear when it is one of its complement's."""
+    return sum(1 << i for i, lep in enumerate(leps) if qs[i] < lep.automaton.n_states)
 
 
 def build_augmented_losp(
@@ -174,19 +185,18 @@ def build_augmented_losp(
                     f"{which} automaton of {lep.name!r} must be complete"
                 )
 
+    runs = _runs(leps)
     n_masks = 1 << k
     full = n_masks - 1
     comps: list[Alphabet] = [m.alphabet]
     comps += [
-        Alphabet.base(tuple(f"l{i}_{s}" for s in range(lep.automaton.n_states)))
+        Alphabet.base(
+            tuple(f"l{i}_{s}" for s in range(lep.automaton.n_states))
+            + tuple(f"n{i}_{s}" for s in range(lep.complement_automaton.n_states))
+        )
         for i, lep in enumerate(leps)
     ]
     comps += [
-        Alphabet.base(tuple(f"n{i}_{s}" for s in range(lep.complement_automaton.n_states)))
-        for i, lep in enumerate(leps)
-    ]
-    comps += [
-        Alphabet.base(tuple(f"m{i}" for i in range(n_masks))),
         Alphabet.base(tuple(f"f{i}" for i in range(n_masks))),
         Alphabet.base(("noreset", "reset")),
     ]
@@ -200,61 +210,39 @@ def build_augmented_losp(
             f"2^k={n_masks}"
         )
 
-    def letter(a: int, qs: Sequence[int], qn: Sequence[int], lep: int, lepf: int, rho: int) -> int:
+    def letter(a: int, qs: Sequence[int], lepf: int, rho: int) -> int:
         sym = a
-        for i in range(k):
-            sym = sym * leps[i].automaton.n_states + qs[i]
-        for i in range(k):
-            sym = sym * leps[i].complement_automaton.n_states + qn[i]
-        return ((sym * n_masks + lep) * n_masks + lepf) * 2 + rho
+        for run, q in zip(runs, qs):
+            sym = sym * run.n_states + q
+        return (sym * n_masks + lepf) * 2 + rho
 
     pair_size = sigma_a.size
     base_size = m.alphabet.size
     radix = pair_size // base_size  # letter(a, ...) == a * radix + letter(0, ...)
-    qs_space = list(itertools.product(*(range(lep.automaton.n_states) for lep in leps)))
-    qn_space = list(
-        itertools.product(*(range(lep.complement_automaton.n_states) for lep in leps))
-    )
-    lep_acc = [frozenset(lep.automaton.accepting) for lep in leps]
-    nlep_acc = [frozenset(lep.complement_automaton.accepting) for lep in leps]
+    qs_space = list(itertools.product(*(range(run.n_states) for run in runs)))
 
     def label_pairs(a1: int) -> list[tuple[int, int]]:
         """(input, output) labels, as letters of base letter 0, of a step on
-        input letter a1: every automaton steps on a1, the mask stays, and
-        progress accumulates until the full mask, which may reset."""
+        input letter a1: every run steps on a1 within its half, and progress
+        accumulates until the full mask, which may reset."""
         pairs = []
         for qs1 in qs_space:
-            for qn1 in qn_space:
-                qs2_choices = list(itertools.product(*(
-                    leps[i].automaton.adjacency[qs1[i]].get(a1, ()) for i in range(k)
-                )))
-                qn2_choices = list(itertools.product(*(
-                    leps[i].complement_automaton.adjacency[qn1[i]].get(a1, ())
-                    for i in range(k)
-                )))
-                for lep1 in range(n_masks):
-                    gained = 0
-                    for i in range(k):
-                        tracked_accepting = (
-                            qs1[i] in lep_acc[i]
-                            if lep1 >> i & 1
-                            else qn1[i] in nlep_acc[i]
-                        )
-                        if tracked_accepting:
-                            gained |= 1 << i
-                    for lepf1 in range(n_masks):
-                        if lepf1 == full:
-                            outcomes = [(0, RESET), (lepf1, NORESET)]
-                        else:
-                            outcomes = [(lepf1 | gained, NORESET)]
-                        for rho1 in (NORESET, RESET):
-                            l1 = letter(0, qs1, qn1, lep1, lepf1, rho1)
-                            pairs += [
-                                (l1, letter(0, qs2, qn2, lep1, lepf2, rho2))
-                                for qs2 in qs2_choices
-                                for qn2 in qn2_choices
-                                for lepf2, rho2 in outcomes
-                            ]
+            qs2_choices = list(itertools.product(*(
+                run.adjacency[q].get(a1, ()) for run, q in zip(runs, qs1)
+            )))
+            gained = sum(1 << i for i, run in enumerate(runs) if qs1[i] in run.accepting)
+            for lepf1 in range(n_masks):
+                if lepf1 == full:
+                    outcomes = [(0, RESET), (lepf1, NORESET)]
+                else:
+                    outcomes = [(lepf1 | gained, NORESET)]
+                for rho1 in (NORESET, RESET):
+                    l1 = letter(0, qs1, lepf1, rho1)
+                    pairs += [
+                        (l1, letter(0, qs2, lepf2, rho2))
+                        for qs2 in qs2_choices
+                        for lepf2, rho2 in outcomes
+                    ]
         return pairs
 
     tables = [label_pairs(a) for a in range(base_size)]
@@ -266,7 +254,7 @@ def build_augmented_losp(
 
     t_aug = Transducer(relabel(m.relation.inner, Alphabet.product(sigma_a, sigma_a), labelled))
 
-    init = _losp_initial(m.initial, lo, leps, letter, sigma_a)
+    init = _losp_initial(m.initial, lo, leps, runs, letter, sigma_a)
     acc = _losp_acceptance(sigma_a)
     aug_system = RegularSystem(sigma_a, init, t_aug, FINITE)
     return LospAugmentation(
@@ -274,16 +262,22 @@ def build_augmented_losp(
     )
 
 
-def _losp_initial(initial, lo: Losp, leps, letter, sigma_a) -> FiniteAutomaton:
-    """Initial words carry initial automaton states, a guessed violating
-    labelling, an empty progress mask and noreset everywhere: the labelled
-    initial set whose shape is the negated property read on the masks."""
-    q0s = tuple(next(iter(lep.automaton.initial)) for lep in leps)
-    q0n = tuple(next(iter(lep.complement_automaton.initial)) for lep in leps)
+def _losp_initial(initial, lo: Losp, leps, runs, letter, sigma_a) -> FiniteAutomaton:
+    """Initial words carry, at each position, initial run states whose
+    halves guess a violating labelling, an empty progress mask and noreset:
+    the labelled initial set whose shape is the negated property read on
+    the guessed masks."""
+    starts: dict[int, list[tuple[int, ...]]] = {}
+    for qs in itertools.product(*(sorted(run.initial) for run in runs)):
+        starts.setdefault(_guess(leps, qs), []).append(qs)
     violating = relabel(
         lo.negation_automaton,
         sigma_a,
-        lambda mask: [letter(a, q0s, q0n, mask, 0, NORESET) for a in range(initial.alphabet.size)],
+        lambda mask: [
+            letter(a, qs, 0, NORESET)
+            for a in range(initial.alphabet.size)
+            for qs in starts.get(mask, ())
+        ],
     )
     return _labelled_initial(initial, sigma_a, violating)
 
@@ -308,53 +302,40 @@ def check_losp(aug: LospAugmentation, budget: int = 64) -> Verdict:
 
 def replay_losp_witness(aug: LospAugmentation, witness: LassoWitness) -> tuple[bool, str]:
     """Fidelity replay: projection is an execution of the original system,
-    labels are position-stable, the per-position automaton runs are genuine,
-    and the reset discipline (progress accumulation, simultaneous reset) is
-    respected."""
+    labels are position-stable, the per-position runs start initial and are
+    genuine, and the reset discipline (progress accumulation, simultaneous
+    reset) is respected."""
     ring, _sigma, fault = _projected_ring(aug, witness)
     if fault is not None:
         return False, fault
     decoded = [[aug.decode(sym) for sym in w] for w in ring]
-    n_positions = len(ring[0])
-    k = len(aug.leps)
-    full = (1 << k) - 1
-    for j in range(n_positions):
-        stable = {dw[j][3] for dw in decoded}
-        if len(stable) != 1:
+    runs = _runs(aug.leps)
+    full = (1 << len(runs)) - 1
+    for j in range(len(ring[0])):
+        if len({_guess(aug.leps, dw[j][1]) for dw in decoded}) != 1:
             return False, f"lep label at position {j} changes over time"
     first = decoded[0]
-    if any(d[4] != 0 or d[5] != NORESET for d in first):
+    if any(lepf != 0 or rho != NORESET for _a, _qs, lepf, rho in first):
         return False, "first word must carry empty progress and noreset"
+    for j, (_a, qs, _lepf, _rho) in enumerate(first):
+        for i, run in enumerate(runs):
+            if qs[i] not in run.initial:
+                return False, f"lep {i} run does not start in an initial state at position {j}"
     for t in range(len(ring) - 1):
-        for j in range(n_positions):
-            a1 = decoded[t][j][0]
-            _, qs1, qn1, lep1, lepf1, _rho1 = decoded[t][j]
-            _, qs2, qn2, _lep2, lepf2, rho2 = decoded[t + 1][j]
-            for i in range(k):
-                aut = aug.leps[i].automaton
-                if qs2[i] not in aut.adjacency.get(qs1[i], {}).get(a1, ()):
+        for j, (a1, qs1, lepf1, _rho1) in enumerate(decoded[t]):
+            _, qs2, lepf2, rho2 = decoded[t + 1][j]
+            for i, run in enumerate(runs):
+                if qs2[i] not in run.adjacency.get(qs1[i], {}).get(a1, ()):
                     return False, f"lep {i} run breaks at position {j}, step {t}"
-                naut = aug.leps[i].complement_automaton
-                if qn2[i] not in naut.adjacency.get(qn1[i], {}).get(a1, ()):
-                    return False, f"lep {i} complement run breaks at position {j}, step {t}"
             if lepf1 == full:
                 if not ((lepf2 == 0 and rho2 == RESET) or (lepf2 == lepf1 and rho2 == NORESET)):
                     return False, f"reset rule violated at position {j}, step {t}"
             else:
-                gained = 0
-                for i in range(k):
-                    hit = (
-                        qs1[i] in aug.leps[i].automaton.accepting
-                        if lep1 >> i & 1
-                        else qn1[i] in aug.leps[i].complement_automaton.accepting
-                    )
-                    if hit:
-                        gained |= 1 << i
+                gained = sum(1 << i for i, run in enumerate(runs) if qs1[i] in run.accepting)
                 if lepf2 != (lepf1 | gained) or rho2 != NORESET:
                     return False, f"progress accumulation violated at position {j}, step {t}"
     # the guessed labelling must be a violating sequence
-    lep_word = tuple(d[3] for d in decoded[0])
-    if not accepts(aug.losp.negation_automaton, lep_word):
+    if not accepts(aug.losp.negation_automaton, tuple(_guess(aug.leps, d[1]) for d in first)):
         return False, "guessed labelling is not in the negated losp language"
     return True, "ok"
 

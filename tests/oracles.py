@@ -758,6 +758,21 @@ def random_dfa_complete(rng: random.Random, alphabet: Alphabet, max_states: int 
     return FiniteAutomaton(alphabet, n, frozenset({0}), accepting, transitions)
 
 
+def random_complete_nba(rng: random.Random, alphabet: Alphabet, max_states: int = 3) -> OmegaAutomaton:
+    """Complete, usually nondeterministic Buchi automaton with one or two
+    initial states: every state moves on every letter to one or two states."""
+    n = rng.randint(1, max_states)
+    transitions = frozenset(
+        (q, sym, dst)
+        for q in range(n)
+        for sym in range(alphabet.size)
+        for dst in rng.sample(range(n), rng.randint(1, min(2, n)))
+    )
+    initial = frozenset(rng.sample(range(n), rng.randint(1, min(2, n))))
+    accepting = frozenset(q for q in range(n) if rng.random() < 0.5)
+    return OmegaAutomaton(alphabet, n, initial, accepting, transitions)
+
+
 def random_sliced_system(rng: random.Random, n: int) -> RegularSystem:
     """Random finite-mode system already restricted to words of length n."""
     from rmckit.automata import intersect, minimize, union, word_automaton

@@ -117,6 +117,39 @@ def test_check_losp_ring_holds(ring_dir, capsys):
     assert "overall: holds" in capsys.readouterr().out
 
 
+# the complement of liveness behind a dead initial state: only runs that
+# start in the second initial state accept
+TWO_INITIAL_LIVENESS_NEG = """\
+kind: buchi
+alphabet: N T
+states: 4
+initial: 0 1
+accepting: 2
+trans:
+0 N 0
+0 T 0
+1 N 1
+1 N 2
+1 T 1
+2 N 2
+2 T 3
+3 N 3
+3 T 3
+"""
+
+
+def test_check_losp_complement_with_two_initial_states(tmp_path, capsys):
+    gen_example("token-ring-idle-mutant", tmp_path)
+    (tmp_path / "lep_liveness_neg.aut").write_text(TWO_INITIAL_LIVENESS_NEG)
+    argv = ["check-losp", "--system", str(tmp_path / "system.sys"), "--slice", "2..3"]
+    code = main(argv + ["--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    # exit 1, not 3: each witness replayed through the construction
+    assert code == 1
+    assert [row["status"] for row in doc["slices"]] == ["violated", "violated"]
+    assert all(row["witness"]["words"] for row in doc["slices"])
+
+
 def test_closure_unsliced_budget_reports_unknown(ring_dir, capsys):
     code = main(
         ["closure", "--system", str(ring_dir / "system.sys"), "--budget", "8"]

@@ -50,7 +50,15 @@ from rmckit.omega import UltimatelyPeriodicWord
 from rmckit.system import RegularSystem, reachable
 from rmckit.transducer import FINITE, identity
 
-from oracles import closure_loop_formula, losp_violation_oracle, project_components, reordered
+from oracles import (
+    closure_loop_formula,
+    losp_violation_oracle,
+    project_components,
+    random_complete_nba,
+    random_dfa_complete,
+    random_unsliced_system,
+    reordered,
+)
 
 NT = ring_alphabet()
 
@@ -61,6 +69,15 @@ def liveness_lep():
 
 def all_live():
     return losp_property(losp_all_live_negated(), 1)
+
+
+def test_each_lep_adds_one_label_component():
+    # Sigma x (Q_lep + Q_neg) x lepF x rho: the lep's two states and its
+    # complement's three share one component, and no guessed mask is stored
+    aug = build_augmented_losp(slice_system(token_ring(), 2), all_live(), [liveness_lep()])
+    assert [len(c) for c in aug.alphabet.components] == [2, 5, 2, 2]
+    assert aug.alphabet.size == 40
+    assert aug.alphabet.components[1] == ("l0_0", "l0_1", "n0_0", "n0_1", "n0_2")
 
 
 def test_augmented_initial_numbering_ignores_transition_set_order():
@@ -159,6 +176,65 @@ def test_losp_verdicts_match_explicit_generalized_buchi_oracle():
         assert closure_loop_formula(aug.msys, budget=32) == expected
 
 
+def liveness_negated_two_initial():
+    """`lep_liveness_negated` behind a non-accepting state that loops on every
+    letter, both initial: the same language, so the complement check passes,
+    but only runs from the second initial state accept."""
+    return build_fa(
+        NT, 4, [0, 1], [2],
+        [
+            (0, "N", 0), (0, "T", 0),
+            (1, "N", 1), (1, "T", 1), (1, "N", 2),
+            (2, "N", 2), (2, "T", 3),
+            (3, "N", 3), (3, "T", 3),
+        ],
+        omega=True,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_complement_run_starts_in_every_initial_state(n):
+    lep = local_execution_property("liveness", lep_liveness(), liveness_negated_two_initial())
+    sl = slice_system(token_ring_idle_mutant(), n)
+    aug = build_augmented_losp(sl, all_live(), [lep])
+    verdict = check_losp(aug, budget=32)
+    assert losp_violation_oracle(sl, n, all_live().negation_automaton, [lep])
+    assert verdict.status == VIOLATED
+    assert replay_losp_witness(aug, verdict.witness) == (True, "ok")
+
+
+def test_losp_verdicts_match_oracle_on_random_nondeterministic_leps():
+    # each lep pair is two unrelated complete NBAs with one or two initial
+    # states, built without the complement check: the oracle and the
+    # construction both read only the run the guessed bit selects
+    from rmckit.losp import LocalExecutionProperty
+
+    statuses = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        k = rng.randint(1, 2)
+        system = random_unsliced_system(rng, 2, 3)
+        n = rng.randint(2, 3)
+        sl = slice_system(system, n)
+        leps = [
+            LocalExecutionProperty(
+                f"p{i}",
+                random_complete_nba(rng, system.alphabet),
+                random_complete_nba(rng, system.alphabet),
+            )
+            for i in range(k)
+        ]
+        neg = random_dfa_complete(rng, lep_alphabet(k))
+        aug = build_augmented_losp(sl, losp_property(neg, k), leps)
+        verdict = check_losp(aug, budget=64)
+        expected = losp_violation_oracle(sl, n, neg, leps)
+        assert verdict.status == (VIOLATED if expected else HOLDS), seed
+        if expected:
+            assert replay_losp_witness(aug, verdict.witness) == (True, "ok"), seed
+        statuses.append(verdict.status)
+    assert min(statuses.count(HOLDS), statuses.count(VIOLATED)) >= 0.3 * len(statuses)
+
+
 def test_empty_lep_list_degenerates_to_system_emptiness():
     unit = lep_alphabet(0)
     neg_all = FiniteAutomaton(unit, 1, frozenset({0}), frozenset({0}), frozenset({(0, 0, 0)}))
@@ -237,7 +313,9 @@ def test_augmented_alphabet_cap_enforced():
     from rmckit.losp import LocalExecutionProperty
     from rmckit.omega import omega_universal
 
-    # eight trivial properties blow 2^LEP x 2^LEP past the symbol cap
+    # eight trivial properties, each run component over a one-state
+    # automaton and its one-state complement, with the 2^8 progress masks
+    # give 2 x 2^8 x 2^8 x 2 = 262144 letters, past the symbol cap
     trivial = LocalExecutionProperty(
         "t", omega_universal(NT), complement_lep(omega_universal(NT))
     )

@@ -225,14 +225,16 @@ def test_finite_replay_checks_label_placement_and_run(cases, kind, relaxed_reaso
 
 def _losp_case():
     """Idle mutant, slice 2, against "every position is live": six words
-    looping on the fifth, the guessed labelling (0, 1)."""
+    looping on the fifth, the guessed labelling (0, 1).  Position 0 runs the
+    complement of liveness (run states 2, 3 and 4, its states 0, 1 and 2
+    shifted), position 1 liveness itself (run states 0 and 1)."""
     lep = local_execution_property("liveness", lep_liveness(), lep_liveness_negated())
     sl = slice_system(token_ring_idle_mutant(), 2)
     aug = build_augmented_losp(sl, losp_property(losp_all_live_negated(), 1), [lep])
     verdict = check_losp(aug, budget=32)
     assert verdict.status == VIOLATED
     assert len(verdict.witness.words) == 6 and verdict.witness.loop_start == 4
-    assert [aug.decode(s)[3] for s in verdict.witness.words[0]] == [0, 1]
+    assert [aug.decode(s)[1] for s in verdict.witness.words[0]] == [(2,), (0,)]
     return aug, verdict.witness
 
 
@@ -240,29 +242,31 @@ def _losp_tamper(aug, witness, edits):
     """The witness with the letter at position j of word t given new fields,
     for every ((t, j), fields) of `edits`; the fields are named as
     `LospAugmentation.decode` orders them."""
-    names = ("sigma", "qs", "qn", "lep", "lepf", "rho")
+    names = ("sigma", "runs", "lepf", "rho")
     words = [list(w) for w in witness.words]
     for (t, j), fields in edits:
         d = dict(zip(names, aug.decode(words[t][j])), **fields)
-        words[t][j] = aug.alphabet.symbol(
-            (d["sigma"], *d["qs"], *d["qn"], d["lep"], d["lepf"], d["rho"])
-        )
+        words[t][j] = aug.alphabet.symbol((d["sigma"], *d["runs"], d["lepf"], d["rho"]))
     return LassoWitness(tuple(map(tuple, words)), witness.loop_start)
 
 
 # position 0 labelled 1 in every word: the labelling (1, 1), which the
-# negated property rejects, with its progress mask kept consistent
-ALL_LIVE_LABELLING = [((0, 0), {"lep": 1})] + [
-    ((t, 0), {"lep": 1, "lepf": 1, "rho": 0}) for t in range(1, 6)
-]
+# negated property rejects, with liveness run on its column T N N N N N
+# (states 0 0 1 1 1 1) and its progress mask kept consistent
+ALL_LIVE_LABELLING = [
+    ((0, 0), {"runs": (0,)}),
+    ((1, 0), {"runs": (0,), "lepf": 1, "rho": 0}),
+] + [((t, 0), {"runs": (1,), "lepf": 1, "rho": 0}) for t in range(2, 6)]
 
 LOSP_CASES = [
     ([((1, 1), {"sigma": N})], "projected step 0 not in the original relation"),
-    ([((5, 0), {"lep": 1})], "lep label at position 0 changes over time"),
+    ([((5, 0), {"runs": (1,)})], "lep label at position 0 changes over time"),
     ([((0, 0), {"lepf": 1})], "first word must carry empty progress and noreset"),
     ([((0, 1), {"rho": 1})], "first word must carry empty progress and noreset"),
-    ([((1, 0), {"qs": (1,)})], "lep 0 run breaks at position 0, step 0"),
-    ([((1, 0), {"qn": (1,)})], "lep 0 complement run breaks at position 0, step 0"),
+    ([((0, 0), {"runs": (3,)})], "lep 0 run does not start in an initial state at position 0"),
+    ([((0, 1), {"runs": (1,)})], "lep 0 run does not start in an initial state at position 1"),
+    ([((1, 0), {"runs": (3,)})], "lep 0 run breaks at position 0, step 0"),
+    ([((2, 1), {"runs": (1,)})], "lep 0 run breaks at position 1, step 1"),
     ([((2, 1), {"rho": 0})], "reset rule violated at position 1, step 1"),
     ([((1, 1), {"lepf": 0})], "progress accumulation violated at position 1, step 0"),
     (ALL_LIVE_LABELLING, "guessed labelling is not in the negated losp language"),
