@@ -166,7 +166,7 @@ def _property(loaded: LoadedSystem, kinds: tuple[str, ...], arg: str | None, typ
     """The automaton of the first declared property of one of `kinds` named
     `arg` (any name if None), or, when `arg` is a file, its automaton
     passed through `typed`."""
-    if arg is not None and Path(arg).exists():
+    if arg is not None and Path(arg).is_file():
         aut = parse_aut(Path(arg).read_text())
         return aut if typed is None else typed(aut)
     for kind in kinds:

@@ -349,6 +349,4 @@ def _typed_property(kind: str, aut, mode: str, cops, leps):
         if not isinstance(aut, OmegaAutomaton):
             raise InputError("gsp property must be a Buchi automaton")
         return negate_gsp(aut, len(cops))
-    if kind == "losp-negated":
-        return losp_property(aut, len(leps))
-    raise InputError(f"unknown property kind {kind!r}")
+    return losp_property(aut, len(leps))  # kind == "losp-negated"

@@ -222,7 +222,19 @@ def losp_all_live_negated() -> FiniteAutomaton:
 # ---------------------------------------------------------------------------
 # bundle generation
 
-EXAMPLE_NAMES = ("token-ring", "token-ring-idle-mutant", "token-dup-mutant")
+# name -> (system factory, bundle title)
+_EXAMPLES = {
+    "token-ring": (token_ring, "parametric token ring"),
+    "token-ring-idle-mutant": (
+        token_ring_idle_mutant,
+        "token ring mutant: the holder may keep the token forever",
+    ),
+    "token-dup-mutant": (
+        token_ring_dup_mutant,
+        "token ring mutant: the holder may duplicate the token",
+    ),
+}
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 _SYSTEM_TEMPLATE = """\
 # {title}
@@ -243,22 +255,15 @@ def gen_example(name: str, out_dir: str | Path) -> list[Path]:
     """Write a byte-stable system bundle; returns the created files."""
     from .fileformat import serialize_aut
 
-    if name == "token-ring":
-        relation = ring_relation()
-        title = "parametric token ring"
-    elif name == "token-ring-idle-mutant":
-        relation = union_t(ring_relation(), idle_branch())
-        title = "token ring mutant: the holder may keep the token forever"
-    elif name == "token-dup-mutant":
-        relation = union_t(union_t(ring_relation(), dup_branch()), identity_branch())
-        title = "token ring mutant: the holder may duplicate the token"
-    else:
+    if name not in _EXAMPLES:
         raise InputError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
+    factory, title = _EXAMPLES[name]
+    system = factory()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {
-        "initial.aut": serialize_aut(ring_initial()),
-        "relation.aut": serialize_aut(relation),
+        "initial.aut": serialize_aut(system.initial),
+        "relation.aut": serialize_aut(system.relation),
         "cop_one_token.aut": serialize_aut(cop_one_token()),
         "gsp_always_one_neg.aut": serialize_aut(gsp_always_one_token_negated()),
         "bad_two_tokens.aut": serialize_aut(bad_two_tokens()),

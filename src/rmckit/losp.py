@@ -20,7 +20,9 @@ projection prologue, `gsp._projected_ring`, as `replay_gsp_witness`.
 
 from __future__ import annotations
 
+import ast
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -379,16 +381,49 @@ def extend_with_flags(m: RegularSystem, flags: Sequence[str]) -> RegularSystem:
 def combine_verdicts(expr: str, verdicts: dict[str, Verdict]) -> Verdict:
     """Three-valued evaluation of and/or combinations of named checks.
 
-    A violated result carries the witness of a literal that decides it: a
-    violated operand of a violated `&`, or a side of a violated `|`.
-    Negation is intentionally absent: a system may satisfy neither a
-    property nor its negation, so negated literals must be re-run as negated
-    properties, not derived by flipping verdicts.
+    `&` binds tighter than `|`, parentheses group, and a literal is a run of
+    letters, digits and `_`. A violated result carries the witness of a
+    literal that decides it: a violated operand of a violated `&`, or a side
+    of a violated `|`. Negation is intentionally absent: a system may
+    satisfy neither a property nor its negation, so negated literals must be
+    re-run as negated properties, not derived by flipping verdicts.
     """
-    tokens = _tokenize(expr)
-    (status, literal), rest = _parse_or(tokens, verdicts)
-    if rest:
-        raise InputError(f"trailing tokens in combination: {rest!r}")
+    bad = re.search(r"[^\w\s&|()]", expr)
+    if bad and bad.group() == "!":
+        raise InputError(
+            "negation is not supported in combinations; verify the negated property instead"
+        )
+    if bad:
+        raise InputError(f"bad character {bad.group()!r} in combination")
+    # literals reach Python's parser as the names _0, _1, ..., so `2a` and
+    # `if` stay literals
+    literals, ids = re.findall(r"\w+", expr), itertools.count()
+    source = " ".join(re.sub(r"\w+", lambda _: f"_{next(ids)}", expr).split())
+
+    def value(node) -> tuple[str, str | None]:
+        """(status, the literal of its first violated operand, if violated)."""
+        if isinstance(node, ast.Name):
+            literal = literals[int(node.id[1:])]
+            if literal not in verdicts:
+                raise InputError(f"unresolved literal {literal!r} in combination")
+            return verdicts[literal].status, literal
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr))):
+            raise InputError("a combination may only join literals with & and |")
+        x, y = value(node.left), value(node.right)
+        if isinstance(node.op, ast.BitAnd):
+            status = _conjoin((x[0], y[0]))
+        else:  # `|` is the dual of `&`: swap holds and violated around it
+            status = _DUAL[_conjoin((_DUAL[x[0]], _DUAL[y[0]]))]
+        if status != VIOLATED:
+            return status, None
+        return status, (x if x[0] == VIOLATED else y)[1]
+
+    try:
+        status, literal = value(ast.parse(source, mode="eval").body)
+    except SyntaxError as e:
+        raise InputError(f"malformed combination: {e.msg}")
+    except RecursionError:
+        raise InputError("combination nests too deeply to evaluate")
     if status == VIOLATED:
         witness = verdicts[literal].witness
         if witness is None:
@@ -399,74 +434,4 @@ def combine_verdicts(expr: str, verdicts: dict[str, Verdict]) -> Verdict:
     return Verdict.unknown("combination not decided by component verdicts")
 
 
-def _tokenize(expr: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(expr):
-        c = expr[i]
-        if c.isspace():
-            i += 1
-        elif c in "&|()":
-            tokens.append(c)
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < len(expr) and (expr[j].isalnum() or expr[j] == "_"):
-                j += 1
-            tokens.append(expr[i:j])
-            i = j
-        elif c == "!":
-            raise InputError(
-                "negation is not supported in combinations; verify the negated property instead"
-            )
-        else:
-            raise InputError(f"bad character {c!r} in combination")
-    return tokens
-
-
-def _decided(status: str, x: tuple, y: tuple) -> tuple[str, str | None]:
-    """Parser value (status, literal) of `x op y`: a violated value keeps the
-    literal of its first violated operand, which decides it."""
-    if status != VIOLATED:
-        return status, None
-    return status, (x if x[0] == VIOLATED else y)[1]
-
-
-def _parse_or(tokens, verdicts):
-    value, tokens = _parse_and(tokens, verdicts)
-    while tokens and tokens[0] == "|":
-        rhs, tokens = _parse_and(tokens[1:], verdicts)
-        value = _decided(_or3(value[0], rhs[0]), value, rhs)
-    return value, tokens
-
-
-def _parse_and(tokens, verdicts):
-    value, tokens = _parse_atom(tokens, verdicts)
-    while tokens and tokens[0] == "&":
-        rhs, tokens = _parse_atom(tokens[1:], verdicts)
-        value = _decided(_conjoin((value[0], rhs[0])), value, rhs)
-    return value, tokens
-
-
-def _parse_atom(tokens, verdicts):
-    if not tokens:
-        raise InputError("unexpected end of combination")
-    tok = tokens[0]
-    if tok == "(":
-        value, rest = _parse_or(tokens[1:], verdicts)
-        if not rest or rest[0] != ")":
-            raise InputError("unbalanced parenthesis in combination")
-        return value, rest[1:]
-    if tok in ("&", "|", ")"):
-        raise InputError(f"unexpected token {tok!r} in combination")
-    if tok not in verdicts:
-        raise InputError(f"unresolved literal {tok!r} in combination")
-    return (verdicts[tok].status, tok), tokens[1:]
-
-
-def _or3(x: str, y: str) -> str:
-    if HOLDS in (x, y):
-        return HOLDS
-    if x == VIOLATED and y == VIOLATED:
-        return VIOLATED
-    return UNKNOWN
+_DUAL = {HOLDS: VIOLATED, VIOLATED: HOLDS, UNKNOWN: UNKNOWN}

@@ -77,7 +77,6 @@ class LassoWitness:
 
     words: tuple
     loop_start: int | None
-    slice_length: int | None = None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ build expected languages with it, and it is the reference of the
 simulation's diagonal, which the library takes by one `relabel` of T+.
 `lasso_search` is the search of the runs on a lasso that
 `omega.accepts_up_word` made by hand before it used `explore`, kept as its
-reference.
+reference.  `combination_value` evaluates and/or trees of verdict literals
+for `losp.combine_verdicts`, which parses its combination from a string.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from rmckit.automata import (
 )
 from rmckit.errors import InputError
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord
-from rmckit.system import RegularSystem
+from rmckit.system import HOLDS, UNKNOWN, VIOLATED, RegularSystem
 from rmckit.transducer import Transducer, identity, relation_includes
 
 
@@ -816,3 +817,50 @@ def random_unsliced_system(rng: random.Random, lo: int = 2, hi: int = 6) -> Regu
             pair = [x * base.size + y for x, y in zip(a, b)]
             rel = union(rel, word_automaton(rel.alphabet, pair))
     return validate(RegularSystem(base, init, Transducer(rel), "finite"))
+
+
+# ---------------------------------------------------------------------------
+# verdict combinations: a tree is a literal name or (op, left, right)
+
+_RANK = {VIOLATED: 0, UNKNOWN: 1, HOLDS: 2}
+
+
+def combination_value(tree, statuses: dict[str, str]) -> tuple[str, str | None]:
+    """Kleene's strong three-valued value of an and/or tree, with violated <
+    unknown < holds (`&` is the minimum, `|` the maximum), and for a violated
+    value the literal that decides its leftmost violated operand."""
+    if isinstance(tree, str):
+        return statuses[tree], tree
+    op, left, right = tree
+    x, y = combination_value(left, statuses), combination_value(right, statuses)
+    status = (min if op == "&" else max)(x[0], y[0], key=_RANK.__getitem__)
+    if status != VIOLATED:
+        return status, None
+    return status, (x if x[0] == VIOLATED else y)[1]
+
+
+def random_combination(rng: random.Random, literals, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(literals)
+    left, right = (random_combination(rng, literals, depth - 1) for _ in range(2))
+    return rng.choice("&|"), left, right
+
+
+def render_combination(tree, rng: random.Random, extra_parens: bool) -> str:
+    """The tree as text: parentheses where precedence (`&` over `|`) and left
+    association need them, and with `extra_parens` at random elsewhere too."""
+    if isinstance(tree, str):
+        return tree
+    op, left, right = tree
+
+    def side(sub, is_right: bool) -> str:
+        text = render_combination(sub, rng, extra_parens)
+        needed = not isinstance(sub, str) and (
+            (sub[0] == "|" and op == "&") or (is_right and sub[0] == op)
+        )
+        if needed or (extra_parens and rng.random() < 0.4):
+            return f"({text})"
+        return text
+
+    space = rng.choice(["", " ", "  ", "\t"])
+    return f"{side(left, False)}{space}{op}{space}{side(right, True)}"

@@ -736,6 +736,25 @@ def test_property_given_by_name(ring_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+def test_directory_does_not_shadow_a_property_name(ring_dir, tmp_path, monkeypatch, capsys):
+    # a name that is also a directory still names the declared property
+    (tmp_path / "always_one_token").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv = ["check-gsp", "--system", str(ring_dir / "system.sys")]
+    code = main(argv + ["--property", "always_one_token", "--slice", "2..2"])
+    assert code == 0, capsys.readouterr().err
+    assert "overall: holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_gen_example_command_writes_the_library_bundle(tmp_path, capsys, name):
+    assert main(["gen-example", name, "--out", str(tmp_path / "cli")]) == 0
+    written = capsys.readouterr().out.split()
+    expected = gen_example(name, tmp_path / "lib")
+    assert written == [str(tmp_path / "cli" / f.name) for f in expected]
+    assert [Path(f).read_bytes() for f in written] == [f.read_bytes() for f in expected]
+
 def test_console_entry_point_runs():
     # the child gets the checkout's sources, as pytest's own `pythonpath` does
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -200,3 +200,31 @@ def test_load_system_reads_each_file_once(tmp_path):
             mock.patch.object(Path, "exists", side_effect=AssertionError("exists() called")):
         load_system(system)
     assert sorted(reads) == sorted({"system.sys"} | referenced)
+
+
+def test_gsp_property_block_is_negated_on_load(tmp_path):
+    from rmckit import load_system
+    from rmckit.fixtures import build_fa, gen_example
+    from rmckit.gsp import cop_alphabet
+    from rmckit.omega import UltimatelyPeriodicWord, accepts_up_word
+
+    # `always cop0` as a weak DBA; the shipped bundle declares its negation
+    always = build_fa(
+        cop_alphabet(1), 2, [0], [0],
+        [(0, "m1", 0), (0, "m0", 1), (1, "m0", 1), (1, "m1", 1)],
+        omega=True,
+    )
+    gen_example("token-ring", tmp_path)
+    (tmp_path / "always_one.aut").write_text(serialize_aut(always))
+    system = tmp_path / "system.sys"
+    system.write_text(system.read_text() + "property: gsp always_one always_one.aut\n")
+    loaded = load_system(system)
+    negated = loaded.property_named("gsp", "always_one").automaton
+    shipped = loaded.property_named("gsp-negated", "always_one_token").automaton
+    assert negated.n_props == 1
+    m0, m1 = (cop_alphabet(1).index(name) for name in ("m0", "m1"))
+    for prefix, period in [((), (m1,)), ((m1, m1), (m1,)), ((), (m0,)), ((m1,), (m1, m0))]:
+        word = UltimatelyPeriodicWord(prefix, period)
+        assert accepts_up_word(always, word) == (m0 not in prefix + period)
+        assert accepts_up_word(negated.automaton, word) == (m0 in prefix + period)
+        assert accepts_up_word(shipped.automaton, word) == (m0 in prefix + period)

@@ -12,6 +12,7 @@ from rmckit import (
     HOLDS,
     InconsistentComplement,
     InputError,
+    LassoWitness,
     MissingComplement,
     ModeMismatch,
     NotWeakDeterministic,
@@ -52,11 +53,14 @@ from rmckit.transducer import FINITE, identity
 
 from oracles import (
     closure_loop_formula,
+    combination_value,
     losp_violation_oracle,
     project_components,
     random_complete_nba,
+    random_combination,
     random_dfa_complete,
     random_unsliced_system,
+    render_combination,
     reordered,
 )
 
@@ -342,12 +346,72 @@ def test_combine_verdicts_three_valued():
     with pytest.raises(InputError):
         combine_verdicts("!a", {"a": h})
     # the witness comes from a literal that decides the violation
-    from rmckit import LassoWitness
-
-    wz, wa, wb = (LassoWitness(((i,),), 0) for i in range(3))
+    wz, wa, wb = (_witness(i) for i in range(3))
     got = combine_verdicts("b", {"z": Verdict.violated(wz), "b": Verdict.violated(wb)})
     assert (got.status, got.witness, got.diagnostics) == (VIOLATED, wb, {"literal": "b"})
     got = combine_verdicts(
         "(a | c) & b", {"a": Verdict.violated(wa), "c": h, "b": Verdict.violated(wb)}
     )
     assert (got.status, got.witness, got.diagnostics) == (VIOLATED, wb, {"literal": "b"})
+
+
+def _witness(i: int) -> LassoWitness:
+    return LassoWitness(((i,),), 0)
+
+
+def test_combine_verdicts_or_of_violated_operands():
+    v1, v2 = Verdict.violated(_witness(1)), Verdict.violated(_witness(2))
+    got = combine_verdicts("a | b", {"a": v1, "b": v2})
+    assert (got.status, got.witness, got.diagnostics) == (VIOLATED, v1.witness, {"literal": "a"})
+    u = Verdict.unknown("budget")
+    assert combine_verdicts("a | b", {"a": v1, "b": u}).status == UNKNOWN
+    assert combine_verdicts("b | a", {"a": v1, "b": u}).status == UNKNOWN
+
+
+def test_combine_verdicts_matches_tree_oracle():
+    rng = random.Random(28)
+    literals = ("a", "2a", "if", "x_1")
+    seen = set()
+    for draw in range(600):
+        tree = random_combination(rng, literals, rng.randint(0, 4))
+        expr = render_combination(tree, rng, extra_parens=draw % 2 == 1)
+        verdicts = {}
+        for i, name in enumerate(literals):
+            kind = rng.choice((HOLDS, VIOLATED, UNKNOWN))
+            verdicts[name] = {
+                HOLDS: Verdict.holds(),
+                VIOLATED: Verdict.violated(_witness(i)),
+                UNKNOWN: Verdict.unknown("budget"),
+            }[kind]
+        status, literal = combination_value(tree, {n: v.status for n, v in verdicts.items()})
+        if status == VIOLATED:
+            expected = Verdict(VIOLATED, verdicts[literal].witness, {"literal": literal})
+        elif status == HOLDS:
+            expected = Verdict.holds()
+        else:
+            expected = Verdict.unknown("combination not decided by component verdicts")
+        assert combine_verdicts(expr, verdicts) == expected, expr
+        seen.add(status)
+    assert seen == {HOLDS, VIOLATED, UNKNOWN}
+
+
+@pytest.mark.parametrize(
+    "expr", ["", "a b", "a &", "(a", "a)", "a && b", "a ^ b", "~a", "a.b", "f(a)", "a | missing"]
+)
+def test_malformed_combination_is_an_input_error(expr):
+    h = Verdict.holds()
+    with pytest.raises(InputError):
+        combine_verdicts(expr, {"a": h, "b": h, "f": h})
+
+
+def test_negation_in_a_combination_is_refused():
+    with pytest.raises(InputError, match="negation is not supported"):
+        combine_verdicts("a & !b", {"a": Verdict.holds(), "b": Verdict.holds()})
+
+
+def test_lep_count_cap():
+    from rmckit import AlphabetCapExceeded
+
+    assert lep_alphabet(8).size == 256
+    with pytest.raises(AlphabetCapExceeded):
+        lep_alphabet(9)
