@@ -34,13 +34,14 @@ blocks:
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .alphabet import Alphabet
 from .automata import FiniteAutomaton
-from .errors import InputError, ParseError
-from .gsp import StateProperty, negate_gsp, negated_gsp, state_property
+from .errors import InputError, ParseError, RmckitError
+from .gsp import StateProperty, _check_cops, negate_gsp, negated_gsp, state_property
 from .losp import LocalExecutionProperty, local_execution_property, losp_property
 from .omega import OmegaAutomaton
 from .system import RegularSystem, validate
@@ -319,22 +320,32 @@ def load_system(path: str | Path) -> LoadedSystem:
         raise ParseError("relation file must hold a transducer")
     system = validate(RegularSystem(alphabet, initial, relation, mode))
 
-    cop_list = tuple(
-        state_property(name, aut, mode) for name, aut, _ln in cops
-    )
-    lep_list = tuple(
-        local_execution_property(name, aut, comp)
-        for name, aut, comp, _ln in lep_entries
-    )
-
+    cop_list: list[StateProperty] = []
+    for name, aut, lineno in cops:
+        with _entry("cop", name, lineno):
+            cop = state_property(name, aut)
+            _check_cops([cop], alphabet, mode)
+        cop_list.append(cop)
+    lep_list: list[LocalExecutionProperty] = []
+    for name, aut, comp, lineno in lep_entries:
+        with _entry("lep", name, lineno):
+            lep_list.append(local_execution_property(name, aut, comp))
     blocks: list[PropertyBlock] = []
     for kind, name, aut, lineno in prop_entries:
-        try:
+        with _entry("property", name, lineno):
             typed = _typed_property(kind, aut, mode, cop_list, lep_list)
             blocks.append(PropertyBlock(kind, name, typed))
-        except InputError as e:
-            raise ParseError(f"property {name!r}: {e}", lineno)
-    return LoadedSystem(system, cop_list, lep_list, tuple(blocks))
+    return LoadedSystem(system, tuple(cop_list), tuple(lep_list), tuple(blocks))
+
+
+@contextmanager
+def _entry(key: str, name: str, lineno: int):
+    """Reraise an error of the block as a `ParseError` that names the
+    system-file entry and its line."""
+    try:
+        yield
+    except RmckitError as e:
+        raise ParseError(f"{key} {name!r}: {e}", lineno) from e
 
 
 def _typed_property(kind: str, aut, mode: str, cops, leps):

@@ -15,7 +15,7 @@ the fixpoint driver `omega._fixpoint`.
 Both modes share one augmentation skeleton, `_augmented`, and differ only
 in their label discipline.  The augmented relation is one reachable product
 of the system's relation with the cop automata run on its input track; a
-mode says how a relation move is labelled (`step`) and which labels accept
+mode says how a relation move is labelled (`step`) and which nodes accept
 (`final`).  Each mode has one label shape, `shape(states)`: the labelled
 words whose negated-property state lies in `states` (on the last letter in
 finite mode, on every letter in omega mode).  The augmented initial set is
@@ -85,15 +85,19 @@ from .system import (
 )
 from .transducer import FINITE, OMEGA, Transducer, image, preimage
 
-MAX_COPS = 8
+MAX_PROPS = 8
+
+
+def _mask_alphabet(n_props: int, what: str, bot: tuple[str, ...] = ()) -> Alphabet:
+    """Masks m0 .. m(2^n - 1) of the n declared `what` (bit i = property i), then `bot`."""
+    if n_props > MAX_PROPS:
+        raise AlphabetCapExceeded(f"at most {MAX_PROPS} {what} supported")
+    return Alphabet.base(tuple(f"m{i}" for i in range(1 << n_props)) + bot)
 
 
 def cop_alphabet(n_props: int) -> Alphabet:
-    """Alphabet of subset masks over the declared property list (bit i =
-    property i in declaration order)."""
-    if n_props > MAX_COPS:
-        raise AlphabetCapExceeded(f"at most {MAX_COPS} state properties supported")
-    return Alphabet.base(tuple(f"m{i}" for i in range(1 << n_props)))
+    """Mask alphabet over the declared state properties."""
+    return _mask_alphabet(n_props, "state properties")
 
 
 @dataclass(frozen=True)
@@ -119,23 +123,23 @@ class StateProperty:
     automaton: FiniteAutomaton
 
 
-def state_property(name: str, automaton: FiniteAutomaton, mode: str = FINITE) -> StateProperty:
-    if mode == OMEGA:
-        if not isinstance(automaton, OmegaAutomaton):
-            raise ModeMismatch("omega state property needs an omega automaton")
-        return StateProperty(name, minimize_weak_dba(to_weak_dba(automaton)))
+def state_property(name: str, automaton: FiniteAutomaton) -> StateProperty:
+    """A property of omega words if `automaton` is Buchi, of finite words otherwise."""
+    if not isinstance(automaton, FiniteAutomaton):
+        raise ModeMismatch(f"state property {name!r} needs a finite-word or Buchi automaton")
     if isinstance(automaton, OmegaAutomaton):
-        raise ModeMismatch("finite state property needs a finite-word automaton")
+        return StateProperty(name, minimize_weak_dba(to_weak_dba(automaton)))
     return StateProperty(name, minimize(automaton, completion=True))
 
 
 def _check_cops(cops: Sequence[StateProperty], alphabet: Alphabet, mode: str) -> None:
-    """Each cop automaton is over `alphabet`, deterministic and complete, and
-    weak in omega mode; there are at most `MAX_COPS` of them."""
-    if len(cops) > MAX_COPS:
-        raise AlphabetCapExceeded(f"at most {MAX_COPS} state properties supported")
+    """Each cop automaton reads `mode`'s words over `alphabet`, is deterministic
+    and complete, and weak in omega mode; `cop_alphabet` refuses too many."""
+    cop_alphabet(len(cops))
     for cop in cops:
         a = cop.automaton
+        if isinstance(a, OmegaAutomaton) != (mode == OMEGA):
+            raise ModeMismatch(f"state property {cop.name!r} must read {mode} words")
         if a.alphabet != alphabet:
             raise AlphabetMismatch(f"state property {cop.name!r} is over a different alphabet")
         if not (a.is_deterministic and a.is_complete):
@@ -221,7 +225,6 @@ class GspAugmentation(_Augmentation):
 
     neg: NegatedGsp
     cops: tuple[StateProperty, ...]
-    mode: str
 
     def _split(self, sym: int) -> tuple[int, int, int]:
         parts = self.alphabet.parts(sym)
@@ -245,7 +248,7 @@ class GspAugmentation(_Augmentation):
         A finite word is labelled on its last position only; an omega word
         carries one label uniformly on every position.
         """
-        if self.mode == FINITE:
+        if self.original.mode == FINITE:
             lab = self.labels(word)
             if any(q is not None or m is not None for q, m in lab[:-1]):
                 return None, "carries labels before the final position"
@@ -278,11 +281,11 @@ def _label_alphabet(m: RegularSystem, neg: NegatedGsp, cops, bot: tuple[str, ...
         raise AlphabetMismatch("negated property arity does not match the cop list")
     _check_cops(cops, m.alphabet, m.mode)
     q_names = tuple(f"g{i}" for i in range(neg.automaton.n_states)) + bot
-    m_names = tuple(f"m{i}" for i in range(1 << len(cops))) + bot
-    sigma_a = Alphabet.product(m.alphabet, Alphabet.base(q_names), Alphabet.base(m_names))
+    masks = _mask_alphabet(len(cops), "state properties", bot)
+    sigma_a = Alphabet.product(m.alphabet, Alphabet.base(q_names), masks)
 
     def letter(a: int, q: int, mask: int) -> int:
-        return (a * len(q_names) + q) * len(m_names) + mask
+        return (a * len(q_names) + q) * masks.size + mask
 
     return sigma_a, letter
 
@@ -295,44 +298,42 @@ def _verdicts(cops, qcops) -> int:
 def _augmented(m, neg, cops, sigma_a, labels, step, final, shape) -> GspAugmentation:
     """The augmentation over `sigma_a` whose relation labels the system's.
 
-    A relation node is (relation state, cop automata states, label), from
-    every label of `labels`; a relation move on (a1, a2) gives the (letter
-    pair, next label) pairs of `step(label, a1, a2, cop states after a1)`,
-    and a node accepts when its relation state does and `final(cop states,
-    label)` holds.  `shape(states)` is the set of labelled words whose label
-    state lies in `states`: the initial set is cut down to `shape(initial
-    states)`, and the acceptance is `shape(accepting states)`.
+    A relation node is (relation state, cop automata states, *label), from
+    every label tuple of `labels`, which no move changes; a relation move on
+    (a1, a2) makes the letter pairs of `step(label, a1, a2, cop states after
+    a1)`, and a node accepts when its relation state does and `final(cop
+    states, label)` holds.  `shape(states)` is the set of labelled words
+    whose label state lies in `states`: the initial set is cut down to
+    `shape(initial states)`, and the acceptance is `shape(accepting states)`.
     """
     rel = m.relation.inner
     base_size = m.alphabet.size
     deltas = [c.automaton.adjacency for c in cops]  # complete and deterministic
 
     def moves(node):
-        q_r, qcops, label = node
+        q_r, qcops, label = node[0], node[1], node[2:]
         for pair_sym, dsts in sorted(rel.adjacency.get(q_r, {}).items()):
             a1, a2 = divmod(pair_sym, base_size)
             qcops2 = tuple(delta[q][a1][0] for delta, q in zip(deltas, qcops))
-            steps = list(step(label, a1, a2, qcops2))
+            pairs = list(step(label, a1, a2, qcops2))
             for q_r2 in dsts:
-                for pair, label2 in steps:
-                    yield pair, (q_r2, qcops2, label2)
+                for pair in pairs:
+                    yield pair, (q_r2, qcops2, *label)
 
     q0cops = tuple(next(iter(c.automaton.initial)) for c in cops)
     t_aug = Transducer(
         explore(
             type(rel),
             Alphabet.product(sigma_a, sigma_a),
-            [(q, q0cops, label) for q in sorted(rel.initial) for label in labels],
+            [(q, q0cops, *label) for q in sorted(rel.initial) for label in labels],
             moves,
-            lambda node: node[0] in rel.accepting and final(node[1], node[2]),
+            lambda node: node[0] in rel.accepting and final(node[1], node[2:]),
         )
     )
     nga = neg.automaton
     init = _labelled_initial(m.initial, sigma_a, shape(nga.initial))
-    aug_system = RegularSystem(sigma_a, init, t_aug, m.mode)
-    return GspAugmentation(
-        BuchiRegularSystem(aug_system, shape(nga.accepting)), m, neg, tuple(cops), m.mode
-    )
+    msys = BuchiRegularSystem(RegularSystem(sigma_a, init, t_aug, m.mode), shape(nga.accepting))
+    return GspAugmentation(msys, m, neg, tuple(cops))
 
 
 def build_augmented_finite(
@@ -340,10 +341,9 @@ def build_augmented_finite(
 ) -> GspAugmentation:
     """Finite-word augmentation: labels live on the last letter only.
 
-    The relation transducer runs every property automaton on the input track,
-    remembers with a final Boolean whether the labelled position was read,
-    and on that position checks both the negated-property run step and that
-    the claimed cop set matches the property automata verdicts.
+    The relation runs every property automaton on the input track and, on
+    the labelled position, which the initial set puts last, checks both the
+    negated-property run step and the claimed cop set against the verdicts.
     """
     if m.mode != FINITE:
         raise ModeMismatch("finite augmentation needs a finite-mode system")
@@ -359,13 +359,13 @@ def build_augmented_finite(
         set.  On the labelled position the input mask is forced to the
         property verdicts for the word read so far, and the output state
         must extend the negated-property run on that mask."""
-        yield letter(a1, bot_q, bot_m) * pair_size + letter(a2, bot_q, bot_m), 0
+        yield letter(a1, bot_q, bot_m) * pair_size + letter(a2, bot_q, bot_m)
         mask = _verdicts(cops, qcops2)
         for alpha1 in range(nga.n_states):
             l1 = letter(a1, alpha1, mask) * pair_size
             for alpha2 in nga.adjacency.get(alpha1, {}).get(mask, ()):
                 for mask2 in range(n_masks):
-                    yield l1 + letter(a2, alpha2, mask2), 1
+                    yield l1 + letter(a2, alpha2, mask2)
 
     def shape(states) -> FiniteAutomaton:
         """(bot-labelled letters)* followed by one letter labelled with a
@@ -382,9 +382,7 @@ def build_augmented_finite(
 
         return explore(FiniteAutomaton, sigma_a, [0], moves, lambda node: node == 1)
 
-    return _augmented(
-        m, neg, cops, sigma_a, [0], step, lambda _qcops, label: label == 1, shape
-    )
+    return _augmented(m, neg, cops, sigma_a, [()], step, lambda _qcops, _label: True, shape)
 
 
 def build_augmented_omega(
@@ -412,7 +410,7 @@ def build_augmented_omega(
         l1 = letter(a1, alpha, lam) * pair_size
         for alpha2 in nga.adjacency.get(alpha, {}).get(lam, ()):
             for lam2 in range(n_masks):
-                yield l1 + letter(a2, alpha2, lam2), label
+                yield l1 + letter(a2, alpha2, lam2)
 
     def shape(states) -> OmegaAutomaton:
         """Words labelled uniformly with one (negated-property state in

@@ -39,7 +39,13 @@ from .errors import (
     NotDeterministic,
     NotWeakDeterministic,
 )
-from .gsp import _Augmentation, _labelled_initial, _projected_ring, check_emptiness_loop
+from .gsp import (
+    _Augmentation,
+    _labelled_initial,
+    _mask_alphabet,
+    _projected_ring,
+    check_emptiness_loop,
+)
 from .omega import (
     OmegaAutomaton,
     accepts_up_word,
@@ -67,10 +73,8 @@ NORESET, RESET = 0, 1
 
 
 def lep_alphabet(n_props: int) -> Alphabet:
-    """Mask alphabet over the declared property list (bit i = property i)."""
-    if n_props > 8:
-        raise AlphabetCapExceeded("at most 8 local execution properties supported")
-    return Alphabet.base(tuple(f"m{i}" for i in range(1 << n_props)))
+    """Mask alphabet over the declared local execution properties."""
+    return _mask_alphabet(n_props, "local execution properties")
 
 
 @dataclass(frozen=True)

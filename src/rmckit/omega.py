@@ -57,7 +57,7 @@ from .automata import (
     universal,
     word_automaton,
 )
-from .errors import InputError, NonWeakResult, NotWeak, NotWeakDeterministic
+from .errors import InputError, ModeMismatch, NonWeakResult, NotWeak, NotWeakDeterministic
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,15 @@ class OmegaAutomaton(FiniteAutomaton):
         return False
 
 
+def _require_buchi(op: str, *automata: FiniteAutomaton) -> None:
+    """Refuse a finite-word automaton handed to an omega operation."""
+    if not all(isinstance(a, OmegaAutomaton) for a in automata):
+        raise ModeMismatch(f"{op} needs a Buchi automaton")
+
+
 def classify(a: OmegaAutomaton) -> dict[str, bool]:
     """Recomputed weak / inherently weak / deterministic flags."""
+    _require_buchi("classify", a)
     return {
         "weak": a.is_weak,
         "inherently_weak": a.is_inherently_weak,
@@ -214,6 +221,7 @@ def buchi_is_empty(
     a: OmegaAutomaton,
 ) -> tuple[bool, UltimatelyPeriodicWord | None]:
     """Emptiness plus a lasso witness when nonempty."""
+    _require_buchi("buchi_is_empty", a)
     paths = _shortest_words(a)  # keyed by the reachable states
     candidates = [
         (len(paths[q]), paths[q], q)
@@ -235,6 +243,7 @@ def buchi_is_empty(
 
 
 def _require_weak_dba(a: OmegaAutomaton, op: str) -> OmegaAutomaton:
+    _require_buchi(op, a)
     if not a.is_deterministic:
         raise NotWeakDeterministic(f"{op} needs a deterministic automaton")
     if not a.is_weak:
@@ -255,6 +264,7 @@ def determinize_weak(a: OmegaAutomaton) -> OmegaAutomaton:
     exists; raises NonWeakResult when the deterministic form is not
     inherently weak (the language has no weak deterministic representation).
     """
+    _require_buchi("determinize_weak", a)
     if not a.is_inherently_weak:
         raise NotWeak("determinize_weak needs an (inherently) weak automaton")
     aw = normalize_weak(a)
@@ -362,6 +372,7 @@ def _product_omega(
 
 
 def omega_intersect(a: OmegaAutomaton, b: OmegaAutomaton) -> OmegaAutomaton:
+    _require_buchi("omega_intersect", a, b)
     a.alphabet.require_same(b.alphabet)
     return _product_omega(a, b, a.alphabet, _paired_moves(a, b, _same_symbol))
 
@@ -515,6 +526,8 @@ def _map_letters(w, f):
 
 def _zip_letters(w1, w2, f):
     """The word, of the kind of w1 and w2, whose i-th letter is f of their i-th letters."""
+    if isinstance(w1, UltimatelyPeriodicWord) != isinstance(w2, UltimatelyPeriodicWord):
+        raise InputError("pair words must be both finite or both ultimately periodic")
     if isinstance(w1, UltimatelyPeriodicWord):
         p = max(len(w1.prefix), len(w2.prefix))
         k = math.lcm(len(w1.period), len(w2.period))

@@ -553,7 +553,10 @@ def test_finite_word_lep_is_an_input_error(tmp_path, capsys, files):
     code = main(["check-reach", "--system", str(path)])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err == "error: local execution property 'liveness' needs Buchi automata\n"
+    assert captured.err == (
+        "error: lep 'liveness': local execution property 'liveness' needs Buchi automata"
+        " (line 8)\n"
+    )
 
 
 @pytest.fixture

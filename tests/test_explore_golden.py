@@ -159,7 +159,7 @@ def gsp_omega_aug():
         [(0, "T", 1), (0, "N", 2), (1, "T", 1), (1, "N", 1), (2, "T", 2), (2, "N", 2)],
         omega=True,
     )
-    cop = state_property("starts_t", starts_t, "omega")
+    cop = state_property("starts_t", starts_t)
     neg = negated_gsp(gsp_always_one_token_negated(), 1)
     return build_augmented_omega(system, neg, [cop])
 

@@ -162,6 +162,56 @@ def test_reach_bad_property_follows_the_system_mode(tmp_path, mode, prop, error)
             load_system(tmp_path / "sys.sys")
 
 
+@pytest.mark.parametrize(
+    "mode, entry, error",
+    [
+        ("omega", "cop: has_t finite_bad.aut", "state property 'has_t' must read omega words"),
+        ("finite", "cop: has_t omega_bad.aut", "state property 'has_t' must read finite words"),
+        ("finite", "cop: has_t rel.aut", "state property 'has_t' needs a finite-word or Buchi automaton"),
+        ("finite", "lep: has_t finite_bad.aut", "local execution property 'has_t' needs Buchi automata"),
+    ],
+)
+def test_cop_and_lep_entries_report_their_line(tmp_path, mode, entry, error):
+    from rmckit import load_system
+    from rmckit.fixtures import build_fa, ring_alphabet
+    from rmckit.transducer import identity
+
+    nt = ring_alphabet()
+    omega = mode == "omega"
+    has_t = [(0, "N", 0), (0, "T", 1), (1, "N", 1), (1, "T", 1)]
+    files = {
+        "init.aut": build_fa(nt, 1, [0], [0], [(0, "N", 0)], omega=omega),
+        "rel.aut": identity(nt, mode),
+        "omega_bad.aut": build_fa(nt, 2, [0], [1], has_t, omega=True),
+        "finite_bad.aut": build_fa(nt, 2, [0], [1], has_t),
+    }
+    for name, value in files.items():
+        (tmp_path / name).write_text(serialize_aut(value))
+    (tmp_path / "sys.sys").write_text(
+        f"alphabet: N T\nmode: {mode}\ninitial: init.aut\nrelation: rel.aut\n{entry}\n"
+    )
+    with pytest.raises(ParseError) as info:
+        load_system(tmp_path / "sys.sys")
+    key = entry.split(":")[0]
+    assert str(info.value) == f"{key} 'has_t': {error} (line 5)"
+    assert info.value.line == 5
+
+
+def test_token_ring_cop_naming_a_lep_file_fails_at_load(tmp_path):
+    from rmckit import load_system
+    from rmckit.fixtures import gen_example
+
+    gen_example("token-ring", tmp_path)
+    system = tmp_path / "system.sys"
+    lines = system.read_text().splitlines()
+    lineno = lines.index("cop: one_token cop_one_token.aut") + 1
+    lines[lineno - 1] = "cop: one_token lep_liveness.aut"
+    system.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="^cop 'one_token': ") as info:
+        load_system(system)
+    assert info.value.line == lineno
+
+
 def test_load_system_reports_missing_files(tmp_path):
     from rmckit import InputError, load_system
 

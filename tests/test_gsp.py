@@ -12,6 +12,7 @@ from rmckit import (
     Alphabet,
     CopSet,
     IncompleteCopAutomaton,
+    ModeMismatch,
     NotWeakDeterministic,
     build_augmented_finite,
     build_augmented_omega,
@@ -19,10 +20,12 @@ from rmckit import (
     cop_alphabet,
     cop_of,
     enumerate_words,
+    minimize,
     negate_gsp,
     negated_gsp,
     reachable,
     replay_gsp_witness,
+    sim_fixpoint,
     slice_system,
     state_property,
     validate,
@@ -199,6 +202,43 @@ def as_omega(a):
     return OmegaAutomaton(*(getattr(a, f.name) for f in fields(a)))
 
 
+@pytest.mark.parametrize("make", [token_ring, token_ring_idle_mutant])
+def test_finite_relation_is_minimal(make):
+    # a relation node keeps no labelled-position flag, so no two nodes of
+    # the explored relation are equivalent
+    for n in range(2, 10):
+        aug = build_augmented_finite(slice_system(make(), n), always_one_neg(), [one_token_prop()])
+        rel = aug.msys.system.relation.inner
+        assert rel.n_states == minimize(rel, completion=False).n_states, n
+
+
+def _finite_aug(cop):
+    return build_augmented_finite(slice_system(token_ring(), 2), always_one_neg(), [cop])
+
+
+def _omega_aug(cop):
+    return build_augmented_omega(omega_identity_system(), always_one_neg(), [cop])
+
+
+def _omega_cop():
+    return state_property("all", omega_universal(NT))
+
+
+@pytest.mark.parametrize(
+    "call, mode",
+    [
+        (lambda: _finite_aug(_omega_cop()), FINITE),
+        (lambda: _omega_aug(one_token_prop()), OMEGA),
+        (lambda: sim_fixpoint(_finite_aug(one_token_prop()).msys, [_omega_cop()]), FINITE),
+        (lambda: sim_fixpoint(_omega_aug(_omega_cop()).msys, [one_token_prop()]), OMEGA),
+    ],
+    ids=["finite_build", "omega_build", "finite_sim", "omega_sim"],
+)
+def test_cops_of_the_other_word_kind_are_refused(call, mode):
+    with pytest.raises(ModeMismatch, match=f"^state property '.*' must read {mode} words$"):
+        call()
+
+
 def test_augmentation_numbering_ignores_transition_set_order():
     # equal systems give equal augmented relations, in both modes
     neg = always_one_neg()
@@ -207,7 +247,7 @@ def test_augmentation_numbering_ignores_transition_set_order():
         [(0, "T", 1), (0, "N", 2), (1, "T", 1), (1, "N", 1), (2, "T", 2), (2, "N", 2)],
         omega=True,
     )
-    omega_cop = state_property("starts_t", starts_t, "omega")
+    omega_cop = state_property("starts_t", starts_t)
     omega_init = build_fa(NT, 1, [0], [0], [(0, "N", 0), (0, "T", 0)], omega=True)
     rng = random.Random(7)
     orders = set()
@@ -237,7 +277,7 @@ def omega_identity_system():
 
 
 def test_omega_unfalsifiable_property_holds():
-    cop_all = state_property("all", omega_universal(NT), "omega")
+    cop_all = state_property("all", omega_universal(NT))
     aug = build_augmented_omega(omega_identity_system(), always_one_neg(), [cop_all])
     verdict = check_emptiness_loop(aug.msys, budget=12)
     assert verdict.status == HOLDS
@@ -344,7 +384,6 @@ def test_omega_violation_found_by_loop_check():
             ],
             omega=True,
         ),
-        "omega",
     )
     aug = build_augmented_omega(omega_identity_system(), always_one_neg(), [cop_t])
     verdict = check_emptiness_loop(aug.msys, budget=12)

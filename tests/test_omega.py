@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from rmckit import (
+    ModeMismatch,
     NonWeakResult,
     NotWeak,
     NotWeakDeterministic,
@@ -18,6 +19,7 @@ from rmckit import (
     complement_weak_dba,
     determinize_weak,
     minimize_weak_dba,
+    negate_gsp,
     omega_intersect,
     sample_lassos,
     union,
@@ -25,6 +27,7 @@ from rmckit import (
 from rmckit.alphabet import Alphabet
 from rmckit.automata import _paired_moves, _reflag, _sync_symbols
 from rmckit.fixtures import build_fa, ring_alphabet
+from rmckit.gsp import cop_alphabet
 from rmckit.omega import (
     OmegaAutomaton,
     _canon,
@@ -37,6 +40,7 @@ from rmckit.omega import (
     omega_is_empty,
     omega_universal,
 )
+from rmckit.transducer import accepts_pair, identity, pair_word
 
 from oracles import (
     lasso_accepts_deterministic,
@@ -356,3 +360,39 @@ def test_determinize_weak_is_numbered_canonically():
         assert canonical_renumber(d) == d
         determinized += 1
     assert determinized >= 20, determinized
+
+
+def finite_has_t():
+    # the words with a T, as a finite-word DFA
+    return build_fa(NT, 2, [0], [1], [(0, "N", 0), (0, "T", 1), (1, "N", 1), (1, "T", 1)])
+
+
+LASSO = UltimatelyPeriodicWord((), (0,))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: negate_gsp(build_fa(cop_alphabet(0), 1, [0], [0], []), 0), ModeMismatch),
+        (lambda: complement_weak_dba(finite_has_t()), ModeMismatch),
+        (lambda: minimize_weak_dba(finite_has_t()), ModeMismatch),
+        (lambda: determinize_weak(finite_has_t()), ModeMismatch),
+        (lambda: omega_intersect(finite_has_t(), inf_many_t()), ModeMismatch),
+        (lambda: omega_intersect(inf_many_t(), finite_has_t()), ModeMismatch),
+        (lambda: buchi_is_empty(finite_has_t()), ModeMismatch),
+        (lambda: classify(finite_has_t()), ModeMismatch),
+        (lambda: pair_word(NT, (0,), LASSO), InputError),
+        (lambda: pair_word(NT, LASSO, (0,)), InputError),
+        (lambda: accepts_pair(identity(NT), (0,), LASSO), InputError),
+    ],
+    ids=[
+        "negate_gsp", "complement_weak_dba", "minimize_weak_dba", "determinize_weak",
+        "omega_intersect_left", "omega_intersect_right", "buchi_is_empty", "classify",
+        "pair_word_finite_first", "pair_word_lasso_first", "accepts_pair",
+    ],
+)
+def test_omega_operations_refuse_the_other_word_kind(call, error):
+    with pytest.raises(error) as info:
+        call()
+    if error is InputError:
+        assert str(info.value) == "pair words must be both finite or both ultimately periodic"

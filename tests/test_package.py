@@ -220,3 +220,22 @@ def test_one_budgeted_fixpoint_loop():
         ("gsp", "_fair_lasso"),
         ("simulation", "brute_force_simulation"),
     }
+
+
+def test_only_three_functions_take_a_word_kind():
+    # a state property, an augmentation and the other constructions read
+    # the word kind from the automata and systems they are given; only a
+    # relation built from an alphabet alone, and the two checks of an
+    # automaton against a system's declared kind, are told it
+    found = set()
+    for stem, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if any(a.arg == "mode" for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)):
+                    found.add((stem, getattr(node, "name", "<lambda>")))
+    assert found == {
+        ("transducer", "identity"),
+        ("gsp", "_check_cops"),
+        ("fileformat", "_typed_property"),
+    }

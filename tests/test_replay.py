@@ -82,7 +82,6 @@ def _omega_case():
             [(0, "T", 1), (0, "N", 2), (1, "T", 1), (1, "N", 1), (2, "T", 2), (2, "N", 2)],
             omega=True,
         ),
-        OMEGA,
     )
     init = build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True)
     system = validate(RegularSystem(NT, init, identity(NT, OMEGA), OMEGA))

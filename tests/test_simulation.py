@@ -461,7 +461,7 @@ def test_sim_init_within_reach_in_omega_mode():
         base, 3, frozenset({0}), frozenset({1}),
         frozenset({(0, 1, 1), (0, 0, 2), (1, 0, 1), (1, 1, 1), (2, 0, 2), (2, 1, 2)}),
     )
-    cop = state_property("starts_t", starts_t, OMEGA)
+    cop = state_property("starts_t", starts_t)
     msys = BuchiRegularSystem(RegularSystem(base, n_omega, t, OMEGA), omega_universal(base))
     assert_sim_init_within_reach_is_the_restriction(msys, [cop])
 
