@@ -31,16 +31,14 @@ from pathlib import Path
 
 from . import fixtures
 from .errors import InputError, RmckitError
-from .fileformat import LoadedSystem, load_system, parse_aut
+from .fileformat import LoadedSystem, _typed_property, load_system, parse_aut
 from .gsp import (
-    NegatedGsp,
     build_augmented_finite,
     build_augmented_omega,
     check_emptiness_loop,
-    negated_gsp,
     replay_gsp_witness,
 )
-from .losp import build_augmented_losp, check_losp, losp_property, replay_losp_witness
+from .losp import build_augmented_losp, check_losp, replay_losp_witness
 from .omega import _segments
 from .simulation import check_emptiness_sim, sim_fixpoint
 from .system import (
@@ -57,6 +55,9 @@ from .transducer import OMEGA, closure
 
 SCHEMA = 1
 _EXIT = {HOLDS: 0, VIOLATED: 1, UNKNOWN: 2}
+# the property kinds a GSP check reads: `gsp` blocks were negated at load
+# time, and a property file, typed as the first, holds a negated property
+_GSP_KINDS = ("gsp-negated", "gsp")
 # verdict diagnostics that a verdict's text line prints, in print order
 _LINE_KEYS = ("steps", "reach_steps", "nested_rounds", "closure_steps", "reason", "sim_exact")
 
@@ -162,13 +163,12 @@ def _parse_slice(text: str, unsliced_error: str | None = None) -> tuple[int, int
     return span
 
 
-def _property(loaded: LoadedSystem, kinds: tuple[str, ...], arg: str | None, typed=None):
+def _property(loaded: LoadedSystem, kinds: tuple[str, ...], arg: str | None):
     """The automaton of the first declared property of one of `kinds` named
-    `arg` (any name if None), or, when `arg` is a file, its automaton
-    passed through `typed`."""
+    `arg` (any name if None), or, when `arg` is a file, its automaton typed
+    as a property of kind `kinds[0]`, as a declared block would be."""
     if arg is not None and Path(arg).is_file():
-        aut = parse_aut(Path(arg).read_text())
-        return aut if typed is None else typed(aut)
+        return _typed_property(kinds[0], parse_aut(Path(arg).read_text()), loaded)
     for kind in kinds:
         try:
             return loaded.property_named(kind, arg).automaton
@@ -300,7 +300,7 @@ def cmd_check_reach(args) -> int:
 
 def cmd_check_gsp(args) -> int:
     loaded = load_system(args.system)
-    neg = _gsp_property(loaded, args)
+    neg = _property(loaded, _GSP_KINDS, args.property)
     base = loaded.system
     build = build_augmented_omega if base.mode == OMEGA else build_augmented_finite
 
@@ -325,21 +325,9 @@ def cmd_check_gsp(args) -> int:
     return _report(args, "check-gsp", base, check, None if base.mode == OMEGA else span)
 
 
-def _gsp_property(loaded: LoadedSystem, args) -> NegatedGsp:
-    # `gsp` blocks were negated at load time; a file holds a negated property
-    return _property(
-        loaded,
-        ("gsp-negated", "gsp"),
-        args.property,
-        lambda aut: negated_gsp(aut, len(loaded.cops)),
-    )
-
-
 def cmd_check_losp(args) -> int:
     loaded = load_system(args.system)
-    lo_prop = _property(
-        loaded, ("losp-negated",), args.property, lambda aut: losp_property(aut, len(loaded.leps))
-    )
+    lo_prop = _property(loaded, ("losp-negated",), args.property)
 
     def check(m: RegularSystem, n) -> Verdict:
         aug = build_augmented_losp(m, lo_prop, loaded.leps)
@@ -369,7 +357,7 @@ def cmd_closure(args) -> int:
 
 def cmd_sim(args) -> int:
     loaded = load_system(args.system)
-    neg = _gsp_property(loaded, args)
+    neg = _property(loaded, _GSP_KINDS, args.property)
 
     def check(m: RegularSystem, n) -> Verdict:
         aug = build_augmented_finite(m, neg, loaded.cops)

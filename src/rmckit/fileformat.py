@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .alphabet import Alphabet
@@ -44,7 +44,7 @@ from .errors import InputError, ParseError, RmckitError
 from .gsp import StateProperty, _check_cops, negate_gsp, negated_gsp, state_property
 from .losp import LocalExecutionProperty, local_execution_property, losp_property
 from .omega import OmegaAutomaton
-from .system import RegularSystem, validate
+from .system import RegularSystem, _require_bad_set, validate
 from .transducer import FINITE, OMEGA, Transducer
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -330,12 +330,12 @@ def load_system(path: str | Path) -> LoadedSystem:
     for name, aut, comp, lineno in lep_entries:
         with _entry("lep", name, lineno):
             lep_list.append(local_execution_property(name, aut, comp))
+    loaded = LoadedSystem(system, tuple(cop_list), tuple(lep_list), ())
     blocks: list[PropertyBlock] = []
     for kind, name, aut, lineno in prop_entries:
         with _entry("property", name, lineno):
-            typed = _typed_property(kind, aut, mode, cop_list, lep_list)
-            blocks.append(PropertyBlock(kind, name, typed))
-    return LoadedSystem(system, tuple(cop_list), tuple(lep_list), tuple(blocks))
+            blocks.append(PropertyBlock(kind, name, _typed_property(kind, aut, loaded)))
+    return replace(loaded, properties=tuple(blocks))
 
 
 @contextmanager
@@ -348,16 +348,13 @@ def _entry(key: str, name: str, lineno: int):
         raise ParseError(f"{key} {name!r}: {e}", lineno) from e
 
 
-def _typed_property(kind: str, aut, mode: str, cops, leps):
+def _typed_property(kind: str, aut, loaded: LoadedSystem):
+    """The property of `kind` that `aut` declares for `loaded`, for a
+    system-file block and a `--property` file alike."""
     if kind == "reach-bad":
-        if type(aut) is not (OmegaAutomaton if mode == OMEGA else FiniteAutomaton):
-            words = "an omega" if mode == OMEGA else "a finite"
-            raise InputError(f"reach-bad property must be {words}-word automaton")
-        return aut
+        return _require_bad_set(loaded.system, aut)
     if kind == "gsp-negated":
-        return negated_gsp(aut, len(cops))
+        return negated_gsp(aut, len(loaded.cops))
     if kind == "gsp":
-        if not isinstance(aut, OmegaAutomaton):
-            raise InputError("gsp property must be a Buchi automaton")
-        return negate_gsp(aut, len(cops))
-    return losp_property(aut, len(leps))  # kind == "losp-negated"
+        return negate_gsp(aut, len(loaded.cops))
+    return losp_property(aut, len(loaded.leps))  # kind == "losp-negated"

@@ -179,6 +179,8 @@ def negated_gsp(automaton: OmegaAutomaton, n_props: int) -> NegatedGsp:
 
 def negate_gsp(automaton: OmegaAutomaton, n_props: int) -> NegatedGsp:
     """Negation by acceptance flip; only weak deterministic properties qualify."""
+    if not isinstance(automaton, OmegaAutomaton):
+        raise ModeMismatch("gsp property must be a Buchi automaton")
     if automaton.alphabet != cop_alphabet(n_props):
         raise AlphabetMismatch("property must be over the 2^COP mask alphabet")
     return NegatedGsp(complement_weak_dba(automaton), n_props)

@@ -184,6 +184,7 @@ def accepts_up_word(a: OmegaAutomaton, w: UltimatelyPeriodicWord) -> bool:
 
     A node of the runs is (state, position); after the last letter the
     position goes back to the start of the period."""
+    _require_buchi("accepts_up_word", a)
     letters = w.prefix + w.period
     size = a.alphabet.size
     for sym in letters:

@@ -191,6 +191,17 @@ def _backchain(
     return words
 
 
+def _require_bad_set(m: RegularSystem, bad: FiniteAutomaton) -> FiniteAutomaton:
+    """`bad` if it can be a bad set of `m`: an automaton of the system's
+    word kind over its alphabet."""
+    if type(bad) is not (OmegaAutomaton if m.mode == OMEGA else FiniteAutomaton):
+        words = "an omega" if m.mode == OMEGA else "a finite"
+        raise ModeMismatch(f"bad set must be {words}-word automaton")
+    if bad.alphabet != m.alphabet:
+        raise ModeMismatch("bad-set automaton is over a different alphabet")
+    return bad
+
+
 def check_reachability_property(
     m: RegularSystem, bad: FiniteAutomaton, budget: int = 64, lengths: range | None = None
 ) -> Verdict | dict[int, Verdict]:
@@ -198,11 +209,7 @@ def check_reachability_property(
     mode, encodes the unsafe words.  A path witness replays before it is
     returned.  Given `lengths`, those the initial set of `m` was cut to, the
     result is a verdict per length, each the one its slice's own run gives."""
-    if type(bad) is not (OmegaAutomaton if m.mode == OMEGA else FiniteAutomaton):
-        words = "an omega" if m.mode == OMEGA else "a finite"
-        raise ModeMismatch(f"bad set must be {words}-word automaton")
-    if bad.alphabet != m.alphabet:
-        raise ModeMismatch("bad-set automaton is over a different alphabet")
+    _require_bad_set(m, bad)
     keys = _Lengths(lengths)
     try:
         layers, _, ends = _reach_layers(m, budget, lambda layer: _intersect(layer, bad), keys)

@@ -488,6 +488,42 @@ def test_unknown_property_name_is_worded_like_the_loader(dup_dir, capsys):
     assert "error: no gsp-negated or gsp property named 'nope' declared" in err
 
 
+# a finite-word automaton over another alphabet than the ring's
+OTHER_ALPHABET_DFA = "kind: dfa\nalphabet: A B\nstates: 1\ninitial: 0\naccepting: 0\ntrans:\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, file, error",
+    [
+        ("check-gsp", "always_one_token", "gsp_always_one_neg.aut", None),
+        ("check-losp", "all_live", "losp_all_live_neg.aut", None),
+        # a Buchi automaton as the bad set of a finite system
+        ("check-reach", "wrong", "lep_liveness.aut", "bad set must be a finite-word automaton"),
+        ("check-reach", "wrong", "other.aut", "bad-set automaton is over a different alphabet"),
+    ],
+    ids=["gsp", "losp", "reach-kind", "reach-alphabet"],
+)
+def test_property_file_is_typed_as_a_declared_block(tmp_path, command, name, file, error):
+    # `--property FILE` and a declared block of the command's first kind go
+    # through one typing table: the same rows, or the same error
+    gen_example("token-dup-mutant", tmp_path)
+    (tmp_path / "other.aut").write_text(OTHER_ALPHABET_DFA)
+    path = tmp_path / "system.sys"
+    argv = [command, "--system", str(path), "--slice", "2..3", "--format", "json"]
+    by_file = _masked_run(argv + ["--property", str(tmp_path / file)])
+    if error is None:
+        assert by_file[0] == 1
+        assert by_file == _masked_run(argv + ["--property", name])
+        return
+    assert by_file == (3, "", f"error: {error}\n")
+    text = path.read_text()
+    line = len(text.splitlines()) + 1
+    path.write_text(text + f"property: reach-bad {name} {file}\n")
+    # a declared block is typed at load, so every command refuses it
+    for other in (argv + ["--property", name], ["closure", "--system", str(path)]):
+        assert _masked_run(other) == (3, "", f"error: property {name!r}: {error} (line {line})\n")
+
+
 OMEGA_BUNDLE = {
     "system.sys": "alphabet: N T\nmode: omega\ninitial: initial.aut\nrelation: relation.aut\n",
     "initial.aut": "kind: weak-dba\nalphabet: N T\nstates: 1\ninitial: 0\naccepting: 0\n"

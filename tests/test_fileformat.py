@@ -158,7 +158,7 @@ def test_reach_bad_property_follows_the_system_mode(tmp_path, mode, prop, error)
         loaded = load_system(tmp_path / "sys.sys")
         assert loaded.property_named("reach-bad", "has_t").automaton == files[prop]
     else:
-        with pytest.raises(ParseError, match=f"property 'has_t': reach-bad property {error}"):
+        with pytest.raises(ParseError, match=f"property 'has_t': bad set {error}"):
             load_system(tmp_path / "sys.sys")
 
 

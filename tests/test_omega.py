@@ -381,6 +381,8 @@ LASSO = UltimatelyPeriodicWord((), (0,))
         (lambda: omega_intersect(inf_many_t(), finite_has_t()), ModeMismatch),
         (lambda: buchi_is_empty(finite_has_t()), ModeMismatch),
         (lambda: classify(finite_has_t()), ModeMismatch),
+        # the DFA accepts T, so read as a Buchi automaton it would accept T^omega
+        (lambda: accepts_up_word(finite_has_t(), UltimatelyPeriodicWord((), (1,))), ModeMismatch),
         (lambda: pair_word(NT, (0,), LASSO), InputError),
         (lambda: pair_word(NT, LASSO, (0,)), InputError),
         (lambda: accepts_pair(identity(NT), (0,), LASSO), InputError),
@@ -388,6 +390,7 @@ LASSO = UltimatelyPeriodicWord((), (0,))
     ids=[
         "negate_gsp", "complement_weak_dba", "minimize_weak_dba", "determinize_weak",
         "omega_intersect_left", "omega_intersect_right", "buchi_is_empty", "classify",
+        "accepts_up_word",
         "pair_word_finite_first", "pair_word_lasso_first", "accepts_pair",
     ],
 )

@@ -222,11 +222,11 @@ def test_one_budgeted_fixpoint_loop():
     }
 
 
-def test_only_three_functions_take_a_word_kind():
-    # a state property, an augmentation and the other constructions read
-    # the word kind from the automata and systems they are given; only a
-    # relation built from an alphabet alone, and the two checks of an
-    # automaton against a system's declared kind, are told it
+def test_only_two_functions_take_a_word_kind():
+    # a state property, an augmentation, a typed property and the other
+    # constructions read the word kind from the automata and systems they
+    # are given; only a relation built from an alphabet alone, and the
+    # check of cop automata against a system's declared kind, are told it
     found = set()
     for stem, tree in _modules():
         for node in ast.walk(tree):
@@ -237,5 +237,4 @@ def test_only_three_functions_take_a_word_kind():
     assert found == {
         ("transducer", "identity"),
         ("gsp", "_check_cops"),
-        ("fileformat", "_typed_property"),
     }
