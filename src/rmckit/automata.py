@@ -434,12 +434,16 @@ def _complete_dfa(d: FiniteAutomaton) -> FiniteAutomaton:
     accepting state; only the sink is built above `COMPLETION_CAP`."""
     if not d.accepting:
         return _reflag(universal(d.alphabet), frozenset())
-    size = d.alphabet.size
-    if size > COMPLETION_CAP:
-        raise AlphabetCapExceeded(
-            f"alphabet of size {size} exceeds completion cap {COMPLETION_CAP}"
-        )
+    _require_completable(d.alphabet)
     return complete(d)
+
+
+def _require_completable(alphabet: Alphabet) -> None:
+    """Refuse to complete anything over more than `COMPLETION_CAP` letters."""
+    if alphabet.size > COMPLETION_CAP:
+        raise AlphabetCapExceeded(
+            f"alphabet of size {alphabet.size} exceeds completion cap {COMPLETION_CAP}"
+        )
 
 
 def determinize(a: FiniteAutomaton) -> FiniteAutomaton:

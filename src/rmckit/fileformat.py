@@ -34,13 +34,13 @@ blocks:
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .alphabet import Alphabet
 from .automata import FiniteAutomaton
-from .errors import InputError, ParseError, RmckitError
+from .errors import InputError, NotWeak, ParseError, RmckitError
 from .gsp import StateProperty, _check_cops, negate_gsp, negated_gsp, state_property
 from .losp import LocalExecutionProperty, local_execution_property, losp_property
 from .omega import OmegaAutomaton
@@ -323,7 +323,10 @@ def load_system(path: str | Path) -> LoadedSystem:
     cop_list: list[StateProperty] = []
     for name, aut, lineno in cops:
         with _entry("cop", name, lineno):
-            cop = state_property(name, aut)
+            # a cop that cannot be typed is checked as it is, its kind first
+            cop = StateProperty(name, aut)
+            with suppress(NotWeak):
+                cop = state_property(name, aut)
             _check_cops([cop], alphabet, mode)
         cop_list.append(cop)
     lep_list: list[LocalExecutionProperty] = []

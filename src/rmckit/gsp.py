@@ -133,8 +133,9 @@ def state_property(name: str, automaton: FiniteAutomaton) -> StateProperty:
 
 
 def _check_cops(cops: Sequence[StateProperty], alphabet: Alphabet, mode: str) -> None:
-    """Each cop automaton reads `mode`'s words over `alphabet`, is deterministic
-    and complete, and weak in omega mode; `cop_alphabet` refuses too many."""
+    """Each cop automaton reads `mode`'s words over `alphabet`, is weak in
+    omega mode, and is deterministic and complete; `cop_alphabet` refuses
+    too many."""
     cop_alphabet(len(cops))
     for cop in cops:
         a = cop.automaton
@@ -142,13 +143,11 @@ def _check_cops(cops: Sequence[StateProperty], alphabet: Alphabet, mode: str) ->
             raise ModeMismatch(f"state property {cop.name!r} must read {mode} words")
         if a.alphabet != alphabet:
             raise AlphabetMismatch(f"state property {cop.name!r} is over a different alphabet")
+        if mode == OMEGA and not a.is_weak:
+            raise IncompleteCopAutomaton(f"omega state property {cop.name!r} must be weak")
         if not (a.is_deterministic and a.is_complete):
             raise IncompleteCopAutomaton(
                 f"state property {cop.name!r} must be deterministic and complete"
-            )
-        if mode == OMEGA and not a.is_weak:
-            raise IncompleteCopAutomaton(
-                f"omega state property {cop.name!r} must be weak"
             )
 
 

@@ -43,7 +43,6 @@ from .automata import (
     _same_symbol,
     _shortest_words,
     accepts,
-    complement,
     complete,
     cut_lengths,
     difference,
@@ -483,18 +482,12 @@ def _pick(a: FiniteAutomaton):
     return pick_word(a)
 
 
-def _complement(a: FiniteAutomaton) -> FiniteAutomaton:
-    if isinstance(a, OmegaAutomaton):
-        return complement_weak_dba(to_weak_dba(a))
-    return complement(a)
-
-
 def _difference(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:
     """L(a) minus L(b).  In finite mode one product of `a` with `b`'s
     subsets (`automata.difference`), which completes nothing; in omega
     mode `a` intersected with the complement of `b`."""
     if isinstance(a, OmegaAutomaton):
-        return omega_intersect(a, _complement(b))
+        return omega_intersect(a, complement_weak_dba(to_weak_dba(b)))
     return difference(a, b)
 
 

@@ -16,19 +16,19 @@ The refinement runs on the fixpoint driver `omega._fixpoint`, as a
 shrinking run that converges when one step leaves the relation unchanged.
 
 Every question asked of the relation is about reachable words, so the
-fixpoint and the closures run on reachable words only.  Let R be a T-closed
-set, T(R) contained in R; the converged reachable set is one.  The
-simulation game started in R x R never leaves it, so the greatest simulation
-on R x R is the global one restricted to R x R; for the same reason the
-strict closure of T cap (R x R) is T+ cap (R x R).  With such an R, the
-initial relation is built inside R x R, and not G is taken relative to
-R x R, as a difference: no relation is completed over the pair alphabet,
-so the completion cap is never met.  An unconverged reachable set is not
-T-closed, and then the relations stay unrestricted and not G is a
-complement.  Budget-exhausted over-approximations are never used to report
-Holds.  `_space` makes this choice once per check: `sim_fixpoint` and
-`validate_candidate` judge in the space it builds and hand it on in their
-result, and `check_emptiness_sim` asks only about pairs in its R x R.
+fixpoint and the closures run inside a T-closed set W, T(W) contained in W:
+the reachable set R when it converged, else every word.  The simulation
+game started in W x W never leaves it, so the greatest simulation on W x W
+is the global one restricted to W x W; for the same reason the strict
+closure of T cap (W x W) is T+ cap (W x W).  The initial relation is built
+inside W x W, T is cut to it, and not G is its difference with G: no
+relation is completed over the pair alphabet.  `_space` chooses W once per
+check, and on all pairs over more than `COMPLETION_CAP` letter pairs in
+finite mode it gives that cap as the reason no refinement step runs.
+`sim_fixpoint` and `validate_candidate` judge in the space it builds and
+hand it on in their result, and `check_emptiness_sim` asks only about pairs
+in its W x W.  Budget-exhausted over-approximations are never used to
+report Holds.
 
 The cops are over the leading components of the augmented alphabet, so a
 cop reads the letter `sym` as `sym // radix`, and `gsp._verdicts` gives the
@@ -45,6 +45,7 @@ from typing import Sequence
 from .alphabet import Alphabet
 from .automata import (
     FiniteAutomaton,
+    _require_completable,
     _sync_symbols,
     explore,
     product_general,
@@ -53,7 +54,7 @@ from .automata import (
 )
 from .errors import AlphabetCapExceeded, AlphabetMismatch, InputError, NonWeakResult
 from .gsp import StateProperty, _check_cops, _extract_lasso, _verdicts
-from .omega import _canon, _complement, _difference, _fixpoint, _intersect, _pick, omega_universal
+from .omega import _canon, _difference, _fixpoint, _intersect, _pick, omega_universal
 from .system import BuchiRegularSystem, RegularSystem, Verdict, _reach_layers, replay_lasso
 from .transducer import (
     OMEGA,
@@ -73,20 +74,20 @@ DEFAULT_BUDGET = 64
 @dataclass(frozen=True)
 class _Space:
     """Where a simulation check runs (`_space`): the reach `layers` and set
-    `reach` of `system`, the square R x R when R converged, `relation` (T
-    cut to the square, else T) and `lost`, why there is no reach."""
+    `reach` of `system`, or `lost`, why there is no reach; the T-closed
+    `words` W, R when it is `closed` and every word otherwise, their
+    `square` W x W and `relation`, T cut to it; and `capped`, why no
+    refinement step runs there."""
 
     system: RegularSystem
-    layers: tuple | None
+    layers: tuple
     reach: FiniteAutomaton | None
-    square: FiniteAutomaton | None
+    words: FiniteAutomaton
+    square: FiniteAutomaton
     relation: Transducer
+    closed: bool
     lost: str | None = None
-
-    @property
-    def closed(self) -> FiniteAutomaton | None:
-        """R when it converged, so T-closed; else None."""
-        return None if self.square is None else self.reach
+    capped: str | None = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def sim_init(
     m = msys.system
     sigma_a = m.alphabet
     if within is None:
-        within = omega_universal(sigma_a) if m.mode == OMEGA else universal(sigma_a)
+        within = _every_word(sigma_a, m)
     radix = 1
     if cops:
         base = cops[0].automaton.alphabet
@@ -188,16 +189,15 @@ def sim_step(
     Removed are pairs (w1, w2) such that some successor w3 of w1 has no
     counterpart w4 of w2 with (w3, w4) still related:
     G = T o Sim^-1, Bad = T o (not G)^-1 and Sim' = Sim minus Bad.
-    `universe` is the set of pairs the relations live in, R x R for a
-    T-closed R with T and Sim inside it: not G is then its difference with
-    G, and no relation is completed over the pair alphabet.  Without it,
-    not G is the complement of G, which in finite mode stops at the
-    completion cap (`AlphabetCapExceeded`).
+    `universe` is the set of pairs the relations live in, W x W for a
+    T-closed W with T and Sim inside it, and all pairs by default
+    (`_all_pairs`, which in finite mode stops at the completion cap); not G
+    is its difference with G, so no relation is completed.
     """
     _require_same_base(t, s.relation)
     # G(w2, w3) = exists w4: (w2, w4) in T and (w3, w4) in Sim
     g = _join(t.inner, s.relation, 1)
-    not_g = _complement(g) if universe is None else _difference(universe, g)
+    not_g = _difference(_all_pairs(t) if universe is None else universe, g)
     # Bad(w1, w2) = exists w3: (w1, w3) in T and not G(w2, w3)
     bad = _join(t.inner, Transducer(not_g), 1)
     refined = _difference(s.relation.inner, bad)
@@ -211,42 +211,30 @@ def sim_fixpoint(
 ) -> SimRelation:
     """Iterate refinement until a fixpoint or the budget runs out.
 
-    When the reachable set R converges within the budget, the initial
-    relation is built inside R x R, T is restricted to it, every complement
-    is taken relative to it, and the result is the greatest simulation on
-    reachable words; otherwise all three stay unrestricted.  Every result
-    carries that space (`_space`).  Terminates exactly on systems with a
+    The initial relation, T and not G all live in the square W x W of the
+    space `_space` builds from reachability within the budget, which every
+    result carries: with R converged, W = R and the result is the greatest
+    simulation on reachable words.  Terminates exactly on systems with a
     finite-index simulation; a budget-exhausted result is an
     over-approximation usable only as "not yet refuted", never to conclude
-    emptiness, and says so in its `reason`.  Without a converged R, a
-    refinement step that would complement a finite-mode relation over a
-    pair alphabet above `COMPLETION_CAP` ends the iteration: the last
-    iterate comes back inexact, with the cap as its `reason`.
+    emptiness, and says so in its `reason`.  A space with a `capped` reason
+    runs no step: the initial relation comes back inexact, with that reason.
     """
     space = _space(msys.system, budget)
-    sim = replace(sim_init(msys, cops, within=space.closed), space=space)
-    reason = None
+    sim = replace(sim_init(msys, cops, within=space.words), space=space)
+    if space.capped is not None:
+        return replace(sim, reason=space.capped)
 
     def refine(relation: Transducer, _) -> Transducer:
-        """One refinement step; at the completion cap the relation comes
-        back unchanged, which ends the run."""
-        nonlocal reason
-        try:
-            nxt = sim_step(replace(sim, relation=relation), space.relation, space.square)
-        except AlphabetCapExceeded as e:
-            reason = str(e)
-            return relation
+        nxt = sim_step(replace(sim, relation=relation), space.relation, space.square)
         if not relation_includes(relation, nxt.relation):
             raise InputError("refinement grew the relation (bug)")
         return nxt.relation
 
     relation, ends = _fixpoint(sim.relation, refine, budget)
     exact, steps, _ = ends[None]
-    if reason is not None:
-        exact, steps = False, steps - 1
-    elif not exact:
-        reason = f"budget {budget} exhausted before the simulation fixpoint converged"
-    return replace(sim, relation=relation, iteration_index=steps, exact=exact, reason=reason)
+    why = None if exact else f"budget {budget} exhausted before the simulation fixpoint converged"
+    return replace(sim, relation=relation, iteration_index=steps, exact=exact, reason=why)
 
 
 def validate_candidate(
@@ -259,24 +247,20 @@ def validate_candidate(
     Valid iff one more refinement step removes nothing and the candidate
     stays within the cop-compatible initial relation; a validated candidate
     is a simulation contained in the greatest one, so nonemptiness verdicts
-    built on it are sound.  A step that hits the completion cap leaves the
-    candidate unvalidated.  It is judged in the space of `DEFAULT_BUDGET`
-    steps of reachability (`_space`), which the result carries: when R
-    converged, its part inside R x R, the result's relation and all that
-    `check_emptiness_sim` asks about, against the initial relation inside
-    R x R, stepping with T cut to the square; else on all pairs of words.
+    built on it are sound.  It is judged in the space of `DEFAULT_BUDGET`
+    steps of reachability (`_space`), which the result carries: its part
+    inside W x W, the result's relation and all that `check_emptiness_sim`
+    asks about, against the initial relation inside W x W, stepping with T
+    cut to the square.  A space with a `capped` reason leaves it
+    unvalidated.
     """
     space = _space(msys.system, DEFAULT_BUDGET)
-    inner = c.inner if space.square is None else _intersect(c.inner, space.square)
-    canon = Transducer(_canon(inner))
-    sim0 = sim_init(msys, cops, within=space.closed)
-    if not relation_includes(sim0.relation, canon):
-        return SimCandidate(canon, False, space)
-    try:
-        stepped = sim_step(SimRelation(canon, 0, False), space.relation, space.square)
-    except AlphabetCapExceeded:
-        return SimCandidate(canon, False, space)
-    return SimCandidate(canon, stepped.relation == canon, space)
+    canon = Transducer(_canon(_intersect(c.inner, space.square)))
+    sim0 = sim_init(msys, cops, within=space.words)
+    valid = relation_includes(sim0.relation, canon) and space.capped is None and (
+        sim_step(SimRelation(canon, 0, False), space.relation, space.square).relation == canon
+    )
+    return SimCandidate(canon, valid, space)
 
 
 def check_emptiness_sim(
@@ -292,13 +276,13 @@ def check_emptiness_sim(
     and only in finite mode: an omega execution need not repeat a
     configuration even up to simulation, so there it gives Unknown.
 
-    R, its layers and T cut to R x R come from the space `sim` carries, built
-    at the budget of `sim_fixpoint` or `validate_candidate`; `budget` bounds
-    only T+ and the lasso search.  The formula only pairs reachable words
-    with their T+-successors, which are reachable too.  So when reach
-    converged, T+ is the closure of T cap (R x R), which equals T+ cap
-    (R x R) because R is T-closed; the anchor and the concretization see the
-    same pairs as with the unrestricted T+.
+    R, its layers and T cut to W x W come from the space `sim` carries,
+    built at the budget of `sim_fixpoint` or `validate_candidate`; `budget`
+    bounds only T+ and the lasso search.  The formula only pairs reachable
+    words with their T+-successors, which are reachable too, and T+ is the
+    closure of T cap (W x W), which equals T+ cap (W x W) because W is
+    T-closed; the anchor and the concretization see the same pairs as with
+    the unrestricted T+.
     """
     exact = isinstance(sim, SimRelation) and sim.exact
     if isinstance(sim, SimCandidate) and not sim.validated:
@@ -319,7 +303,7 @@ def check_emptiness_sim(
         return Verdict.unknown(f"weak representability lost: {e}")
     diag = {
         "closure_steps": plus.steps_used,
-        "converged": space.square is not None and plus.converged,
+        "converged": space.closed and plus.converged,
         "sim_exact": exact,
     }
     if anchor is None:
@@ -349,24 +333,49 @@ def check_emptiness_sim(
 
 def _space(m: RegularSystem, budget: int) -> _Space:
     """The space of a simulation check on `m`, from reachability within
-    `budget` steps: the reach layers and set R, and, when R converged, the
-    square R x R over the pair alphabet with T cut to it.
+    `budget` steps: the reach layers and set R, and the T-closed words W,
+    R when it converged and every word otherwise, with the square W x W
+    over the pair alphabet and T cut to it.
 
-    The square is an automaton of R's own class.  In omega mode R is a weak
-    DBA, so a cycle of the square stays in one SCC of R per track, each
-    accepting or not as a whole, and requiring both tracks to accept is the
-    Buchi condition of the square.
+    The square of R is an automaton of R's own class.  In omega mode R is a
+    weak DBA, so a cycle of the square stays in one SCC of R per track,
+    each accepting or not as a whole, and requiring both tracks to accept
+    is the Buchi condition of the square.  The square of every word is all
+    pairs (`_all_pairs`), which hold T whole; in finite mode over more than
+    `COMPLETION_CAP` letter pairs no refinement step runs in it, and the
+    cap is the space's `capped` reason.
     """
+    layers = reach = lost = capped = None
     try:
         layers, reach, ends = _reach_layers(m, budget)
+        closed = ends[None][0]
     except NonWeakResult as e:
-        return _Space(m, None, None, None, m.relation, f"weak representability lost: {e}")
-    if not ends[None][0]:
-        return _Space(m, tuple(layers), reach, None, m.relation)
-    pairs = Alphabet.product(reach.alphabet, reach.alphabet)
-    square = product_general(reach, reach, pairs, _sync_symbols(reach.alphabet.size))
-    t = Transducer(_canon(_intersect(m.relation.inner, square)))
-    return _Space(m, tuple(layers), reach, square, t)
+        closed, lost = False, f"weak representability lost: {e}"
+    t = m.relation
+    if closed:
+        square = product_general(reach, reach, t.inner.alphabet, _sync_symbols(m.alphabet.size))
+        t = Transducer(_canon(_intersect(t.inner, square)))
+    else:
+        try:
+            square = _all_pairs(t)
+        except AlphabetCapExceeded as e:
+            square, capped = _every_word(t.inner.alphabet, t), str(e)
+    words = reach if closed else _every_word(m.alphabet, m)
+    return _Space(m, tuple(layers or ()), reach, words, square, t, closed, lost, capped)
+
+
+def _every_word(alphabet: Alphabet, like: RegularSystem | Transducer) -> FiniteAutomaton:
+    """Every word over `alphabet`, of the word kind of `like`."""
+    return omega_universal(alphabet) if like.mode == OMEGA else universal(alphabet)
+
+
+def _all_pairs(t: Transducer) -> FiniteAutomaton:
+    """Every pair of words of the kind of `t`.  It stands for the
+    completion of a relation over the pair alphabet, so in finite mode it
+    meets the completion cap (`AlphabetCapExceeded`)."""
+    if t.mode != OMEGA:
+        _require_completable(t.inner.alphabet)
+    return _every_word(t.inner.alphabet, t)
 
 
 def _loopable_from_plus(msys: BuchiRegularSystem, plus):

@@ -408,9 +408,16 @@ def _ten_state_argv(ring_dir, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["check-gsp", "--engine", "sim"], ["sim"]])
-def test_sim_engine_at_the_completion_cap_is_unknown(ring_dir, tmp_path, capsys, command):
-    # at budget 1 reach does not converge, so not G is a complement over
-    # the whole pair alphabet
+def test_sim_engine_at_the_completion_cap_is_unknown(
+    ring_dir, tmp_path, capsys, monkeypatch, command
+):
+    # at budget 1 reach does not converge, so the simulation would run on
+    # all pairs over the whole pair alphabet: the cap stops it before any step
+    from rmckit import simulation
+
+    steps = []
+    real = simulation.sim_step
+    monkeypatch.setattr(simulation, "sim_step", lambda *a: steps.append(a) or real(*a))
     argv = _ten_state_argv(ring_dir, tmp_path)
     code = main(command + argv + ["--budget", "1", "--format", "json"])
     captured = capsys.readouterr()
@@ -420,6 +427,9 @@ def test_sim_engine_at_the_completion_cap_is_unknown(ring_dir, tmp_path, capsys,
     assert [row["reason"] for row in doc["slices"]] == [
         "alphabet of size 4356 exceeds completion cap 4096"
     ] * 2
+    assert steps == []
+    if command == ["sim"]:
+        assert [row["iterations"] for row in doc["slices"]] == [0, 0]
 
 
 def test_sim_engine_with_converged_reach_decides_the_cap_instance(ring_dir, tmp_path, capsys):

@@ -167,6 +167,9 @@ def test_reach_bad_property_follows_the_system_mode(tmp_path, mode, prop, error)
     [
         ("omega", "cop: has_t finite_bad.aut", "state property 'has_t' must read omega words"),
         ("finite", "cop: has_t omega_bad.aut", "state property 'has_t' must read finite words"),
+        # a Buchi cop with no weak DBA is refused for its kind before its weakness
+        ("finite", "cop: has_t not_weak.aut", "state property 'has_t' must read finite words"),
+        ("omega", "cop: has_t not_weak.aut", "omega state property 'has_t' must be weak"),
         ("finite", "cop: has_t rel.aut", "state property 'has_t' needs a finite-word or Buchi automaton"),
         ("finite", "lep: has_t finite_bad.aut", "local execution property 'has_t' needs Buchi automata"),
     ],
@@ -184,6 +187,8 @@ def test_cop_and_lep_entries_report_their_line(tmp_path, mode, entry, error):
         "rel.aut": identity(nt, mode),
         "omega_bad.aut": build_fa(nt, 2, [0], [1], has_t, omega=True),
         "finite_bad.aut": build_fa(nt, 2, [0], [1], has_t),
+        # infinitely many T, read by a nondeterministic automaton
+        "not_weak.aut": build_fa(nt, 2, [0], [1], has_t + [(1, "N", 0)], omega=True),
     }
     for name, value in files.items():
         (tmp_path / name).write_text(serialize_aut(value))
@@ -207,8 +212,11 @@ def test_token_ring_cop_naming_a_lep_file_fails_at_load(tmp_path):
     lineno = lines.index("cop: one_token cop_one_token.aut") + 1
     lines[lineno - 1] = "cop: one_token lep_liveness.aut"
     system.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="^cop 'one_token': ") as info:
+    with pytest.raises(ParseError) as info:
         load_system(system)
+    assert str(info.value) == (
+        f"cop 'one_token': state property 'one_token' must read finite words (line {lineno})"
+    )
     assert info.value.line == lineno
 
 

@@ -31,7 +31,6 @@ from rmckit.gsp import cop_alphabet
 from rmckit.omega import (
     OmegaAutomaton,
     _canon,
-    _complement,
     _difference,
     _includes,
     _product,
@@ -39,6 +38,7 @@ from rmckit.omega import (
     canonical_renumber,
     omega_is_empty,
     omega_universal,
+    to_weak_dba,
 )
 from rmckit.transducer import accepts_pair, identity, pair_word
 
@@ -248,7 +248,7 @@ def test_omega_difference_dispatch_on_layered_draws():
         a, b = random_layered_weak_dba(rng, NT, 4, 2), random_layered_weak_dba(rng, NT, 4, 2)
         diff = _difference(a, b)
         assert isinstance(diff, OmegaAutomaton)
-        assert _canon(diff) == _canon(omega_intersect(a, _complement(b)))
+        assert _canon(diff) == _canon(omega_intersect(a, complement_weak_dba(to_weak_dba(b))))
         for w in sample_lassos(NT, 20, seed=rng.randrange(10**6)):
             assert accepts_up_word(diff, w) == (
                 lasso_accepts_deterministic(a, w) and not lasso_accepts_deterministic(b, w)

@@ -238,3 +238,13 @@ def test_only_two_functions_take_a_word_kind():
         ("transducer", "identity"),
         ("gsp", "_check_cops"),
     }
+
+
+def test_every_source_line_fits_in_100_columns():
+    long = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []

@@ -352,26 +352,34 @@ def ten_state_negated():
 
 
 @pytest.mark.parametrize(
-    "system, negated",
+    "system, negated, n, budget",
     [
-        (token_ring, gsp_always_one_token_negated),
-        (token_ring_idle_mutant, gsp_always_one_token_negated),
-        (token_ring_dup_mutant, gsp_always_one_token_negated),
-        (token_ring, ten_state_negated),
+        (token_ring, gsp_always_one_token_negated, 2, 30),
+        (token_ring_idle_mutant, gsp_always_one_token_negated, 2, 30),
+        (token_ring_dup_mutant, gsp_always_one_token_negated, 2, 30),
+        (token_ring, ten_state_negated, 2, 30),
+        (token_ring, gsp_always_one_token_negated, 3, 1),
+        (token_ring_idle_mutant, gsp_always_one_token_negated, 3, 1),
+        (token_ring_dup_mutant, gsp_always_one_token_negated, 3, 1),
     ],
 )
-def test_sim_fixpoint_with_converged_reach_completes_nothing(monkeypatch, system, negated):
+def test_sim_fixpoint_completes_nothing(monkeypatch, system, negated, n, budget):
+    # not G is a difference inside W x W, whether W is the converged reach
+    # (budget 30) or every word (budget 1)
     cop = state_property("one_token", cop_one_token())
-    aug = build_augmented_finite(slice_system(system(), 2), negated_gsp(negated(), 1), [cop])
-    assert reachable(aug.msys.system, budget=30).converged
+    aug = build_augmented_finite(slice_system(system(), n), negated_gsp(negated(), 1), [cop])
+    assert reachable(aug.msys.system, budget=budget).converged == (budget == 30)
     calls = []
     for module, name in ((automata, "complete"), (automata, "_complete_dfa"), (omega, "complete")):
         real = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
-    sim = sim_fixpoint(aug.msys, [cop], budget=30)
-    assert sim.exact and sim.reason is None
+    sim = sim_fixpoint(aug.msys, [cop], budget=budget)
+    if budget == 30:
+        assert sim.exact and sim.reason is None
+    else:
+        assert sim.iteration_index == 1 and sim.reason.startswith("budget 1 exhausted")
     assert calls == []
 
 
