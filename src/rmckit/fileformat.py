@@ -40,11 +40,11 @@ from pathlib import Path
 
 from .alphabet import Alphabet
 from .automata import FiniteAutomaton
-from .errors import InputError, NotWeak, ParseError, RmckitError
+from .errors import InputError, ModeMismatch, NotWeak, ParseError, RmckitError
 from .gsp import StateProperty, _check_cops, negate_gsp, negated_gsp, state_property
 from .losp import LocalExecutionProperty, local_execution_property, losp_property
 from .omega import OmegaAutomaton
-from .system import RegularSystem, _require_bad_set, validate
+from .system import RegularSystem, _require_set, validate
 from .transducer import FINITE, OMEGA, Transducer
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -318,15 +318,22 @@ def load_system(path: str | Path) -> LoadedSystem:
         raise ParseError("system file needs alphabet, initial and relation")
     if not isinstance(relation, Transducer):
         raise ParseError("relation file must hold a transducer")
-    system = validate(RegularSystem(alphabet, initial, relation, mode))
+    # a system's alphabet and word kind are its relation's: the declarations must agree
+    if mode != relation.mode:
+        raise ModeMismatch("relation transducer does not match the system mode")
+    if alphabet != relation.base:
+        raise ModeMismatch("system components are over different alphabets")
+    system = validate(RegularSystem(initial, relation))
 
     cop_list: list[StateProperty] = []
     for name, aut, lineno in cops:
         with _entry("cop", name, lineno):
-            # a cop that cannot be typed is checked as it is, its kind first
+            # a cop of the other word kind, or one that cannot be typed, is
+            # checked as it is, its kind first
             cop = StateProperty(name, aut)
-            with suppress(NotWeak):
-                cop = state_property(name, aut)
+            if isinstance(aut, OmegaAutomaton) == (mode == OMEGA):
+                with suppress(NotWeak):
+                    cop = state_property(name, aut)
             _check_cops([cop], alphabet, mode)
         cop_list.append(cop)
     lep_list: list[LocalExecutionProperty] = []
@@ -355,7 +362,7 @@ def _typed_property(kind: str, aut, loaded: LoadedSystem):
     """The property of `kind` that `aut` declares for `loaded`, for a
     system-file block and a `--property` file alike."""
     if kind == "reach-bad":
-        return _require_bad_set(loaded.system, aut)
+        return _require_set(loaded.system, aut, "bad")
     if kind == "gsp-negated":
         return negated_gsp(aut, len(loaded.cops))
     if kind == "gsp":

@@ -19,7 +19,7 @@ from .gsp import cop_alphabet
 from .losp import lep_alphabet
 from .omega import OmegaAutomaton
 from .system import RegularSystem, validate
-from .transducer import FINITE, Transducer, union_t
+from .transducer import Transducer, union_t
 
 
 def build_fa(
@@ -108,19 +108,17 @@ def identity_branch() -> Transducer:
 
 
 def token_ring() -> RegularSystem:
-    return validate(
-        RegularSystem(ring_alphabet(), ring_initial(), ring_relation(), FINITE)
-    )
+    return validate(RegularSystem(ring_initial(), ring_relation()))
 
 
 def token_ring_idle_mutant() -> RegularSystem:
     rel = union_t(ring_relation(), idle_branch())
-    return validate(RegularSystem(ring_alphabet(), ring_initial(), rel, FINITE))
+    return validate(RegularSystem(ring_initial(), rel))
 
 
 def token_ring_dup_mutant() -> RegularSystem:
     rel = union_t(union_t(ring_relation(), dup_branch()), identity_branch())
-    return validate(RegularSystem(ring_alphabet(), ring_initial(), rel, FINITE))
+    return validate(RegularSystem(ring_initial(), rel))
 
 
 def cop_one_token() -> FiniteAutomaton:

@@ -333,7 +333,7 @@ def _augmented(m, neg, cops, sigma_a, labels, step, final, shape) -> GspAugmenta
     )
     nga = neg.automaton
     init = _labelled_initial(m.initial, sigma_a, shape(nga.initial))
-    msys = BuchiRegularSystem(RegularSystem(sigma_a, init, t_aug, m.mode), shape(nga.accepting))
+    msys = BuchiRegularSystem(RegularSystem(init, t_aug), shape(nga.accepting))
     return GspAugmentation(msys, m, neg, tuple(cops))
 
 

@@ -262,10 +262,7 @@ def build_augmented_losp(
 
     init = _losp_initial(m.initial, lo, leps, runs, letter, sigma_a)
     acc = _losp_acceptance(sigma_a)
-    aug_system = RegularSystem(sigma_a, init, t_aug, FINITE)
-    return LospAugmentation(
-        BuchiRegularSystem(aug_system, acc), m, lo, tuple(leps)
-    )
+    return LospAugmentation(BuchiRegularSystem(RegularSystem(init, t_aug), acc), m, lo, tuple(leps))
 
 
 def _losp_initial(initial, lo: Losp, leps, runs, letter, sigma_a) -> FiniteAutomaton:
@@ -379,7 +376,7 @@ def extend_with_flags(m: RegularSystem, flags: Sequence[str]) -> RegularSystem:
         ]
 
     new_rel = Transducer(relabel(m.relation.inner, Alphabet.product(new_base, new_base), lifted))
-    return RegularSystem(new_base, new_init, new_rel, FINITE)
+    return RegularSystem(new_init, new_rel)
 
 
 def combine_verdicts(expr: str, verdicts: dict[str, Verdict]) -> Verdict:

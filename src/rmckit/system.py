@@ -2,7 +2,8 @@
 
 A regular system encodes a state-transition system: states are words over a
 base alphabet, the initial set is an automaton and the transition relation a
-structure-preserving transducer.  Parametric verification slices a finite
+structure-preserving transducer, which fixes the base alphabet and the word
+kind, finite or omega, of the system.  Parametric verification slices a finite
 system to one word length per network instance; sliced systems have finitely
 many reachable states, so the fixpoint computations below are exact on them.
 
@@ -51,12 +52,19 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class RegularSystem:
-    """Triple (alphabet, initial-set automaton, relation transducer)."""
+    """Pair (initial-set automaton, relation transducer).  The system's
+    alphabet and word kind are read from the relation, never stored."""
 
-    alphabet: Alphabet
     initial: FiniteAutomaton
     relation: Transducer
-    mode: str = FINITE
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.relation.base
+
+    @property
+    def mode(self) -> str:
+        return self.relation.mode
 
 
 @dataclass(frozen=True)
@@ -105,19 +113,12 @@ class Verdict:
 
 
 def validate(m: RegularSystem) -> RegularSystem:
-    """Check system invariants; flags are recomputed, never trusted."""
-    if m.mode not in (FINITE, OMEGA):
-        raise ModeMismatch(f"unknown mode {m.mode!r}")
-    is_omega = m.mode == OMEGA
-    if isinstance(m.initial, OmegaAutomaton) != is_omega:
-        raise ModeMismatch("initial automaton does not match the system mode")
-    if m.relation.mode != m.mode:
-        raise ModeMismatch("relation transducer does not match the system mode")
-    if m.initial.alphabet != m.alphabet or m.relation.base != m.alphabet:
-        raise ModeMismatch("system components are over different alphabets")
+    """Check that the initial set is a deterministic set of the relation's words, weak in
+    omega mode with a weak deterministic relation; flags are recomputed, never trusted."""
+    _require_set(m, m.initial, "initial")
     if not m.initial.is_deterministic:
         raise NotDeterministic("initial-set automaton must be deterministic")
-    if is_omega:
+    if m.mode == OMEGA:
         if not m.initial.is_weak:
             raise NotWeak("initial-set automaton must be weak in omega mode")
         rel = m.relation.inner
@@ -136,7 +137,7 @@ def slice_system(m: RegularSystem, n: int) -> RegularSystem:
         raise InputError("slice length must be at least 1")
     initial = minimize(cut_lengths(m.initial, (n,)))
     rel_inner = minimize(cut_lengths(m.relation.inner, (n,)), completion=False)
-    return RegularSystem(m.alphabet, initial, Transducer(rel_inner), FINITE)
+    return RegularSystem(initial, Transducer(rel_inner))
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +192,15 @@ def _backchain(
     return words
 
 
-def _require_bad_set(m: RegularSystem, bad: FiniteAutomaton) -> FiniteAutomaton:
-    """`bad` if it can be a bad set of `m`: an automaton of the system's
-    word kind over its alphabet."""
-    if type(bad) is not (OmegaAutomaton if m.mode == OMEGA else FiniteAutomaton):
+def _require_set(m: RegularSystem, aut: FiniteAutomaton, what: str) -> FiniteAutomaton:
+    """`aut` if it can be the `what` set of `m` ("initial", "bad"): first an
+    automaton of the system's word kind, then one over its alphabet."""
+    if type(aut) is not (OmegaAutomaton if m.mode == OMEGA else FiniteAutomaton):
         words = "an omega" if m.mode == OMEGA else "a finite"
-        raise ModeMismatch(f"bad set must be {words}-word automaton")
-    if bad.alphabet != m.alphabet:
-        raise ModeMismatch("bad-set automaton is over a different alphabet")
-    return bad
+        raise ModeMismatch(f"{what} set must be {words}-word automaton")
+    if aut.alphabet != m.alphabet:
+        raise ModeMismatch(f"{what}-set automaton is over a different alphabet")
+    return aut
 
 
 def check_reachability_property(
@@ -209,7 +210,7 @@ def check_reachability_property(
     mode, encodes the unsafe words.  A path witness replays before it is
     returned.  Given `lengths`, those the initial set of `m` was cut to, the
     result is a verdict per length, each the one its slice's own run gives."""
-    _require_bad_set(m, bad)
+    _require_set(m, bad, "bad")
     keys = _Lengths(lengths)
     try:
         layers, _, ends = _reach_layers(m, budget, lambda layer: _intersect(layer, bad), keys)
@@ -277,7 +278,7 @@ def verify_parametric(
     else:
         lengths = range(lo, hi + 1)
         initial = minimize(cut_lengths(m.initial, lengths))
-        results = check(RegularSystem(m.alphabet, initial, m.relation, FINITE), lengths)
+        results = check(RegularSystem(initial, m.relation), lengths)
     status = _conjoin(v.status for v in results.values())
     if status == VIOLATED:
         n = next(n for n, v in results.items() if v.status == VIOLATED)

@@ -306,6 +306,41 @@ def lasso_accepts_deterministic(aut: OmegaAutomaton, w: UltimatelyPeriodicWord) 
     return bool(cycle_states & set(aut.accepting))
 
 
+def weak_dba_difference(a: OmegaAutomaton, b: OmegaAutomaton) -> OmegaAutomaton:
+    """L(a) minus L(b) for two weak DBAs over one alphabet, as the explicit
+    product of the two, each completed with a rejecting sink (None): a pair
+    state accepts iff its `a` state accepts and its `b` state does not.  A
+    run settles in one SCC of each weak automaton, where acceptance is
+    uniform, so the product accepts the words that `a` accepts and `b` does
+    not."""
+
+    def step_map(aut: OmegaAutomaton) -> dict:
+        delta = {}
+        for src, sym, dst in aut.transitions:
+            assert (src, sym) not in delta, "oracle needs deterministic automata"
+            delta[(src, sym)] = dst
+        return delta
+
+    delta_a, delta_b = step_map(a), step_map(b)
+    (qa,), (qb,) = a.initial, b.initial
+    start = (qa, qb)
+    ids = {start: 0}
+    frontier = [start]
+    transitions = set()
+    while frontier:
+        pa, pb = pair = frontier.pop()
+        for sym in range(a.alphabet.size):
+            succ = (delta_a.get((pa, sym)), delta_b.get((pb, sym)))
+            if succ not in ids:
+                ids[succ] = len(ids)
+                frontier.append(succ)
+            transitions.add((ids[pair], sym, ids[succ]))
+    accepting = frozenset(
+        i for (pa, pb), i in ids.items() if pa in a.accepting and pb not in b.accepting
+    )
+    return OmegaAutomaton(a.alphabet, len(ids), frozenset({0}), accepting, frozenset(transitions))
+
+
 def tarjan(nodes, succ):
     """Local SCC computation (kept separate from the library's)."""
     index = {}
@@ -787,7 +822,7 @@ def random_sliced_system(rng: random.Random, n: int) -> RegularSystem:
         init = union(init, word_automaton(base, w))
     init = minimize(intersect(init, exact_length(base, n)))
     rel = random_transducer(rng, base, max_states=4)
-    system = RegularSystem(base, init, rel, "finite")
+    system = RegularSystem(init, rel)
     return slice_system(validate(system), n)
 
 
@@ -816,7 +851,7 @@ def random_unsliced_system(rng: random.Random, lo: int = 2, hi: int = 6) -> Regu
         for a, b in [(w, cycle[0])] + list(zip(cycle, cycle[1:] + cycle[:1])):
             pair = [x * base.size + y for x, y in zip(a, b)]
             rel = union(rel, word_automaton(rel.alphabet, pair))
-    return validate(RegularSystem(base, init, Transducer(rel), "finite"))
+    return validate(RegularSystem(init, Transducer(rel)))
 
 
 # ---------------------------------------------------------------------------

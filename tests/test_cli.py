@@ -605,6 +605,20 @@ def test_finite_word_lep_is_an_input_error(tmp_path, capsys, files):
     )
 
 
+def test_initial_set_naming_a_transducer_is_an_input_error(tmp_path, capsys):
+    # the initial set is checked as a set of the relation's words, its kind first
+    gen_example("token-ring", tmp_path)
+    path = tmp_path / "system.sys"
+    text = path.read_text()
+    assert "initial: initial.aut\n" in text
+    path.write_text(text.replace("initial: initial.aut\n", "initial: relation.aut\n"))
+    code = main(["check-reach", "--system", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: initial set must be a finite-word automaton\n"
+
+
 @pytest.fixture
 def omega_gsp_dir(tmp_path):
     bundle = dict(OMEGA_BUNDLE)

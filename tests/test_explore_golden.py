@@ -57,7 +57,7 @@ from rmckit.fixtures import (
 )
 from rmckit.omega import OmegaAutomaton, _canon, canonical_renumber
 from rmckit.system import BuchiRegularSystem, RegularSystem
-from rmckit.transducer import FINITE, OMEGA, identity
+from rmckit.transducer import OMEGA, identity
 
 from oracles import inverse, project_components
 
@@ -149,10 +149,7 @@ def gsp_finite_aug():
 
 def gsp_omega_aug():
     system = validate(
-        RegularSystem(
-            NT, build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True),
-            identity(NT, OMEGA), OMEGA,
-        )
+        RegularSystem(build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True), identity(NT, OMEGA))
     )
     starts_t = build_fa(
         NT, 3, [0], [1],
@@ -180,7 +177,7 @@ def ring_image():
 
 def sim_init_explored():
     # the explored relation before sim_init canonicalizes it
-    system = RegularSystem(AB, universal(AB), identity(AB), FINITE)
+    system = RegularSystem(universal(AB), identity(AB))
     cop = state_property("ends_a", minimize(last_a()))
     with mock.patch("rmckit.simulation._canon", lambda a: a):
         return sim_init(BuchiRegularSystem(system, universal(AB)), [cop]).relation.inner

@@ -170,6 +170,9 @@ def test_reach_bad_property_follows_the_system_mode(tmp_path, mode, prop, error)
         # a Buchi cop with no weak DBA is refused for its kind before its weakness
         ("finite", "cop: has_t not_weak.aut", "state property 'has_t' must read finite words"),
         ("omega", "cop: has_t not_weak.aut", "omega state property 'has_t' must be weak"),
+        # a weak Buchi cop whose language has no weak DBA, refused for its
+        # kind before it is determinized
+        ("finite", "cop: has_t ev_always_n.aut", "state property 'has_t' must read finite words"),
         ("finite", "cop: has_t rel.aut", "state property 'has_t' needs a finite-word or Buchi automaton"),
         ("finite", "lep: has_t finite_bad.aut", "local execution property 'has_t' needs Buchi automata"),
     ],
@@ -189,6 +192,10 @@ def test_cop_and_lep_entries_report_their_line(tmp_path, mode, entry, error):
         "finite_bad.aut": build_fa(nt, 2, [0], [1], has_t),
         # infinitely many T, read by a nondeterministic automaton
         "not_weak.aut": build_fa(nt, 2, [0], [1], has_t + [(1, "N", 0)], omega=True),
+        # eventually always N: weak, but with no weak DBA
+        "ev_always_n.aut": build_fa(
+            nt, 2, [0], [1], [(0, "N", 0), (0, "T", 0), (0, "N", 1), (1, "N", 1)], omega=True
+        ),
     }
     for name, value in files.items():
         (tmp_path / name).write_text(serialize_aut(value))

@@ -116,7 +116,7 @@ def test_degenerate_property_tracks_all_executions():
 
 def test_empty_initial_gives_empty_augmented_initial():
     empty_init = build_fa(NT, 1, [0], [], [])
-    m = RegularSystem(NT, empty_init, token_ring().relation, FINITE)
+    m = RegularSystem(empty_init, token_ring().relation)
     aug = build_augmented_finite(m, always_one_neg(), [one_token_prop()])
     from rmckit.automata import is_empty
 
@@ -254,7 +254,7 @@ def test_augmentation_numbering_ignores_transition_set_order():
     for make in (token_ring, token_ring_idle_mutant, token_ring_dup_mutant):
         for n in range(2, 6):
             sl = slice_system(make(), n)
-            omega = RegularSystem(NT, omega_init, Transducer(as_omega(sl.relation.inner)), OMEGA)
+            omega = RegularSystem(omega_init, Transducer(as_omega(sl.relation.inner)))
             cases = ((sl, build_augmented_finite, one_token_prop()),
                      (omega, build_augmented_omega, omega_cop))
             for system, build, cop in cases:
@@ -273,7 +273,7 @@ def test_augmentation_numbering_ignores_transition_set_order():
 
 def omega_identity_system():
     init = build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True)
-    return validate(RegularSystem(NT, init, identity(NT, OMEGA), OMEGA))
+    return validate(RegularSystem(init, identity(NT, OMEGA)))
 
 
 def test_omega_unfalsifiable_property_holds():
@@ -297,7 +297,7 @@ def grow_t_system():
             omega=True,
         )
     )
-    return validate(RegularSystem(NT, init, rel, OMEGA))
+    return validate(RegularSystem(init, rel))
 
 
 def test_omega_empty_loop_formula_is_not_holds():
@@ -326,7 +326,7 @@ def test_omega_stuck_execution_holds_without_repetition():
             omega=True,
         )
     )
-    system = validate(RegularSystem(NT, init, rel, OMEGA))
+    system = validate(RegularSystem(init, rel))
     verdict = check_emptiness_loop(BuchiRegularSystem(system, omega_universal(NT)), budget=12)
     assert verdict.status == HOLDS
     assert verdict.diagnostics == {"reach_steps": 2, "nested_rounds": 3, "converged": True}
@@ -345,7 +345,7 @@ def random_omega_system(seed: int) -> BuchiRegularSystem:
     base = Alphabet.base(("A", "B"))
     init = gen(base)
     rel = Transducer(gen(Alphabet.product(base, base)))
-    system = validate(RegularSystem(base, init, rel, OMEGA))
+    system = validate(RegularSystem(init, rel))
     return BuchiRegularSystem(system, gen(base))
 
 

@@ -49,7 +49,7 @@ from rmckit.fixtures import (
 )
 from rmckit.omega import UltimatelyPeriodicWord
 from rmckit.system import RegularSystem, reachable
-from rmckit.transducer import FINITE, identity
+from rmckit.transducer import identity
 
 from oracles import (
     closure_loop_formula,
@@ -248,7 +248,7 @@ def test_empty_lep_list_degenerates_to_system_emptiness():
     assert check_losp(build_augmented_losp(sl, losp_property(neg_none, 0), []), 16).status == HOLDS
     pair = Alphabet.product(NT, NT)
     dead_rel = Transducer(FiniteAutomaton(pair, 1, frozenset({0}), frozenset(), frozenset()))
-    dead = slice_system(RegularSystem(NT, ring_initial(), dead_rel, FINITE), 2)
+    dead = slice_system(RegularSystem(ring_initial(), dead_rel), 2)
     assert check_losp(build_augmented_losp(dead, losp_property(neg_all, 0), []), 16).status == HOLDS
 
 
@@ -295,7 +295,7 @@ def test_extend_with_flags_alphabet():
     init = FiniteAutomaton(
         ct, 1, frozenset({0}), frozenset({0}), frozenset({(0, 0, 0), (0, 1, 0)})
     )
-    m = RegularSystem(ct, init, identity(ct), FINITE)
+    m = RegularSystem(init, identity(ct))
     ext = extend_with_flags(m, ["a"])
     names = [ext.alphabet.name(s) for s in ext.alphabet.symbols()]
     assert names == ["C/a0", "C/a1", "T/a0", "T/a1"]

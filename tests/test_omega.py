@@ -51,6 +51,7 @@ from oracles import (
     random_layered_weak_dba,
     random_nfa,
     random_weak_dba,
+    weak_dba_difference,
 )
 
 NT = ring_alphabet()
@@ -241,14 +242,15 @@ def test_omega_complement_restriction():
 
 def test_omega_difference_dispatch_on_layered_draws():
     # in omega mode `_difference` is the intersection with the complement;
-    # lasso membership is the independent check
+    # the explicit product of the two weak DBAs and lasso membership are the
+    # independent checks
     rng = random.Random(19)
     nonempty = 0
     for _ in range(40):
         a, b = random_layered_weak_dba(rng, NT, 4, 2), random_layered_weak_dba(rng, NT, 4, 2)
         diff = _difference(a, b)
         assert isinstance(diff, OmegaAutomaton)
-        assert _canon(diff) == _canon(omega_intersect(a, complement_weak_dba(to_weak_dba(b))))
+        assert _canon(diff) == _canon(weak_dba_difference(a, b))
         for w in sample_lassos(NT, 20, seed=rng.randrange(10**6)):
             assert accepts_up_word(diff, w) == (
                 lasso_accepts_deterministic(a, w) and not lasso_accepts_deterministic(b, w)

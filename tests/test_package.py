@@ -226,7 +226,8 @@ def test_only_two_functions_take_a_word_kind():
     # a state property, an augmentation, a typed property and the other
     # constructions read the word kind from the automata and systems they
     # are given; only a relation built from an alphabet alone, and the
-    # check of cop automata against a system's declared kind, are told it
+    # check of cop automata against the kind of the system they are given,
+    # are told it
     found = set()
     for stem, tree in _modules():
         for node in ast.walk(tree):
@@ -238,6 +239,22 @@ def test_only_two_functions_take_a_word_kind():
         ("transducer", "identity"),
         ("gsp", "_check_cops"),
     }
+
+
+def test_no_class_stores_a_word_kind():
+    # a word kind is read from an automaton's class, and a system's from its
+    # relation; a field beside them could disagree with what they read
+    found = {
+        (stem, node.name)
+        for stem, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id == "mode"
+    }
+    assert found == set()
 
 
 def test_every_source_line_fits_in_100_columns():

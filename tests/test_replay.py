@@ -84,7 +84,7 @@ def _omega_case():
         ),
     )
     init = build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True)
-    system = validate(RegularSystem(NT, init, identity(NT, OMEGA), OMEGA))
+    system = validate(RegularSystem(init, identity(NT, OMEGA)))
     aug = build_augmented_omega(system, _neg(), [cop_t])
     verdict = check_emptiness_loop(aug.msys, budget=12)
     assert verdict.status == VIOLATED
@@ -106,7 +106,7 @@ def _relaxed(aug):
         return cls(alphabet, 1, frozenset({0}), frozenset({0}), loops)
 
     every = everything(sigma)
-    m = RegularSystem(sigma, every, Transducer(everything(pairs)), aug.msys.system.mode)
+    m = RegularSystem(every, Transducer(everything(pairs)))
     return dataclasses.replace(aug, msys=BuchiRegularSystem(m, every))
 
 

@@ -46,7 +46,7 @@ from rmckit.gsp import cop_alphabet, cop_of
 from rmckit.omega import OmegaAutomaton, UltimatelyPeriodicWord, accepts_up_word, omega_universal
 from rmckit.simulation import SimRelation, _space
 from rmckit.system import BuchiRegularSystem, RegularSystem
-from rmckit.transducer import FINITE, OMEGA, ClosureResult, closure, identity, pair_word
+from rmckit.transducer import ClosureResult, closure, identity, pair_word
 
 from rmckit.alphabet import COMPLETION_CAP
 
@@ -79,7 +79,7 @@ def toy_system(pairs, symbols=("x", "y")):
         base, 1, frozenset({0}), frozenset({0}),
         frozenset((0, s, 0) for s in range(base.size)),
     )
-    return BuchiRegularSystem(RegularSystem(base, init, t, FINITE), init), base
+    return BuchiRegularSystem(RegularSystem(init, t), init), base
 
 
 def test_sim_init_membership():
@@ -151,7 +151,7 @@ def test_sim_fixpoint_omega_mode():
     loop = frozenset({(0, pair.index("x/x"), 0)})
     t = Transducer(OmegaAutomaton(pair, 1, frozenset({0}), frozenset({0}), loop))
     universe = omega_universal(base)
-    msys = BuchiRegularSystem(RegularSystem(base, universe, t, OMEGA), universe)
+    msys = BuchiRegularSystem(RegularSystem(universe, t), universe)
     s = sim_fixpoint(msys, [], budget=8)
     assert s.exact and s.iteration_index == 2
     x, y = base.index("x"), base.index("y")
@@ -205,7 +205,7 @@ def test_sim_fixpoint_identity_relation():
     msys, base = toy_system(["x/x", "y/y"])
     # make the relation the full identity
     msys = BuchiRegularSystem(
-        RegularSystem(base, msys.system.initial, identity(base), FINITE),
+        RegularSystem(msys.system.initial, identity(base)),
         msys.acceptance,
     )
     s = sim_fixpoint(msys, [], budget=8)
@@ -476,7 +476,7 @@ def test_sim_init_within_reach_in_omega_mode():
         frozenset({(0, 1, 1), (0, 0, 2), (1, 0, 1), (1, 1, 1), (2, 0, 2), (2, 1, 2)}),
     )
     cop = state_property("starts_t", starts_t)
-    msys = BuchiRegularSystem(RegularSystem(base, n_omega, t, OMEGA), omega_universal(base))
+    msys = BuchiRegularSystem(RegularSystem(n_omega, t), omega_universal(base))
     assert_sim_init_within_reach_is_the_restriction(msys, [cop])
 
 
@@ -533,7 +533,7 @@ def test_check_emptiness_sim_ignores_unreachable_accepting_words():
             base, 2, frozenset({0}), frozenset({1}), frozenset({(0, s, 1), (1, s, 1)})
         )
 
-    msys = BuchiRegularSystem(RegularSystem(base, plus("b"), t, FINITE), plus("a"))
+    msys = BuchiRegularSystem(RegularSystem(plus("b"), t), plus("a"))
     sim = sim_fixpoint(msys, [], budget=8)
     assert check_emptiness_sim(msys, sim, budget=8).status == HOLDS
     assert check_emptiness_loop(msys, budget=8).status == HOLDS
@@ -553,7 +553,7 @@ def test_check_emptiness_sim_omega_empty_formula_is_unknown():
     n_omega = OmegaAutomaton(
         base, 1, frozenset({0}), frozenset({0}), frozenset({(0, base.index("N"), 0)})
     )
-    msys = BuchiRegularSystem(RegularSystem(base, n_omega, t, OMEGA), omega_universal(base))
+    msys = BuchiRegularSystem(RegularSystem(n_omega, t), omega_universal(base))
     sim = sim_fixpoint(msys, [], budget=8)
     assert sim.exact
     verdict = check_emptiness_sim(msys, sim, budget=8)
@@ -611,7 +611,7 @@ def test_loopable_words_are_the_diagonal_of_the_closure():
             cases.append((random_transducer(rng, base), automata.universal(base)))
             weak = random_layered_weak_dba(rng, pair, 4, 2)
             cases.append((Transducer(weak), omega_universal(base)))
-    msyss = [BuchiRegularSystem(RegularSystem(t.base, u, t, t.mode), u) for t, u in cases]
+    msyss = [BuchiRegularSystem(RegularSystem(u, t), u) for t, u in cases]
     pluses = [ClosureResult(t, False, 0) for t, _ in cases]
     for n in (2, 3):
         sl = slice_system(token_ring(), n)

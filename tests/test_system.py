@@ -52,13 +52,13 @@ def test_validate_rejects_wrong_alphabet_relation():
     other = Alphabet.base(("X", "Y"))
     rel = identity(other)
     with pytest.raises(ModeMismatch):
-        validate(RegularSystem(NT, ring_initial(), rel, FINITE))
+        validate(RegularSystem(ring_initial(), rel))
 
 
 def test_validate_rejects_nondeterministic_initial():
     nd = build_fa(NT, 2, [0, 1], [1], [(0, "T", 1)])
     with pytest.raises(NotDeterministic):
-        validate(RegularSystem(NT, nd, ring_relation(), FINITE))
+        validate(RegularSystem(nd, ring_relation()))
 
 
 def test_validate_omega_needs_weak_initial():
@@ -68,7 +68,7 @@ def test_validate_omega_needs_weak_initial():
         omega=True,
     )
     with pytest.raises(NotWeak):
-        validate(RegularSystem(NT, inf_t, identity(NT, OMEGA), OMEGA))
+        validate(RegularSystem(inf_t, identity(NT, OMEGA)))
 
 
 def test_slice_initial_and_relation():
@@ -90,10 +90,8 @@ def test_slice_idempotent():
 def test_slice_rejects_omega_and_bad_length():
     with pytest.raises(ModeMismatch):
         omega_sys = RegularSystem(
-            NT,
             build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True),
             identity(NT, OMEGA),
-            OMEGA,
         )
         slice_system(omega_sys, 2)
     with pytest.raises(Exception):
@@ -122,7 +120,7 @@ def test_reachable_matches_explicit_bfs(n):
 
 def test_reachable_empty_initial():
     empty = build_fa(NT, 1, [0], [], [])
-    m = RegularSystem(NT, empty, ring_relation(), FINITE)
+    m = RegularSystem(empty, ring_relation())
     result = reachable(m, budget=4)
     assert result.converged
     from rmckit.automata import is_empty
@@ -143,7 +141,7 @@ def test_reachability_violated_at_step_zero():
         NT, 3, [0], [2],
         [(0, "T", 1), (1, "N", 1), (1, "T", 2), (2, "N", 2)],
     )
-    m = RegularSystem(NT, bad_init, ring_relation(), FINITE)
+    m = RegularSystem(bad_init, ring_relation())
     verdict = check_reachability_property(m, bad_two_tokens(), budget=8)
     assert verdict.status == VIOLATED
     assert verdict.diagnostics["steps"] == 0
@@ -215,7 +213,7 @@ def test_reachability_bad_set_must_match_the_system_mode():
 
 def test_reachability_bad_set_mode_is_worded_like_the_loader():
     omega_sys = validate(RegularSystem(
-        NT, build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True), identity(NT, OMEGA), OMEGA
+        build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True), identity(NT, OMEGA)
     ))
     with pytest.raises(ModeMismatch, match="^bad set must be an omega-word automaton$"):
         check_reachability_property(omega_sys, bad_two_tokens(), budget=4)
@@ -231,17 +229,15 @@ def test_reachability_unknown_on_budget():
 def test_locality_evidence():
     assert locality_evidence(token_ring()).locally_finite
     omega_sys = RegularSystem(
-        NT,
         build_fa(NT, 1, [0], [0], [(0, "N", 0)], omega=True),
         identity(NT, OMEGA),
-        OMEGA,
     )
     assert not locality_evidence(omega_sys).locally_finite
 
 
 def test_sliced_reach_included_in_converging_unsliced_reach():
     # with a universal initial set the unsliced fixpoint converges in one step
-    m = RegularSystem(NT, minimize(universal(NT)), ring_relation(), FINITE)
+    m = RegularSystem(minimize(universal(NT)), ring_relation())
     full = reachable(m, budget=4)
     assert full.converged
     sl_reach = reachable(slice_system(m, 3), budget=8)
