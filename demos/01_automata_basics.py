@@ -36,7 +36,8 @@ for w in enumerate_words(both, 3):
 d = determinize(one_token)
 print("\ndeterminized:", d.n_states, "states, complete =", d.is_complete)
 
-# two different automata for the same language minimize to the same value
+# two different automata for the same language minimize to the same value,
+# the trim minimal DFA (determinize(minimize(a)) is the complete one)
 variant = union(one_token, one_token)
 assert minimize(one_token) == minimize(variant)
 print("minimize is canonical: byte-identical serializations")

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, InputError
 
-#: Alphabets at most this large may be completed / complemented eagerly.
+#: Alphabets at most this large may be completed (by `determinize`, hence
+#: `complement`); minimization never completes, so it meets no cap.
 COMPLETION_CAP = 4096
 
 

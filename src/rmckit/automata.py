@@ -23,11 +23,14 @@ in the order `explore` would, because walking the rows directly is faster.
 A deterministic input skips the subset construction: `minimize` partitions
 the input's own rows, and only the quotient is numbered.
 
-`minimize` partitions the live states by one of two algorithms, picked by
-the input.  When Kahn's algorithm orders every live state, no cycle runs
-through them, so the live language is finite, as the language of every set
-and relation of a sliced check is: one registration pass in that order
-gives each state the class of its signature.  Otherwise Hopcroft's
+A finite-word set has one canonical form, the trim minimal DFA that
+`minimize` returns at every alphabet size; a caller whose contract needs a
+complete DFA asks for `determinize(minimize(a))`.  `minimize` partitions
+the live states by one of two algorithms, picked by the input.  When
+Kahn's algorithm orders every live state, no cycle runs through them, so
+the live language is finite, as the language of every set and relation of
+a sliced check is: one registration pass in that order gives each state
+the class of its signature.  Otherwise Hopcroft's
 refinement splits the classes until they are stable.  Both give the
 coarsest partition, so the result is the same either way.
 
@@ -451,13 +454,13 @@ def determinize(a: FiniteAutomaton) -> FiniteAutomaton:
     return _complete_dfa(_determinize_subsets(a))
 
 
-def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutomaton:
+def minimize(a: FiniteAutomaton) -> FiniteAutomaton:
     """Canonical minimal DFA; equal languages give identical values.
 
-    The automaton is completed (sink highest-numbered) when the alphabet is
-    small enough, or when `completion=True` is forced; above the cap the
-    canonical trim form without the dead state is returned, which is equally
-    canonical and avoids materializing huge sink rows.
+    The result is trim at every alphabet size: every state is reachable and
+    reaches an accepting one, and the empty language is the one rejecting
+    state with no moves.  It is the one canonical form of a finite-word set;
+    `determinize(minimize(a))` is the complete minimal DFA.
 
     Only the live states, those that reach an accepting state, are
     partitioned: the dead states form one class that is never split, and a
@@ -513,16 +516,13 @@ def minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutoma
 
     # the quotient over the live classes, numbered from the initial class
     accepting_classes = {cls[q] for q in accepting}
-    quotient = explore(
+    return explore(
         FiniteAutomaton,
         a.alphabet,
         [cls[start]] if cls[start] >= 0 else [],
         moves,
         accepting_classes.__contains__,
     )
-    if completion is None:
-        completion = a.alphabet.size <= COMPLETION_CAP
-    return _complete_dfa(quotient) if completion else quotient
 
 
 # `_register` and `_refine` partition the states of a DFA given by its rows

@@ -51,7 +51,9 @@ class InconsistentComplement(InputError):
 
 class AlphabetCapExceeded(InputError):
     """An alphabet exceeds a size cap: an augmented alphabet its configured
-    cap, or the alphabet of a finite-word complement `alphabet.COMPLETION_CAP`."""
+    cap, or the alphabet of a finite-word completion (`determinize`,
+    `complement`, the simulation's all-pairs square)
+    `alphabet.COMPLETION_CAP`; a minimization never completes."""
 
 
 class ParseError(InputError):

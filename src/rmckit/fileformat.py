@@ -310,6 +310,11 @@ def load_system(path: str | Path) -> LoadedSystem:
                 raise ParseError(
                     f"property takes `kind name file` with kind in {PROPERTY_KINDS}", lineno
                 )
+            # a name is one property whatever its kind: `check-gsp` looks
+            # it up as gsp-negated and as gsp
+            first = next((line for _, name, _, line in prop_entries if name == fields[1]), None)
+            if first is not None:
+                raise ParseError(f"property {fields[1]!r} already declared on line {first}", lineno)
             prop_entries.append((fields[0], fields[1], read_aut(fields[2], lineno), lineno))
         else:
             raise ParseError(f"unknown key {key!r}", lineno)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .automata import FiniteAutomaton, complete, explore, minimize, relabel
+from .automata import FiniteAutomaton, complete, determinize, explore, minimize, relabel
 from .errors import (
     AlphabetCapExceeded,
     AlphabetMismatch,
@@ -124,12 +124,13 @@ class StateProperty:
 
 
 def state_property(name: str, automaton: FiniteAutomaton) -> StateProperty:
-    """A property of omega words if `automaton` is Buchi, of finite words otherwise."""
+    """A property of omega words if `automaton` is Buchi, of finite words
+    otherwise, stored in the complete minimal form `_check_cops` needs."""
     if not isinstance(automaton, FiniteAutomaton):
         raise ModeMismatch(f"state property {name!r} needs a finite-word or Buchi automaton")
     if isinstance(automaton, OmegaAutomaton):
         return StateProperty(name, minimize_weak_dba(to_weak_dba(automaton)))
-    return StateProperty(name, minimize(automaton, completion=True))
+    return StateProperty(name, determinize(minimize(automaton)))
 
 
 def _check_cops(cops: Sequence[StateProperty], alphabet: Alphabet, mode: str) -> None:

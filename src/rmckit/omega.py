@@ -115,7 +115,7 @@ class OmegaAutomaton(FiniteAutomaton):
         for comp in self.sccs:
             if not any(q in self._reachable for q in comp):
                 continue
-            if self._accepting_cycle_in(comp) and self._rejecting_cycle_in(comp):
+            if self._accepting_cycle_in(comp) and any(q in self._on_rejecting_cycle for q in comp):
                 return False
         return True
 
@@ -124,22 +124,21 @@ class OmegaAutomaton(FiniteAutomaton):
             return False
         return any(q in self.accepting for q in comp)
 
-    def _rejecting_cycle_in(self, comp: list[int]) -> bool:
-        members = [q for q in comp if q not in self.accepting]
-        member_set = set(members)
-        if not members:
-            return False
-        sub = strongly_connected_components(
-            self.n_states,
-            lambda q: (d for d in self.successors(q) if d in member_set and q in member_set),
-        )
-        for c in sub:
-            c2 = [q for q in c if q in member_set]
-            if len(c2) > 1:
-                return True
-            if c2 and c2[0] in set(self.successors(c2[0])) and c2[0] in member_set:
-                return True
-        return False
+    @cached_property
+    def _on_rejecting_cycle(self) -> set[int]:
+        """The states on a cycle of rejecting states, from one SCC pass over
+        the subgraph the rejecting states induce."""
+
+        def inside(q):
+            if q in self.accepting:
+                return []
+            return [d for d in self.successors(q) if d not in self.accepting]
+
+        marked = set()
+        for comp in strongly_connected_components(self.n_states, inside):
+            if len(comp) > 1 or comp[0] in inside(comp[0]):
+                marked.update(comp)
+        return marked
 
 
 def _require_buchi(op: str, *automata: FiniteAutomaton) -> None:
@@ -446,7 +445,7 @@ def _canon(a: FiniteAutomaton) -> FiniteAutomaton:
     """Canonical form: the minimal trim DFA, or the minimal complete weak DBA."""
     if isinstance(a, OmegaAutomaton):
         return minimize_weak_dba(to_weak_dba(a))
-    return minimize(a, completion=False)
+    return minimize(a)
 
 
 def _intersect(a: FiniteAutomaton, b: FiniteAutomaton) -> FiniteAutomaton:

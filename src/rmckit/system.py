@@ -136,7 +136,7 @@ def slice_system(m: RegularSystem, n: int) -> RegularSystem:
     if n < 1:
         raise InputError("slice length must be at least 1")
     initial = minimize(cut_lengths(m.initial, (n,)))
-    rel_inner = minimize(cut_lengths(m.relation.inner, (n,)), completion=False)
+    rel_inner = minimize(cut_lengths(m.relation.inner, (n,)))
     return RegularSystem(initial, Transducer(rel_inner))
 
 

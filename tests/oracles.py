@@ -7,10 +7,12 @@ There are two exceptions.  `closure_loop_formula`, the paper's
 closure-based emptiness formula, is kept as a symbolic reference for the
 emptiness engine.  `moore_minimize` is Moore's refinement, the algorithm
 `minimize` used before partition refinement, kept as its reference; it
-shares the subset construction, the quotient numbering and the completion
-with `minimize`, so only the refinement differs.  `naive_includes` is the
-on-the-fly inclusion search that `automata.includes` used before it became
-the emptiness of `automata.difference`, kept as its reference, and
+shares the subset construction and the quotient numbering with `minimize`,
+and with `completion` it adds the sink as `determinize` does, so only the
+refinement differs.  `inherently_weak_oracle` decides inherent weakness by
+explicit cycle searches.  `naive_includes` is the on-the-fly inclusion
+search that `automata.includes` used before it became the emptiness of
+`automata.difference`, kept as its reference, and
 `exact_length` builds the words of one length that `system.slice_system`
 now cuts to with `cut_lengths`.  `relation_equal` and
 `reflexive_check` are test helpers on top of `transducer.relation_includes`,
@@ -32,7 +34,7 @@ import itertools
 import random
 from dataclasses import replace
 
-from rmckit.alphabet import COMPLETION_CAP, Alphabet
+from rmckit.alphabet import Alphabet
 from rmckit.automata import (
     FiniteAutomaton,
     _complete_dfa,
@@ -58,9 +60,10 @@ def naive_accepts(aut, word) -> bool:
     return bool(frontier & set(aut.accepting))
 
 
-def moore_minimize(a: FiniteAutomaton, completion: bool | None = None) -> FiniteAutomaton:
+def moore_minimize(a: FiniteAutomaton, completion: bool = False) -> FiniteAutomaton:
     """`minimize` by Moore's refinement, which recomputes every state's
-    signature each round until no class splits."""
+    signature each round until no class splits; with `completion`, the
+    complete minimal DFA `determinize(minimize(a))`."""
     d = _determinize_subsets(a)
     n, delta, accepting = d.n_states, d.adjacency, d.accepting
 
@@ -118,8 +121,6 @@ def moore_minimize(a: FiniteAutomaton, completion: bool | None = None) -> Finite
         moves,
         accepting_classes.__contains__,
     )
-    if completion is None:
-        completion = a.alphabet.size <= COMPLETION_CAP
     return _complete_dfa(quotient) if completion else quotient
 
 
@@ -272,6 +273,40 @@ def lasso_search(a: OmegaAutomaton, w: UltimatelyPeriodicWord) -> bool:
         if has_cycle and any((n // total) in a.accepting for n in members):
             return True
     return False
+
+
+def inherently_weak_oracle(a: OmegaAutomaton) -> bool:
+    """`is_inherently_weak` by explicit searches: no reachable accepting
+    state on a cycle shares a component with a rejecting state on a cycle
+    of rejecting states.  A state is on a cycle when a search from its
+    successors gets back to it; for a rejecting state the search steps
+    through rejecting states only."""
+    step: dict[int, set[int]] = {}
+    for src, _, dst in a.transitions:
+        step.setdefault(src, set()).add(dst)
+
+    def reach(starts, allowed=lambda q: True) -> set[int]:
+        seen = {q for q in starts if allowed(q)}
+        stack = list(seen)
+        while stack:
+            for dst in step.get(stack.pop(), ()):
+                if dst not in seen and allowed(dst):
+                    seen.add(dst)
+                    stack.append(dst)
+        return seen
+
+    def rejecting(q):
+        return q not in a.accepting
+
+    reachable = reach(a.initial)
+    forward = {q: reach(step.get(q, ())) for q in range(a.n_states)}
+    on_accepting_cycle = [q for q in reachable if q in a.accepting and q in forward[q]]
+    on_rejecting_cycle = [
+        q for q in reachable if rejecting(q) and q in reach(step.get(q, ()), rejecting)
+    ]
+    return not any(
+        r in forward[q] and q in forward[r] for q in on_accepting_cycle for r in on_rejecting_cycle
+    )
 
 
 def lasso_accepts_deterministic(aut: OmegaAutomaton, w: UltimatelyPeriodicWord) -> bool:
@@ -811,7 +846,7 @@ def random_complete_nba(rng: random.Random, alphabet: Alphabet, max_states: int 
 
 def random_sliced_system(rng: random.Random, n: int) -> RegularSystem:
     """Random finite-mode system already restricted to words of length n."""
-    from rmckit.automata import intersect, minimize, union, word_automaton
+    from rmckit.automata import determinize, intersect, minimize, union, word_automaton
     from rmckit.system import slice_system, validate
 
     base = Alphabet.base(("A", "B"))
@@ -822,8 +857,9 @@ def random_sliced_system(rng: random.Random, n: int) -> RegularSystem:
         init = union(init, word_automaton(base, w))
     init = minimize(intersect(init, exact_length(base, n)))
     rel = random_transducer(rng, base, max_states=4)
-    system = RegularSystem(init, rel)
-    return slice_system(validate(system), n)
+    sliced = slice_system(validate(RegularSystem(init, rel)), n)
+    # completed: the sweep benchmark serializes these draws, and its inputs stay fixed
+    return RegularSystem(determinize(sliced.initial), sliced.relation)
 
 
 def random_unsliced_system(rng: random.Random, lo: int = 2, hi: int = 6) -> RegularSystem:
@@ -836,13 +872,15 @@ def random_unsliced_system(rng: random.Random, lo: int = 2, hi: int = 6) -> Regu
     round a cycle, all of w's length, so every slice with an initial word
     has an infinite execution whatever the random part draws.
     """
-    from rmckit.automata import cut_lengths, minimize, union, word_automaton
+    from rmckit.automata import cut_lengths, determinize, minimize, union, word_automaton
     from rmckit.system import validate
 
     base = Alphabet.base(("A", "B"))
     words: list[tuple[int, ...]] = []
     while len({len(w) for w in words}) < 2:
-        init = minimize(cut_lengths(random_dfa_complete(rng, base, 4), range(lo, hi + 1)))
+        init = determinize(
+            minimize(cut_lengths(random_dfa_complete(rng, base, 4), range(lo, hi + 1)))
+        )
         words = sorted(language_upto(init, hi))
     rel = random_transducer(rng, base, max_states=4).inner
     for n in sorted({len(w) for w in words}):

@@ -71,6 +71,7 @@ from oracles import (
     naive_includes,
     project_components,
     random_dense_nfa,
+    random_dfa_complete,
     random_layered_weak_dba,
     random_nfa,
     random_partial_dfa,
@@ -160,7 +161,7 @@ def test_minimize_fixpoint_and_empty():
     m = minimize(nfa_one_token())
     assert minimize(m) == m
     empty = FiniteAutomaton(NT, 3, frozenset({0}), frozenset(), frozenset())
-    m0 = minimize(empty)
+    m0 = determinize(minimize(empty))
     assert m0.n_states == 1 and not m0.accepting and m0.is_complete
 
 
@@ -368,13 +369,13 @@ def test_completion_above_cap_raises_only_for_a_nonempty_language():
         edge = frozenset({(0, 0, 1)})
         return FiniteAutomaton(wide, 2, frozenset({0}), frozenset(accepting), edge)
 
-    for op in (determinize, lambda a: minimize(a, completion=True)):
+    for op in (determinize, lambda a: determinize(minimize(a))):
         with pytest.raises(InputError, match="completion cap"):
             op(aut({1}))
         sink = op(aut(()))
         assert (sink.n_states, len(sink.transitions)) == (1, wide.size)
         assert not sink.accepting
-    # by default minimize keeps the trim form above the cap
+    # minimize keeps the trim form above the cap
     assert minimize(aut({1})).transitions == frozenset({(0, 0, 1)})
 
 
@@ -382,10 +383,11 @@ def _minimize_cases():
     """Seeded random inputs for `minimize`, paired with a `completion` value.
 
     Random NFAs and partial DFAs over 2-, 5-, 96- (a pair alphabet) and
-    `COMPLETION_CAP + 1`-letter alphabets, each with all three completion
-    values, plus an empty initial set on each alphabet.  Then, from a second
-    seed, draws of finite languages: random NFAs and partial DFAs cut to a
-    few word lengths, and partial DFAs intersected with one word length.
+    `COMPLETION_CAP + 1`-letter alphabets, each for the trim minimal DFA and
+    the complete one (`_minimized`), plus an empty initial set on each
+    alphabet.  Then, from a second seed, draws of finite languages: random
+    NFAs and partial DFAs cut to a few word lengths, and partial DFAs
+    intersected with one word length.
     """
     rng = random.Random(41)
     alphabets = (
@@ -398,14 +400,14 @@ def _minimize_cases():
         Alphabet.base(tuple(f"x{i}" for i in range(COMPLETION_CAP + 1))),
     )
     for alphabet in alphabets:
-        for completion in (None, True, False):
+        for completion in (True, False):
             yield FiniteAutomaton(alphabet, 2, frozenset(), frozenset({1}), frozenset()), completion
             for _ in range(20):
                 yield random_nfa(rng, alphabet), completion
                 yield random_partial_dfa(rng, alphabet), completion
     rng = random.Random(43)
     for alphabet in alphabets:
-        for completion in (None, True, False):
+        for completion in (True, False):
             for _ in range(5):
                 for draw in (random_nfa, random_partial_dfa):
                     lengths = rng.sample(range(5), rng.randint(1, 3))
@@ -431,6 +433,13 @@ def _closure(starts, edges) -> set[int]:
     return seen
 
 
+def _minimized(a, completion):
+    """`minimize(a)`, or with `completion` the complete minimal DFA by its
+    recipe, `determinize(minimize(a))`."""
+    m = minimize(a)
+    return determinize(m) if completion else m
+
+
 def _outcome(op, a, completion):
     """The canonical text of `op(a, completion)` where the alphabet
     serializes (the value itself otherwise), or the InputError it raises."""
@@ -453,7 +462,7 @@ def test_minimize_matches_moore_oracle_on_random_automata():
             expected = _outcome(moore_minimize, a, completion)
             registered.reset_mock()
             refined.reset_mock()
-            assert _outcome(minimize, a, completion) == expected
+            assert _outcome(_minimized, a, completion) == expected
             edges = {(src, dst) for src, _, dst in a.transitions}
             reachable = _closure(a.initial, edges)
             live = _closure(a.accepting, {(dst, src) for src, dst in edges})
@@ -503,7 +512,7 @@ def test_minimize_refines_only_when_a_cycle_runs_through_live_states():
 def test_minimize_output_has_no_two_equivalent_states():
     for a, completion in _minimize_cases():
         try:
-            m = minimize(a, completion)
+            m = _minimized(a, completion)
         except InputError:
             continue
         assert m.n_states == moore_minimize(a, completion).n_states
@@ -511,6 +520,29 @@ def test_minimize_output_has_no_two_equivalent_states():
             at_p = replace(m, initial=frozenset({p}))
             at_q = replace(m, initial=frozenset({q}))
             assert not equivalent(at_p, at_q), (a, completion, p, q)
+
+
+def test_minimize_is_trim_at_every_alphabet_size():
+    # every state is reachable and reaches an accepting state; the empty
+    # language is the one rejecting state with no moves
+    rng = random.Random(61)
+    alphabets = [Alphabet.base(tuple("abc"[:k])) for k in (1, 2, 3)]
+    alphabets.append(Alphabet.base(tuple(f"x{i}" for i in range(COMPLETION_CAP + 1))))
+    seen = {"empty": 0, "nonempty": 0}
+    for alphabet in alphabets:
+        for _ in range(30):
+            for draw in (random_nfa, random_partial_dfa, random_dfa_complete):
+                m = minimize(draw(rng, alphabet))
+                everything = set(range(m.n_states))
+                if not m.accepting:
+                    assert (m.n_states, m.initial, m.transitions) == (1, {0}, frozenset())
+                    seen["empty"] += 1
+                    continue
+                edges = {(src, dst) for src, _, dst in m.transitions}
+                assert _closure(m.initial, edges) == everything
+                assert _closure(m.accepting, {(dst, src) for src, dst in edges}) == everything
+                seen["nonempty"] += 1
+    assert min(seen.values()) >= 0.1 * sum(seen.values()), seen
 
 
 def test_deterministic_input_gives_the_subset_route_bytes():
@@ -536,9 +568,9 @@ def test_deterministic_input_gives_the_subset_route_bytes():
     for name, a in cases.items():
         doubled = union(a, a)
         assert a.is_deterministic and not doubled.is_deterministic, name
-        for completion in (None, False):
-            m = minimize(a, completion)
-            assert m == minimize(doubled, completion), name
+        for completion in (True, False):
+            m = _minimized(a, completion)
+            assert m == _minimized(doubled, completion), name
             assert serialize_aut(m) == serialize_aut(moore_minimize(a, completion)), name
 
 
@@ -610,10 +642,16 @@ def _construction_cases():
             yield "complement", (d,), complement(d), _flipped_by_replace(
                 _determinize_by_constructor(d)
             )
-            for x, completion in ((a, None), (d, None), (a, False)):
-                yield "minimize", (x,), minimize(x, completion), moore_minimize(x, completion)
+            for x in (a, d):
+                yield "minimize", (x,), minimize(x), moore_minimize(x)
+            m = minimize(a)
+            yield "determinize", (m,), determinize(m), moore_minimize(a, completion=True)
             empty = replace(a, accepting=frozenset())
-            yield "minimize", (empty,), minimize(empty), _sink_by_constructor(
+            m0 = minimize(empty)
+            yield "minimize", (empty,), m0, FiniteAutomaton(
+                alphabet, 1, frozenset({0}), frozenset(), frozenset()
+            )
+            yield "determinize", (m0,), determinize(m0), _sink_by_constructor(
                 FiniteAutomaton, alphabet
             )
             yield "union", (a, d), union(a, d), _union_by_constructor(a, d)

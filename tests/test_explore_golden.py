@@ -208,9 +208,9 @@ CASES = {
     "flags_initial": lambda: flagged_ring().initial,
     "flags_relation": lambda: flagged_ring().relation.inner,
     "minimize_nfa": lambda: minimize(a_then_b()),
-    "minimize_nfa_trim": lambda: minimize(a_then_b(), completion=False),
+    "minimize_nfa_complete": lambda: determinize(minimize(a_then_b())),
     "minimize_empty": lambda: minimize(dead_end()),
-    "minimize_empty_trim": lambda: minimize(dead_end(), completion=False),
+    "minimize_empty_complete": lambda: determinize(minimize(dead_end())),
     "minimize_wide": lambda: minimize(wide_nfa()),
     "determinize_nfa": lambda: determinize(a_then_b()),
     "determinize_empty": lambda: determinize(dead_end()),

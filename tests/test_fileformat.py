@@ -227,6 +227,46 @@ def test_token_ring_cop_naming_a_lep_file_fails_at_load(tmp_path):
     assert info.value.line == lineno
 
 
+@pytest.mark.parametrize("kind", ["reach-bad", "gsp-negated"])
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_a_property_name_declared_twice_is_refused(tmp_path, kind, where):
+    # two blocks named two_tokens, whatever their kinds and their order
+    from rmckit import load_system
+    from rmckit.fixtures import gen_example
+
+    gen_example("token-ring", tmp_path)
+    system = tmp_path / "system.sys"
+    lines = system.read_text().splitlines()
+    at = lines.index("property: reach-bad two_tokens bad_two_tokens.aut")
+    extra = f"property: {kind} two_tokens " + (
+        "initial.aut" if kind == "reach-bad" else "gsp_always_one_neg.aut"
+    )
+    lines.insert(at if where == "before" else at + 1, extra)
+    system.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        load_system(system)
+    assert str(info.value) == (
+        f"property 'two_tokens' already declared on line {at + 1} (line {at + 2})"
+    )
+    assert info.value.line == at + 2
+
+
+def test_the_example_bundles_load_with_their_cops_as_recorded(tmp_path):
+    # the cop automata are the complete minimal DFAs they have always been
+    from rmckit import load_system
+    from rmckit.fixtures import EXAMPLE_NAMES, gen_example
+
+    one_token = (
+        "kind: dfa\nalphabet: N T\nstates: 3\ninitial: 0\naccepting: 1\ntrans:\n"
+        "0 N 0\n0 T 1\n1 N 1\n1 T 2\n2 N 2\n2 T 2\n"
+    )
+    for name in EXAMPLE_NAMES:
+        gen_example(name, tmp_path / name)
+        loaded = load_system(tmp_path / name / "system.sys")
+        cops = {cop.name: serialize_aut(cop.automaton) for cop in loaded.cops}
+        assert cops == {"one_token": one_token}, name
+
+
 def test_load_system_reports_missing_files(tmp_path):
     from rmckit import InputError, load_system
 

@@ -209,7 +209,7 @@ def test_finite_relation_is_minimal(make):
     for n in range(2, 10):
         aug = build_augmented_finite(slice_system(make(), n), always_one_neg(), [one_token_prop()])
         rel = aug.msys.system.relation.inner
-        assert rel.n_states == minimize(rel, completion=False).n_states, n
+        assert rel.n_states == minimize(rel).n_states, n
 
 
 def _finite_aug(cop):

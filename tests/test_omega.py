@@ -3,6 +3,7 @@
 import itertools
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -24,6 +25,7 @@ from rmckit import (
     sample_lassos,
     union,
 )
+from rmckit import omega
 from rmckit.alphabet import Alphabet
 from rmckit.automata import _paired_moves, _reflag, _sync_symbols
 from rmckit.fixtures import build_fa, ring_alphabet
@@ -43,6 +45,7 @@ from rmckit.omega import (
 from rmckit.transducer import accepts_pair, identity, pair_word
 
 from oracles import (
+    inherently_weak_oracle,
     lasso_accepts_deterministic,
     lasso_search,
     max_parity_colour,
@@ -112,6 +115,37 @@ def test_classify_mixed_scc_not_inherently_weak():
     # one SCC holding an accepting cycle and a rejecting self-loop
     flags = classify(inf_many_t())
     assert not flags["weak"] and not flags["inherently_weak"] and flags["deterministic"]
+
+
+def test_is_inherently_weak_equals_the_explicit_cycle_searches():
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for alphabet in (NT, Alphabet.base(("a", "b", "c"))):
+        for _ in range(1500):
+            a = random_nfa(rng, alphabet, max_states=7)
+            a = OmegaAutomaton(alphabet, a.n_states, a.initial, a.accepting, a.transitions)
+            expected = inherently_weak_oracle(a)
+            assert a.is_inherently_weak == expected, a
+            outcomes[expected] += 1
+    assert min(outcomes.values()) >= 0.1 * sum(outcomes.values()), outcomes
+
+
+def two_state_component_chain(n_states):
+    # states 2i and 2i+1 swap on N and form one component; 2i+1 steps to
+    # 2i+2 on T; the even states accept, so every component has an
+    # accepting cycle and none a cycle of rejecting states
+    pairs = [(q, "N", q ^ 1) for q in range(n_states)]
+    pairs += [(q, "T", q + 1) for q in range(1, n_states - 1, 2)]
+    return build_fa(NT, n_states, [0], range(0, n_states, 2), pairs, omega=True)
+
+
+def test_is_inherently_weak_makes_a_bounded_number_of_scc_passes():
+    a = two_state_component_chain(4000)
+    with mock.patch.object(
+        omega, "strongly_connected_components", wraps=omega.strongly_connected_components
+    ) as sccs:
+        assert a.is_inherently_weak
+    assert sccs.call_count <= 2
 
 
 def test_classify_acyclic_plus_sinks_weak():
