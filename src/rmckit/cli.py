@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import fixtures
 from .errors import InputError, RmckitError
-from .fileformat import LoadedSystem, _typed_property, load_system, parse_aut
+from .fileformat import LoadedSystem, _read, _typed_property, load_system, parse_aut
 from .gsp import (
     build_augmented_finite,
     build_augmented_omega,
@@ -168,7 +168,8 @@ def _property(loaded: LoadedSystem, kinds: tuple[str, ...], arg: str | None):
     `arg` (any name if None), or, when `arg` is a file, its automaton typed
     as a property of kind `kinds[0]`, as a declared block would be."""
     if arg is not None and Path(arg).is_file():
-        return _typed_property(kinds[0], parse_aut(Path(arg).read_text()), loaded)
+        text = _read(Path(arg), f"property file {arg!r}")
+        return _typed_property(kinds[0], parse_aut(text), loaded)
     for kind in kinds:
         try:
             return loaded.property_named(kind, arg).automaton

@@ -29,6 +29,9 @@ blocks:
     property: reach-bad two_tokens bad_two_tokens.aut
     property: gsp-negated always_one gsp_neg.aut
     property: losp-negated all_live losp_neg.aut
+
+Both formats are read by one line reader, `_key_values`, and their keys
+through one table each: `_AUT_KEYS` and `_SYSTEM_KEYS`.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .alphabet import Alphabet
 from .automata import FiniteAutomaton
@@ -51,82 +55,106 @@ _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 KINDS = ("nfa", "dfa", "buchi", "weak-dba", "transducer", "omega-transducer")
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+def _lines(text: str):
+    """(line number, line) of each line of `text` that is not blank once
+    its `#` comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _key_values(lines, keys, repeats=(), last=None):
+    """(key, value, line number) of each `key: value` line of `lines`, for
+    both file formats, up to the `last` key: a key outside `keys`, or one
+    outside `repeats` given twice, is refused at its line."""
+    seen: set[str] = set()
+    for lineno, line in lines:
+        key, colon, value = line.partition(":")
+        key = key.strip()
+        if not colon:
+            raise ParseError("expected `key: value`", lineno)
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r}", lineno)
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r}", lineno)
+        if key not in repeats:
+            seen.add(key)
+        yield key, value.strip(), lineno
+        if key == last:
+            return
+
+
+def _alphabet(names: list[str], lineno: int) -> Alphabet:
+    """The alphabet an `alphabet:` line names, in either file format."""
+    if not names:
+        raise ParseError("empty alphabet", lineno)
+    for n in names:
+        if not _NAME.match(n):
+            raise ParseError(f"bad symbol name {n!r}", lineno)
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate symbol names", lineno)
+    return Alphabet.base(tuple(names))
+
+
+def _kind(value: str, lineno: int) -> str:
+    if value not in KINDS:
+        raise ParseError(f"unknown kind {value!r}", lineno)
+    return value
+
+
+def _n_states(value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError("states must be a number", lineno)
+
+
+def _trans(value: str, lineno: int) -> None:
+    if value:
+        raise ParseError("transitions start on the following lines", lineno)
+
+
+def _state_list(value: str, lineno: int) -> list[int]:
+    out = []
+    for field in value.split():
+        try:
+            out.append(int(field))
+        except ValueError:
+            raise ParseError(f"bad state number {field!r}", lineno)
+    return out
+
+
+# how an automaton file reads the value of each of its keys
+_AUT_KEYS = {
+    "kind": _kind, "alphabet": lambda value, lineno: _alphabet(value.split(), lineno),
+    "states": _n_states, "initial": _state_list, "accepting": _state_list, "trans": _trans,
+}
 
 
 def parse_aut(text: str):
     """Parse an automaton/transducer file; strict about keys and symbols."""
-    kind: str | None = None
-    names: list[str] | None = None
-    n_states: int | None = None
-    initial: list[int] = []
-    accepting: list[int] = []
-    triples: list[tuple[int, str, int, int]] = []
-    in_trans = False
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        if in_trans:
-            fields = line.split()
-            if len(fields) != 3:
-                raise ParseError("transition needs `src symbol dst`", lineno)
-            try:
-                src, dst = int(fields[0]), int(fields[2])
-            except ValueError:
-                raise ParseError("transition endpoints must be state numbers", lineno)
-            triples.append((src, fields[1], dst, lineno))
-            continue
-        if ":" not in line:
-            raise ParseError("expected `key: value`", lineno)
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}", lineno)
-        seen.add(key)
-        if key == "kind":
-            if value not in KINDS:
-                raise ParseError(f"unknown kind {value!r}", lineno)
-            kind = value
-        elif key == "alphabet":
-            names = value.split()
-            if not names:
-                raise ParseError("empty alphabet", lineno)
-            for n in names:
-                if not _NAME.match(n):
-                    raise ParseError(f"bad symbol name {n!r}", lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate symbol names", lineno)
-        elif key == "states":
-            try:
-                n_states = int(value)
-            except ValueError:
-                raise ParseError("states must be a number", lineno)
-        elif key == "initial":
-            initial = _state_list(value, lineno)
-        elif key == "accepting":
-            accepting = _state_list(value, lineno)
-        elif key == "trans":
-            if value:
-                raise ParseError("transitions start on the following lines", lineno)
-            in_trans = True
-        else:
-            raise ParseError(f"unknown key {key!r}", lineno)
-    if kind is None:
-        raise ParseError("missing kind")
-    if names is None:
-        raise ParseError("missing alphabet")
-    if n_states is None:
-        raise ParseError("missing states count")
-    base = Alphabet.base(tuple(names))
+    lines = _lines(text)
+    head: dict = {"initial": [], "accepting": []}
+    for key, value, lineno in _key_values(lines, _AUT_KEYS, last="trans"):
+        head[key] = _AUT_KEYS[key](value, lineno)
+    for key, what in (("kind", "kind"), ("alphabet", "alphabet"), ("states", "states count")):
+        if key not in head:
+            raise ParseError(f"missing {what}")
+    kind, base, n_states = head["kind"], head["alphabet"], head["states"]
     is_trans = kind in ("transducer", "omega-transducer")
     alphabet = Alphabet.product(base, base) if is_trans else base
     transitions = set()
-    for src, symname, dst, lineno in triples:
+    # the lines after `trans:` are transitions
+    for lineno, line in lines:
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError("transition needs `src symbol dst`", lineno)
+        src, symname, dst = fields
+        try:
+            src, dst = int(src), int(dst)
+        except ValueError:
+            raise ParseError("transition endpoints must be state numbers", lineno)
         if is_trans:
             if "/" not in symname:
                 raise ParseError(
@@ -141,6 +169,7 @@ def parse_aut(text: str):
         if not (0 <= src < n_states and 0 <= dst < n_states):
             raise ParseError(f"transition references undeclared state", lineno)
         transitions.add((src, sym, dst))
+    initial, accepting = head["initial"], head["accepting"]
     for q in initial + accepting:
         if not (0 <= q < n_states):
             raise ParseError(f"state {q} out of range")
@@ -157,16 +186,6 @@ def parse_aut(text: str):
     if is_trans:
         return Transducer(aut)
     return aut
-
-
-def _state_list(value: str, lineno: int) -> list[int]:
-    out = []
-    for field in value.split():
-        try:
-            out.append(int(field))
-        except ValueError:
-            raise ParseError(f"bad state number {field!r}", lineno)
-    return out
 
 
 def _kind_of(value) -> str:
@@ -239,118 +258,121 @@ class LoadedSystem:
 PROPERTY_KINDS = ("reach-bad", "gsp-negated", "gsp", "losp-negated")
 
 
-def parse_system_file(text: str) -> list[tuple[str, list[str], int]]:
-    """Raw key lines of a system file: key, value fields and line number.
-    File names stay as written; `load_system` resolves them."""
-    entries: list[tuple[str, list[str], int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError("expected `key: value`", lineno)
-        key, _, value = line.partition(":")
-        entries.append((key.strip(), value.split(), lineno))
-    return entries
+def _read(path: Path, what: str, lineno: int | None = None) -> str:
+    """The text of `path`, refused as `what`, at the line of the entry that
+    names it if there is one, when it cannot be read."""
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        why = "not found"
+    except OSError as e:
+        why = f"cannot be read: {e.strerror}"
+    except UnicodeDecodeError:
+        why = "is not UTF-8 text"
+    message = f"{what} {why}"
+    raise InputError(message) if lineno is None else ParseError(message, lineno)
+
+
+def _new_property_name(fields: list[str], lineno: int, earlier: list) -> None:
+    # a name is one property whatever its kind: `check-gsp` looks it up as
+    # gsp-negated and as gsp
+    first = next((line for (_, name, _), line in earlier if name == fields[1]), None)
+    if first is not None:
+        raise ParseError(f"property {fields[1]!r} already declared on line {first}", lineno)
+
+
+def _add_cop(loaded: LoadedSystem, name: str, aut) -> LoadedSystem:
+    # a cop of the other word kind, or one that cannot be typed, is checked
+    # as it is, its kind first; the cops are checked as one set, each with
+    # those before it, so a cop past the cap is refused at its own line
+    cop = StateProperty(name, aut)
+    if isinstance(aut, OmegaAutomaton) == (loaded.system.mode == OMEGA):
+        with suppress(NotWeak):
+            cop = state_property(name, aut)
+    cops = (*loaded.cops, cop)
+    _check_cops(cops, loaded.system.alphabet, loaded.system.mode)
+    return replace(loaded, cops=cops)
+
+
+def _add_lep(loaded: LoadedSystem, name: str, *automata) -> LoadedSystem:
+    return replace(loaded, leps=(*loaded.leps, local_execution_property(name, *automata)))
+
+
+def _add_property(loaded: LoadedSystem, kind: str, name: str, aut) -> LoadedSystem:
+    block = PropertyBlock(kind, name, _typed_property(kind, aut, loaded))
+    return replace(loaded, properties=(*loaded.properties, block))
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How `load_system` reads a system-file entry: the field counts it
+    takes (any if none are given), refused with `usage` as is a first field
+    outside `first`; whether it may appear only once; the fields that name
+    automaton files; `check(fields, lineno, earlier)`, a further rule given
+    the earlier entries of the key; and, for a declaration typed against
+    the system, the field that names it and `add(loaded, *fields)`, the
+    loaded system with the declaration."""
+
+    counts: tuple[int, ...]
+    usage: str = ""
+    once: bool = False
+    files: tuple[int, ...] = ()
+    first: tuple[str, ...] = ()
+    check: Callable | None = None
+    name: int = 0
+    add: Callable | None = None
+
+
+# every system-file entry; the declarations are typed in this order, after
+# the system
+_SYSTEM_KEYS = {
+    "alphabet": _Key((), once=True, check=lambda fields, lineno, _: _alphabet(fields, lineno)),
+    "mode": _Key((1,), "mode must be finite or omega", once=True, first=(FINITE, OMEGA)),
+    "initial": _Key((1,), "initial takes one file", once=True, files=(0,)),
+    "relation": _Key((1,), "relation takes one file", once=True, files=(0,)),
+    "cop": _Key((2,), "cop takes `name file`", files=(1,), add=_add_cop),
+    "lep": _Key((2, 3), "lep takes `name file [complement-file]`", files=(1, 2), add=_add_lep),
+    "property": _Key(
+        (3,), f"property takes `kind name file` with kind in {PROPERTY_KINDS}", files=(2,),
+        first=PROPERTY_KINDS, check=_new_property_name, name=1, add=_add_property,
+    ),
+}
+_REPEATED = {key for key, row in _SYSTEM_KEYS.items() if not row.once}
 
 
 def load_system(path: str | Path) -> LoadedSystem:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise InputError(f"system file {str(path)!r} not found") from None
-    directory = path.parent
-    entries = parse_system_file(text)
+    found: dict[str, list] = {key: [] for key in _SYSTEM_KEYS}
+    text = _read(path, f"system file {str(path)!r}")
+    for key, value, lineno in _key_values(_lines(text), _SYSTEM_KEYS, _REPEATED):
+        row, fields = _SYSTEM_KEYS[key], value.split()
+        if row.counts and len(fields) not in row.counts or row.first and fields[0] not in row.first:
+            raise ParseError(row.usage, lineno)
+        if row.check:
+            row.check(fields, lineno, found[key])
+        for i in row.files:
+            if i < len(fields):  # a lep's complement file may be left out
+                what = f"referenced file {fields[i]!r}"
+                fields[i] = parse_aut(_read(path.parent / fields[i], what, lineno))
+        found[key].append((fields, lineno))
 
-    def read_aut(name: str, lineno: int):
-        try:
-            text = (directory / name).read_text()
-        except FileNotFoundError:
-            raise ParseError(f"referenced file {name!r} not found", lineno) from None
-        return parse_aut(text)
-
-    alphabet: Alphabet | None = None
-    mode = FINITE
-    initial = relation = None
-    cops: list[tuple[str, FiniteAutomaton, int]] = []
-    lep_entries: list[tuple[str, FiniteAutomaton, FiniteAutomaton | None, int]] = []
-    prop_entries: list[tuple[str, str, object, int]] = []
-    seen_single: set[str] = set()
-    for key, fields, lineno in entries:
-        if key in ("alphabet", "mode", "initial", "relation"):
-            if key in seen_single:
-                raise ParseError(f"duplicate key {key!r}", lineno)
-            seen_single.add(key)
-        if key == "alphabet":
-            alphabet = Alphabet.base(tuple(fields))
-        elif key == "mode":
-            if fields != ["finite"] and fields != ["omega"]:
-                raise ParseError("mode must be finite or omega", lineno)
-            mode = fields[0]
-        elif key == "initial":
-            if len(fields) != 1:
-                raise ParseError("initial takes one file", lineno)
-            initial = read_aut(fields[0], lineno)
-        elif key == "relation":
-            if len(fields) != 1:
-                raise ParseError("relation takes one file", lineno)
-            relation = read_aut(fields[0], lineno)
-        elif key == "cop":
-            if len(fields) != 2:
-                raise ParseError("cop takes `name file`", lineno)
-            cops.append((fields[0], read_aut(fields[1], lineno), lineno))
-        elif key == "lep":
-            if len(fields) not in (2, 3):
-                raise ParseError("lep takes `name file [complement-file]`", lineno)
-            comp = read_aut(fields[2], lineno) if len(fields) == 3 else None
-            lep_entries.append((fields[0], read_aut(fields[1], lineno), comp, lineno))
-        elif key == "property":
-            if len(fields) != 3 or fields[0] not in PROPERTY_KINDS:
-                raise ParseError(
-                    f"property takes `kind name file` with kind in {PROPERTY_KINDS}", lineno
-                )
-            # a name is one property whatever its kind: `check-gsp` looks
-            # it up as gsp-negated and as gsp
-            first = next((line for _, name, _, line in prop_entries if name == fields[1]), None)
-            if first is not None:
-                raise ParseError(f"property {fields[1]!r} already declared on line {first}", lineno)
-            prop_entries.append((fields[0], fields[1], read_aut(fields[2], lineno), lineno))
-        else:
-            raise ParseError(f"unknown key {key!r}", lineno)
-
-    if alphabet is None or initial is None or relation is None:
+    if not all(found[key] for key in ("alphabet", "initial", "relation")):
         raise ParseError("system file needs alphabet, initial and relation")
+    head = {key: entries[0][0] for key, entries in found.items() if entries}
+    [relation], [mode] = head["relation"], head.get("mode", [FINITE])
     if not isinstance(relation, Transducer):
         raise ParseError("relation file must hold a transducer")
     # a system's alphabet and word kind are its relation's: the declarations must agree
     if mode != relation.mode:
         raise ModeMismatch("relation transducer does not match the system mode")
-    if alphabet != relation.base:
+    if Alphabet.base(tuple(head["alphabet"])) != relation.base:
         raise ModeMismatch("system components are over different alphabets")
-    system = validate(RegularSystem(initial, relation))
-
-    cop_list: list[StateProperty] = []
-    for name, aut, lineno in cops:
-        with _entry("cop", name, lineno):
-            # a cop of the other word kind, or one that cannot be typed, is
-            # checked as it is, its kind first
-            cop = StateProperty(name, aut)
-            if isinstance(aut, OmegaAutomaton) == (mode == OMEGA):
-                with suppress(NotWeak):
-                    cop = state_property(name, aut)
-            _check_cops([cop], alphabet, mode)
-        cop_list.append(cop)
-    lep_list: list[LocalExecutionProperty] = []
-    for name, aut, comp, lineno in lep_entries:
-        with _entry("lep", name, lineno):
-            lep_list.append(local_execution_property(name, aut, comp))
-    loaded = LoadedSystem(system, tuple(cop_list), tuple(lep_list), ())
-    blocks: list[PropertyBlock] = []
-    for kind, name, aut, lineno in prop_entries:
-        with _entry("property", name, lineno):
-            blocks.append(PropertyBlock(kind, name, _typed_property(kind, aut, loaded)))
-    return replace(loaded, properties=tuple(blocks))
+    loaded = LoadedSystem(validate(RegularSystem(head["initial"][0], relation)), (), (), ())
+    for key, row in _SYSTEM_KEYS.items():
+        for fields, lineno in found[key] if row.add else ():
+            with _entry(key, fields[row.name], lineno):
+                loaded = row.add(loaded, *fields)
+    return loaded
 
 
 @contextmanager

@@ -619,6 +619,30 @@ def test_initial_set_naming_a_transducer_is_an_input_error(tmp_path, capsys):
     assert captured.err == "error: initial set must be a finite-word automaton\n"
 
 
+def test_a_file_that_cannot_be_read_is_an_input_error(tmp_path, capsys):
+    # the error names the system file, the entry or the property file
+    gen_example("token-ring", tmp_path)
+    path = tmp_path / "system.sys"
+    lines = path.read_text().splitlines()
+    lineno = lines.index("initial: initial.aut") + 1
+    lines[lineno - 1] = "initial: ."
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check-reach", "--system", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: referenced file '.' cannot be read: Is a directory (line {lineno})\n"
+    )
+    assert main(["check-reach", "--system", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: system file {str(tmp_path)!r} cannot be read: Is a directory\n"
+    )
+    latin1 = tmp_path / "latin1.aut"
+    latin1.write_bytes("# état\n".encode("latin-1"))
+    lines[lineno - 1] = "initial: initial.aut"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check-gsp", "--system", str(path), "--property", str(latin1)]) == 3
+    assert capsys.readouterr().err == f"error: property file {str(latin1)!r} is not UTF-8 text\n"
+
+
 @pytest.fixture
 def omega_gsp_dir(tmp_path):
     bundle = dict(OMEGA_BUNDLE)

@@ -26,6 +26,8 @@ def test_demo_runs(demo, tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    # a demo cleans up its temporary files
+    assert list(tmp_path.iterdir()) == []
 
 
 def _quick_start() -> str:

@@ -333,3 +333,143 @@ def test_gsp_property_block_is_negated_on_load(tmp_path):
         assert accepts_up_word(always, word) == (m0 not in prefix + period)
         assert accepts_up_word(negated.automaton, word) == (m0 in prefix + period)
         assert accepts_up_word(shipped.automaton, word) == (m0 in prefix + period)
+
+
+_SYSTEM_HEAD = "alphabet: N T\nmode: finite\ninitial: init.aut\nrelation: rel.aut\n"
+_PROPERTY_USAGE = (
+    "property takes `kind name file` with kind in "
+    "('reach-bad', 'gsp-negated', 'gsp', 'losp-negated')"
+)
+
+
+def _head(**lines):
+    """The four head lines of a system file, some of them replaced
+    (a value of None drops the line)."""
+    out = []
+    for line in _SYSTEM_HEAD.splitlines():
+        key = line.split(":")[0]
+        if lines.get(key, line) is not None:
+            out.append(lines.get(key, line))
+    return "".join(f"{line}\n" for line in out)
+
+
+# one malformed bundle per loader rule: the system file, the exception type
+# and its exact message
+LOADER_RULES = {
+    "unknown-key": (_SYSTEM_HEAD + "colour: blue\n", "ParseError", "unknown key 'colour' (line 5)"),
+    "missing-colon": (
+        _SYSTEM_HEAD + "cop one_token init.aut\n", "ParseError", "expected `key: value` (line 5)"
+    ),
+    "single-key-twice": (
+        _SYSTEM_HEAD + "mode: finite\n", "ParseError", "duplicate key 'mode' (line 5)"
+    ),
+    "bad-mode": (_head(mode="mode: fast"), "ParseError", "mode must be finite or omega (line 2)"),
+    "initial-fields": (
+        _head(initial="initial: init.aut init.aut"),
+        "ParseError",
+        "initial takes one file (line 3)",
+    ),
+    "relation-fields": (
+        _head(relation="relation:"), "ParseError", "relation takes one file (line 4)"
+    ),
+    "cop-fields": (_SYSTEM_HEAD + "cop: one_token\n", "ParseError", "cop takes `name file` (line 5)"),
+    "lep-fields": (
+        _SYSTEM_HEAD + "lep: live a.aut b.aut c.aut\n",
+        "ParseError",
+        "lep takes `name file [complement-file]` (line 5)",
+    ),
+    "property-fields": (
+        _SYSTEM_HEAD + "property: reach-bad bad\n", "ParseError", f"{_PROPERTY_USAGE} (line 5)"
+    ),
+    "property-kind": (
+        _SYSTEM_HEAD + "property: ltl bad init.aut\n", "ParseError", f"{_PROPERTY_USAGE} (line 5)"
+    ),
+    "property-name-twice": (
+        _SYSTEM_HEAD + "property: reach-bad bad init.aut\nproperty: gsp bad init.aut\n",
+        "ParseError",
+        "property 'bad' already declared on line 5 (line 6)",
+    ),
+    "missing-file": (
+        _SYSTEM_HEAD + "cop: one_token none.aut\n",
+        "ParseError",
+        "referenced file 'none.aut' not found (line 5)",
+    ),
+    "missing-key": (
+        _head(relation=None), "ParseError", "system file needs alphabet, initial and relation"
+    ),
+    "relation-not-transducer": (
+        _head(relation="relation: init.aut"), "ParseError", "relation file must hold a transducer"
+    ),
+    "mode-disagrees": (
+        _head(mode="mode: omega"),
+        "ModeMismatch",
+        "relation transducer does not match the system mode",
+    ),
+    "alphabet-disagrees": (
+        _head(alphabet="alphabet: N T X"),
+        "ModeMismatch",
+        "system components are over different alphabets",
+    ),
+    # an `alphabet:` line is read by the automaton files' alphabet rule
+    "alphabet-empty": (_head(alphabet="alphabet:"), "ParseError", "empty alphabet (line 1)"),
+    "alphabet-duplicate": (
+        _head(alphabet="alphabet: N N"), "ParseError", "duplicate symbol names (line 1)"
+    ),
+    "alphabet-bad-name": (
+        _head(alphabet="alphabet: N T/x"), "ParseError", "bad symbol name 'T/x' (line 1)"
+    ),
+    "file-is-a-directory": (
+        _head(initial="initial: ."),
+        "ParseError",
+        "referenced file '.' cannot be read: Is a directory (line 3)",
+    ),
+    "file-not-utf8": (
+        _head(initial="initial: latin1.aut"),
+        "ParseError",
+        "referenced file 'latin1.aut' is not UTF-8 text (line 3)",
+    ),
+    "ninth-cop": (
+        _SYSTEM_HEAD + "".join(f"cop: c{i} init.aut\n" for i in range(9)),
+        "ParseError",
+        "cop 'c8': at most 8 state properties supported (line 13)",
+    ),
+}
+
+
+@pytest.mark.parametrize("system, error, message", LOADER_RULES.values(), ids=LOADER_RULES)
+def test_each_loader_rule_refuses_with_its_type_and_message(tmp_path, system, error, message):
+    import rmckit
+    from rmckit import load_system
+    from rmckit.fixtures import build_fa, ring_alphabet
+    from rmckit.transducer import identity
+
+    nt = ring_alphabet()
+    (tmp_path / "init.aut").write_text(serialize_aut(build_fa(nt, 1, [0], [0], [(0, "N", 0)])))
+    (tmp_path / "rel.aut").write_text(serialize_aut(identity(nt, "finite")))
+    (tmp_path / "latin1.aut").write_bytes("# état\n".encode("latin-1"))
+    (tmp_path / "sys.sys").write_text(system)
+    with pytest.raises(rmckit.RmckitError) as info:
+        load_system(tmp_path / "sys.sys")
+    assert type(info.value) is getattr(rmckit, error)
+    assert str(info.value) == message
+
+
+def test_a_ninth_cop_is_refused_at_its_own_line_whatever_the_properties(tmp_path, capsys):
+    # the token ring declares a gsp-negated block over its one cop; the
+    # ninth cop, not that block, takes the blame, for every command
+    from rmckit import load_system
+    from rmckit.cli import main
+    from rmckit.fixtures import gen_example
+
+    gen_example("token-ring", tmp_path)
+    system = tmp_path / "system.sys"
+    text = system.read_text()
+    assert "property: gsp-negated" in text
+    system.write_text(text + "".join(f"cop: extra{i} cop_one_token.aut\n" for i in range(8)))
+    lineno = len(system.read_text().splitlines())
+    message = f"cop 'extra7': at most 8 state properties supported (line {lineno})"
+    with pytest.raises(ParseError) as info:
+        load_system(system)
+    assert str(info.value) == message
+    assert main(["check-reach", "--system", str(system)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"

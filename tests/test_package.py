@@ -265,3 +265,39 @@ def test_every_source_line_fits_in_100_columns():
         if len(line) > 100
     ]
     assert long == []
+
+
+def test_fileformat_reads_entry_keys_only_through_its_tables():
+    # a file's keys are read through `_AUT_KEYS` and `_SYSTEM_KEYS`, never by
+    # comparing a key with its name, and one reader splits `key: value`
+    from rmckit import fileformat
+
+    keys = set(fileformat._AUT_KEYS) | set(fileformat._SYSTEM_KEYS)
+    tree = ast.parse((PACKAGE / "fileformat.py").read_text())
+
+    def strings(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {e.value for e in elts if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+
+    compared = sorted(
+        value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for value in strings(operand) & keys
+    )
+    assert compared == []
+
+    splits = []
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    operands = node.args
+                else:
+                    continue
+                if any(":" in s for operand in operands for s in strings(operand)):
+                    splits.append(function.name)
+    assert splits == ["_key_values"]
